@@ -32,7 +32,6 @@ from .lifting import (
     SimTrace,
     discretize_lifted,
     fh_step,
-    hybrid_step,
     l2_norm,
 )
 from .runner import (

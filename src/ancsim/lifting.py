@@ -13,9 +13,12 @@ With the period split into L cells of width h/L::
 endpoints, so every entry is exact up to the matrix exponential.
 
 ``HybridLoop`` assembles these pieces into a closed loop: a noise source, a
-primary path, and a secondary path driven by a sampled FIR filter, with all
-continuous dynamics advanced by exact one-cell and one-period propagators.
-No numerical ODE integration happens anywhere in this module.
+primary path, and a secondary path driven by a sampled FIR filter. The same
+lifting applies to the point samples at the cell left endpoints: each is a
+fixed linear map of the period-start state and the held inputs, built once
+from the exact one-cell propagators (rows ``c Phi^l`` and accumulated input
+gains), so one period is a handful of matrix-vector products with no loop
+over the cells. No numerical ODE integration happens anywhere in this module.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "SimTrace",
     "discretize_lifted",
     "fh_step",
-    "hybrid_step",
     "l2_norm",
 ]
 
@@ -171,14 +173,34 @@ class IntervalRecord:
     u_fast: np.ndarray
 
 
-class HybridLoop:
-    """Precomputed propagators for one loop configuration.
+def _output_rows(c: np.ndarray, phi: np.ndarray, L: int) -> np.ndarray:
+    """Rows ``c phi^l`` for l = 0 .. L-1, shape (L, n)."""
+    rows = np.empty((L, phi.shape[0]))
+    row = c
+    for l in range(L):
+        rows[l] = row
+        row = row @ phi
+    return rows
 
-    Construction discretizes the secondary path, prepares one-cell and
-    one-period transition matrices for every continuous block, and wires the
-    noise source: autonomous generators are propagated jointly with the
-    primary path (the cascade is again autonomous), held waveforms drive the
-    primary path cell by cell.
+
+class HybridLoop:
+    """Precomputed propagators and cell-output maps for one loop configuration.
+
+    Construction discretizes the secondary path and folds its one-cell
+    propagator (phi_f, gamma_f) into the rows ``c_f phi_f^l`` and the
+    accumulated input gains ``sum_{i<l} c_f phi_f^i gamma_f``, which map the
+    period-start state and the held input to the L cell samples of the
+    anti-noise (input y_d) and of the regressor response (input x_d).
+
+    The noise source is wired in one of two ways. An autonomous generator is
+    propagated jointly with the primary path (the cascade is again
+    autonomous): a stacked (2L x n) map takes the joint state to x_fast and
+    d_fast, and the one-period exponential gives the next joint state. A
+    held waveform drives the primary path cell by cell: rows
+    ``c_p phi_p^l``, a strictly lower-triangular L x L input map give
+    d_fast, and ``phi_p^L`` with an (n_p x L) input map gives the next
+    primary state. The one-cell propagators stay available as attributes for
+    stepping a period cell by cell.
     """
 
     def __init__(
@@ -193,16 +215,19 @@ class HybridLoop:
         primary.validate_plant("primary path")
         self.sampler = FastSampler(h, L)
         self.h = self.sampler.h
-        self.L = self.sampler.L
+        self.L = L = self.sampler.L
         self.secondary = secondary
         self.primary = primary
         self.generator = generator
-        self.lift = discretize_lifted(secondary, self.h, self.L)
+        self.lift = discretize_lifted(secondary, self.h, L)
 
         cell = vanloan(secondary, self.sampler.dt)
         self._phi_f = cell.Phi
         self._gamma_f = cell.Gamma[:, 0]
         self._c_f = secondary.C[0]
+        self._f_rows = _output_rows(self._c_f, self._phi_f, L)
+        # gain of the held input on cells 1 .. L-1 (cell 0 does not see it)
+        self._f_gains = np.cumsum(self._f_rows @ self._gamma_f)[:-1]
 
         if isinstance(generator, AutonomousGenerator):
             ng, npr = generator.nstates, primary.nstates
@@ -216,6 +241,12 @@ class HybridLoop:
             self._c_p = primary.C[0]
             self._ng = ng
             self._held = None
+            pick_x = np.concatenate([self._c_g, np.zeros(npr)])
+            pick_d = np.concatenate([np.zeros(ng), self._c_p])
+            self._xd_rows = np.vstack([
+                _output_rows(pick_x, self._phi_joint_cell, L),
+                _output_rows(pick_d, self._phi_joint_cell, L),
+            ])
         elif isinstance(generator, HeldWaveform):
             if abs(generator.dt - self.sampler.dt) > 1e-12 * self.sampler.dt:
                 raise ValueError(
@@ -226,6 +257,19 @@ class HybridLoop:
             self._gamma_p = pcell.Gamma[:, 0]
             self._c_p = primary.C[0]
             self._held = generator
+            self._p_rows = _output_rows(self._c_p, self._phi_p, L)
+            # d_fast[l] gets c_p phi_p^(l-1-i) gamma_p x[i] from every i < l;
+            # the map below covers cells 1 .. L-1 and inputs 0 .. L-2.
+            impulse = self._p_rows @ self._gamma_p
+            lag = np.subtract.outer(np.arange(L - 1), np.arange(L - 1))
+            self._p_input = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+            self._phi_p_period = np.linalg.matrix_power(self._phi_p, L)
+            # column i: phi_p^(L-1-i) gamma_p, the end-of-period effect of x[i]
+            self._p_input_period = np.empty((primary.nstates, L))
+            col = self._gamma_p
+            for i in range(L - 1, -1, -1):
+                self._p_input_period[:, i] = col
+                col = self._phi_p @ col
         else:
             raise TypeError(
                 "generator must be an AutonomousGenerator or a HeldWaveform, "
@@ -273,46 +317,32 @@ class HybridLoop:
         xd_hist[1:] = state.xd_hist[:-1]
         y_d = float(taps @ xd_hist)
 
-        u_block = self.lift.Ch @ state.eta + self.lift.Dh * x_d
+        lift = self.lift
+        u_block = lift.Ch @ state.eta + lift.Dh * x_d
+        w_fast = self._f_rows @ state.zeta_F
+        w_fast[1:] += self._f_gains * y_d
+        u_fast = self._f_rows @ state.eta
+        u_fast[1:] += self._f_gains * x_d
 
-        x_fast = np.empty(L)
-        d_fast = np.empty(L)
-        w_fast = np.empty(L)
-        u_fast = np.empty(L)
-        zf = state.zeta_F
-        eta = state.eta
         if held is None:
             z = np.concatenate([state.gen_state, state.zeta_P])
-            for l in range(L):
-                x_fast[l] = self._c_g @ z[:self._ng]
-                d_fast[l] = self._c_p @ z[self._ng:]
-                w_fast[l] = self._c_f @ zf
-                u_fast[l] = self._c_f @ eta
-                z = self._phi_joint_cell @ z
-                zf = self._phi_f @ zf + self._gamma_f * y_d
-                eta = self._phi_f @ eta + self._gamma_f * x_d
-            z_end = self._phi_joint_period @ np.concatenate([state.gen_state, state.zeta_P])
+            xd_fast = self._xd_rows @ z
+            x_fast, d_fast = xd_fast[:L], xd_fast[L:]
+            z_end = self._phi_joint_period @ z
             gen_next = z_end[:self._ng]
             zeta_p_next = z_end[self._ng:]
         else:
-            zp = state.zeta_P
-            for l in range(L):
-                xv = held.values[n * L + l]
-                x_fast[l] = xv
-                d_fast[l] = self._c_p @ zp
-                w_fast[l] = self._c_f @ zf
-                u_fast[l] = self._c_f @ eta
-                zp = self._phi_p @ zp + self._gamma_p * xv
-                zf = self._phi_f @ zf + self._gamma_f * y_d
-                eta = self._phi_f @ eta + self._gamma_f * x_d
+            x_fast = held.values[base:base + L].copy()
+            d_fast = self._p_rows @ state.zeta_P
+            d_fast[1:] += self._p_input @ x_fast[:-1]
             gen_next = state.gen_state
-            zeta_p_next = zp
+            zeta_p_next = self._phi_p_period @ state.zeta_P + self._p_input_period @ x_fast
 
         new_state = HybridLoopState(
-            zeta_F=self.lift.Ah @ state.zeta_F + self.lift.Bh * y_d,
+            zeta_F=lift.Ah @ state.zeta_F + lift.Bh * y_d,
             zeta_P=zeta_p_next,
             gen_state=gen_next,
-            eta=self.lift.Ah @ state.eta + self.lift.Bh * x_d,
+            eta=lift.Ah @ state.eta + lift.Bh * x_d,
             xd_hist=xd_hist,
             n=n + 1,
         )
@@ -327,11 +357,6 @@ class HybridLoop:
             u_fast=u_fast,
         )
         return new_state, record
-
-
-def hybrid_step(loop: HybridLoop, state: HybridLoopState, taps):
-    """Module-level alias for :meth:`HybridLoop.step`."""
-    return loop.step(state, taps)
 
 
 @dataclass(frozen=True)
@@ -389,6 +414,9 @@ def l2_norm(samples, dt: float, t_end: float | None = None) -> float:
         count = min(arr.size, int(round(t_end / dt)))
         arr = arr[:max(count, 1)]
     if not np.all(np.isfinite(arr)):
+        return float("inf")
+    # squares of samples this large overflow the dot product
+    if float(np.max(np.abs(arr))) >= 1e150:
         return float("inf")
     total = float(np.dot(arr, arr))
     if total > 1e300:

@@ -313,6 +313,26 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_CHUNK_ROWS = 4096
+
+
+def _write_columns(path: str, header: list[str], columns) -> None:
+    """Write equal-length 1-D columns as CSV, streamed in row chunks.
+
+    Integer and boolean columns print with %d, all others with %.17g, which
+    gives the same bytes as ``_write_csv`` on the same values. Only one
+    chunk of rows is ever held as Python objects.
+    """
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if c.dtype.kind in "iub" else "%.17g" for c in columns) + "\n"
+    n_rows = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join([fmt % row for row in zip(*chunk)]))
+
+
 def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> list[str]:
     """Write fast/discrete/taps/u_blocks/report tables; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -324,32 +344,28 @@ def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> li
         paths.append(path)
         return path
 
-    t = tr.t_fast
-    _write_csv(
+    _write_columns(
         p("fast.csv"),
         ["t", "x", "d", "w", "e", "u"],
-        zip(t, tr.x, tr.d, tr.w, tr.e, tr.u),
+        [tr.t_fast, tr.x, tr.d, tr.w, tr.e, tr.u],
     )
     n_idx = np.arange(tr.n_steps)
-    _write_csv(
+    _write_columns(
         p("discrete.csv"),
         ["n", "t", "x_d", "y_d"],
-        zip(n_idx, n_idx * tr.h, tr.x_d, tr.y_d),
+        [n_idx, n_idx * tr.h, tr.x_d, tr.y_d],
     )
     n_taps = result.alpha_hist.shape[1] if result.alpha_hist.size else 0
     header = ["n"] + [f"alpha_{k}" for k in range(n_taps)] + [f"delta_{k}" for k in range(n_taps)]
-    _write_csv(
+    _write_columns(
         p("taps.csv"),
         header,
-        (
-            [n, *result.alpha_hist[n], *result.delta_hist[n]]
-            for n in range(result.alpha_hist.shape[0])
-        ),
+        [np.arange(result.alpha_hist.shape[0]), *result.alpha_hist.T, *result.delta_hist.T],
     )
-    _write_csv(
+    _write_columns(
         p("u_blocks.csv"),
         ["n"] + [f"u_{l}" for l in range(result.algorithm_cells)],
-        ([n, *row] for n, row in enumerate(result.u_alg_blocks)),
+        [np.arange(result.u_alg_blocks.shape[0]), *result.u_alg_blocks.T],
     )
 
     rep = result.lms_report

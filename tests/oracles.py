@@ -6,13 +6,24 @@ integrals from adaptive quadrature, interval propagation from a high order
 Runge-Kutta solver, and gradients from central differences. Agreement
 between these references and the package is the point of the tests, so the
 two sides must stay independent.
+
+Two references are earlier, slower forms of package code, kept to check
+the rewrites that replaced them: :func:`reference_step` walks the cells of
+a period one by one with the loop's own one-cell propagators, and
+:func:`reference_write_run_csv` / :func:`reference_write_comparison_csv`
+write the CSV tables row by row through a per-value formatter.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
+
+from ancsim.lifting import HybridLoopState, IntervalRecord
+from ancsim.statespace import DimensionError
 
 
 def expm_ref(m: np.ndarray) -> np.ndarray:
@@ -238,3 +249,189 @@ def held_output_fine(sys, x_held, h, refine):
         state = ad @ state + bd[:, 0] * x_held[j // refine]
     y[n_fast] = float(c @ state)
     return y
+
+
+def reference_step(loop, state: HybridLoopState, taps) -> tuple[HybridLoopState, IntervalRecord]:
+    """One period of ``loop`` advanced cell by cell (the per-cell loop).
+
+    Uses the loop's one-cell propagators and lifted blocks; the loop's
+    precomputed cell-output maps are not used.
+    """
+    taps = np.asarray(taps, dtype=float).reshape(-1)
+    if taps.size != state.xd_hist.size:
+        raise DimensionError(
+            f"taps length {taps.size} does not match delay line length {state.xd_hist.size}"
+        )
+    n, L = state.n, loop.L
+    held = loop._held
+
+    if held is None:
+        x_d = float(loop._c_g @ state.gen_state)
+    else:
+        base = n * L
+        if base + L > len(held):
+            raise ValueError(
+                f"held waveform exhausted: period {n} needs samples up to {base + L}"
+            )
+        x_d = float(held.values[base])
+
+    xd_hist = np.empty_like(state.xd_hist)
+    xd_hist[0] = x_d
+    xd_hist[1:] = state.xd_hist[:-1]
+    y_d = float(taps @ xd_hist)
+
+    u_block = loop.lift.Ch @ state.eta + loop.lift.Dh * x_d
+
+    x_fast = np.empty(L)
+    d_fast = np.empty(L)
+    w_fast = np.empty(L)
+    u_fast = np.empty(L)
+    zf = state.zeta_F
+    eta = state.eta
+    if held is None:
+        z = np.concatenate([state.gen_state, state.zeta_P])
+        for l in range(L):
+            x_fast[l] = loop._c_g @ z[:loop._ng]
+            d_fast[l] = loop._c_p @ z[loop._ng:]
+            w_fast[l] = loop._c_f @ zf
+            u_fast[l] = loop._c_f @ eta
+            z = loop._phi_joint_cell @ z
+            zf = loop._phi_f @ zf + loop._gamma_f * y_d
+            eta = loop._phi_f @ eta + loop._gamma_f * x_d
+        z_end = loop._phi_joint_period @ np.concatenate([state.gen_state, state.zeta_P])
+        gen_next = z_end[:loop._ng]
+        zeta_p_next = z_end[loop._ng:]
+    else:
+        zp = state.zeta_P
+        for l in range(L):
+            xv = held.values[n * L + l]
+            x_fast[l] = xv
+            d_fast[l] = loop._c_p @ zp
+            w_fast[l] = loop._c_f @ zf
+            u_fast[l] = loop._c_f @ eta
+            zp = loop._phi_p @ zp + loop._gamma_p * xv
+            zf = loop._phi_f @ zf + loop._gamma_f * y_d
+            eta = loop._phi_f @ eta + loop._gamma_f * x_d
+        gen_next = state.gen_state
+        zeta_p_next = zp
+
+    new_state = HybridLoopState(
+        zeta_F=loop.lift.Ah @ state.zeta_F + loop.lift.Bh * y_d,
+        zeta_P=zeta_p_next,
+        gen_state=gen_next,
+        eta=loop.lift.Ah @ state.eta + loop.lift.Bh * x_d,
+        xd_hist=xd_hist,
+        n=n + 1,
+    )
+    record = IntervalRecord(
+        x_d=x_d,
+        y_d=y_d,
+        e_block=d_fast - w_fast,
+        u_block=u_block,
+        x_fast=x_fast,
+        d_fast=d_fast,
+        w_fast=w_fast,
+        u_fast=u_fast,
+    )
+    return new_state, record
+
+
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def write_csv_rows(path: str, header: list[str], rows) -> None:
+    """Row-wise CSV writer: every value through ``_fmt``, one join per row."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_write_run_csv(result, out_dir: str, prefix: str = "") -> list[str]:
+    """The run tables of ``ancsim.write_run_csv``, written by ``write_csv_rows``."""
+    os.makedirs(out_dir, exist_ok=True)
+    tr = result.trace
+    paths = []
+
+    def p(name: str) -> str:
+        path = os.path.join(out_dir, prefix + name)
+        paths.append(path)
+        return path
+
+    t = tr.t_fast
+    write_csv_rows(
+        p("fast.csv"),
+        ["t", "x", "d", "w", "e", "u"],
+        zip(t, tr.x, tr.d, tr.w, tr.e, tr.u),
+    )
+    n_idx = np.arange(tr.n_steps)
+    write_csv_rows(
+        p("discrete.csv"),
+        ["n", "t", "x_d", "y_d"],
+        zip(n_idx, n_idx * tr.h, tr.x_d, tr.y_d),
+    )
+    n_taps = result.alpha_hist.shape[1] if result.alpha_hist.size else 0
+    header = ["n"] + [f"alpha_{k}" for k in range(n_taps)] + [f"delta_{k}" for k in range(n_taps)]
+    write_csv_rows(
+        p("taps.csv"),
+        header,
+        (
+            [n, *result.alpha_hist[n], *result.delta_hist[n]]
+            for n in range(result.alpha_hist.shape[0])
+        ),
+    )
+    write_csv_rows(
+        p("u_blocks.csv"),
+        ["n"] + [f"u_{l}" for l in range(result.algorithm_cells)],
+        ([n, *row] for n, row in enumerate(result.u_alg_blocks)),
+    )
+
+    rep = result.lms_report
+    items = [
+        ("mu", result.mu),
+        ("algorithm_cells", result.algorithm_cells),
+        ("n_completed", result.n_completed),
+        ("diverged", result.diverged),
+        ("error_l2", result.error_norm),
+        ("disturbance_l2", result.d_norm),
+        ("antinoise_l2", result.w_norm),
+    ]
+    if rep is not None:
+        items += [
+            ("gram_norm_bound", rep.gamma),
+            ("gram_lambda_max", rep.lambda_max),
+            ("mu_limit", rep.mu_limit),
+            ("eps_realized", rep.eps_realized),
+            ("eps_threshold", rep.eps_threshold),
+            ("cond_bounded", rep.bounded_ok),
+            ("cond_step", rep.step_ok),
+            ("cond_slow", rep.slow_ok),
+        ]
+    write_csv_rows(p("report.csv"), ["key", "value"], items)
+    return paths
+
+
+def reference_write_comparison_csv(result, out_dir: str) -> list[str]:
+    """The tables of ``ancsim.write_comparison_csv``, written by ``write_csv_rows``."""
+    paths = reference_write_run_csv(result.proposed, out_dir, prefix="proposed_")
+    paths += reference_write_run_csv(result.conventional, out_dir, prefix="conventional_")
+    path = os.path.join(out_dir, "comparison.csv")
+    write_csv_rows(
+        path,
+        ["key", "value"],
+        [
+            ("error_l2_proposed", result.proposed.error_norm),
+            ("error_l2_conventional", result.conventional.error_norm),
+            ("ratio", result.ratio),
+        ],
+    )
+    paths.append(path)
+    return paths

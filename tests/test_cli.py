@@ -8,6 +8,7 @@ summary. One subprocess test confirms ``python3 -m ancsim`` resolves.
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,8 +70,8 @@ class TestRunCommand:
                 capsys,
             )
             assert code == 0
-        bytes_a = open(os.path.join(dir_a, "fast.csv"), "rb").read()
-        bytes_b = open(os.path.join(dir_b, "fast.csv"), "rb").read()
+        bytes_a = Path(dir_a, "fast.csv").read_bytes()
+        bytes_b = Path(dir_b, "fast.csv").read_bytes()
         assert bytes_a != bytes_b
 
     def test_mu_override_is_reported(self, small_config, tmp_path, capsys):
@@ -106,7 +107,7 @@ class TestSweepCommand:
         )
         assert code == 0
         assert err == ""
-        lines = open(os.path.join(out_dir, "sweep.csv")).read().splitlines()
+        lines = Path(out_dir, "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("mu,")
         assert os.path.isfile(os.path.join(out_dir, "sweep_summary.csv"))

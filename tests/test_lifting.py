@@ -13,9 +13,9 @@ from ancsim import (
     FastSampler,
     HeldWaveform,
     HybridLoop,
+    IntervalRecord,
     discretize_lifted,
     fh_step,
-    hybrid_step,
     l2_norm,
     vanloan,
 )
@@ -267,14 +267,51 @@ def test_identity_paths_cancel_with_unit_tap():
     assert worst < 1e-10
 
 
-def test_hybrid_step_alias():
-    sec, pri, gen = bench_small()
-    loop = HybridLoop(sec, pri, gen, h=1.0, L=2)
-    s0 = loop.initial_state(2)
-    s_a, rec_a = loop.step(s0, np.zeros(2))
-    s_b, rec_b = hybrid_step(loop, s0, np.zeros(2))
-    assert np.all(s_a.eta == s_b.eta)
-    assert np.all(rec_a.d_fast == rec_b.d_fast)
+def _random_source(rng, kind, h, L, n_periods):
+    if kind == "autonomous":
+        k = int(rng.integers(1, 4))
+        return AutonomousGenerator.damped_sinusoids(
+            amplitudes=rng.uniform(0.2, 2.0, k),
+            frequencies=rng.uniform(0.2, 3.0, k),
+            decay_rates=rng.uniform(0.0, 0.05, k),
+            phases=rng.uniform(0.0, 2.0 * np.pi, k),
+        )
+    return HeldWaveform(values=rng.normal(size=n_periods * L), dt=h / L)
+
+
+@pytest.mark.parametrize("kind", ["autonomous", "held"])
+@pytest.mark.parametrize("L", [1, 2, 8, 32])
+def test_step_matches_per_cell_reference(kind, L):
+    """The precomputed cell maps reproduce the per-cell loop over 200 periods."""
+    n_periods, n_taps, h = 200, 4, 0.7
+    rng = np.random.default_rng(1000 + 7 * L + (kind == "held"))
+    sec = random_stable_siso(rng, max_states=6)
+    pri = random_stable_siso(rng, max_states=6)
+    loop = HybridLoop(sec, pri, _random_source(rng, kind, h, L, n_periods), h=h, L=L)
+    got = want = loop.initial_state(n_taps)
+    fields = {}
+    for _ in range(n_periods):
+        taps = rng.normal(scale=0.5, size=n_taps)
+        got, rec = loop.step(got, taps)
+        want, ref = oracles.reference_step(loop, want, taps)
+        assert got.n == want.n
+        pairs = [(f, getattr(rec, f), getattr(ref, f)) for f in IntervalRecord.__dataclass_fields__]
+        pairs += [
+            (f"state.{f}", getattr(got, f), getattr(want, f))
+            for f in ("zeta_F", "zeta_P", "gen_state", "eta", "xd_hist")
+        ]
+        for name, a, b in pairs:
+            assert np.shape(a) == np.shape(b), name
+            fields.setdefault(name, []).append((np.ravel(a), np.ravel(b)))
+    for name, rows in fields.items():
+        a = np.concatenate([r[0] for r in rows])
+        b = np.concatenate([r[1] for r in rows])
+        if b.size == 0:
+            assert a.size == 0, name
+            continue
+        scale = float(np.abs(b).max())
+        assert scale > 0.0, name
+        assert float(np.abs(a - b).max()) <= TOL.baseline_match * scale, name
 
 
 def test_held_waveform_must_match_fast_grid():

@@ -2,12 +2,16 @@
 
 import filecmp
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import _frozen
+import oracles
 from ancsim import (
+    ComparisonResult,
+    SimTrace,
     check_lms_conditions,
     emit_bode,
     load_u_blocks,
@@ -252,6 +256,67 @@ def test_bode_table(tmp_path, default_config):
         window = (om > 0.85 * w0) & (om < 1.15 * w0)
         peak_om = om[window][np.argmax(mag[window])]
         assert abs(peak_om - w0) < 0.15 * w0
+
+
+def _special_run(base):
+    """``base`` with every table holding extreme and signed values."""
+    special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, -1.5, 0.1])
+    n, L = 2, 4
+    fast = [np.roll(special, k) for k in range(5)]
+    trace = SimTrace(
+        h=0.3, L=L, x_d=special[:n], y_d=special[-n:], x=fast[0], d=fast[1], w=fast[2],
+        e=fast[3], u=fast[4], u_blocks=special.reshape(n, L),
+    )
+    return replace(
+        base, trace=trace, alpha_hist=special.reshape(n, L), delta_hist=special[::-1].reshape(n, L),
+        u_alg_blocks=np.roll(special, 3).reshape(n, L), algorithm_cells=L, mu=5e-324,
+        error_norm=np.inf, d_norm=np.nan, w_norm=-0.0, n_completed=n,
+    )
+
+
+def _assert_same_bytes(tmp_path, write, reference_write, result):
+    new, old = tmp_path / "new", tmp_path / "old"
+    paths = write(result, str(new))
+    ref_paths = reference_write(result, str(old))
+    assert [os.path.basename(p) for p in paths] == [os.path.basename(p) for p in ref_paths]
+    assert sorted(os.listdir(new)) == sorted(os.listdir(old))
+    for name in os.listdir(old):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def test_csv_writer_matches_row_wise_writer(tmp_path, benchmark_run, benchmark_comparison):
+    diverged = run_single(short_config(divergence_cutoff=1e-9))
+    assert diverged.diverged and diverged.u_alg_blocks.shape[0] == 0
+    special = _special_run(diverged)
+    empty = replace(
+        diverged,
+        trace=replace(diverged.trace, x_d=np.zeros(0), y_d=np.zeros(0), x=np.zeros(0), d=np.zeros(0),
+                      w=np.zeros(0), e=np.zeros(0), u=np.zeros(0), u_blocks=np.zeros((0, 4))),
+        alpha_hist=np.zeros((0, 4)), delta_hist=np.zeros((0, 4)), n_completed=0,
+    )
+    runs = {"default": benchmark_run, "diverged": diverged, "special": special, "empty": empty}
+    for name, result in runs.items():
+        _assert_same_bytes(tmp_path / name, write_run_csv, oracles.reference_write_run_csv, result)
+    assert (tmp_path / "diverged" / "new" / "u_blocks.csv").read_text().count("\n") == 1
+    for name in ("fast.csv", "discrete.csv", "taps.csv", "u_blocks.csv"):
+        assert (tmp_path / "empty" / "new" / name).read_text().count("\n") == 1, name
+    comparisons = {
+        "cmp_default": benchmark_comparison,
+        "cmp_special": ComparisonResult(proposed=special, conventional=diverged, ratio=np.nan),
+    }
+    for name, comp in comparisons.items():
+        _assert_same_bytes(
+            tmp_path / name, write_comparison_csv, oracles.reference_write_comparison_csv, comp
+        )
+
+
+def test_csv_writer_streams_long_tables(tmp_path, monkeypatch):
+    """Tables longer than one chunk come out whole and in order."""
+    from ancsim import runner
+
+    monkeypatch.setattr(runner, "_CHUNK_ROWS", 7)
+    result = run_single(short_config())
+    _assert_same_bytes(tmp_path, write_run_csv, oracles.reference_write_run_csv, result)
 
 
 def test_identical_runs_identical_bytes(tmp_path):
