@@ -22,7 +22,6 @@ from .adaptive import (
     wiener_solve,
 )
 from .config import ConfigError, SimConfig
-from .conventional import ConventionalRun, run_conventional_fxlms
 from .lifting import (
     FastSampler,
     HybridLoop,

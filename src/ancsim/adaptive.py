@@ -8,7 +8,8 @@ per-cell integrals of the secondary path's response to the reference):
 * offline steepest descent on that quadratic,
 * the online update, which accumulates a cumulative descent direction from
   fast error samples and blocked regressor integrals and commits one tap
-  update per period.
+  update per period. It simulates nothing: the caller hands it each
+  period's regressor block, as traced by the closed loop.
 
 A separate checker verifies the three conditions under which the online
 update is a slowly-varying perturbation of steepest descent: uniformly
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .lifting import LiftedDiscretization, fh_step
 from .statespace import DimensionError
 from .tolerances import TOL
 
@@ -248,27 +248,23 @@ class AdaptiveState:
     """State of the online update at a period boundary.
 
     ``alpha`` are the committed taps, ``delta`` the cumulative descent
-    direction accumulated through the start of the current period, ``eta``
-    the regressor filter state, ``U_hist`` the last n_taps regressor blocks
-    (row k is the block from k periods ago), ``xd_hist`` the matching
-    reference samples.
+    direction accumulated through the start of the current period, and
+    ``U_hist`` the last n_taps regressor blocks (row k is the block from k
+    periods ago).
     """
 
     alpha: np.ndarray
     delta: np.ndarray
-    eta: np.ndarray
     U_hist: np.ndarray
-    xd_hist: np.ndarray
     n: int
 
 
-def initial_adaptive_state(
-    lift: LiftedDiscretization,
-    n_taps: int,
-    alpha0=None,
-) -> AdaptiveState:
+def initial_adaptive_state(n_taps: int, L: int, alpha0=None) -> AdaptiveState:
+    """Zero direction and regressor history for ``n_taps`` taps and ``L`` cells."""
     if n_taps < 1:
         raise ValueError("need at least one tap")
+    if L < 1:
+        raise ValueError(f"need at least one cell per period, got {L}")
     if alpha0 is None:
         alpha = np.zeros(n_taps)
     else:
@@ -278,50 +274,47 @@ def initial_adaptive_state(
     return AdaptiveState(
         alpha=alpha,
         delta=np.zeros(n_taps),
-        eta=np.zeros(lift.nstates),
-        U_hist=np.zeros((n_taps, lift.L)),
-        xd_hist=np.zeros(n_taps),
+        U_hist=np.zeros((n_taps, L)),
         n=0,
     )
 
 
 def sdfx_lms_step(
     state: AdaptiveState,
-    lift: LiftedDiscretization,
     mu: float,
     e_block,
-    x_d: float,
+    u_block,
 ) -> AdaptiveState:
     """One period of the online update.
 
     Order of operations for period n: commit the tap update using the
-    direction accumulated through t = n h, fold the new period's blocked
-    inner products (fast error samples against lagged regressor integrals)
-    into the direction, then advance the regressor filter and delay lines.
-    The caller simulates period n under exactly the taps this step commits
-    (alpha + mu * delta evaluated before the fold).
+    direction accumulated through t = n h, shift the period's regressor
+    block ``u_block`` (its exact per-cell integrals, one per error sample)
+    into the history, then fold the blocked inner products (fast error
+    samples against lagged regressor integrals) into the direction. The
+    caller simulates period n under exactly the taps this step commits
+    (alpha + mu * delta evaluated before the fold) and traces ``u_block``
+    on the way; the update itself simulates nothing.
     """
+    L = state.U_hist.shape[1]
     e = np.asarray(e_block, dtype=float).reshape(-1)
-    if e.size != lift.L:
-        raise DimensionError(f"e_block must have L = {lift.L} samples, got {e.size}")
+    if e.size != L:
+        raise DimensionError(f"e_block must have L = {L} samples, got {e.size}")
+    U = np.asarray(u_block, dtype=float).reshape(-1)
+    if U.size != L:
+        raise DimensionError(f"u_block must have L = {L} cells, got {U.size}")
     if mu < 0.0:
         raise ValueError(f"step size must be nonnegative, got {mu}")
 
     alpha_next = state.alpha + mu * state.delta
-    eta_next, U = fh_step(lift, state.eta, x_d)
     U_hist_next = np.empty_like(state.U_hist)
     U_hist_next[0] = U
     U_hist_next[1:] = state.U_hist[:-1]
     delta_next = state.delta + U_hist_next @ e
-    xd_hist_next = np.empty_like(state.xd_hist)
-    xd_hist_next[0] = x_d
-    xd_hist_next[1:] = state.xd_hist[:-1]
     return AdaptiveState(
         alpha=alpha_next,
         delta=delta_next,
-        eta=eta_next,
         U_hist=U_hist_next,
-        xd_hist=xd_hist_next,
         n=state.n + 1,
     )
 

@@ -94,7 +94,6 @@ class SimConfig:
     noise_phases: tuple[float, ...] | None = None
     waveform_path: str | None = None
     threshold: float = 10.0
-    workers: int = 1
     divergence_cutoff: float = 1e9
     out_dir: str = "out"
 
@@ -123,7 +122,6 @@ class SimConfig:
         "noise.phases": ("noise_phases", _float_list),
         "noise.waveform": ("waveform_path", None),
         "sweep.threshold": ("threshold", _float),
-        "sweep.workers": ("workers", _int),
         "run.divergence_cutoff": ("divergence_cutoff", _float),
         "output.dir": ("out_dir", None),
     }
@@ -200,8 +198,6 @@ class SimConfig:
             raise ConfigError("noise.phases", f"expected {na} entries to match noise.amplitudes")
         if not self.threshold > 0.0:
             raise ConfigError("sweep.threshold", "threshold must be positive")
-        if self.workers < 1:
-            raise ConfigError("sweep.workers", "need at least one worker")
         if not self.divergence_cutoff > 0.0:
             raise ConfigError("run.divergence_cutoff", "cutoff must be positive")
 

@@ -142,9 +142,11 @@ class HybridLoopState:
 
     ``zeta_F`` is the physical secondary-path state (driven by the filter
     output), ``eta`` the regressor-filter copy of the same dynamics (driven
-    by the reference), ``zeta_P`` the primary-path state, ``gen_state`` the
-    noise-generator state, and ``xd_hist`` the reference delay line feeding
-    the FIR filter (newest first).
+    by the reference; the only copy in the package, whose exact cell
+    integrals ``u_block`` feed the adaptive update), ``zeta_P`` the
+    primary-path state, ``gen_state`` the noise-generator state, and
+    ``xd_hist`` the reference delay line feeding the FIR filter (newest
+    first).
     """
 
     zeta_F: np.ndarray
@@ -318,7 +320,7 @@ class HybridLoop:
         y_d = float(taps @ xd_hist)
 
         lift = self.lift
-        u_block = lift.Ch @ state.eta + lift.Dh * x_d
+        eta_next, u_block = fh_step(lift, state.eta, x_d)
         w_fast = self._f_rows @ state.zeta_F
         w_fast[1:] += self._f_gains * y_d
         u_fast = self._f_rows @ state.eta
@@ -342,7 +344,7 @@ class HybridLoop:
             zeta_F=lift.Ah @ state.zeta_F + lift.Bh * y_d,
             zeta_P=zeta_p_next,
             gen_state=gen_next,
-            eta=lift.Ah @ state.eta + lift.Bh * x_d,
+            eta=eta_next,
             xd_hist=xd_hist,
             n=n + 1,
         )

@@ -5,14 +5,15 @@ The closed loop is always *traced* on the configured fast grid so that error
 norms from different arms share one quadrature. The adaptive algorithm may
 run on a coarser blocking of the same grid: the proposed arm uses all L
 cells per period, the conventional arm collapses them to one cell (slow-rate
-error samples and period-long regressor integrals). CSV files contain no
+error samples and period-long regressor integrals). Either way the update
+consumes the loop's traced cell integrals, summed over each algorithm cell,
+so the regressor is simulated once per period. CSV files contain no
 timestamps and format floats with %.17g, so equal configs give equal bytes.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from .adaptive import (
     sdfx_lms_step,
 )
 from .config import SimConfig
-from .lifting import HybridLoop, SimTrace, discretize_lifted, l2_norm
+from .lifting import HybridLoop, SimTrace, l2_norm
 from .statespace import freq_response_grid
 
 __all__ = [
@@ -101,6 +102,9 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
 
     ``algorithm_cells`` selects the blocking the *algorithm* sees; tracing
     always happens at config.L cells per period. It must divide config.L.
+    Each algorithm cell covers ``config.L // algorithm_cells`` traced cells:
+    its error sample is the first of them and its regressor integral their
+    sum, which is exact because the traced cell integrals are.
     """
     L = config.L
     L_alg = L if algorithm_cells is None else int(algorithm_cells)
@@ -112,9 +116,8 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
     primary = config.primary()
     generator = config.make_generator()
     machine = HybridLoop(secondary, primary, generator, config.h, L)
-    lift_alg = machine.lift if L_alg == L else discretize_lifted(secondary, config.h, L_alg)
 
-    astate = initial_adaptive_state(lift_alg, config.n_taps)
+    astate = initial_adaptive_state(config.n_taps, L_alg)
     lstate = machine.initial_state(config.n_taps)
 
     xd, yd = [], []
@@ -145,8 +148,10 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
             diverged = True
             break
 
-        astate = sdfx_lms_step(astate, lift_alg, config.mu, rec.e_block[::stride], rec.x_d)
-        ublocks_alg.append(astate.U_hist[0].copy())
+        # stride 1 passes the block through: a one-term sum would print -0.0 as 0
+        u_block = rec.u_block if stride == 1 else rec.u_block.reshape(L_alg, stride).sum(axis=1)
+        astate = sdfx_lms_step(astate, config.mu, rec.e_block[::stride], u_block)
+        ublocks_alg.append(u_block)
 
     n_completed = len(xd)
     trace = SimTrace(
@@ -219,23 +224,16 @@ def _step_ok(result: SingleRunResult) -> bool:
 def run_mu_sweep(config: SimConfig, mu_values=None) -> SweepResult:
     """Comparison runs over a list of step sizes.
 
-    Rows are ordered by mu regardless of worker scheduling. The stable
-    range per arm is the contiguous prefix of step sizes whose error norm
-    stays below the threshold; its upper end is reported per arm together
-    with the widening factor proposed/conventional.
+    Rows are ordered by mu. The stable range per arm is the contiguous
+    prefix of step sizes whose error norm stays below the threshold; its
+    upper end is reported per arm together with the widening factor
+    proposed/conventional.
     """
     mus = tuple(sorted(float(m) for m in (mu_values if mu_values is not None else config.mu_list)))
     if not mus:
         raise ValueError("sweep needs at least one step size")
 
-    def one(mu: float) -> ComparisonResult:
-        return run_comparison(replace(config, mu=mu))
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(one, mus))
-    else:
-        results = [one(m) for m in mus]
+    results = [run_comparison(replace(config, mu=mu)) for mu in mus]
 
     rows = []
     for mu, res in zip(mus, results):

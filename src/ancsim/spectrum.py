@@ -46,13 +46,16 @@ def zoh_frequency_response(omegas, h: float) -> np.ndarray:
 
 
 def dtft(samples, omegas, h: float) -> np.ndarray:
-    """Transform of a sampled sequence: sum_n x[n] e^{-j w n h}."""
+    """Transform of a sampled sequence: sum_n x[n] e^{-j w n h}.
+
+    Evaluated as a polynomial in e^{-j w h} by Horner's rule, so memory stays
+    at one value per frequency whatever the record length.
+    """
     x = np.asarray(samples, dtype=float).reshape(-1)
     om = np.asarray(omegas, dtype=float).reshape(-1)
     if x.size == 0:
         raise ValueError("empty sample record")
-    phases = np.exp(-1j * np.outer(om, np.arange(x.size) * h))
-    return phases @ x
+    return np.polynomial.polynomial.polyval(np.exp(-1j * om * h), x)
 
 
 def u_spectrum(

@@ -7,22 +7,29 @@ Runge-Kutta solver, and gradients from central differences. Agreement
 between these references and the package is the point of the tests, so the
 two sides must stay independent.
 
-Two references are earlier, slower forms of package code, kept to check
+:func:`run_conventional_fxlms` is the textbook one-sample filtered-x LMS
+loop, coded from SciPy exponentials alone; at one cell per period the
+package's blocked loop must reproduce it.
+
+Three references are earlier, slower forms of package code, kept to check
 the rewrites that replaced them: :func:`reference_step` walks the cells of
-a period one by one with the loop's own one-cell propagators, and
+a period one by one with the loop's own one-cell propagators,
 :func:`reference_write_run_csv` / :func:`reference_write_comparison_csv`
-write the CSV tables row by row through a per-value formatter.
+write the CSV tables row by row through a per-value formatter, and
+:func:`dtft_dense` evaluates a transform as one dense matrix product.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
 from ancsim.lifting import HybridLoopState, IntervalRecord
+from ancsim.signals import AutonomousGenerator
 from ancsim.statespace import DimensionError
 
 
@@ -230,6 +237,13 @@ def zoh_discretize_ref(a, b, dt):
     return big[:n, :n], big[:n, n:]
 
 
+def dtft_dense(samples, omegas, h: float) -> np.ndarray:
+    """sum_n x[n] e^{-j w n h} as one dense (frequencies x samples) product."""
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    om = np.asarray(omegas, dtype=float).reshape(-1)
+    return np.exp(-1j * np.outer(om, np.arange(x.size) * h)) @ x
+
+
 def held_output_fine(sys, x_held, h, refine):
     """Output samples of the held-input response on a grid of h / refine.
 
@@ -334,6 +348,134 @@ def reference_step(loop, state: HybridLoopState, taps) -> tuple[HybridLoopState,
         u_fast=u_fast,
     )
     return new_state, record
+
+
+@dataclass(frozen=True)
+class ConventionalRun:
+    """Per-period records of one baseline run (row n describes period n)."""
+
+    x_samples: np.ndarray
+    d_samples: np.ndarray
+    w_samples: np.ndarray
+    e_samples: np.ndarray
+    y_samples: np.ndarray
+    u_integrals: np.ndarray
+    alpha_hist: np.ndarray
+    delta_hist: np.ndarray
+    final_alpha: np.ndarray
+    final_delta: np.ndarray
+
+
+def run_conventional_fxlms(
+    secondary,
+    primary,
+    generator,
+    h: float,
+    n_taps: int,
+    mu: float,
+    n_steps: int,
+    alpha0=None,
+) -> ConventionalRun:
+    """Textbook discrete-time filtered-x LMS at one cell per period.
+
+    Independent of the lifting module: discrete models come from SciPy
+    exponentials of the hold-equivalent augmented matrices, the regressor
+    is the period integral of the secondary path response obtained from an
+    integrator-augmented model, and the update is written in plain
+    shift-register style. Only autonomous noise generators are supported.
+
+    Period n: sample the reference x, disturbance d and secondary output w
+    at t = nh, form e = d - w, apply the taps alpha + mu * delta to the
+    reference delay line, accumulate e times the lagged regressor integrals
+    into delta, commit the taps, then advance all continuous blocks by one
+    period. Matches the blocked algorithm's ordering convention exactly.
+    """
+    if not isinstance(generator, AutonomousGenerator):
+        raise TypeError("the baseline supports autonomous generators only")
+    if h <= 0.0 or n_taps < 1 or n_steps < 0 or mu < 0.0:
+        raise ValueError("bad run parameters")
+
+    Af, Bf = secondary.A, secondary.B
+    cf = secondary.C[0]
+    nf = secondary.nstates
+    Ad, Bd = zoh_discretize_ref(Af, Bf, h)
+    bd = Bd[:, 0]
+
+    # Integrator-augmented secondary model: the extra state q integrates the
+    # output, so its one-period increment is the regressor integral.
+    Aa = np.zeros((nf + 1, nf + 1))
+    Aa[:nf, :nf] = Af
+    Aa[nf, :nf] = cf
+    Ba = np.vstack([Bf, np.zeros((1, 1))])
+    Ada, Bda = zoh_discretize_ref(Aa, Ba, h)
+    int_row = Ada[nf, :nf]
+    int_feed = float(Bda[nf, 0])
+
+    # Generator and primary path cascade into one autonomous block.
+    ng, npr = generator.nstates, primary.nstates
+    Aj = np.zeros((ng + npr, ng + npr))
+    Aj[:ng, :ng] = generator.A
+    Aj[ng:, ng:] = primary.A
+    Aj[ng:, :ng] = primary.B @ generator.C.reshape(1, -1)
+    Phij = scipy.linalg.expm(Aj * h)
+    cg = generator.C
+    cp = primary.C[0]
+
+    z = np.concatenate([generator.x0, np.zeros(npr)])
+    zeta = np.zeros(nf)
+    reg = np.zeros(nf)
+    xbuf = np.zeros(n_taps)
+    ubuf = np.zeros(n_taps)
+    alpha = np.zeros(n_taps) if alpha0 is None else np.asarray(alpha0, dtype=float).copy()
+    delta = np.zeros(n_taps)
+
+    xs = np.empty(n_steps)
+    ds = np.empty(n_steps)
+    ws = np.empty(n_steps)
+    es = np.empty(n_steps)
+    ys = np.empty(n_steps)
+    us = np.empty(n_steps)
+    ah = np.empty((n_steps, n_taps))
+    dh = np.empty((n_steps + 1, n_taps))
+
+    for n in range(n_steps):
+        x = float(cg @ z[:ng])
+        d = float(cp @ z[ng:])
+        w = float(cf @ zeta)
+        e = d - w
+
+        xbuf = np.roll(xbuf, 1)
+        xbuf[0] = x
+        dh[n] = delta
+        taps = alpha + mu * delta
+        y = float(taps @ xbuf)
+
+        u_int = float(int_row @ reg) + int_feed * x
+        ubuf = np.roll(ubuf, 1)
+        ubuf[0] = u_int
+        delta = delta + e * ubuf
+        alpha = taps
+
+        xs[n], ds[n], ws[n], es[n], ys[n], us[n] = x, d, w, e, y, u_int
+        ah[n] = taps
+
+        z = Phij @ z
+        zeta = Ad @ zeta + bd * y
+        reg = Ad @ reg + bd * x
+
+    dh[n_steps] = delta
+    return ConventionalRun(
+        x_samples=xs,
+        d_samples=ds,
+        w_samples=ws,
+        e_samples=es,
+        y_samples=ys,
+        u_integrals=us,
+        alpha_hist=ah,
+        delta_hist=dh,
+        final_alpha=alpha,
+        final_delta=delta,
+    )
 
 
 def _fmt(value) -> str:

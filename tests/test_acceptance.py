@@ -26,7 +26,6 @@ from ancsim import (
     j_value,
     parseval_check,
     run_comparison,
-    run_conventional_fxlms,
     run_mu_sweep,
     run_single,
     sd_run,
@@ -334,7 +333,7 @@ def test_criterion_08_update_direction_integrity(benchmark_run, default_config):
 
     single = config.with_overrides(L=1)
     got = run_single(single)
-    ref = run_conventional_fxlms(
+    ref = oracles.run_conventional_fxlms(
         secondary=single.secondary(),
         primary=single.primary(),
         generator=single.make_generator(),

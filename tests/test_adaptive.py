@@ -14,10 +14,10 @@ from ancsim import (
     build_wiener,
     check_lms_conditions,
     discretize_lifted,
+    fh_step,
     gradient,
     initial_adaptive_state,
     j_value,
-    run_conventional_fxlms,
     run_single,
     sd_run,
     sdfx_lms_step,
@@ -260,52 +260,62 @@ def test_sd_recording_and_validation():
 def test_online_update_scripted_three_periods():
     """Hand-worked three periods of the blocked update on the integrator."""
     lift = integrator_lift(L=2)
-    state = initial_adaptive_state(lift, n_taps=2)
+    state = initial_adaptive_state(n_taps=2, L=2)
     mu = 0.1
     xs = [1.0, -0.5, 2.0]
     es = [np.array([1.0, -1.0]), np.array([0.5, 0.25]), np.array([-2.0, 1.0])]
 
-    state = sdfx_lms_step(state, lift, mu, es[0], xs[0])
+    # the regressor blocks the loop traces: integrator cell integrals
+    eta, U = fh_step(lift, np.zeros(1), xs[0])
+    assert np.allclose(U, [0.125, 0.375], atol=1e-15)
+    assert np.allclose(eta, [1.0], atol=1e-15)
+    state = sdfx_lms_step(state, mu, es[0], U)
     assert np.allclose(state.alpha, [0.0, 0.0], atol=1e-15)
     assert np.allclose(state.delta, [-0.25, 0.0], atol=1e-15)
     assert np.allclose(state.U_hist, [[0.125, 0.375], [0.0, 0.0]], atol=1e-15)
-    assert np.allclose(state.eta, [1.0], atol=1e-15)
 
-    state = sdfx_lms_step(state, lift, mu, es[1], xs[1])
+    eta, U = fh_step(lift, eta, xs[1])
+    assert np.allclose(U, [0.4375, 0.3125], atol=1e-15)
+    assert np.allclose(eta, [0.5], atol=1e-15)
+    state = sdfx_lms_step(state, mu, es[1], U)
     assert np.allclose(state.alpha, [-0.025, 0.0], atol=1e-15)
     assert np.allclose(state.delta, [0.046875, 0.15625], atol=1e-15)
     assert np.allclose(state.U_hist, [[0.4375, 0.3125], [0.125, 0.375]], atol=1e-15)
-    assert np.allclose(state.eta, [0.5], atol=1e-15)
 
-    state = sdfx_lms_step(state, lift, mu, es[2], xs[2])
+    eta, U = fh_step(lift, eta, xs[2])
+    assert np.allclose(U, [0.5, 1.0], atol=1e-15)
+    assert np.allclose(eta, [2.5], atol=1e-15)
+    state = sdfx_lms_step(state, mu, es[2], U)
     assert np.allclose(state.alpha, [-0.0203125, 0.015625], atol=1e-15)
     assert np.allclose(state.delta, [0.046875, -0.40625], atol=1e-15)
     assert np.allclose(state.U_hist, [[0.5, 1.0], [0.4375, 0.3125]], atol=1e-15)
-    assert np.allclose(state.eta, [2.5], atol=1e-15)
-    assert np.allclose(state.xd_hist, [2.0, -0.5], atol=0.0)
     assert state.n == 3
 
 
 def test_online_update_validation():
-    lift = integrator_lift(L=2)
-    state = initial_adaptive_state(lift, n_taps=2)
+    state = initial_adaptive_state(n_taps=2, L=2)
     with pytest.raises(DimensionError):
-        sdfx_lms_step(state, lift, 0.1, np.zeros(3), 1.0)
+        sdfx_lms_step(state, 0.1, np.zeros(3), np.zeros(2))
+    with pytest.raises(DimensionError):
+        sdfx_lms_step(state, 0.1, np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
-        sdfx_lms_step(state, lift, -0.1, np.zeros(2), 1.0)
+        sdfx_lms_step(state, -0.1, np.zeros(2), np.zeros(2))
 
 
 def test_initial_adaptive_state():
-    lift = integrator_lift(L=3)
-    state = initial_adaptive_state(lift, n_taps=4)
+    state = initial_adaptive_state(n_taps=4, L=3)
     assert state.alpha.shape == (4,)
     assert state.U_hist.shape == (4, 3)
     assert state.n == 0
     assert np.all(state.delta == 0.0)
-    seeded = initial_adaptive_state(lift, n_taps=2, alpha0=[0.3, -0.1])
+    seeded = initial_adaptive_state(n_taps=2, L=3, alpha0=[0.3, -0.1])
     assert np.allclose(seeded.alpha, [0.3, -0.1], atol=0.0)
     with pytest.raises(ValueError):
-        initial_adaptive_state(lift, n_taps=0)
+        initial_adaptive_state(n_taps=0, L=3)
+    with pytest.raises(ValueError):
+        initial_adaptive_state(n_taps=2, L=0)
+    with pytest.raises(DimensionError):
+        initial_adaptive_state(n_taps=2, L=3, alpha0=[0.3])
 
 
 def short_config(**overrides):
@@ -334,7 +344,7 @@ def test_single_cell_path_equals_independent_baseline():
     """L = 1 blocked loop reproduces the separately coded discrete algorithm."""
     config = short_config(L=1, T=30.0)
     result = run_single(config)
-    ref = run_conventional_fxlms(
+    ref = oracles.run_conventional_fxlms(
         secondary=config.secondary(),
         primary=config.primary(),
         generator=config.make_generator(),

@@ -237,6 +237,15 @@ class TestErrorPaths:
         assert code == 2
         assert "adapt.mu_list" in err
 
+    def test_removed_workers_key_exits_two_with_key(self, tmp_path, capsys):
+        path = tmp_path / "workers.cfg"
+        path.write_text(SMALL_CONFIG + "sweep.workers = 2\n")
+        code, _, err = _run_cli(
+            ["sweep", "--config", str(path), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 2
+        assert "sweep.workers" in err
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         code, _, err = _run_cli(
             ["run", "--config", str(tmp_path / "nope.cfg")], capsys

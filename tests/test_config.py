@@ -69,7 +69,6 @@ def test_from_text_full_round():
     noise.decay_rates = 0.1, 0.1
     noise.phases = 0.0, 1.0
     sweep.threshold = 4.0
-    sweep.workers = 2
     run.divergence_cutoff = 1e6
     output.dir = results
     """
@@ -79,7 +78,6 @@ def test_from_text_full_round():
     assert config.mu_list == (0.1, 0.2, 0.3)
     assert config.p_dampings == (0.3, 0.4)
     assert config.noise_phases == (0.0, 1.0)
-    assert config.workers == 2
     assert config.out_dir == "results"
     assert config.secondary().nstates == 3
     assert config.primary().nstates == 6
@@ -112,7 +110,6 @@ def test_unknown_key_rejected():
         ("noise.decay_rates = 0.0, 0.1, 0.1, 0.1", "noise.decay_rates"),
         ("noise.phases = 1.0", "noise.phases"),
         ("sweep.threshold = 0", "sweep.threshold"),
-        ("sweep.workers = 0", "sweep.workers"),
         ("run.divergence_cutoff = 0", "run.divergence_cutoff"),
     ],
 )

@@ -13,7 +13,9 @@ from ancsim import (
     ComparisonResult,
     SimTrace,
     check_lms_conditions,
+    discretize_lifted,
     emit_bode,
+    fh_step,
     load_u_blocks,
     run_comparison,
     run_mu_sweep,
@@ -25,6 +27,7 @@ from ancsim import (
     write_sweep_csv,
 )
 from ancsim.config import SimConfig
+from ancsim.tolerances import TOL
 
 
 def short_config(**overrides):
@@ -35,6 +38,22 @@ def short_config(**overrides):
 
 # ---------------------------------------------------------------------------
 # single runs
+
+
+@pytest.mark.parametrize("L,cells", [(2, 1), (8, 1), (32, 1), (8, 2)])
+def test_summed_cell_blocks_match_coarse_lifting(L, cells):
+    """The algorithm's coarse blocks (sums of traced cell integrals) equal an
+    open-loop coarse lifting driven by the traced reference."""
+    config = short_config(L=L)
+    result = run_single(config, algorithm_cells=cells)
+    lift = discretize_lifted(config.secondary(), config.h, cells)
+    eta = np.zeros(lift.nstates)
+    want = np.empty((result.n_completed, cells))
+    for n, x in enumerate(result.trace.x_d):
+        eta, want[n] = fh_step(lift, eta, x)
+    got = result.u_alg_blocks
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= TOL.block_refinement * np.abs(want).max()
 
 
 def test_zero_step_error_equals_disturbance():
@@ -179,17 +198,6 @@ def test_sweep_structure_and_edges():
 def test_sweep_requires_steps():
     with pytest.raises(ValueError):
         run_mu_sweep(short_config(), mu_values=[])
-
-
-def test_sweep_worker_pool_matches_serial():
-    config = short_config(T=20.0)
-    serial = run_mu_sweep(config, mu_values=[0.1, 0.3])
-    parallel = run_mu_sweep(
-        config.with_overrides(workers=4), mu_values=[0.1, 0.3]
-    )
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a == b
-    assert serial.widening == parallel.widening
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,18 @@ def test_dtft_impulse_and_shift():
         dtft([], om, h)
 
 
+@pytest.mark.parametrize("n", [1, 2, 100, 2000])
+def test_dtft_matches_dense_sum(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    h = 0.7
+    # the grid spectral_bound evaluates on: 4096 cell midpoints over [-pi/h, pi/h)
+    om = -np.pi / h + (np.arange(4096) + 0.5) * (2.0 * np.pi / h / 4096)
+    want = oracles.dtft_dense(x, om, h)
+    got = dtft(x, om, h)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_regressor_spectrum_is_product():
     sys = lag(1.0)
     om = np.array([0.0, 0.5, 2.0])
