@@ -23,10 +23,10 @@ from .adaptive import (
 )
 from .config import ConfigError, SimConfig
 from .lifting import (
+    ExogenousRecord,
     FastSampler,
     HybridLoop,
     HybridLoopState,
-    IntervalRecord,
     LiftedDiscretization,
     SimTrace,
     discretize_lifted,

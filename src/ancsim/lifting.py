@@ -13,8 +13,11 @@ With the period split into L cells of width h/L::
 endpoints, so every entry is exact up to the matrix exponential.
 
 ``HybridLoop`` assembles these pieces into a closed loop: a noise source, a
-primary path, and a secondary path driven by a sampled FIR filter. The same
-lifting applies to the point samples at the cell left endpoints: each is a
+primary path, and a secondary path driven by a sampled FIR filter. The loop
+is feedforward, so it splits at the taps: the reference, the disturbance and
+the regressor (the secondary dynamics driven by the held reference) form an
+exogenous half computed once per configuration, and only the anti-noise path
+is stepped under the taps. The same lifting applies to the point samples at the cell left endpoints: each is a
 fixed linear map of the period-start state and the held inputs, built once
 from the exact one-cell propagators (rows ``c Phi^l`` and accumulated input
 gains), so one period is a handful of matrix-vector products with no loop
@@ -35,7 +38,7 @@ __all__ = [
     "FastSampler",
     "HybridLoop",
     "HybridLoopState",
-    "IntervalRecord",
+    "ExogenousRecord",
     "SimTrace",
     "discretize_lifted",
     "fh_step",
@@ -138,41 +141,35 @@ def fh_step(lift: LiftedDiscretization, eta: np.ndarray, x_d: float):
 
 @dataclass(frozen=True)
 class HybridLoopState:
-    """State of the closed loop at a period boundary.
+    """Tap-dependent state of the closed loop at a period boundary.
 
     ``zeta_F`` is the physical secondary-path state (driven by the filter
-    output), ``eta`` the regressor-filter copy of the same dynamics (driven
-    by the reference; the only copy in the package, whose exact cell
-    integrals ``u_block`` feed the adaptive update), ``zeta_P`` the
-    primary-path state, ``gen_state`` the noise-generator state, and
-    ``xd_hist`` the reference delay line feeding the FIR filter (newest
-    first).
+    output) and ``xd_hist`` the reference delay line feeding the FIR filter
+    (newest first). The noise source, the primary path and the regressor do
+    not depend on the taps; their signals live in an ``ExogenousRecord``.
     """
 
     zeta_F: np.ndarray
-    zeta_P: np.ndarray
-    gen_state: np.ndarray
-    eta: np.ndarray
     xd_hist: np.ndarray
     n: int
 
 
 @dataclass(frozen=True)
-class IntervalRecord:
-    """Signals produced while simulating one period.
+class ExogenousRecord:
+    """Tap-independent signals of one loop configuration (read-only arrays).
 
-    Fast arrays hold samples at the left endpoint of each cell; ``u_block``
-    holds the exact per-cell integrals of the regressor response.
+    ``x_d`` (N,) holds the held reference sample of each period; ``x``,
+    ``d`` and ``u`` (N, L) the reference, disturbance and regressor response
+    at the cell left endpoints, one row per period; ``u_blocks`` (N, L) the
+    exact per-cell integrals of the regressor response, which feed the
+    adaptive update.
     """
 
-    x_d: float
-    y_d: float
-    e_block: np.ndarray
-    u_block: np.ndarray
-    x_fast: np.ndarray
-    d_fast: np.ndarray
-    w_fast: np.ndarray
-    u_fast: np.ndarray
+    x_d: np.ndarray
+    x: np.ndarray
+    d: np.ndarray
+    u: np.ndarray
+    u_blocks: np.ndarray
 
 
 def _output_rows(c: np.ndarray, phi: np.ndarray, L: int) -> np.ndarray:
@@ -187,6 +184,11 @@ def _output_rows(c: np.ndarray, phi: np.ndarray, L: int) -> np.ndarray:
 
 class HybridLoop:
     """Precomputed propagators and cell-output maps for one loop configuration.
+
+    ``exogenous`` runs the tap-independent half (noise source, primary path,
+    regressor) over the whole horizon; ``step`` advances the delay line and
+    the anti-noise path by one period. Every arm run on one configuration
+    shares one exogenous record and differs only in its steps.
 
     Construction discretizes the secondary path and folds its one-cell
     propagator (phi_f, gamma_f) into the rows ``c_f phi_f^l`` and the
@@ -281,84 +283,70 @@ class HybridLoop:
     def initial_state(self, n_taps: int) -> HybridLoopState:
         if n_taps < 1:
             raise ValueError("the FIR filter needs at least one tap")
-        if isinstance(self.generator, AutonomousGenerator):
-            gen0 = self.generator.x0.copy()
-        else:
-            gen0 = np.zeros(0)
-        return HybridLoopState(
-            zeta_F=np.zeros(self.secondary.nstates),
-            zeta_P=np.zeros(self.primary.nstates),
-            gen_state=gen0,
-            eta=np.zeros(self.secondary.nstates),
-            xd_hist=np.zeros(n_taps),
-            n=0,
-        )
+        return HybridLoopState(zeta_F=np.zeros(self.secondary.nstates), xd_hist=np.zeros(n_taps), n=0)
 
-    def step(self, state: HybridLoopState, taps) -> tuple[HybridLoopState, IntervalRecord]:
-        """Advance the loop over one period under fixed FIR taps."""
+    def exogenous(self, n_steps: int) -> ExogenousRecord:
+        """Reference, disturbance and regressor over ``n_steps`` periods.
+
+        Starts from rest (generator at its initial state, plants at zero) and
+        applies the cell-output maps period by period. The arrays are
+        read-only: every arm run on this loop shares them.
+        """
+        L, held = self.L, self._held
+        if held is not None and n_steps * L > len(held):
+            n = len(held) // L
+            raise ValueError(f"held waveform exhausted: period {n} needs samples up to {(n + 1) * L}")
+        x_d = np.empty(n_steps)
+        x, d, u, u_blocks = (np.empty((n_steps, L)) for _ in range(4))
+        eta, zeta_p = np.zeros(self.secondary.nstates), np.zeros(self.primary.nstates)
+        if held is None:
+            z = np.concatenate([self.generator.x0, zeta_p])
+
+        for n in range(n_steps):
+            if held is None:
+                x_d[n] = self._c_g @ z[:self._ng]
+                xd_fast = self._xd_rows @ z
+                x[n], d[n] = xd_fast[:L], xd_fast[L:]
+                z = self._phi_joint_period @ z
+            else:
+                x[n] = held.values[n * L:(n + 1) * L]
+                x_d[n] = x[n, 0]
+                d[n] = self._p_rows @ zeta_p
+                d[n, 1:] += self._p_input @ x[n, :-1]
+                zeta_p = self._phi_p_period @ zeta_p + self._p_input_period @ x[n]
+            u[n] = self._f_rows @ eta
+            u[n, 1:] += self._f_gains * x_d[n]
+            eta, u_blocks[n] = fh_step(self.lift, eta, x_d[n])
+
+        for arr in (x_d, x, d, u, u_blocks):
+            arr.flags.writeable = False
+        return ExogenousRecord(x_d=x_d, x=x, d=d, u=u, u_blocks=u_blocks)
+
+    def step(self, state: HybridLoopState, taps, x_d: float) -> tuple[HybridLoopState, float, np.ndarray]:
+        """Advance the anti-noise path over one period under fixed FIR taps.
+
+        ``x_d`` is the period's held reference sample (``ExogenousRecord.x_d``).
+        Returns the next state, the filter output ``y_d`` and the anti-noise
+        at the L cell left endpoints.
+        """
         taps = np.asarray(taps, dtype=float).reshape(-1)
         if taps.size != state.xd_hist.size:
             raise DimensionError(
                 f"taps length {taps.size} does not match delay line length {state.xd_hist.size}"
             )
-        n, L = state.n, self.L
-        held = self._held
-
-        if held is None:
-            x_d = float(self._c_g @ state.gen_state)
-        else:
-            base = n * L
-            if base + L > len(held):
-                raise ValueError(
-                    f"held waveform exhausted: period {n} needs samples up to {base + L}"
-                )
-            x_d = float(held.values[base])
-
         xd_hist = np.empty_like(state.xd_hist)
         xd_hist[0] = x_d
         xd_hist[1:] = state.xd_hist[:-1]
         y_d = float(taps @ xd_hist)
 
-        lift = self.lift
-        eta_next, u_block = fh_step(lift, state.eta, x_d)
         w_fast = self._f_rows @ state.zeta_F
         w_fast[1:] += self._f_gains * y_d
-        u_fast = self._f_rows @ state.eta
-        u_fast[1:] += self._f_gains * x_d
-
-        if held is None:
-            z = np.concatenate([state.gen_state, state.zeta_P])
-            xd_fast = self._xd_rows @ z
-            x_fast, d_fast = xd_fast[:L], xd_fast[L:]
-            z_end = self._phi_joint_period @ z
-            gen_next = z_end[:self._ng]
-            zeta_p_next = z_end[self._ng:]
-        else:
-            x_fast = held.values[base:base + L].copy()
-            d_fast = self._p_rows @ state.zeta_P
-            d_fast[1:] += self._p_input @ x_fast[:-1]
-            gen_next = state.gen_state
-            zeta_p_next = self._phi_p_period @ state.zeta_P + self._p_input_period @ x_fast
-
         new_state = HybridLoopState(
-            zeta_F=lift.Ah @ state.zeta_F + lift.Bh * y_d,
-            zeta_P=zeta_p_next,
-            gen_state=gen_next,
-            eta=eta_next,
+            zeta_F=self.lift.Ah @ state.zeta_F + self.lift.Bh * y_d,
             xd_hist=xd_hist,
-            n=n + 1,
+            n=state.n + 1,
         )
-        record = IntervalRecord(
-            x_d=x_d,
-            y_d=y_d,
-            e_block=d_fast - w_fast,
-            u_block=u_block,
-            x_fast=x_fast,
-            d_fast=d_fast,
-            w_fast=w_fast,
-            u_fast=u_fast,
-        )
-        return new_state, record
+        return new_state, y_d, w_fast
 
 
 @dataclass(frozen=True)
@@ -367,7 +355,8 @@ class SimTrace:
 
     Fast arrays are sampled at cell left endpoints (length n_steps * L);
     ``x_d``/``y_d`` live on the period grid; ``u_blocks`` stacks the exact
-    per-cell regressor integrals, one row per period.
+    per-cell regressor integrals, one row per period. ``x_d``, ``x``, ``d``,
+    ``u`` and ``u_blocks`` are read-only views of the loop's exogenous record.
     """
 
     h: float

@@ -6,9 +6,13 @@ norms from different arms share one quadrature. The adaptive algorithm may
 run on a coarser blocking of the same grid: the proposed arm uses all L
 cells per period, the conventional arm collapses them to one cell (slow-rate
 error samples and period-long regressor integrals). Either way the update
-consumes the loop's traced cell integrals, summed over each algorithm cell,
-so the regressor is simulated once per period. CSV files contain no
-timestamps and format floats with %.17g, so equal configs give equal bytes.
+consumes the loop's traced cell integrals, summed over each algorithm cell.
+The arms of one configuration (both arms of a comparison, every arm of a
+sweep) share one loop and one exogenous record, so the plants, the
+discretization, the reference, the disturbance and the regressor are
+computed once; an arm only steps the anti-noise path under its own taps.
+CSV files contain no timestamps and format floats with %.17g, so equal
+configs give equal bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .adaptive import (
     sdfx_lms_step,
 )
 from .config import SimConfig
-from .lifting import HybridLoop, SimTrace, l2_norm
+from .lifting import ExogenousRecord, HybridLoop, SimTrace
 from .statespace import freq_response_grid
 
 __all__ = [
@@ -97,6 +101,12 @@ class SweepResult:
     widening: float
 
 
+def _setup(config: SimConfig) -> tuple[HybridLoop, ExogenousRecord]:
+    """The loop of one configuration and its exogenous record, shared by its arms."""
+    machine = HybridLoop(config.secondary(), config.primary(), config.make_generator(), config.h, config.L)
+    return machine, machine.exogenous(config.n_steps)
+
+
 def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleRunResult:
     """Run the adaptive loop for the configured horizon.
 
@@ -106,78 +116,54 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
     its error sample is the first of them and its regressor integral their
     sum, which is exact because the traced cell integrals are.
     """
-    L = config.L
+    return _run_arm(config, *_setup(config), algorithm_cells)
+
+
+def _run_arm(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
+             algorithm_cells: int | None) -> SingleRunResult:
+    """One adaptive arm on a shared loop: only the anti-noise path is stepped."""
+    L, N, n_taps = config.L, config.n_steps, config.n_taps
     L_alg = L if algorithm_cells is None else int(algorithm_cells)
     if L_alg < 1 or L % L_alg != 0:
         raise ValueError(f"algorithm_cells must divide L = {L}, got {L_alg}")
     stride = L // L_alg
+    # stride 1 passes the blocks through: a one-term sum would print -0.0 as 0
+    u_alg = record.u_blocks if stride == 1 else record.u_blocks.reshape(N, L_alg, stride).sum(axis=2)
 
-    secondary = config.secondary()
-    primary = config.primary()
-    generator = config.make_generator()
-    machine = HybridLoop(secondary, primary, generator, config.h, L)
+    astate = initial_adaptive_state(n_taps, L_alg)
+    lstate = machine.initial_state(n_taps)
+    y_d = np.empty(N)
+    w, e = np.empty((N, L)), np.empty((N, L))
+    alpha_hist, delta_hist = np.empty((N, n_taps)), np.empty((N, n_taps))
+    n_completed, diverged = N, False
 
-    astate = initial_adaptive_state(config.n_taps, L_alg)
-    lstate = machine.initial_state(config.n_taps)
-
-    xd, yd = [], []
-    xf, df, wf, ef, uf = [], [], [], [], []
-    ublocks_trace, ublocks_alg = [], []
-    alpha_rows, delta_rows = [], []
-    diverged = False
-
-    for _ in range(config.n_steps):
+    for n in range(N):
         taps = astate.alpha + config.mu * astate.delta
-        delta_rows.append(astate.delta.copy())
-        alpha_rows.append(taps.copy())
-        lstate, rec = machine.step(lstate, taps)
-
-        xd.append(rec.x_d)
-        yd.append(rec.y_d)
-        xf.append(rec.x_fast)
-        df.append(rec.d_fast)
-        wf.append(rec.w_fast)
-        ef.append(rec.e_block)
-        uf.append(rec.u_fast)
-        ublocks_trace.append(rec.u_block)
-
-        bad = not np.all(np.isfinite(rec.e_block))
-        if not bad:
-            bad = float(np.max(np.abs(rec.e_block))) > config.divergence_cutoff
-        if bad:
-            diverged = True
+        delta_hist[n] = astate.delta
+        alpha_hist[n] = taps
+        lstate, y_d[n], w[n] = machine.step(lstate, taps, record.x_d[n])
+        e[n] = record.d[n] - w[n]
+        if not np.all(np.isfinite(e[n])) or float(np.max(np.abs(e[n]))) > config.divergence_cutoff:
+            n_completed, diverged = n + 1, True
             break
+        astate = sdfx_lms_step(astate, config.mu, e[n, ::stride], u_alg[n])
 
-        # stride 1 passes the block through: a one-term sum would print -0.0 as 0
-        u_block = rec.u_block if stride == 1 else rec.u_block.reshape(L_alg, stride).sum(axis=1)
-        astate = sdfx_lms_step(astate, config.mu, rec.e_block[::stride], u_block)
-        ublocks_alg.append(u_block)
-
-    n_completed = len(xd)
-    trace = SimTrace(
-        h=config.h,
-        L=L,
-        x_d=np.asarray(xd),
-        y_d=np.asarray(yd),
-        x=np.concatenate(xf) if xf else np.zeros(0),
-        d=np.concatenate(df) if df else np.zeros(0),
-        w=np.concatenate(wf) if wf else np.zeros(0),
-        e=np.concatenate(ef) if ef else np.zeros(0),
-        u=np.concatenate(uf) if uf else np.zeros(0),
-        u_blocks=np.asarray(ublocks_trace).reshape(n_completed, L),
-    )
-
+    k = n_completed
+    fast = {name: a[:k].reshape(-1) for name, a in
+            dict(x=record.x, d=record.d, w=w, e=e, u=record.u).items()}
+    trace = SimTrace(h=config.h, L=L, x_d=record.x_d[:k], y_d=y_d[:k],
+                     u_blocks=record.u_blocks[:k], **fast)
     error_norm = float("inf") if diverged else trace.norm("e")
-    u_alg = np.asarray(ublocks_alg).reshape(len(ublocks_alg), L_alg)
+    u_alg = u_alg[:k - 1 if diverged else k]  # the diverging period made no update
     report = None
     if config.mu > 0.0 and u_alg.shape[0] > 0:
         report = check_lms_conditions(
-            u_alg, config.mu, config.n_taps, config.h, config.eps_threshold
+            u_alg, config.mu, n_taps, config.h, config.eps_threshold
         )
     return SingleRunResult(
         trace=trace,
-        alpha_hist=np.asarray(alpha_rows).reshape(n_completed, config.n_taps),
-        delta_hist=np.asarray(delta_rows).reshape(n_completed, config.n_taps),
+        alpha_hist=alpha_hist[:k],
+        delta_hist=delta_hist[:k],
         final_alpha=astate.alpha.copy(),
         final_delta=astate.delta.copy(),
         u_alg_blocks=u_alg,
@@ -202,8 +188,12 @@ def _ratio(num: float, den: float) -> float:
 
 def run_comparison(config: SimConfig) -> ComparisonResult:
     """Proposed (all cells) and conventional (one cell) arms, same loop."""
-    proposed = run_single(config)
-    conventional = run_single(config, algorithm_cells=1)
+    return _compare(config, *_setup(config))
+
+
+def _compare(config: SimConfig, machine: HybridLoop, record: ExogenousRecord) -> ComparisonResult:
+    proposed = _run_arm(config, machine, record, None)
+    conventional = _run_arm(config, machine, record, 1)
     return ComparisonResult(
         proposed=proposed,
         conventional=conventional,
@@ -233,7 +223,8 @@ def run_mu_sweep(config: SimConfig, mu_values=None) -> SweepResult:
     if not mus:
         raise ValueError("sweep needs at least one step size")
 
-    results = [run_comparison(replace(config, mu=mu)) for mu in mus]
+    machine, record = _setup(config)
+    results = [_compare(replace(config, mu=mu), machine, record) for mu in mus]
 
     rows = []
     for mu, res in zip(mus, results):
@@ -450,7 +441,11 @@ def write_bode_csv(config: SimConfig, out_dir: str, n_points: int = 400) -> str:
 
 def load_u_blocks(path: str) -> np.ndarray:
     """Read back a u_blocks.csv table (inverse of write_run_csv's writer)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
+    with open(path, encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    if not any(row.strip() for row in rows):
+        raise ValueError(f"{path}: no periods recorded")
+    data = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
     if data.shape[1] < 2:
         raise ValueError(f"{path}: expected an index column plus block columns")
     return data[:, 1:]

@@ -281,8 +281,10 @@ def freq_response_grid(sys: ContinuousStateSpace, omegas) -> np.ndarray:
     if use_modal:
         CV = sys.C @ V
         VB = np.linalg.solve(V, sys.B)
-        denom = 1j * om[:, None] - lam[None, :]
-        resp = np.einsum("pk,nk,km->npm", CV, 1.0 / denom, VB)
+        # mode by mode: a grid x modes temporary would need a fresh mmap per call
+        resp = np.zeros((om.size, p, m), dtype=complex)
+        for k in range(lam.size):
+            resp += np.multiply.outer(1.0 / (1j * om - lam[k]), np.outer(CV[:, k], VB[k]))
         resp += sys.D
         return resp
 

@@ -13,7 +13,8 @@ package's blocked loop must reproduce it.
 
 Three references are earlier, slower forms of package code, kept to check
 the rewrites that replaced them: :func:`reference_step` walks the cells of
-a period one by one with the loop's own one-cell propagators,
+a period one by one with the loop's own one-cell propagators, advancing the
+exogenous and the anti-noise half of the loop together,
 :func:`reference_write_run_csv` / :func:`reference_write_comparison_csv`
 write the CSV tables row by row through a per-value formatter, and
 :func:`dtft_dense` evaluates a transform as one dense matrix product.
@@ -28,7 +29,6 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
-from ancsim.lifting import HybridLoopState, IntervalRecord
 from ancsim.signals import AutonomousGenerator
 from ancsim.statespace import DimensionError
 
@@ -265,11 +265,57 @@ def held_output_fine(sys, x_held, h, refine):
     return y
 
 
-def reference_step(loop, state: HybridLoopState, taps) -> tuple[HybridLoopState, IntervalRecord]:
+@dataclass(frozen=True)
+class ReferenceLoopState:
+    """Full state of the per-cell loop at a period boundary.
+
+    Besides the tap-dependent part (``zeta_F``, ``xd_hist``) it carries
+    what the package's exogenous pass keeps to itself: the primary-path
+    state ``zeta_P``, the noise-generator state ``gen_state`` and the
+    regressor state ``eta``.
+    """
+
+    zeta_F: np.ndarray
+    zeta_P: np.ndarray
+    gen_state: np.ndarray
+    eta: np.ndarray
+    xd_hist: np.ndarray
+    n: int
+
+
+@dataclass(frozen=True)
+class ReferencePeriod:
+    """Signals of one period of the per-cell loop (fast arrays: cell left endpoints)."""
+
+    x_d: float
+    y_d: float
+    e_block: np.ndarray
+    u_block: np.ndarray
+    x_fast: np.ndarray
+    d_fast: np.ndarray
+    w_fast: np.ndarray
+    u_fast: np.ndarray
+
+
+def reference_initial_state(loop, n_taps: int) -> ReferenceLoopState:
+    """The per-cell loop at rest, with the generator at its initial state."""
+    gen0 = loop.generator.x0.copy() if loop._held is None else np.zeros(0)
+    return ReferenceLoopState(
+        zeta_F=np.zeros(loop.secondary.nstates),
+        zeta_P=np.zeros(loop.primary.nstates),
+        gen_state=gen0,
+        eta=np.zeros(loop.secondary.nstates),
+        xd_hist=np.zeros(n_taps),
+        n=0,
+    )
+
+
+def reference_step(loop, state: ReferenceLoopState, taps) -> tuple[ReferenceLoopState, ReferencePeriod]:
     """One period of ``loop`` advanced cell by cell (the per-cell loop).
 
-    Uses the loop's one-cell propagators and lifted blocks; the loop's
-    precomputed cell-output maps are not used.
+    Advances both halves of the loop together, the way the package did
+    before it split them at the taps. Uses the loop's one-cell propagators
+    and lifted blocks; the loop's precomputed cell-output maps are not used.
     """
     taps = np.asarray(taps, dtype=float).reshape(-1)
     if taps.size != state.xd_hist.size:
@@ -329,7 +375,7 @@ def reference_step(loop, state: HybridLoopState, taps) -> tuple[HybridLoopState,
         gen_next = state.gen_state
         zeta_p_next = zp
 
-    new_state = HybridLoopState(
+    new_state = ReferenceLoopState(
         zeta_F=loop.lift.Ah @ state.zeta_F + loop.lift.Bh * y_d,
         zeta_P=zeta_p_next,
         gen_state=gen_next,
@@ -337,7 +383,7 @@ def reference_step(loop, state: HybridLoopState, taps) -> tuple[HybridLoopState,
         xd_hist=xd_hist,
         n=n + 1,
     )
-    record = IntervalRecord(
+    record = ReferencePeriod(
         x_d=x_d,
         y_d=y_d,
         e_block=d_fast - w_fast,

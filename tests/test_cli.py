@@ -202,6 +202,22 @@ class TestCheckCommand:
         assert "error" in err
 
 
+    def test_header_only_trace_exits_two_naming_file(self, tmp_path, capsys):
+        """A run that diverges in its first period records no regressor block."""
+        cfg = tmp_path / "early.cfg"
+        cfg.write_text(SMALL_CONFIG + "run.divergence_cutoff = 1e-9\n")
+        out_dir = str(tmp_path / "early")
+        code, out, _ = _run_cli(["run", "--config", str(cfg), "--out", out_dir], capsys)
+        assert code == 0
+        assert "run: 1 periods" in out
+        trace = os.path.join(out_dir, "u_blocks.csv")
+        assert Path(trace).read_text() == "n,u_0,u_1,u_2,u_3\n"
+        code, out, err = _run_cli(["check", "--config", str(cfg), "--trace", trace], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{trace}: no periods recorded" in err
+
+
 class TestErrorPaths:
     def test_bad_config_value_exits_two_with_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -13,7 +13,6 @@ from ancsim import (
     FastSampler,
     HeldWaveform,
     HybridLoop,
-    IntervalRecord,
     discretize_lifted,
     fh_step,
     l2_norm,
@@ -197,12 +196,13 @@ def bench_small():
 def test_open_loop_error_equals_disturbance():
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=4)
+    record = loop.exogenous(6)
     state = loop.initial_state(n_taps=3)
-    for _ in range(6):
-        state, rec = loop.step(state, np.zeros(3))
-        assert rec.y_d == 0.0
-        assert np.all(rec.w_fast == 0.0)
-        assert np.allclose(rec.e_block, rec.d_fast, atol=0.0)
+    for n in range(6):
+        state, y_d, w_fast = loop.step(state, np.zeros(3), record.x_d[n])
+        assert y_d == 0.0
+        assert np.all(w_fast == 0.0)
+        assert np.allclose(record.d[n] - w_fast, record.d[n], atol=0.0)
 
 
 def test_open_loop_disturbance_matches_ivp_oracle():
@@ -210,13 +210,9 @@ def test_open_loop_disturbance_matches_ivp_oracle():
     sec, pri, gen = bench_small()
     h, L, n_steps = 1.0, 4, 8
     loop = HybridLoop(sec, pri, gen, h=h, L=L)
-    state = loop.initial_state(n_taps=2)
-    d_got = []
-    x_got = []
-    for _ in range(n_steps):
-        state, rec = loop.step(state, np.zeros(2))
-        d_got.extend(rec.d_fast)
-        x_got.extend(rec.x_fast)
+    record = loop.exogenous(n_steps)
+    d_got = record.d.ravel()
+    x_got = record.x.ravel()
 
     ng = gen.nstates
     joint_a = np.zeros((ng + pri.nstates, ng + pri.nstates))
@@ -236,18 +232,21 @@ def test_open_loop_disturbance_matches_ivp_oracle():
     )
     d_want = (pri.C @ sol.y[ng:]).ravel()
     x_want = (gen.C @ sol.y[:ng]).ravel()
-    assert np.abs(np.array(d_got) - d_want).max() < 1e-9
-    assert np.abs(np.array(x_got) - x_want).max() < 1e-9
+    assert np.abs(d_got - d_want).max() < 1e-9
+    assert np.abs(x_got - x_want).max() < 1e-9
+    assert np.array_equal(record.x_d, record.x[:, 0])
 
 
 def test_silent_generator_keeps_everything_zero():
     sec, pri, _ = bench_small()
     loop = HybridLoop(sec, pri, AutonomousGenerator.silent(), h=1.0, L=2)
+    record = loop.exogenous(4)
     state = loop.initial_state(n_taps=2)
-    for _ in range(4):
-        state, rec = loop.step(state, np.array([0.4, -0.2]))
-        assert rec.x_d == 0.0
-        assert np.all(rec.e_block == 0.0)
+    for n in range(4):
+        state, _, w_fast = loop.step(state, np.array([0.4, -0.2]), record.x_d[n])
+        assert record.x_d[n] == 0.0
+        assert np.all(record.d[n] - w_fast == 0.0)
+    assert not np.any(record.u_blocks) and not np.any(record.u)
 
 
 def test_identity_paths_cancel_with_unit_tap():
@@ -258,12 +257,14 @@ def test_identity_paths_cancel_with_unit_tap():
     xd = rng.normal(size=n_steps)
     wave = HeldWaveform(values=np.repeat(xd, L), dt=h / L)
     loop = HybridLoop(sec, sec, wave, h=h, L=L)
+    record = loop.exogenous(n_steps)
+    assert np.array_equal(record.x_d, xd)
     state = loop.initial_state(n_taps=2)
     taps = np.array([1.0, 0.0])
     worst = 0.0
-    for _ in range(n_steps):
-        state, rec = loop.step(state, taps)
-        worst = max(worst, float(np.abs(rec.e_block).max()))
+    for n in range(n_steps):
+        state, _, w_fast = loop.step(state, taps, record.x_d[n])
+        worst = max(worst, float(np.abs(record.d[n] - w_fast).max()))
     assert worst < 1e-10
 
 
@@ -282,23 +283,32 @@ def _random_source(rng, kind, h, L, n_periods):
 @pytest.mark.parametrize("kind", ["autonomous", "held"])
 @pytest.mark.parametrize("L", [1, 2, 8, 32])
 def test_step_matches_per_cell_reference(kind, L):
-    """The precomputed cell maps reproduce the per-cell loop over 200 periods."""
+    """The exogenous pass plus the step reproduce the per-cell loop over 200 periods."""
     n_periods, n_taps, h = 200, 4, 0.7
     rng = np.random.default_rng(1000 + 7 * L + (kind == "held"))
     sec = random_stable_siso(rng, max_states=6)
     pri = random_stable_siso(rng, max_states=6)
     loop = HybridLoop(sec, pri, _random_source(rng, kind, h, L, n_periods), h=h, L=L)
-    got = want = loop.initial_state(n_taps)
+    record = loop.exogenous(n_periods)
+    got = loop.initial_state(n_taps)
+    want = oracles.reference_initial_state(loop, n_taps)
     fields = {}
-    for _ in range(n_periods):
+    for n in range(n_periods):
         taps = rng.normal(scale=0.5, size=n_taps)
-        got, rec = loop.step(got, taps)
+        got, y_d, w_fast = loop.step(got, taps, record.x_d[n])
         want, ref = oracles.reference_step(loop, want, taps)
         assert got.n == want.n
-        pairs = [(f, getattr(rec, f), getattr(ref, f)) for f in IntervalRecord.__dataclass_fields__]
-        pairs += [
-            (f"state.{f}", getattr(got, f), getattr(want, f))
-            for f in ("zeta_F", "zeta_P", "gen_state", "eta", "xd_hist")
+        pairs = [
+            ("x_d", record.x_d[n], ref.x_d),
+            ("y_d", y_d, ref.y_d),
+            ("e_block", record.d[n] - w_fast, ref.e_block),
+            ("u_block", record.u_blocks[n], ref.u_block),
+            ("x_fast", record.x[n], ref.x_fast),
+            ("d_fast", record.d[n], ref.d_fast),
+            ("w_fast", w_fast, ref.w_fast),
+            ("u_fast", record.u[n], ref.u_fast),
+            ("state.zeta_F", got.zeta_F, want.zeta_F),
+            ("state.xd_hist", got.xd_hist, want.xd_hist),
         ]
         for name, a, b in pairs:
             assert np.shape(a) == np.shape(b), name
@@ -306,12 +316,20 @@ def test_step_matches_per_cell_reference(kind, L):
     for name, rows in fields.items():
         a = np.concatenate([r[0] for r in rows])
         b = np.concatenate([r[1] for r in rows])
-        if b.size == 0:
-            assert a.size == 0, name
-            continue
         scale = float(np.abs(b).max())
         assert scale > 0.0, name
         assert float(np.abs(a - b).max()) <= TOL.baseline_match * scale, name
+
+
+def test_exogenous_record_is_read_only():
+    sec, pri, gen = bench_small()
+    record = HybridLoop(sec, pri, gen, h=1.0, L=4).exogenous(3)
+    assert record.x_d.shape == (3,)
+    for name in ("x_d", "x", "d", "u", "u_blocks"):
+        arr = getattr(record, name)
+        assert arr.shape[0] == 3 and arr.shape[1:] in ((), (4,)), name
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_held_waveform_must_match_fast_grid():
@@ -325,10 +343,9 @@ def test_held_waveform_exhaustion():
     sec, pri, _ = bench_small()
     wave = HeldWaveform(values=np.zeros(4), dt=0.25)
     loop = HybridLoop(sec, pri, wave, h=1.0, L=4)
-    state = loop.initial_state(2)
-    state, _ = loop.step(state, np.zeros(2))
-    with pytest.raises(ValueError):
-        loop.step(state, np.zeros(2))
+    assert loop.exogenous(1).x.shape == (1, 4)
+    with pytest.raises(ValueError, match="exhausted"):
+        loop.exogenous(2)
 
 
 def test_generator_type_checked():
@@ -342,7 +359,7 @@ def test_taps_length_checked():
     loop = HybridLoop(sec, pri, gen, h=1.0, L=2)
     state = loop.initial_state(3)
     with pytest.raises(DimensionError):
-        loop.step(state, np.zeros(2))
+        loop.step(state, np.zeros(2), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Closed-loop runner, comparison, sweep, and CSV output."""
 
+import dataclasses
 import filecmp
 import os
 from dataclasses import replace
@@ -12,6 +13,7 @@ import oracles
 from ancsim import (
     ComparisonResult,
     SimTrace,
+    SweepRow,
     check_lms_conditions,
     discretize_lifted,
     emit_bode,
@@ -198,6 +200,72 @@ def test_sweep_structure_and_edges():
 def test_sweep_requires_steps():
     with pytest.raises(ValueError):
         run_mu_sweep(short_config(), mu_values=[])
+
+
+# ---------------------------------------------------------------------------
+# arms sharing one exogenous record
+
+
+def _flat(obj, prefix=""):
+    """Leaves of nested result dataclasses, keyed by their dotted path."""
+    if not dataclasses.is_dataclass(obj):
+        return {prefix: obj}
+    out = {}
+    for f in dataclasses.fields(obj):
+        out.update(_flat(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name))
+    return out
+
+
+def _assert_identical(got, want):
+    """Same fields, shapes, dtypes and bytes (so -0.0 and nan count too)."""
+    got, want = _flat(got), _flat(want)
+    assert got.keys() == want.keys()
+    for key, b in want.items():
+        a = got[key]
+        if b is None:
+            assert a is None, key
+            continue
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), key
+        assert a.tobytes() == b.tobytes(), key
+
+
+@pytest.mark.parametrize("overrides", [dict(L=8), dict(T=40.0, mu=100.0)])
+def test_comparison_arms_equal_single_runs(overrides):
+    config = short_config(**overrides)
+    comp = run_comparison(config)
+    _assert_identical(comp.proposed, run_single(config))
+    _assert_identical(comp.conventional, run_single(config, algorithm_cells=1))
+
+
+def test_sweep_rows_equal_standalone_comparisons():
+    config = short_config(T=30.0, threshold=5.0)
+    sweep = run_mu_sweep(config, mu_values=[0.1, 0.4, 100.0])
+    assert sweep.rows[-1].diverged_proposed
+    for row in sweep.rows:
+        comp = run_comparison(replace(config, mu=row.mu))
+        p, c = comp.proposed, comp.conventional
+        want = SweepRow(
+            mu=row.mu,
+            error_proposed=p.error_norm,
+            error_conventional=c.error_norm,
+            diverged_proposed=p.diverged,
+            diverged_conventional=c.diverged,
+            step_ok_proposed=not p.diverged and (p.lms_report is None or p.lms_report.step_ok),
+            step_ok_conventional=not c.diverged and (c.lms_report is None or c.lms_report.step_ok),
+        )
+        _assert_identical(row, want)
+
+
+def test_shared_trace_arrays_are_read_only():
+    comp = run_comparison(short_config())
+    p, c = comp.proposed, comp.conventional
+    shared = ("x_d", "x", "d", "u", "u_blocks")
+    for name in shared:
+        assert np.shares_memory(getattr(p.trace, name), getattr(c.trace, name)), name
+    for arr in [getattr(r.trace, n) for r in (p, c) for n in shared] + [p.u_alg_blocks]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

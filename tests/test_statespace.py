@@ -144,12 +144,18 @@ def test_freq_response_lag_closed_form():
 
 def test_freq_response_grid_matches_pointwise():
     rng = np.random.default_rng(13)
-    sys = oracles_plant(rng)
+    siso = oracles_plant(rng)
+    n = siso.nstates
+    mimo = ContinuousStateSpace(
+        A=siso.A, B=rng.normal(size=(n, 2)), C=rng.normal(size=(3, n)), D=rng.normal(size=(3, 2))
+    )
     omegas = np.linspace(0.0, 6.0, 25)
-    grid = freq_response_grid(sys, omegas)
-    for i, w in enumerate(omegas):
-        single = freq_response(sys, w)
-        assert np.allclose(grid[i], single, rtol=1e-9, atol=1e-12)
+    for sys in (siso, mimo):
+        grid = freq_response_grid(sys, omegas)
+        assert grid.shape == (omegas.size, sys.noutputs, sys.ninputs)
+        for i, w in enumerate(omegas):
+            single = freq_response(sys, w)
+            assert np.allclose(grid[i], single, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
