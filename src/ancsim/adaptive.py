@@ -14,7 +14,8 @@ per-cell integrals of the secondary path's response to the reference):
 A separate checker verifies the three conditions under which the online
 update is a slowly-varying perturbation of steepest descent: uniformly
 bounded Gram matrices, step size inside the stability range, and small
-per-period Gram increments.
+per-period Gram increments. The design problem and the checker build the
+Gram matrix from one lag stack of the record, processed in chunks.
 """
 
 from __future__ import annotations
@@ -114,13 +115,25 @@ class WienerProblem:
         return self.beta.size
 
 
-def _lagged(blocks: np.ndarray, k: int) -> np.ndarray:
-    """Block record delayed by k periods, zero prehistory."""
-    if k == 0:
-        return blocks
-    out = np.zeros_like(blocks)
-    out[k:] = blocks[:-k]
-    return out
+_CHUNK_PERIODS = 128
+
+
+def _lagged_chunks(U: np.ndarray, n_taps: int):
+    """Yield ``(start, V)``, ``V[n - start, :, k] = U[n - k]``, zero before U.
+
+    Each ``V`` is a contiguous (periods, L, n_taps) stack of at most
+    _CHUNK_PERIODS periods: batched products on it equal per-period ones bit
+    for bit (an einsum or a strided view does not), and chunks keep the
+    temporaries small.
+    """
+    n_steps, L = U.shape
+    for start in range(0, n_steps, _CHUNK_PERIODS):
+        stop = min(start + _CHUNK_PERIODS, n_steps)
+        V = np.zeros((stop - start, L, n_taps))
+        for k in range(min(n_taps, stop)):
+            lo = max(start, k)
+            V[lo - start:, :, k] = U[lo - k:stop - k]
+        yield start, V
 
 
 def build_wiener(
@@ -161,13 +174,12 @@ def build_wiener(
             f"horizon {horizon} is not the record length: {n_steps} periods of {h}"
         )
 
-    lags = [_lagged(U, k) for k in range(n_taps)]
-    Phi = np.empty((n_taps, n_taps))
-    beta = np.empty(n_taps)
-    for k in range(n_taps):
-        beta[k] = float(np.sum(D * lags[k]))
-        for l in range(k, n_taps):
-            Phi[k, l] = Phi[l, k] = (L / h) * float(np.sum(lags[k] * lags[l]))
+    Phi = np.zeros((n_taps, n_taps))
+    beta = np.zeros(n_taps)
+    for start, V in _lagged_chunks(U, n_taps):
+        Vf = V.reshape(-1, n_taps)
+        Phi += (L / h) * (Vf.T @ Vf)
+        beta += Vf.T @ D[start:start + V.shape[0]].reshape(-1)
     d_energy = (h / L) * float(np.sum(D * D))
     return WienerProblem(Phi=Phi, beta=beta, horizon=horizon, d_energy=d_energy)
 
@@ -356,11 +368,12 @@ def check_lms_conditions(
 ) -> LmsConditionReport:
     """Evaluate the three convergence conditions on a recorded run.
 
-    Builds the running Gram matrices Phi[n] from the blocked regressor
-    record and reports: (1) a uniform norm bound, (2) whether the step size
-    lies inside (0, 2 / max eigenvalue), (3) whether the per-period change
-    of mu Phi[n] stays below ``eps_threshold``. A record with no regressor
-    energy is flagged degenerate (conditions hold vacuously).
+    Builds the running Gram matrices Phi[n] from the lag stack of the
+    blocked regressor record, one chunk of periods at a time, and reports:
+    (1) a uniform norm bound, (2) whether the step size lies inside
+    (0, 2 / max eigenvalue), (3) whether the per-period change of mu Phi[n]
+    stays below ``eps_threshold``. A record with no regressor energy is
+    flagged degenerate (conditions hold vacuously).
     """
     U = np.asarray(u_blocks, dtype=float)
     if U.ndim != 2:
@@ -375,20 +388,17 @@ def check_lms_conditions(
         raise ValueError(f"step size must be positive, got {mu}")
     n_steps, L = U.shape
 
-    # V_n[j, k] = regressor integral of lag k, cell j, period n;
-    # Phi[n] grows by the PSD increment (L/h) V_n^T V_n each period.
+    # Phi[n] grows by the PSD increment (L/h) V_n^T V_n each period; the
+    # in-place cumsum turns a chunk's increments into its running sums.
     Phi = np.zeros((n_taps, n_taps))
-    lam_max = 0.0
-    inc_max = 0.0
-    for n in range(n_steps):
-        V = np.zeros((L, n_taps))
-        for k in range(min(n_taps, n + 1)):
-            V[:, k] = U[n - k]
-        inc = (L / h) * (V.T @ V)
-        Phi += inc
-        lam_inc = float(np.linalg.eigvalsh(inc)[-1])
-        inc_max = max(inc_max, lam_inc)
-        lam_max = max(lam_max, float(np.linalg.eigvalsh(Phi)[-1]))
+    lam_max = inc_max = 0.0
+    for _, V in _lagged_chunks(U, n_taps):
+        running = (L / h) * (V.transpose(0, 2, 1) @ V)
+        inc_max = max(inc_max, float(np.linalg.eigvalsh(running)[:, -1].max()))
+        running[0] += Phi
+        np.cumsum(running, axis=0, out=running)
+        lam_max = max(lam_max, float(np.linalg.eigvalsh(running)[:, -1].max()))
+        Phi = running[-1]
 
     degenerate = lam_max == 0.0
     gamma = lam_max

@@ -18,7 +18,7 @@ configs give equal bytes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -284,36 +284,20 @@ def emit_bode(config: SimConfig, n_points: int = 400):
 # CSV output
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 _CHUNK_ROWS = 4096
+_COLUMN_FORMATS = {"i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 
 def _write_columns(path: str, header: list[str], columns) -> None:
     """Write equal-length 1-D columns as CSV, streamed in row chunks.
 
-    Integer and boolean columns print with %d, all others with %.17g, which
-    gives the same bytes as ``_write_csv`` on the same values. Only one
-    chunk of rows is ever held as Python objects.
+    Integer and boolean columns print with %d, text columns with %s, all
+    others with %.17g. Only one chunk of rows is ever held as Python objects.
+    A key/value table passes ``zip(*items)``, so its values form one float64
+    column; %.17g prints its counts and flags without a decimal point.
     """
     columns = [np.asarray(c) for c in columns]
-    fmt = ",".join("%d" if c.dtype.kind in "iub" else "%.17g" for c in columns) + "\n"
+    fmt = ",".join(_COLUMN_FORMATS.get(c.dtype.kind, "%.17g") for c in columns) + "\n"
     n_rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -378,7 +362,7 @@ def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> li
             ("cond_step", rep.step_ok),
             ("cond_slow", rep.slow_ok),
         ]
-    _write_csv(p("report.csv"), ["key", "value"], items)
+    _write_columns(p("report.csv"), ["key", "value"], zip(*items))
     return paths
 
 
@@ -386,15 +370,12 @@ def write_comparison_csv(result: ComparisonResult, out_dir: str) -> list[str]:
     paths = write_run_csv(result.proposed, out_dir, prefix="proposed_")
     paths += write_run_csv(result.conventional, out_dir, prefix="conventional_")
     path = os.path.join(out_dir, "comparison.csv")
-    _write_csv(
-        path,
-        ["key", "value"],
-        [
-            ("error_l2_proposed", result.proposed.error_norm),
-            ("error_l2_conventional", result.conventional.error_norm),
-            ("ratio", result.ratio),
-        ],
-    )
+    items = [
+        ("error_l2_proposed", result.proposed.error_norm),
+        ("error_l2_conventional", result.conventional.error_norm),
+        ("ratio", result.ratio),
+    ]
+    _write_columns(path, ["key", "value"], zip(*items))
     paths.append(path)
     return paths
 
@@ -402,7 +383,7 @@ def write_comparison_csv(result: ComparisonResult, out_dir: str) -> list[str]:
 def write_sweep_csv(result: SweepResult, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, "sweep.csv")
-    _write_csv(
+    _write_columns(
         rows_path,
         [
             "mu",
@@ -410,24 +391,16 @@ def write_sweep_csv(result: SweepResult, out_dir: str) -> list[str]:
             "diverged_proposed", "diverged_conventional",
             "step_ok_proposed", "step_ok_conventional",
         ],
-        (
-            [r.mu, r.error_proposed, r.error_conventional,
-             r.diverged_proposed, r.diverged_conventional,
-             r.step_ok_proposed, r.step_ok_conventional]
-            for r in result.rows
-        ),
+        [np.array([getattr(r, f.name) for r in result.rows]) for f in fields(SweepRow)],
     )
     summary_path = os.path.join(out_dir, "sweep_summary.csv")
-    _write_csv(
-        summary_path,
-        ["key", "value"],
-        [
-            ("threshold", result.threshold),
-            ("mu_max_proposed", result.mu_max_proposed),
-            ("mu_max_conventional", result.mu_max_conventional),
-            ("widening", result.widening),
-        ],
-    )
+    items = [
+        ("threshold", result.threshold),
+        ("mu_max_proposed", result.mu_max_proposed),
+        ("mu_max_conventional", result.mu_max_conventional),
+        ("widening", result.widening),
+    ]
+    _write_columns(summary_path, ["key", "value"], zip(*items))
     return [rows_path, summary_path]
 
 
@@ -435,7 +408,7 @@ def write_bode_csv(config: SimConfig, out_dir: str, n_points: int = 400) -> str:
     os.makedirs(out_dir, exist_ok=True)
     _, cols = emit_bode(config, n_points)
     path = os.path.join(out_dir, "bode.csv")
-    _write_csv(path, list(cols.keys()), zip(*cols.values()))
+    _write_columns(path, list(cols.keys()), list(cols.values()))
     return path
 
 

@@ -170,10 +170,8 @@ def parseval_check(problem: WienerProblem, bound: SpectralBound) -> ParsevalRepo
     lag_vals = np.empty(n)
     for m in range(n):
         lag_vals[m] = weight * float(bound.values @ np.cos(bound.omegas * m * bound.h))
-    phi_s = np.empty((n, n))
-    for k in range(n):
-        for l in range(n):
-            phi_s[k, l] = lag_vals[abs(k - l)]
+    idx = np.arange(n)
+    phi_s = lag_vals[np.abs(np.subtract.outer(idx, idx))]
 
     diff = np.abs(phi_s - problem.Phi)
     scale = max(float(np.abs(problem.Phi).max()), 1e-300)

@@ -11,12 +11,14 @@ two sides must stay independent.
 loop, coded from SciPy exponentials alone; at one cell per period the
 package's blocked loop must reproduce it.
 
-Three references are earlier, slower forms of package code, kept to check
-the rewrites that replaced them: :func:`reference_step` walks the cells of
-a period one by one with the loop's own one-cell propagators, advancing the
-exogenous and the anti-noise half of the loop together,
-:func:`reference_write_run_csv` / :func:`reference_write_comparison_csv`
-write the CSV tables row by row through a per-value formatter, and
+The other references are earlier, slower forms of package code, kept to
+check the rewrites that replaced them: :func:`reference_step` walks the
+cells of a period one by one with the loop's own one-cell propagators,
+advancing the exogenous and the anti-noise half of the loop together;
+:func:`reference_build_wiener` sums one delayed copy of the record per lag
+pair and :func:`reference_check_lms_conditions` builds the Gram increment
+of each period in a Python loop; the ``reference_write_*`` functions write
+every CSV table row by row through a per-value formatter; and
 :func:`dtft_dense` evaluates a transform as one dense matrix product.
 """
 
@@ -29,6 +31,8 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
+from ancsim.adaptive import LmsConditionReport, WienerProblem
+from ancsim.runner import emit_bode
 from ancsim.signals import AutonomousGenerator
 from ancsim.statespace import DimensionError
 
@@ -149,6 +153,81 @@ def scratch_direction(u_blocks, e_blocks, n_taps, upto):
             if m >= 0:
                 delta[k] += float(E[n] @ U[m])
     return delta
+
+
+def _lagged(blocks: np.ndarray, k: int) -> np.ndarray:
+    """Block record delayed by k periods, zero prehistory."""
+    if k == 0:
+        return blocks
+    out = np.zeros_like(blocks)
+    out[k:] = blocks[:-k]
+    return out
+
+
+def reference_build_wiener(u_blocks, d_fast, n_taps, horizon, h, L) -> WienerProblem:
+    """``ancsim.build_wiener`` as one delayed copy of the record per lag.
+
+    Every Gram entry and cross-vector entry is its own ``np.sum`` over the
+    whole record. Inputs are assumed valid.
+    """
+    U = np.asarray(u_blocks, dtype=float)
+    n_steps = U.shape[0]
+    D = np.asarray(d_fast, dtype=float).reshape(n_steps, L)
+
+    lags = [_lagged(U, k) for k in range(n_taps)]
+    Phi = np.empty((n_taps, n_taps))
+    beta = np.empty(n_taps)
+    for k in range(n_taps):
+        beta[k] = float(np.sum(D * lags[k]))
+        for l in range(k, n_taps):
+            Phi[k, l] = Phi[l, k] = (L / h) * float(np.sum(lags[k] * lags[l]))
+    d_energy = (h / L) * float(np.sum(D * D))
+    return WienerProblem(Phi=Phi, beta=beta, horizon=horizon, d_energy=d_energy)
+
+
+def reference_check_lms_conditions(u_blocks, mu, n_taps, h, eps_threshold=0.5) -> LmsConditionReport:
+    """``ancsim.check_lms_conditions`` as one pass per period.
+
+    Each period rebuilds its lag matrix column by column and takes the top
+    eigenvalue of its increment and of the running Gram matrix. Inputs are
+    assumed valid.
+    """
+    U = np.asarray(u_blocks, dtype=float)
+    n_steps, L = U.shape
+
+    # V_n[j, k] = regressor integral of lag k, cell j, period n;
+    # Phi[n] grows by the PSD increment (L/h) V_n^T V_n each period.
+    Phi = np.zeros((n_taps, n_taps))
+    lam_max = 0.0
+    inc_max = 0.0
+    for n in range(n_steps):
+        V = np.zeros((L, n_taps))
+        for k in range(min(n_taps, n + 1)):
+            V[:, k] = U[n - k]
+        inc = (L / h) * (V.T @ V)
+        Phi += inc
+        lam_inc = float(np.linalg.eigvalsh(inc)[-1])
+        inc_max = max(inc_max, lam_inc)
+        lam_max = max(lam_max, float(np.linalg.eigvalsh(Phi)[-1]))
+
+    degenerate = lam_max == 0.0
+    gamma = lam_max
+    mu_limit = float("inf") if degenerate else 2.0 / lam_max
+    eps_realized = mu * inc_max
+    return LmsConditionReport(
+        n_intervals=n_steps,
+        n_taps=n_taps,
+        mu=mu,
+        gamma=gamma,
+        lambda_max=lam_max,
+        mu_limit=mu_limit,
+        eps_realized=eps_realized,
+        eps_threshold=float(eps_threshold),
+        degenerate=degenerate,
+        bounded_ok=bool(np.isfinite(gamma)),
+        step_ok=bool(degenerate or mu < mu_limit),
+        slow_ok=bool(eps_realized <= eps_threshold),
+    )
 
 
 class DampedSines:
@@ -623,3 +702,45 @@ def reference_write_comparison_csv(result, out_dir: str) -> list[str]:
     )
     paths.append(path)
     return paths
+
+
+def reference_write_sweep_csv(result, out_dir: str) -> list[str]:
+    """The tables of ``ancsim.write_sweep_csv``, written by ``write_csv_rows``."""
+    os.makedirs(out_dir, exist_ok=True)
+    rows_path = os.path.join(out_dir, "sweep.csv")
+    write_csv_rows(
+        rows_path,
+        [
+            "mu",
+            "error_l2_proposed", "error_l2_conventional",
+            "diverged_proposed", "diverged_conventional",
+            "step_ok_proposed", "step_ok_conventional",
+        ],
+        (
+            [r.mu, r.error_proposed, r.error_conventional,
+             r.diverged_proposed, r.diverged_conventional,
+             r.step_ok_proposed, r.step_ok_conventional]
+            for r in result.rows
+        ),
+    )
+    summary_path = os.path.join(out_dir, "sweep_summary.csv")
+    write_csv_rows(
+        summary_path,
+        ["key", "value"],
+        [
+            ("threshold", result.threshold),
+            ("mu_max_proposed", result.mu_max_proposed),
+            ("mu_max_conventional", result.mu_max_conventional),
+            ("widening", result.widening),
+        ],
+    )
+    return [rows_path, summary_path]
+
+
+def reference_write_bode_csv(config, out_dir: str, n_points: int = 400) -> str:
+    """The table of ``ancsim.write_bode_csv``, written by ``write_csv_rows``."""
+    os.makedirs(out_dir, exist_ok=True)
+    _, cols = emit_bode(config, n_points)
+    path = os.path.join(out_dir, "bode.csv")
+    write_csv_rows(path, list(cols.keys()), zip(*cols.values()))
+    return path

@@ -408,6 +408,39 @@ def test_checker_input_validation():
         check_lms_conditions(np.array([[1.0]]), mu=0.0, n_taps=1, h=1.0)
 
 
+GRAM_RECORDS = [
+    (0, 3, 4), (4, 3, 8), (127, 1, 8), (128, 32, 8), (129, 3, 8), (300, 1, 4),
+    (300, 3, 8), (300, 32, 8), (129, 32, 1),
+]
+
+
+@pytest.mark.parametrize("n_steps, L, n_taps", GRAM_RECORDS)
+def test_checker_matches_per_period_loop(n_steps, L, n_taps):
+    """Chunk edges, records shorter than the taps, and the empty record."""
+    rng = np.random.default_rng(n_steps + 7 * L + n_taps)
+    u = rng.normal(size=(n_steps, L)) * np.exp(rng.normal(size=(n_steps, 1)))
+    for mu, h in ((0.1, 1.0), (2.5, 0.3)):
+        got = check_lms_conditions(u, mu=mu, n_taps=n_taps, h=h)
+        assert got == oracles.reference_check_lms_conditions(u, mu, n_taps, h)
+
+
+@pytest.mark.parametrize("n_steps, L, n_taps", [r for r in GRAM_RECORDS if r[0] > 0])
+def test_build_wiener_matches_lag_loop_and_checker(n_steps, L, n_taps):
+    """One Gram matrix: the design problem's is the checker's final one."""
+    rng = np.random.default_rng(n_steps + 7 * L + n_taps)
+    u = rng.normal(size=(n_steps, L))
+    d = rng.normal(size=(n_steps, L))
+    h = 0.3
+    problem = build_wiener(u, d, n_taps, n_steps * h, h, L)
+    ref = oracles.reference_build_wiener(u, d, n_taps, n_steps * h, h, L)
+    assert np.abs(problem.Phi - ref.Phi).max() <= 1e-13 * np.abs(ref.Phi).max()
+    assert np.abs(problem.beta - ref.beta).max() <= 1e-13 * np.abs(ref.beta).max()
+    assert problem.d_energy == ref.d_energy
+    lam = np.linalg.eigvalsh(problem.Phi)[-1]
+    report = check_lms_conditions(u, mu=0.1, n_taps=n_taps, h=h)
+    assert report.lambda_max == pytest.approx(lam, rel=1e-12, abs=0.0)
+
+
 def test_running_gram_top_eigenvalue_is_monotone():
     """Growing the record can only grow the top eigenvalue (PSD increments)."""
     rng = np.random.default_rng(19)

@@ -360,7 +360,9 @@ def _assert_same_bytes(tmp_path, write, reference_write, result):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
-def test_csv_writer_matches_row_wise_writer(tmp_path, benchmark_run, benchmark_comparison):
+def test_csv_writer_matches_row_wise_writer(
+    tmp_path, benchmark_run, benchmark_comparison, default_config
+):
     diverged = run_single(short_config(divergence_cutoff=1e-9))
     assert diverged.diverged and diverged.u_alg_blocks.shape[0] == 0
     special = _special_run(diverged)
@@ -384,6 +386,25 @@ def test_csv_writer_matches_row_wise_writer(tmp_path, benchmark_run, benchmark_c
         _assert_same_bytes(
             tmp_path / name, write_comparison_csv, oracles.reference_write_comparison_csv, comp
         )
+    sweep = run_mu_sweep(short_config(T=30.0, threshold=5.0), mu_values=[0.1, 0.4, 100.0])
+    assert sweep.rows[-1].diverged_proposed and sweep.rows[-1].error_proposed == np.inf
+    special_row = SweepRow(-0.0, np.nan, 5e-324, True, False, False, True)
+    sweeps = {
+        "sweep": sweep,
+        "sweep_special": replace(
+            sweep, rows=(special_row,), threshold=1.7976931348623157e308,
+            mu_max_proposed=-0.0, mu_max_conventional=0.0, widening=np.nan,
+        ),
+        "sweep_empty": replace(sweep, rows=()),
+    }
+    for name, result in sweeps.items():
+        _assert_same_bytes(tmp_path / name, write_sweep_csv, oracles.reference_write_sweep_csv, result)
+    _assert_same_bytes(
+        tmp_path / "bode",
+        lambda config, out: [write_bode_csv(config, out)],
+        lambda config, out: [oracles.reference_write_bode_csv(config, out)],
+        default_config,
+    )
 
 
 def test_csv_writer_streams_long_tables(tmp_path, monkeypatch):

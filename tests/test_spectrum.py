@@ -198,7 +198,10 @@ def test_parseval_lag_zero_entry():
     assert report.entry00_rel < TOL.parseval
     assert report.phi_spectral.shape == problem.Phi.shape
     # spectral reconstruction is a symmetric Toeplitz table
-    assert np.abs(report.phi_spectral - report.phi_spectral.T).max() == 0.0
+    phi_s = report.phi_spectral
+    assert np.abs(phi_s - phi_s.T).max() == 0.0
+    for m in range(phi_s.shape[0]):
+        assert np.all(np.diagonal(phi_s, m) == phi_s[0, m])
 
 
 def test_parseval_improves_with_refinement():
