@@ -7,7 +7,6 @@ stability bounds, and a hybrid closed-loop experiment harness.
 """
 
 from .adaptive import (
-    AdaptiveState,
     FirFilter,
     LmsConditionReport,
     SingularGramError,
@@ -15,10 +14,8 @@ from .adaptive import (
     build_wiener,
     check_lms_conditions,
     gradient,
-    initial_adaptive_state,
     j_value,
     sd_run,
-    sdfx_lms_step,
     wiener_solve,
 )
 from .config import ConfigError, SimConfig
@@ -26,7 +23,6 @@ from .lifting import (
     ExogenousRecord,
     FastSampler,
     HybridLoop,
-    HybridLoopState,
     LiftedDiscretization,
     SimTrace,
     discretize_lifted,
@@ -68,9 +64,7 @@ from .statespace import (
     freq_response_grid,
     from_second_order_bank,
     parallel,
-    scaled,
     series,
-    static_gain,
     vanloan,
 )
 from .tolerances import TOL, Tolerances

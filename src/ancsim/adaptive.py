@@ -1,21 +1,25 @@
 """Adaptive layers on top of the lifted discretization.
 
-Three levels, all sharing the blocked regressor record ``U[n]`` (exact
-per-cell integrals of the secondary path's response to the reference):
+Two levels share the blocked regressor record ``U[n]`` (exact per-cell
+integrals of the secondary path's response to the reference):
 
 * the quadratic design problem (Gram matrix + cross vector) whose minimizer
   is the optimal FIR filter over an infinite horizon,
-* offline steepest descent on that quadratic,
-* the online update, which accumulates a cumulative descent direction from
-  fast error samples and blocked regressor integrals and commits one tap
-  update per period. It simulates nothing: the caller hands it each
-  period's regressor block, as traced by the closed loop.
+* offline steepest descent on that quadratic.
+
+The online update itself (one tap commit per period, a cumulative descent
+direction fed by fast error samples against lagged regressor integrals) is
+the arm loop of ``runner``, stacked over every arm of a configuration.
 
 A separate checker verifies the three conditions under which the online
 update is a slowly-varying perturbation of steepest descent: uniformly
 bounded Gram matrices, step size inside the stability range, and small
-per-period Gram increments. The design problem and the checker build the
-Gram matrix from one lag stack of the record, processed in chunks.
+per-period Gram increments. It computes one condition series per record, the
+running maxima of the top Gram and increment eigenvalues period by period,
+and reads a report off it at any truncation: the runner computes the series
+once per blocking and looks every arm up at its last update. The design
+problem and the checker build the Gram matrix from one lag stack of the
+record, processed in chunks.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .tolerances import TOL
 __all__ = [
     "FirFilter",
     "WienerProblem",
-    "AdaptiveState",
     "LmsConditionReport",
     "SingularGramError",
     "build_wiener",
@@ -39,8 +42,6 @@ __all__ = [
     "gradient",
     "j_value",
     "sd_run",
-    "initial_adaptive_state",
-    "sdfx_lms_step",
     "check_lms_conditions",
 ]
 
@@ -256,82 +257,6 @@ def sd_run(
 
 
 @dataclass(frozen=True)
-class AdaptiveState:
-    """State of the online update at a period boundary.
-
-    ``alpha`` are the committed taps, ``delta`` the cumulative descent
-    direction accumulated through the start of the current period, and
-    ``U_hist`` the last n_taps regressor blocks (row k is the block from k
-    periods ago).
-    """
-
-    alpha: np.ndarray
-    delta: np.ndarray
-    U_hist: np.ndarray
-    n: int
-
-
-def initial_adaptive_state(n_taps: int, L: int, alpha0=None) -> AdaptiveState:
-    """Zero direction and regressor history for ``n_taps`` taps and ``L`` cells."""
-    if n_taps < 1:
-        raise ValueError("need at least one tap")
-    if L < 1:
-        raise ValueError(f"need at least one cell per period, got {L}")
-    if alpha0 is None:
-        alpha = np.zeros(n_taps)
-    else:
-        alpha = np.asarray(alpha0, dtype=float).reshape(-1).copy()
-        if alpha.size != n_taps:
-            raise DimensionError(f"alpha0 must have {n_taps} entries, got {alpha.size}")
-    return AdaptiveState(
-        alpha=alpha,
-        delta=np.zeros(n_taps),
-        U_hist=np.zeros((n_taps, L)),
-        n=0,
-    )
-
-
-def sdfx_lms_step(
-    state: AdaptiveState,
-    mu: float,
-    e_block,
-    u_block,
-) -> AdaptiveState:
-    """One period of the online update.
-
-    Order of operations for period n: commit the tap update using the
-    direction accumulated through t = n h, shift the period's regressor
-    block ``u_block`` (its exact per-cell integrals, one per error sample)
-    into the history, then fold the blocked inner products (fast error
-    samples against lagged regressor integrals) into the direction. The
-    caller simulates period n under exactly the taps this step commits
-    (alpha + mu * delta evaluated before the fold) and traces ``u_block``
-    on the way; the update itself simulates nothing.
-    """
-    L = state.U_hist.shape[1]
-    e = np.asarray(e_block, dtype=float).reshape(-1)
-    if e.size != L:
-        raise DimensionError(f"e_block must have L = {L} samples, got {e.size}")
-    U = np.asarray(u_block, dtype=float).reshape(-1)
-    if U.size != L:
-        raise DimensionError(f"u_block must have L = {L} cells, got {U.size}")
-    if mu < 0.0:
-        raise ValueError(f"step size must be nonnegative, got {mu}")
-
-    alpha_next = state.alpha + mu * state.delta
-    U_hist_next = np.empty_like(state.U_hist)
-    U_hist_next[0] = U
-    U_hist_next[1:] = state.U_hist[:-1]
-    delta_next = state.delta + U_hist_next @ e
-    return AdaptiveState(
-        alpha=alpha_next,
-        delta=delta_next,
-        U_hist=U_hist_next,
-        n=state.n + 1,
-    )
-
-
-@dataclass(frozen=True)
 class LmsConditionReport:
     """Realized values and verdicts for the three online-update conditions.
 
@@ -386,35 +311,51 @@ def check_lms_conditions(
         raise ValueError(f"period must be positive, got {h}")
     if not mu > 0.0:
         raise ValueError(f"step size must be positive, got {mu}")
-    n_steps, L = U.shape
+    return _report_at(_condition_series(U, n_taps, h), U.shape[0], n_taps, mu, eps_threshold)
 
+
+def _condition_series(U: np.ndarray, n_taps: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix maxima of lambda_max(Phi[n]) and of the increment lambda_max.
+
+    Entry n of each (n_steps + 1,) series covers the first n periods of the
+    record (entry 0 is 0), so one series serves every truncation of it: a
+    run that stopped early reads the entry at its last update. The chunks
+    start at period 0 whatever the length, so a truncated record gives the
+    same entries bit for bit.
+    """
+    n_steps, L = U.shape
+    lam, inc = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     # Phi[n] grows by the PSD increment (L/h) V_n^T V_n each period; the
     # in-place cumsum turns a chunk's increments into its running sums.
     Phi = np.zeros((n_taps, n_taps))
-    lam_max = inc_max = 0.0
-    for _, V in _lagged_chunks(U, n_taps):
+    for start, V in _lagged_chunks(U, n_taps):
+        stop = start + V.shape[0]
         running = (L / h) * (V.transpose(0, 2, 1) @ V)
-        inc_max = max(inc_max, float(np.linalg.eigvalsh(running)[:, -1].max()))
+        inc[start + 1:stop + 1] = np.linalg.eigvalsh(running)[:, -1]
         running[0] += Phi
         np.cumsum(running, axis=0, out=running)
-        lam_max = max(lam_max, float(np.linalg.eigvalsh(running)[:, -1].max()))
+        lam[start + 1:stop + 1] = np.linalg.eigvalsh(running)[:, -1]
         Phi = running[-1]
+    return np.maximum.accumulate(lam), np.maximum.accumulate(inc)
 
+
+def _report_at(series, n: int, n_taps: int, mu: float, eps_threshold: float) -> LmsConditionReport:
+    """The conditions on the first ``n`` periods of a record, read off its series."""
+    lam_max, inc_max = float(series[0][n]), float(series[1][n])
     degenerate = lam_max == 0.0
-    gamma = lam_max
     mu_limit = float("inf") if degenerate else 2.0 / lam_max
     eps_realized = mu * inc_max
     return LmsConditionReport(
-        n_intervals=n_steps,
+        n_intervals=n,
         n_taps=n_taps,
         mu=mu,
-        gamma=gamma,
+        gamma=lam_max,
         lambda_max=lam_max,
         mu_limit=mu_limit,
         eps_realized=eps_realized,
         eps_threshold=float(eps_threshold),
         degenerate=degenerate,
-        bounded_ok=bool(np.isfinite(gamma)),
+        bounded_ok=bool(np.isfinite(lam_max)),
         step_ok=bool(degenerate or mu < mu_limit),
         slow_ok=bool(eps_realized <= eps_threshold),
     )

@@ -17,7 +17,9 @@ primary path, and a secondary path driven by a sampled FIR filter. The loop
 is feedforward, so it splits at the taps: the reference, the disturbance and
 the regressor (the secondary dynamics driven by the held reference) form an
 exogenous half computed once per configuration, and only the anti-noise path
-is stepped under the taps. The same lifting applies to the point samples at the cell left endpoints: each is a
+is stepped under the taps, for a whole stack of arms (one row of taps and of
+secondary-path state per arm) in one call. The same lifting applies to the
+point samples at the cell left endpoints: each is a
 fixed linear map of the period-start state and the held inputs, built once
 from the exact one-cell propagators (rows ``c Phi^l`` and accumulated input
 gains), so one period is a handful of matrix-vector products with no loop
@@ -37,7 +39,6 @@ __all__ = [
     "LiftedDiscretization",
     "FastSampler",
     "HybridLoop",
-    "HybridLoopState",
     "ExogenousRecord",
     "SimTrace",
     "discretize_lifted",
@@ -140,21 +141,6 @@ def fh_step(lift: LiftedDiscretization, eta: np.ndarray, x_d: float):
 
 
 @dataclass(frozen=True)
-class HybridLoopState:
-    """Tap-dependent state of the closed loop at a period boundary.
-
-    ``zeta_F`` is the physical secondary-path state (driven by the filter
-    output) and ``xd_hist`` the reference delay line feeding the FIR filter
-    (newest first). The noise source, the primary path and the regressor do
-    not depend on the taps; their signals live in an ``ExogenousRecord``.
-    """
-
-    zeta_F: np.ndarray
-    xd_hist: np.ndarray
-    n: int
-
-
-@dataclass(frozen=True)
 class ExogenousRecord:
     """Tap-independent signals of one loop configuration (read-only arrays).
 
@@ -186,9 +172,9 @@ class HybridLoop:
     """Precomputed propagators and cell-output maps for one loop configuration.
 
     ``exogenous`` runs the tap-independent half (noise source, primary path,
-    regressor) over the whole horizon; ``step`` advances the delay line and
-    the anti-noise path by one period. Every arm run on one configuration
-    shares one exogenous record and differs only in its steps.
+    regressor) over the whole horizon; ``step`` advances the anti-noise path
+    of a stack of arms by one period. Every arm run on one configuration
+    shares one exogenous record and differs only in its rows of the stack.
 
     Construction discretizes the secondary path and folds its one-cell
     propagator (phi_f, gamma_f) into the rows ``c_f phi_f^l`` and the
@@ -280,11 +266,6 @@ class HybridLoop:
                 f"got {type(generator).__name__}"
             )
 
-    def initial_state(self, n_taps: int) -> HybridLoopState:
-        if n_taps < 1:
-            raise ValueError("the FIR filter needs at least one tap")
-        return HybridLoopState(zeta_F=np.zeros(self.secondary.nstates), xd_hist=np.zeros(n_taps), n=0)
-
     def exogenous(self, n_steps: int) -> ExogenousRecord:
         """Reference, disturbance and regressor over ``n_steps`` periods.
 
@@ -322,31 +303,26 @@ class HybridLoop:
             arr.flags.writeable = False
         return ExogenousRecord(x_d=x_d, x=x, d=d, u=u, u_blocks=u_blocks)
 
-    def step(self, state: HybridLoopState, taps, x_d: float) -> tuple[HybridLoopState, float, np.ndarray]:
-        """Advance the anti-noise path over one period under fixed FIR taps.
+    def step(self, zeta_F, taps, xd_hist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance the anti-noise path of a stack of arms over one period.
 
-        ``x_d`` is the period's held reference sample (``ExogenousRecord.x_d``).
-        Returns the next state, the filter output ``y_d`` and the anti-noise
-        at the L cell left endpoints.
+        ``zeta_F`` (A, n) holds each arm's secondary-path state and ``taps``
+        (A, n_taps) its FIR taps; the arms share the reference delay line
+        ``xd_hist`` (n_taps,), newest sample first. Returns the next states,
+        the filter outputs ``y_d`` (A,) and the anti-noise at the L cell left
+        endpoints (A, L). Every product is a stacked ``matmul``, which makes
+        the same BLAS call per arm as a single-arm product would.
         """
-        taps = np.asarray(taps, dtype=float).reshape(-1)
-        if taps.size != state.xd_hist.size:
+        taps = np.asarray(taps, dtype=float)
+        if taps.shape[1:] != xd_hist.shape:
             raise DimensionError(
-                f"taps length {taps.size} does not match delay line length {state.xd_hist.size}"
+                f"taps shape {taps.shape} does not match delay line length {xd_hist.size}"
             )
-        xd_hist = np.empty_like(state.xd_hist)
-        xd_hist[0] = x_d
-        xd_hist[1:] = state.xd_hist[:-1]
-        y_d = float(taps @ xd_hist)
-
-        w_fast = self._f_rows @ state.zeta_F
-        w_fast[1:] += self._f_gains * y_d
-        new_state = HybridLoopState(
-            zeta_F=self.lift.Ah @ state.zeta_F + self.lift.Bh * y_d,
-            xd_hist=xd_hist,
-            n=state.n + 1,
-        )
-        return new_state, y_d, w_fast
+        y_d = np.matmul(taps[:, None, :], xd_hist[:, None])[:, 0, 0]
+        w_fast = np.matmul(self._f_rows, zeta_F[:, :, None])[:, :, 0]
+        w_fast[:, 1:] += self._f_gains * y_d[:, None]
+        zeta_next = np.matmul(self.lift.Ah, zeta_F[:, :, None])[:, :, 0] + self.lift.Bh * y_d[:, None]
+        return zeta_next, y_d, w_fast
 
 
 @dataclass(frozen=True)
@@ -409,7 +385,8 @@ def l2_norm(samples, dt: float, t_end: float | None = None) -> float:
     # squares of samples this large overflow the dot product
     if float(np.max(np.abs(arr))) >= 1e150:
         return float("inf")
-    total = float(np.dot(arr, arr))
+    # einsum sums without BLAS, so the bytes do not depend on its thread count
+    total = float(np.einsum("i,i->", arr, arr))
     if total > 1e300:
         return float("inf")
     return float(np.sqrt(dt * total))

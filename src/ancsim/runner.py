@@ -10,7 +10,14 @@ consumes the loop's traced cell integrals, summed over each algorithm cell.
 The arms of one configuration (both arms of a comparison, every arm of a
 sweep) share one loop and one exogenous record, so the plants, the
 discretization, the reference, the disturbance and the regressor are
-computed once; an arm only steps the anti-noise path under its own taps.
+computed once. One arm loop runs them all: the arms sit on a leading arm
+axis whose only per-arm state is the taps, the update direction and the
+secondary-path state; the delay line and the regressor history are lag
+windows of the shared record. Each period steps the anti-noise path of every
+arm at once and folds the update once per blocking, with stacked products
+that equal the single-arm ones bit for bit. A diverged arm leaves the axis.
+The convergence report of every arm is read off one condition series per
+blocking at the arm's last update.
 CSV files contain no timestamps and format floats with %.17g, so equal
 configs give equal bytes.
 """
@@ -18,16 +25,11 @@ configs give equal bytes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adaptive import (
-    LmsConditionReport,
-    check_lms_conditions,
-    initial_adaptive_state,
-    sdfx_lms_step,
-)
+from .adaptive import LmsConditionReport, _condition_series, _report_at
 from .config import SimConfig
 from .lifting import ExogenousRecord, HybridLoop, SimTrace
 from .statespace import freq_response_grid
@@ -44,6 +46,7 @@ __all__ = [
     "write_run_csv",
     "write_comparison_csv",
     "write_sweep_csv",
+    "write_bode_csv",
     "load_u_blocks",
 ]
 
@@ -116,66 +119,117 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
     its error sample is the first of them and its regressor integral their
     sum, which is exact because the traced cell integrals are.
     """
-    return _run_arm(config, *_setup(config), algorithm_cells)
+    return _run_arms(config, *_setup(config), [(config.mu, algorithm_cells)])[0]
 
 
-def _run_arm(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
-             algorithm_cells: int | None) -> SingleRunResult:
-    """One adaptive arm on a shared loop: only the anti-noise path is stepped."""
-    L, N, n_taps = config.L, config.n_steps, config.n_taps
-    L_alg = L if algorithm_cells is None else int(algorithm_cells)
-    if L_alg < 1 or L % L_alg != 0:
-        raise ValueError(f"algorithm_cells must divide L = {L}, got {L_alg}")
-    stride = L // L_alg
+def _lag_source(rows: np.ndarray, n_taps: int) -> np.ndarray:
+    """``rows`` reversed, then n_taps - 1 zero rows: the slice [N-1-n : N-1-n+n_taps]
+    is the contiguous lag window of period n, row k = rows[n - k] (zero before the record)."""
+    return np.concatenate([rows[::-1], np.zeros((n_taps - 1,) + rows.shape[1:])])
+
+
+def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
+              arms) -> list[SingleRunResult]:
+    """Adaptive arms ``(mu, algorithm_cells)`` on a shared loop, stepped together.
+
+    Row r of the arm axis is arm ``order[r]``; its taps, direction and
+    secondary-path state are the only per-arm state. The delay line and the
+    regressor history of each blocking are lag windows of the record. Each
+    period steps the anti-noise path once for all arms and folds the update
+    once per blocking; an arm whose error leaves the cutoff drops off the
+    axis and is not computed further. Results come back in ``arms`` order.
+    """
+    L, N, n_taps, h = config.L, config.n_steps, config.n_taps, config.h
+    cells = []
+    for mu_a, algorithm_cells in arms:
+        L_alg = L if algorithm_cells is None else int(algorithm_cells)
+        if L_alg < 1 or L % L_alg != 0:
+            raise ValueError(f"algorithm_cells must divide L = {L}, got {L_alg}")
+        if mu_a < 0.0:
+            raise ValueError(f"step size must be nonnegative, got {mu_a}")
+        cells.append(L_alg)
     # stride 1 passes the blocks through: a one-term sum would print -0.0 as 0
-    u_alg = record.u_blocks if stride == 1 else record.u_blocks.reshape(N, L_alg, stride).sum(axis=2)
+    u_alg = {b: record.u_blocks if b == L else record.u_blocks.reshape(N, b, L // b).sum(axis=2)
+             for b in sorted(set(cells))}
+    u_lags = {b: _lag_source(u, n_taps) for b, u in u_alg.items()}
+    xd_lags = _lag_source(record.x_d, n_taps)
 
-    astate = initial_adaptive_state(n_taps, L_alg)
-    lstate = machine.initial_state(n_taps)
-    y_d = np.empty(N)
-    w, e = np.empty((N, L)), np.empty((N, L))
-    alpha_hist, delta_hist = np.empty((N, n_taps)), np.empty((N, n_taps))
-    n_completed, diverged = N, False
+    # rows sorted by blocking, so each blocking is one slice of the arm axis
+    order = sorted(range(len(arms)), key=cells.__getitem__)
+    group = np.array([cells[a] for a in order])
+    mu = np.array([float(arms[a][0]) for a in order])[:, None]
+    A, cutoff = len(arms), config.divergence_cutoff
+    alpha, delta = np.zeros((A, n_taps)), np.zeros((A, n_taps))
+    zeta = np.zeros((A, machine.secondary.nstates))
+    y_d = np.empty((A, N))
+    w, e = np.empty((A, N, L)), np.empty((A, N, L))
+    alpha_hist, delta_hist = np.empty((A, N, n_taps)), np.empty((A, N, n_taps))
+    final_alpha, final_delta = np.empty((A, n_taps)), np.empty((A, n_taps))
+    n_completed, diverged = np.full(A, N), np.zeros(A, dtype=bool)
+    live, at = np.arange(A), slice(None)  # rows on the axis; ``at`` indexes them
+    edges = np.searchsorted(group, [*u_alg, L + 1]).tolist()
 
     for n in range(N):
-        taps = astate.alpha + config.mu * astate.delta
-        delta_hist[n] = astate.delta
-        alpha_hist[n] = taps
-        lstate, y_d[n], w[n] = machine.step(lstate, taps, record.x_d[n])
-        e[n] = record.d[n] - w[n]
-        if not np.all(np.isfinite(e[n])) or float(np.max(np.abs(e[n]))) > config.divergence_cutoff:
-            n_completed, diverged = n + 1, True
+        lag = slice(N - 1 - n, N - 1 - n + n_taps)
+        # period n runs under the update committed with the direction through
+        # t = n h; its error is folded into the direction after the step
+        taps = alpha + mu * delta
+        delta_hist[at, n] = delta
+        alpha_hist[at, n] = taps
+        zeta, y_d[at, n], w_n = machine.step(zeta, taps, xd_lags[lag])
+        w[at, n] = w_n
+        e[at, n] = e_n = record.d[n] - w_n
+        peak = np.max(np.abs(e_n), axis=1)
+        bad = ~(np.isfinite(peak) & (peak <= cutoff))
+        if bad.any():
+            out = live[bad]
+            n_completed[out], diverged[out] = n + 1, True
+            final_alpha[out], final_delta[out] = alpha[bad], delta[bad]
+            keep = ~bad
+            live, group, mu, delta, zeta, taps, e_n = (
+                a[keep] for a in (live, group, mu, delta, zeta, taps, e_n))
+            at = live
+            edges = np.searchsorted(group, [*u_alg, L + 1]).tolist()
+        for (b, u_lag), lo, hi in zip(u_lags.items(), edges, edges[1:]):
+            if lo < hi:
+                delta[lo:hi] += np.matmul(u_lag[lag], e_n[lo:hi, ::L // b, None])[:, :, 0]
+        alpha = taps
+        if not live.size:
             break
-        astate = sdfx_lms_step(astate, config.mu, e[n, ::stride], u_alg[n])
+    final_alpha[live], final_delta[live] = alpha, delta
 
-    k = n_completed
-    fast = {name: a[:k].reshape(-1) for name, a in
-            dict(x=record.x, d=record.d, w=w, e=e, u=record.u).items()}
-    trace = SimTrace(h=config.h, L=L, x_d=record.x_d[:k], y_d=y_d[:k],
-                     u_blocks=record.u_blocks[:k], **fast)
-    error_norm = float("inf") if diverged else trace.norm("e")
-    u_alg = u_alg[:k - 1 if diverged else k]  # the diverging period made no update
-    report = None
-    if config.mu > 0.0 and u_alg.shape[0] > 0:
-        report = check_lms_conditions(
-            u_alg, config.mu, n_taps, config.h, config.eps_threshold
-        )
-    return SingleRunResult(
-        trace=trace,
-        alpha_hist=alpha_hist[:k],
-        delta_hist=delta_hist[:k],
-        final_alpha=astate.alpha.copy(),
-        final_delta=astate.delta.copy(),
-        u_alg_blocks=u_alg,
-        algorithm_cells=L_alg,
-        mu=config.mu,
-        error_norm=error_norm,
-        d_norm=trace.norm("d"),
-        w_norm=trace.norm("w"),
-        diverged=diverged,
-        n_completed=n_completed,
-        lms_report=report,
-    )
+    series = {}
+    results = []
+    for a, (mu_a, _) in enumerate(arms):
+        r, b = order.index(a), cells[a]
+        k = int(n_completed[r])
+        fast = {name: arr[:k].reshape(-1) for name, arr in
+                dict(x=record.x, d=record.d, w=w[r], e=e[r], u=record.u).items()}
+        trace = SimTrace(h=h, L=L, x_d=record.x_d[:k], y_d=y_d[r, :k],
+                         u_blocks=record.u_blocks[:k], **fast)
+        n_updates = k - 1 if diverged[r] else k  # the diverging period made no update
+        report = None
+        if mu_a > 0.0 and n_updates > 0:
+            if b not in series:
+                series[b] = _condition_series(u_alg[b], n_taps, h)
+            report = _report_at(series[b], n_updates, n_taps, mu_a, config.eps_threshold)
+        results.append(SingleRunResult(
+            trace=trace,
+            alpha_hist=alpha_hist[r, :k],
+            delta_hist=delta_hist[r, :k],
+            final_alpha=final_alpha[r],
+            final_delta=final_delta[r],
+            u_alg_blocks=u_alg[b][:n_updates],
+            algorithm_cells=b,
+            mu=mu_a,
+            error_norm=float("inf") if diverged[r] else trace.norm("e"),
+            d_norm=trace.norm("d"),
+            w_norm=trace.norm("w"),
+            diverged=bool(diverged[r]),
+            n_completed=k,
+            lms_report=report,
+        ))
+    return results
 
 
 def _ratio(num: float, den: float) -> float:
@@ -188,17 +242,15 @@ def _ratio(num: float, den: float) -> float:
 
 def run_comparison(config: SimConfig) -> ComparisonResult:
     """Proposed (all cells) and conventional (one cell) arms, same loop."""
-    return _compare(config, *_setup(config))
+    return _comparisons(config, *_setup(config), [config.mu])[0]
 
 
-def _compare(config: SimConfig, machine: HybridLoop, record: ExogenousRecord) -> ComparisonResult:
-    proposed = _run_arm(config, machine, record, None)
-    conventional = _run_arm(config, machine, record, 1)
-    return ComparisonResult(
-        proposed=proposed,
-        conventional=conventional,
-        ratio=_ratio(proposed.error_norm, conventional.error_norm),
-    )
+def _comparisons(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
+                 mus) -> list[ComparisonResult]:
+    """Both arms at every step size in ``mus``, all on one arm axis."""
+    results = _run_arms(config, machine, record, [(mu, cells) for mu in mus for cells in (None, 1)])
+    return [ComparisonResult(proposed=p, conventional=c, ratio=_ratio(p.error_norm, c.error_norm))
+            for p, c in zip(results[0::2], results[1::2])]
 
 
 def _step_ok(result: SingleRunResult) -> bool:
@@ -223,8 +275,7 @@ def run_mu_sweep(config: SimConfig, mu_values=None) -> SweepResult:
     if not mus:
         raise ValueError("sweep needs at least one step size")
 
-    machine, record = _setup(config)
-    results = [_compare(replace(config, mu=mu), machine, record) for mu in mus]
+    results = _comparisons(config, *_setup(config), mus)
 
     rows = []
     for mu, res in zip(mus, results):

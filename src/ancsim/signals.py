@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import DimensionError, expm
+from .statespace import DimensionError
 
 __all__ = ["AutonomousGenerator", "HeldWaveform"]
 
@@ -48,13 +48,6 @@ class AutonomousGenerator:
     def nstates(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def is_decaying(self) -> bool:
-        """True when the free response has finite energy (all modes decay)."""
-        if self.nstates == 0:
-            return True
-        return bool(np.all(np.linalg.eigvals(self.A).real < 0.0))
-
     @classmethod
     def damped_sinusoids(cls, amplitudes, frequencies, decay_rates, phases) -> "AutonomousGenerator":
         """Bank of decaying sinusoids a_i e^{-s_i t} cos(w_i t + p_i).
@@ -88,18 +81,6 @@ class AutonomousGenerator:
     def silent(cls) -> "AutonomousGenerator":
         """Generator producing identically zero output."""
         return cls(np.array([[-1.0]]), np.array([0.0]), np.array([0.0]))
-
-    def sample_grid(self, dt: float, count: int) -> np.ndarray:
-        """Exact output samples at t = 0, dt, ..., (count-1) dt."""
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        step = expm(self.A * dt)
-        out = np.empty(count)
-        x = self.x0.copy()
-        for i in range(count):
-            out[i] = self.C @ x
-            x = step @ x
-        return out
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,6 @@ __all__ = [
     "vanloan",
     "series",
     "parallel",
-    "scaled",
-    "static_gain",
     "from_second_order_bank",
     "freq_response",
     "freq_response_grid",
@@ -150,14 +148,6 @@ class ContinuousStateSpace:
             )
 
 
-def static_gain(gain: float, size: int = 1) -> ContinuousStateSpace:
-    """Zero-state model y = gain * u; identity element for ``series``."""
-    z = np.zeros((0, 0))
-    return ContinuousStateSpace(
-        z, np.zeros((0, size)), np.zeros((size, 0)), gain * np.eye(size)
-    )
-
-
 def series(first: ContinuousStateSpace, second: ContinuousStateSpace) -> ContinuousStateSpace:
     """Cascade: the signal passes through ``first``, then ``second``."""
     if second.ninputs != first.noutputs:
@@ -188,11 +178,6 @@ def parallel(first: ContinuousStateSpace, second: ContinuousStateSpace) -> Conti
     C = np.hstack([first.C, second.C])
     D = first.D + second.D
     return ContinuousStateSpace(A, B, C, D)
-
-
-def scaled(sys: ContinuousStateSpace, gain: float) -> ContinuousStateSpace:
-    """Output scaled by a real constant."""
-    return ContinuousStateSpace(sys.A, sys.B, gain * sys.C, gain * sys.D)
 
 
 def from_second_order_bank(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["TOL", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -36,12 +38,6 @@ class Tolerances:
     # spectral layer
     alias_truncation: float = 1e-6      # effect of doubling the alias sum (relative)
     parseval: float = 1e-2              # Gram entry vs spectrum integral (relative)
-
-    # harness
-    divergence_cutoff: float = 1e9      # |e| beyond this aborts a run with norm = inf
-    sweep_threshold: float = 10.0       # default error-norm threshold defining "stable"
-    comparison_ratio: float = 0.85      # acceptance: proposed/conventional error norms
-    sweep_widening: float = 1.2         # acceptance: stable-interval widening factor
 
 
 TOL = Tolerances()

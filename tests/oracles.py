@@ -15,8 +15,10 @@ The other references are earlier, slower forms of package code, kept to
 check the rewrites that replaced them: :func:`reference_step` walks the
 cells of a period one by one with the loop's own one-cell propagators,
 advancing the exogenous and the anti-noise half of the loop together;
-:func:`reference_build_wiener` sums one delayed copy of the record per lag
-pair and :func:`reference_check_lms_conditions` builds the Gram increment
+:func:`reference_run_arm` runs one adaptive arm a period per Python
+iteration through the single-arm :func:`reference_loop_step` and
+:func:`sdfx_lms_step`; :func:`reference_build_wiener` sums one delayed copy
+of the record per lag pair and :func:`reference_check_lms_conditions` builds the Gram increment
 of each period in a Python loop; the ``reference_write_*`` functions write
 every CSV table row by row through a per-value formatter; and
 :func:`dtft_dense` evaluates a transform as one dense matrix product.
@@ -31,14 +33,26 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
-from ancsim.adaptive import LmsConditionReport, WienerProblem
-from ancsim.runner import emit_bode
+from ancsim.adaptive import LmsConditionReport, WienerProblem, check_lms_conditions
+from ancsim.lifting import SimTrace
+from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator
 from ancsim.statespace import DimensionError
 
 
 def expm_ref(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(np.asarray(m, dtype=float))
+
+
+def sample_grid(gen, dt: float, count: int) -> np.ndarray:
+    """Output samples of an autonomous generator at t = 0, dt, ..., (count-1) dt."""
+    step = expm_ref(gen.A * dt)
+    out = np.empty(count)
+    x = gen.x0.copy()
+    for i in range(count):
+        out[i] = gen.C @ x
+        x = step @ x
+    return out
 
 
 def transition_integrals(a, b, c, t, tol=1e-12):
@@ -473,6 +487,152 @@ def reference_step(loop, state: ReferenceLoopState, taps) -> tuple[ReferenceLoop
         u_fast=u_fast,
     )
     return new_state, record
+
+
+@dataclass(frozen=True)
+class HybridLoopState:
+    """Tap-dependent state of one arm of the loop at a period boundary."""
+
+    zeta_F: np.ndarray
+    xd_hist: np.ndarray
+    n: int
+
+
+def initial_arm_state(loop, n_taps: int) -> HybridLoopState:
+    if n_taps < 1:
+        raise ValueError("the FIR filter needs at least one tap")
+    return HybridLoopState(zeta_F=np.zeros(loop.secondary.nstates), xd_hist=np.zeros(n_taps), n=0)
+
+
+def reference_loop_step(loop, state: HybridLoopState, taps, x_d: float) -> tuple[HybridLoopState, float, np.ndarray]:
+    """One arm's anti-noise path over one period (single-arm ``HybridLoop.step``)."""
+    taps = np.asarray(taps, dtype=float).reshape(-1)
+    if taps.size != state.xd_hist.size:
+        raise DimensionError(
+            f"taps length {taps.size} does not match delay line length {state.xd_hist.size}"
+        )
+    xd_hist = np.empty_like(state.xd_hist)
+    xd_hist[0] = x_d
+    xd_hist[1:] = state.xd_hist[:-1]
+    y_d = float(taps @ xd_hist)
+
+    w_fast = loop._f_rows @ state.zeta_F
+    w_fast[1:] += loop._f_gains * y_d
+    new_state = HybridLoopState(
+        zeta_F=loop.lift.Ah @ state.zeta_F + loop.lift.Bh * y_d,
+        xd_hist=xd_hist,
+        n=state.n + 1,
+    )
+    return new_state, y_d, w_fast
+
+
+@dataclass(frozen=True)
+class AdaptiveState:
+    """One arm's online update at a period boundary: committed taps, direction
+    and the last n_taps regressor blocks (row k from k periods ago)."""
+
+    alpha: np.ndarray
+    delta: np.ndarray
+    U_hist: np.ndarray
+    n: int
+
+
+def initial_adaptive_state(n_taps: int, L: int, alpha0=None) -> AdaptiveState:
+    """Zero direction and regressor history for ``n_taps`` taps and ``L`` cells."""
+    if n_taps < 1:
+        raise ValueError("need at least one tap")
+    if L < 1:
+        raise ValueError(f"need at least one cell per period, got {L}")
+    if alpha0 is None:
+        alpha = np.zeros(n_taps)
+    else:
+        alpha = np.asarray(alpha0, dtype=float).reshape(-1).copy()
+        if alpha.size != n_taps:
+            raise DimensionError(f"alpha0 must have {n_taps} entries, got {alpha.size}")
+    return AdaptiveState(alpha=alpha, delta=np.zeros(n_taps), U_hist=np.zeros((n_taps, L)), n=0)
+
+
+def sdfx_lms_step(state: AdaptiveState, mu: float, e_block, u_block) -> AdaptiveState:
+    """One period of one arm's online update.
+
+    Commits the tap update with the direction accumulated so far, shifts the
+    regressor block into the history, then folds the blocked inner products
+    (fast error samples against lagged regressor integrals) into the direction.
+    """
+    L = state.U_hist.shape[1]
+    e = np.asarray(e_block, dtype=float).reshape(-1)
+    if e.size != L:
+        raise DimensionError(f"e_block must have L = {L} samples, got {e.size}")
+    U = np.asarray(u_block, dtype=float).reshape(-1)
+    if U.size != L:
+        raise DimensionError(f"u_block must have L = {L} cells, got {U.size}")
+    if mu < 0.0:
+        raise ValueError(f"step size must be nonnegative, got {mu}")
+
+    alpha_next = state.alpha + mu * state.delta
+    U_hist_next = np.empty_like(state.U_hist)
+    U_hist_next[0] = U
+    U_hist_next[1:] = state.U_hist[:-1]
+    delta_next = state.delta + U_hist_next @ e
+    return AdaptiveState(alpha=alpha_next, delta=delta_next, U_hist=U_hist_next, n=state.n + 1)
+
+
+def reference_run_arm(config, machine, record, algorithm_cells) -> SingleRunResult:
+    """One adaptive arm on a shared loop, one period per Python iteration."""
+    L, N, n_taps = config.L, config.n_steps, config.n_taps
+    L_alg = L if algorithm_cells is None else int(algorithm_cells)
+    if L_alg < 1 or L % L_alg != 0:
+        raise ValueError(f"algorithm_cells must divide L = {L}, got {L_alg}")
+    stride = L // L_alg
+    # stride 1 passes the blocks through: a one-term sum would print -0.0 as 0
+    u_alg = record.u_blocks if stride == 1 else record.u_blocks.reshape(N, L_alg, stride).sum(axis=2)
+
+    astate = initial_adaptive_state(n_taps, L_alg)
+    lstate = initial_arm_state(machine, n_taps)
+    y_d = np.empty(N)
+    w, e = np.empty((N, L)), np.empty((N, L))
+    alpha_hist, delta_hist = np.empty((N, n_taps)), np.empty((N, n_taps))
+    n_completed, diverged = N, False
+
+    for n in range(N):
+        taps = astate.alpha + config.mu * astate.delta
+        delta_hist[n] = astate.delta
+        alpha_hist[n] = taps
+        lstate, y_d[n], w[n] = reference_loop_step(machine, lstate, taps, record.x_d[n])
+        e[n] = record.d[n] - w[n]
+        if not np.all(np.isfinite(e[n])) or float(np.max(np.abs(e[n]))) > config.divergence_cutoff:
+            n_completed, diverged = n + 1, True
+            break
+        astate = sdfx_lms_step(astate, config.mu, e[n, ::stride], u_alg[n])
+
+    k = n_completed
+    fast = {name: a[:k].reshape(-1) for name, a in
+            dict(x=record.x, d=record.d, w=w, e=e, u=record.u).items()}
+    trace = SimTrace(h=config.h, L=L, x_d=record.x_d[:k], y_d=y_d[:k],
+                     u_blocks=record.u_blocks[:k], **fast)
+    error_norm = float("inf") if diverged else trace.norm("e")
+    u_alg = u_alg[:k - 1 if diverged else k]  # the diverging period made no update
+    report = None
+    if config.mu > 0.0 and u_alg.shape[0] > 0:
+        report = check_lms_conditions(
+            u_alg, config.mu, n_taps, config.h, config.eps_threshold
+        )
+    return SingleRunResult(
+        trace=trace,
+        alpha_hist=alpha_hist[:k],
+        delta_hist=delta_hist[:k],
+        final_alpha=astate.alpha.copy(),
+        final_delta=astate.delta.copy(),
+        u_alg_blocks=u_alg,
+        algorithm_cells=L_alg,
+        mu=config.mu,
+        error_norm=error_norm,
+        d_norm=trace.norm("d"),
+        w_norm=trace.norm("w"),
+        diverged=diverged,
+        n_completed=n_completed,
+        lms_report=report,
+    )
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,7 @@ def test_criterion_05_lag_zero_energy_matches_spectrum_integral():
     default grids, and refining every grid improves the match."""
     config = SimConfig().with_overrides(noise_decay_rates=(0.15,) * 4)
     sec = config.secondary()
-    xd = config.make_generator().sample_grid(config.h, config.n_steps)
+    xd = oracles.sample_grid(config.make_generator(), config.h, config.n_steps)
     rels = []
     for grid_size, n_alias, L in ((4096, 64, 8), (16384, 128, 16)):
         blocks = _record_u(sec, xd, config.h, L)

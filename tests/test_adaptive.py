@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from ancsim import (
-    AdaptiveState,
     ContinuousStateSpace,
     DimensionError,
     FirFilter,
@@ -16,11 +15,10 @@ from ancsim import (
     discretize_lifted,
     fh_step,
     gradient,
-    initial_adaptive_state,
     j_value,
+    run_mu_sweep,
     run_single,
     sd_run,
-    sdfx_lms_step,
     wiener_solve,
 )
 from ancsim.config import SimConfig
@@ -258,9 +256,13 @@ def test_sd_recording_and_validation():
 
 
 def test_online_update_scripted_three_periods():
-    """Hand-worked three periods of the blocked update on the integrator."""
+    """Hand-worked three periods of the single-arm update on the integrator.
+
+    The update is the oracle's; the package's arm loop equals it bit for bit
+    (tests/test_runner.py::test_arm_loop_matches_single_arm_reference).
+    """
     lift = integrator_lift(L=2)
-    state = initial_adaptive_state(n_taps=2, L=2)
+    state = oracles.initial_adaptive_state(n_taps=2, L=2)
     mu = 0.1
     xs = [1.0, -0.5, 2.0]
     es = [np.array([1.0, -1.0]), np.array([0.5, 0.25]), np.array([-2.0, 1.0])]
@@ -269,7 +271,7 @@ def test_online_update_scripted_three_periods():
     eta, U = fh_step(lift, np.zeros(1), xs[0])
     assert np.allclose(U, [0.125, 0.375], atol=1e-15)
     assert np.allclose(eta, [1.0], atol=1e-15)
-    state = sdfx_lms_step(state, mu, es[0], U)
+    state = oracles.sdfx_lms_step(state, mu, es[0], U)
     assert np.allclose(state.alpha, [0.0, 0.0], atol=1e-15)
     assert np.allclose(state.delta, [-0.25, 0.0], atol=1e-15)
     assert np.allclose(state.U_hist, [[0.125, 0.375], [0.0, 0.0]], atol=1e-15)
@@ -277,7 +279,7 @@ def test_online_update_scripted_three_periods():
     eta, U = fh_step(lift, eta, xs[1])
     assert np.allclose(U, [0.4375, 0.3125], atol=1e-15)
     assert np.allclose(eta, [0.5], atol=1e-15)
-    state = sdfx_lms_step(state, mu, es[1], U)
+    state = oracles.sdfx_lms_step(state, mu, es[1], U)
     assert np.allclose(state.alpha, [-0.025, 0.0], atol=1e-15)
     assert np.allclose(state.delta, [0.046875, 0.15625], atol=1e-15)
     assert np.allclose(state.U_hist, [[0.4375, 0.3125], [0.125, 0.375]], atol=1e-15)
@@ -285,7 +287,7 @@ def test_online_update_scripted_three_periods():
     eta, U = fh_step(lift, eta, xs[2])
     assert np.allclose(U, [0.5, 1.0], atol=1e-15)
     assert np.allclose(eta, [2.5], atol=1e-15)
-    state = sdfx_lms_step(state, mu, es[2], U)
+    state = oracles.sdfx_lms_step(state, mu, es[2], U)
     assert np.allclose(state.alpha, [-0.0203125, 0.015625], atol=1e-15)
     assert np.allclose(state.delta, [0.046875, -0.40625], atol=1e-15)
     assert np.allclose(state.U_hist, [[0.5, 1.0], [0.4375, 0.3125]], atol=1e-15)
@@ -293,29 +295,24 @@ def test_online_update_scripted_three_periods():
 
 
 def test_online_update_validation():
-    state = initial_adaptive_state(n_taps=2, L=2)
-    with pytest.raises(DimensionError):
-        sdfx_lms_step(state, 0.1, np.zeros(3), np.zeros(2))
-    with pytest.raises(DimensionError):
-        sdfx_lms_step(state, 0.1, np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        sdfx_lms_step(state, -0.1, np.zeros(2), np.zeros(2))
+    config = short_config()
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_mu_sweep(config, mu_values=[0.1, -0.1])
+    with pytest.raises(ValueError, match="divide"):
+        run_single(config, algorithm_cells=3)
+    with pytest.raises(ValueError, match="divide"):
+        run_single(config, algorithm_cells=0)
 
 
 def test_initial_adaptive_state():
-    state = initial_adaptive_state(n_taps=4, L=3)
-    assert state.alpha.shape == (4,)
-    assert state.U_hist.shape == (4, 3)
-    assert state.n == 0
-    assert np.all(state.delta == 0.0)
-    seeded = initial_adaptive_state(n_taps=2, L=3, alpha0=[0.3, -0.1])
-    assert np.allclose(seeded.alpha, [0.3, -0.1], atol=0.0)
-    with pytest.raises(ValueError):
-        initial_adaptive_state(n_taps=0, L=3)
-    with pytest.raises(ValueError):
-        initial_adaptive_state(n_taps=2, L=0)
-    with pytest.raises(DimensionError):
-        initial_adaptive_state(n_taps=2, L=3, alpha0=[0.3])
+    """Every arm starts at rest: zero taps, zero direction, no anti-noise."""
+    for cells in (None, 1):
+        result = run_single(short_config(), algorithm_cells=cells)
+        assert np.all(result.alpha_hist[0] == 0.0)
+        assert np.all(result.delta_hist[0] == 0.0)
+        assert result.trace.y_d[0] == 0.0
+        assert np.all(result.trace.w[:short_config().L] == 0.0)
+        assert result.u_alg_blocks.shape == (result.n_completed, result.algorithm_cells)
 
 
 def short_config(**overrides):

@@ -1,9 +1,14 @@
 """Blocked discretization and the hybrid closed-loop stepper."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import ancsim
 import oracles
 from conftest import random_stable_siso
 from ancsim import (
@@ -193,15 +198,20 @@ def bench_small():
     return sec, pri, gen
 
 
+def delay_line(x_d, n: int, n_taps: int) -> np.ndarray:
+    """The FIR filter's input at period n, newest first (zero before the record)."""
+    return np.array([x_d[n - k] if n >= k else 0.0 for k in range(n_taps)])
+
+
 def test_open_loop_error_equals_disturbance():
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=4)
     record = loop.exogenous(6)
-    state = loop.initial_state(n_taps=3)
+    zeta = np.zeros((2, sec.nstates))
     for n in range(6):
-        state, y_d, w_fast = loop.step(state, np.zeros(3), record.x_d[n])
-        assert y_d == 0.0
-        assert np.all(w_fast == 0.0)
+        zeta, y_d, w_fast = loop.step(zeta, np.zeros((2, 3)), delay_line(record.x_d, n, 3))
+        assert np.all(y_d == 0.0)
+        assert np.all(w_fast == 0.0) and w_fast.shape == (2, 4)
         assert np.allclose(record.d[n] - w_fast, record.d[n], atol=0.0)
 
 
@@ -241,9 +251,9 @@ def test_silent_generator_keeps_everything_zero():
     sec, pri, _ = bench_small()
     loop = HybridLoop(sec, pri, AutonomousGenerator.silent(), h=1.0, L=2)
     record = loop.exogenous(4)
-    state = loop.initial_state(n_taps=2)
+    zeta = np.zeros((1, sec.nstates))
     for n in range(4):
-        state, _, w_fast = loop.step(state, np.array([0.4, -0.2]), record.x_d[n])
+        zeta, _, w_fast = loop.step(zeta, np.array([[0.4, -0.2]]), delay_line(record.x_d, n, 2))
         assert record.x_d[n] == 0.0
         assert np.all(record.d[n] - w_fast == 0.0)
     assert not np.any(record.u_blocks) and not np.any(record.u)
@@ -259,11 +269,11 @@ def test_identity_paths_cancel_with_unit_tap():
     loop = HybridLoop(sec, sec, wave, h=h, L=L)
     record = loop.exogenous(n_steps)
     assert np.array_equal(record.x_d, xd)
-    state = loop.initial_state(n_taps=2)
-    taps = np.array([1.0, 0.0])
+    zeta = np.zeros((1, sec.nstates))
+    taps = np.array([[1.0, 0.0]])
     worst = 0.0
     for n in range(n_steps):
-        state, _, w_fast = loop.step(state, taps, record.x_d[n])
+        zeta, _, w_fast = loop.step(zeta, taps, delay_line(record.x_d, n, 2))
         worst = max(worst, float(np.abs(record.d[n] - w_fast).max()))
     assert worst < 1e-10
 
@@ -283,36 +293,36 @@ def _random_source(rng, kind, h, L, n_periods):
 @pytest.mark.parametrize("kind", ["autonomous", "held"])
 @pytest.mark.parametrize("L", [1, 2, 8, 32])
 def test_step_matches_per_cell_reference(kind, L):
-    """The exogenous pass plus the step reproduce the per-cell loop over 200 periods."""
+    """The exogenous pass plus the step reproduce the per-cell loop over 200 periods,
+    for two arms on one stack."""
     n_periods, n_taps, h = 200, 4, 0.7
     rng = np.random.default_rng(1000 + 7 * L + (kind == "held"))
     sec = random_stable_siso(rng, max_states=6)
     pri = random_stable_siso(rng, max_states=6)
     loop = HybridLoop(sec, pri, _random_source(rng, kind, h, L, n_periods), h=h, L=L)
     record = loop.exogenous(n_periods)
-    got = loop.initial_state(n_taps)
-    want = oracles.reference_initial_state(loop, n_taps)
+    zeta = np.zeros((2, sec.nstates))
+    want = [oracles.reference_initial_state(loop, n_taps) for _ in range(2)]
     fields = {}
     for n in range(n_periods):
-        taps = rng.normal(scale=0.5, size=n_taps)
-        got, y_d, w_fast = loop.step(got, taps, record.x_d[n])
-        want, ref = oracles.reference_step(loop, want, taps)
-        assert got.n == want.n
-        pairs = [
-            ("x_d", record.x_d[n], ref.x_d),
-            ("y_d", y_d, ref.y_d),
-            ("e_block", record.d[n] - w_fast, ref.e_block),
-            ("u_block", record.u_blocks[n], ref.u_block),
-            ("x_fast", record.x[n], ref.x_fast),
-            ("d_fast", record.d[n], ref.d_fast),
-            ("w_fast", w_fast, ref.w_fast),
-            ("u_fast", record.u[n], ref.u_fast),
-            ("state.zeta_F", got.zeta_F, want.zeta_F),
-            ("state.xd_hist", got.xd_hist, want.xd_hist),
-        ]
-        for name, a, b in pairs:
-            assert np.shape(a) == np.shape(b), name
-            fields.setdefault(name, []).append((np.ravel(a), np.ravel(b)))
+        taps = rng.normal(scale=0.5, size=(2, n_taps))
+        zeta, y_d, w_fast = loop.step(zeta, taps, delay_line(record.x_d, n, n_taps))
+        for arm in range(2):
+            want[arm], ref = oracles.reference_step(loop, want[arm], taps[arm])
+            pairs = [
+                ("x_d", record.x_d[n], ref.x_d),
+                ("y_d", y_d[arm], ref.y_d),
+                ("e_block", record.d[n] - w_fast[arm], ref.e_block),
+                ("u_block", record.u_blocks[n], ref.u_block),
+                ("x_fast", record.x[n], ref.x_fast),
+                ("d_fast", record.d[n], ref.d_fast),
+                ("w_fast", w_fast[arm], ref.w_fast),
+                ("u_fast", record.u[n], ref.u_fast),
+                ("state.zeta_F", zeta[arm], want[arm].zeta_F),
+            ]
+            for name, a, b in pairs:
+                assert np.shape(a) == np.shape(b), name
+                fields.setdefault(name, []).append((np.ravel(a), np.ravel(b)))
     for name, rows in fields.items():
         a = np.concatenate([r[0] for r in rows])
         b = np.concatenate([r[1] for r in rows])
@@ -357,9 +367,8 @@ def test_generator_type_checked():
 def test_taps_length_checked():
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=2)
-    state = loop.initial_state(3)
     with pytest.raises(DimensionError):
-        loop.step(state, np.zeros(2), 0.0)
+        loop.step(np.zeros((1, sec.nstates)), np.zeros((1, 2)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +396,35 @@ def test_l2_norm_edge_cases():
     assert l2_norm(np.array([1e200, 1e200]), 0.1) == np.inf
 
 
+def test_l2_norm_bytes_do_not_depend_on_blas_threads():
+    """The same 64000-sample traces give the same norms under one and two BLAS threads."""
+    script = (
+        "import numpy as np\n"
+        "from ancsim import l2_norm\n"
+        "for seed in range(8):\n"
+        "    print(repr(l2_norm(np.random.default_rng(seed).standard_normal(64000), 1.0 / 32)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ancsim.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        outputs.append(proc.stdout.strip())
+    assert outputs[0] == outputs[1]
+
+
 def test_generator_sample_grid_matches_closed_form():
+    """The loop's held reference samples the generator exactly, as does the oracle's grid."""
+    sec, pri, _ = bench_small()
     gen = AutonomousGenerator.damped_sinusoids(
         amplitudes=[2.0], frequencies=[1.7], decay_rates=[0.3], phases=[0.6]
     )
     t = np.arange(12) * 0.25
     want = 2.0 * np.exp(-0.3 * t) * np.cos(1.7 * t + 0.6)
-    got = gen.sample_grid(0.25, 12)
+    got = HybridLoop(sec, pri, gen, h=0.25, L=2).exogenous(12).x_d
     assert np.abs(got - want).max() < 1e-12
+    assert np.abs(oracles.sample_grid(gen, 0.25, 12) - want).max() < 1e-12
 
 
 def test_held_waveform_validation():

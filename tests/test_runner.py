@@ -10,6 +10,7 @@ import pytest
 
 import _frozen
 import oracles
+from ancsim import runner
 from ancsim import (
     ComparisonResult,
     SimTrace,
@@ -255,6 +256,44 @@ def test_sweep_rows_equal_standalone_comparisons():
             step_ok_conventional=not c.diverged and (c.lms_report is None or c.lms_report.step_ok),
         )
         _assert_identical(row, want)
+
+
+def _arm_cases(tmp_path):
+    """(config, arms) pairs: compare at the defaults and at L = 1, a held
+    waveform, a sweep with arms that diverge mid-run next to stable ones, and
+    a sweep whose arms all diverge in their first period. Period 0 runs
+    under zero taps in every arm, so first-period divergence is all or none."""
+    wave = tmp_path / "wave.txt"
+    np.savetxt(wave, np.random.default_rng(5).standard_normal(60 * 4), fmt="%.17g")
+    held = SimConfig().with_overrides(T=60.0, L=4, mu=0.05, waveform_path=str(wave))
+    three = [(mu, cells) for mu in (0.0, 0.1, 0.9, 2.5, 40.0, 1e6, 1e9) for cells in (None, 1, 2)]
+    return [
+        (SimConfig(), [(0.1, None), (0.1, 1)]),
+        (SimConfig().with_overrides(L=1), [(0.1, None), (0.1, 1)]),
+        (held, [(0.05, None), (0.05, 1)]),
+        (short_config(T=40.0, L=4), three),
+        (short_config(divergence_cutoff=1e-9), [(0.1, None), (0.5, 1)]),
+    ]
+
+
+def test_arm_loop_matches_single_arm_reference(tmp_path):
+    """Every arm of one batched run equals the single-arm loop, field by field."""
+    seen = set()
+    for config, arms in _arm_cases(tmp_path):
+        machine, record = runner._setup(config)
+        got = runner._run_arms(config, machine, record, arms)
+        for (mu, cells), result in zip(arms, got):
+            want = oracles.reference_run_arm(replace(config, mu=mu), machine, record, cells)
+            _assert_identical(result, want)
+            assert result.lms_report == want.lms_report
+            for name in ("alpha_hist", "delta_hist", "final_alpha", "final_delta", "u_alg_blocks"):
+                assert np.array_equal(getattr(result, name), getattr(want, name)), name
+            k, N = result.n_completed, config.n_steps
+            seen.add("stable" if not result.diverged else "first" if k == 1 else "mid-run")
+            if result.diverged and k == 1:
+                assert result.lms_report is None
+            assert 1 <= k <= N
+    assert seen == {"stable", "mid-run", "first"}
 
 
 def test_shared_trace_arrays_are_read_only():

@@ -167,7 +167,7 @@ def test_gram_eigenvalues_below_spectral_peak(default_config):
     sec = default_config.secondary()
     gen = default_config.with_overrides(noise_decay_rates=(0.15,) * 4).make_generator()
     h, L, n_steps = 1.0, 8, 100
-    xd = gen.sample_grid(h, n_steps)
+    xd = oracles.sample_grid(gen, h, n_steps)
     u_blocks = record_u(sec, xd, h, L)
     d_dummy = np.zeros((n_steps, L))
     problem = build_wiener(u_blocks, d_dummy, 8, float(n_steps), h, L)
@@ -185,7 +185,7 @@ def decayed_problem_and_bound(grid_size=4096, n_alias=64, L=8):
     sec = config.secondary()
     gen = config.make_generator()
     h, n_steps = config.h, config.n_steps
-    xd = gen.sample_grid(h, n_steps)
+    xd = oracles.sample_grid(gen, h, n_steps)
     u_blocks = record_u(sec, xd, h, L)
     problem = build_wiener(u_blocks, np.zeros((n_steps, L)), 8, config.T, h, L)
     bound = spectral_bound(sec, xd, h, grid_size=grid_size, n_alias=n_alias)

@@ -13,9 +13,7 @@ from ancsim import (
     freq_response_grid,
     from_second_order_bank,
     parallel,
-    scaled,
     series,
-    static_gain,
     vanloan,
 )
 from ancsim.tolerances import TOL
@@ -23,6 +21,18 @@ from ancsim.tolerances import TOL
 
 def lag(pole=1.0):
     return ContinuousStateSpace(A=[[-pole]], B=[[1.0]], C=[[1.0]])
+
+
+def static_gain(gain: float, size: int = 1) -> ContinuousStateSpace:
+    """Zero-state model y = gain * u; identity element for ``series``."""
+    return ContinuousStateSpace(
+        np.zeros((0, 0)), np.zeros((0, size)), np.zeros((size, 0)), gain * np.eye(size)
+    )
+
+
+def scaled(sys: ContinuousStateSpace, gain: float) -> ContinuousStateSpace:
+    """Output scaled by a real constant."""
+    return ContinuousStateSpace(sys.A, sys.B, gain * sys.C, gain * sys.D)
 
 
 # ---------------------------------------------------------------------------
