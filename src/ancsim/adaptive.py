@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .statespace import DimensionError
 from .tolerances import TOL
@@ -94,6 +93,9 @@ class WienerProblem:
             raise DimensionError(
                 f"beta length {beta.size} does not match Phi size {Phi.shape[0]}"
             )
+        for name, value in (("Phi", Phi), ("beta", beta), ("d_energy", float(self.d_energy))):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         scale = max(float(np.abs(Phi).max()) if Phi.size else 0.0, 1e-300)
         if float(np.abs(Phi - Phi.T).max()) > TOL.matrix_symmetry * scale:
             raise ValueError("Phi must be symmetric")
@@ -186,21 +188,19 @@ def build_wiener(
 
 
 def wiener_solve(problem: WienerProblem) -> FirFilter:
-    """Direct solve of the quadratic problem (Cholesky + one refinement).
+    """Direct solve of the quadratic problem (eigendecomposition + one refinement).
 
     Raises :class:`SingularGramError` when the Gram matrix is singular or
     its condition number exceeds the configured limit.
     """
-    lam = np.linalg.eigvalsh(problem.Phi)
-    if lam[0] <= 0.0 or lam[-1] / lam[0] > TOL.condition_limit:
-        cond = float("inf") if lam[0] <= 0.0 else lam[-1] / lam[0]
+    lam, V = np.linalg.eigh(problem.Phi)
+    cond = lam[-1] / lam[0] if lam[0] > 0.0 else float("inf")
+    if cond > TOL.condition_limit:
         raise SingularGramError(
             f"Gram matrix is singular or ill-conditioned (cond ~ {cond:.3e})"
         )
-    factor = cho_factor(problem.Phi, lower=True)
-    alpha = cho_solve(factor, problem.beta)
-    residual = problem.beta - problem.Phi @ alpha
-    alpha = alpha + cho_solve(factor, residual)
+    alpha = V @ ((V.T @ problem.beta) / lam)
+    alpha += V @ ((V.T @ (problem.beta - problem.Phi @ alpha)) / lam)
     return FirFilter(alpha)
 
 

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from ancsim import (
+# Pin BLAS to one thread before numpy loads. Idle OpenBLAS worker threads
+# spin and bill CPU time to the process, so on a loaded host the CPU-second
+# budgets of the acceptance criteria would measure contention, not ancsim.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ancsim import (  # noqa: E402
     ContinuousStateSpace,
     SimConfig,
     run_comparison,

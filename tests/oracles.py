@@ -19,8 +19,10 @@ advancing the exogenous and the anti-noise half of the loop together;
 iteration through the single-arm :func:`reference_loop_step` and
 :func:`sdfx_lms_step`; :func:`reference_build_wiener` sums one delayed copy
 of the record per lag pair and :func:`reference_check_lms_conditions` builds the Gram increment
-of each period in a Python loop; the ``reference_write_*`` functions write
-every CSV table row by row through a per-value formatter; and
+of each period in a Python loop; :func:`reference_wiener_solve` solves the
+quadratic problem by Cholesky factorization plus one refinement step; the
+``reference_write_*`` functions write every CSV table row by row through a
+per-value formatter; and
 :func:`dtft_dense` evaluates a transform as one dense matrix product.
 """
 
@@ -197,6 +199,18 @@ def reference_build_wiener(u_blocks, d_fast, n_taps, horizon, h, L) -> WienerPro
             Phi[k, l] = Phi[l, k] = (L / h) * float(np.sum(lags[k] * lags[l]))
     d_energy = (h / L) * float(np.sum(D * D))
     return WienerProblem(Phi=Phi, beta=beta, horizon=horizon, d_energy=d_energy)
+
+
+def reference_wiener_solve(problem: WienerProblem) -> np.ndarray:
+    """``ancsim.wiener_solve`` as a Cholesky solve plus one refinement step.
+
+    Returns the taps. The problem is assumed positive definite; the
+    singular and condition checks are the package's own.
+    """
+    factor = scipy.linalg.cho_factor(problem.Phi, lower=True)
+    alpha = scipy.linalg.cho_solve(factor, problem.beta)
+    residual = problem.beta - problem.Phi @ alpha
+    return alpha + scipy.linalg.cho_solve(factor, residual)
 
 
 def reference_check_lms_conditions(u_blocks, mu, n_taps, h, eps_threshold=0.5) -> LmsConditionReport:

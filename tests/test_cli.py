@@ -2,7 +2,8 @@
 
 Every test drives ``ancsim.cli.main`` with an argv list and checks the
 exit code, the files left in the output directory, and the stdout/stderr
-summary. One subprocess test confirms ``python3 -m ancsim`` resolves.
+summary. One subprocess test confirms ``python3 -m ancsim`` resolves, and
+another that a cold ``run`` loads no scipy module.
 """
 
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ancsim
 from ancsim import load_u_blocks
 from ancsim.cli import main
 
@@ -294,6 +296,25 @@ def test_module_entry_point(small_config, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "error L2" in proc.stdout
     assert os.path.isfile(os.path.join(out_dir, "report.csv"))
+
+
+def test_cold_run_imports_no_scipy(tmp_path):
+    """A fresh process that imports ancsim and runs the CLI never loads scipy."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text("sim.T = 6\nsim.L = 2\n")
+    script = (
+        "import sys\n"
+        "import ancsim\n"
+        "import ancsim.cli\n"
+        "code = ancsim.cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ancsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_run_with_defaults_only(tmp_path, capsys, monkeypatch):
