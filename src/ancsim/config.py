@@ -156,12 +156,12 @@ class SimConfig:
         return replace(self, **kwargs)
 
     def _validate(self) -> None:
-        if not self.h > 0.0:
-            raise ConfigError("sim.h", f"period must be positive, got {self.h}")
+        if not 0.0 < self.h < np.inf:
+            raise ConfigError("sim.h", f"period must be positive and finite, got {self.h}")
         if self.L < 1:
             raise ConfigError("sim.L", f"cells per period must be >= 1, got {self.L}")
-        if not self.T > 0.0:
-            raise ConfigError("sim.T", f"horizon must be positive, got {self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ConfigError("sim.T", f"horizon must be positive and finite, got {self.T}")
         steps = self.T / self.h
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigError("sim.T", f"horizon must be a positive multiple of sim.h, got {self.T}")
@@ -169,33 +169,37 @@ class SimConfig:
             raise ConfigError("sim.seed", "seed must be nonnegative")
         if self.n_taps < 1:
             raise ConfigError("filter.taps", f"need at least one tap, got {self.n_taps}")
-        if self.mu < 0.0:
-            raise ConfigError("adapt.mu", f"step size must be nonnegative, got {self.mu}")
-        if any(m < 0.0 for m in self.mu_list):
-            raise ConfigError("adapt.mu_list", "step sizes must be nonnegative")
+        if not 0.0 <= self.mu < np.inf:
+            raise ConfigError("adapt.mu", f"step size must be finite and >= 0, got {self.mu}")
+        if not all(0.0 <= m < np.inf for m in self.mu_list):
+            raise ConfigError("adapt.mu_list", "step sizes must be finite and >= 0")
         if not self.mu_list:
             raise ConfigError("adapt.mu_list", "sweep needs at least one step size")
         if not self.eps_threshold > 0.0:
             raise ConfigError("adapt.eps_threshold", "threshold must be positive")
-        if not self.zeta > 0.0:
-            raise ConfigError("plant.zeta", f"damping ratio must be positive, got {self.zeta}")
+        if not 0.0 < self.zeta < np.inf:
+            raise ConfigError("plant.zeta", f"damping ratio must be finite and > 0, got {self.zeta}")
         self._plant("plant.f", self.f_poles, self.f_gains, self.f_frequencies, self.f_dampings)
         self._plant("plant.p", self.p_poles, self.p_gains, self.p_frequencies, self.p_dampings)
         na = len(self.noise_amplitudes)
         if na == 0:
             raise ConfigError("noise.amplitudes", "need at least one component")
         for key, vals in (
+            ("noise.amplitudes", self.noise_amplitudes),
             ("noise.frequencies", self.noise_frequencies),
             ("noise.decay_rates", self.noise_decay_rates),
+            ("noise.phases", self.noise_phases),
         ):
+            if vals is None:
+                continue
             if len(vals) != na:
                 raise ConfigError(key, f"expected {na} entries to match noise.amplitudes")
+            if not np.all(np.isfinite(vals)):
+                raise ConfigError(key, "entries must be finite")
         if any(r <= 0.0 for r in self.noise_decay_rates):
             raise ConfigError("noise.decay_rates", "components must decay (rates > 0)")
         if any(f < 0.0 for f in self.noise_frequencies):
             raise ConfigError("noise.frequencies", "frequencies must be nonnegative")
-        if self.noise_phases is not None and len(self.noise_phases) != na:
-            raise ConfigError("noise.phases", f"expected {na} entries to match noise.amplitudes")
         if not self.threshold > 0.0:
             raise ConfigError("sweep.threshold", "threshold must be positive")
         if not self.divergence_cutoff > 0.0:

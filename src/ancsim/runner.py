@@ -19,7 +19,8 @@ that equal the single-arm ones bit for bit. A diverged arm leaves the axis.
 The convergence report of every arm is read off one condition series per
 blocking at the arm's last update.
 CSV files contain no timestamps and format floats with %.17g, so equal
-configs give equal bytes.
+configs give equal bytes. ``compare`` writes its two arms from two processes,
+one writer per file (see ``write_comparison_csv``).
 """
 
 from __future__ import annotations
@@ -418,15 +419,51 @@ def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> li
 
 
 def write_comparison_csv(result: ComparisonResult, out_dir: str) -> list[str]:
-    paths = write_run_csv(result.proposed, out_dir, prefix="proposed_")
-    paths += write_run_csv(result.conventional, out_dir, prefix="conventional_")
-    path = os.path.join(out_dir, "comparison.csv")
-    items = [
-        ("error_l2_proposed", result.proposed.error_norm),
-        ("error_l2_conventional", result.conventional.error_norm),
-        ("ratio", result.ratio),
-    ]
-    _write_columns(path, ["key", "value"], zip(*items))
+    """Write both arms' tables and comparison.csv; returns the paths.
+
+    A forked child writes the conventional arm while this process writes the
+    rest; each file has one writer, so the bytes are a one-process write's. A
+    child failure is raised here as ``OSError`` with its text. Without a
+    working ``os.fork`` the arms are written in turn. Python 3.12+ warns when
+    a threaded process forks; the tests pin BLAS to one thread, so their
+    process has no second thread and the warning cannot fire there.
+    """
+    pid = None
+    if hasattr(os, "fork"):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+        if pid == 0:  # leave through os._exit only: no return, no stdio flush
+            try:
+                write_run_csv(result.conventional, out_dir, prefix="conventional_")
+                os._exit(0)
+            except BaseException as exc:
+                os.write(write_fd, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
+            finally:
+                os._exit(1)
+        os.close(write_fd)
+    try:
+        paths = write_run_csv(result.proposed, out_dir, prefix="proposed_")
+        if pid is None:
+            write_run_csv(result.conventional, out_dir, prefix="conventional_")
+        names = [os.path.basename(p).removeprefix("proposed_") for p in paths]
+        paths += [os.path.join(out_dir, "conventional_" + name) for name in names]
+        path = os.path.join(out_dir, "comparison.csv")
+        items = [
+            ("error_l2_proposed", result.proposed.error_norm),
+            ("error_l2_conventional", result.conventional.error_norm),
+            ("ratio", result.ratio),
+        ]
+        _write_columns(path, ["key", "value"], zip(*items))
+    finally:
+        if pid is not None:
+            with os.fdopen(read_fd, "rb") as pipe:
+                failure = pipe.read().decode("utf-8", "replace")
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if pid is not None and (failure or status):
+        raise OSError(failure or f"conventional arm writer exited with code {status}")
     paths.append(path)
     return paths
 

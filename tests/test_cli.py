@@ -2,8 +2,9 @@
 
 Every test drives ``ancsim.cli.main`` with an argv list and checks the
 exit code, the files left in the output directory, and the stdout/stderr
-summary. One subprocess test confirms ``python3 -m ancsim`` resolves, and
-another that a cold ``run`` loads no scipy module.
+summary. One subprocess test confirms ``python3 -m ancsim`` resolves,
+another that a cold ``run`` loads no scipy module, and a third that a cold
+``compare`` loads no process-pool module.
 """
 
 import os
@@ -98,6 +99,31 @@ class TestCompareCommand:
         assert any(n.startswith("proposed_") for n in names)
         assert any(n.startswith("conventional_") for n in names)
         assert "ratio =" in out
+
+    @pytest.mark.parametrize("blocked,intact", [("conventional_", "proposed_"),
+                                                ("proposed_", "conventional_")])
+    def test_failed_arm_exits_two_naming_file(
+        self, blocked, intact, small_config, tmp_path, capsys, monkeypatch
+    ):
+        """Either arm's write failure exits 2 naming the file, the other arm's
+        tables are complete, and the forked writer is reaped."""
+        clean = tmp_path / "clean"
+        assert _run_cli(["compare", "--config", small_config, "--out", str(clean)], capsys)[0] == 0
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        out_dir = tmp_path / "out"
+        (out_dir / (blocked + "fast.csv")).mkdir(parents=True)
+        code, _, err = _run_cli(["compare", "--config", small_config, "--out", str(out_dir)], capsys)
+        assert forks == [1]
+        assert code == 2
+        assert blocked + "fast.csv" in err
+        names = [n for n in os.listdir(clean) if n.startswith(intact)]
+        assert len(names) == 5
+        for name in names:
+            assert (out_dir / name).read_bytes() == (clean / name).read_bytes(), name
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweepCommand:
@@ -239,6 +265,15 @@ class TestErrorPaths:
         assert code == 2
         assert "adapt.mu" in err
 
+    @pytest.mark.parametrize("command,mu,key", [("run", "nan", "adapt.mu"),
+                                                ("sweep", "0.1,nan", "adapt.mu_list")])
+    def test_nan_mu_exits_two(self, command, mu, key, small_config, tmp_path, capsys):
+        code, _, err = _run_cli(
+            [command, "--config", small_config, "--out", str(tmp_path / "o"), "--mu", mu], capsys
+        )
+        assert code == 2
+        assert f"configuration error: {key}:" in err
+
     def test_non_numeric_mu_list_exits_two(self, small_config, tmp_path, capsys):
         code, _, err = _run_cli(
             [
@@ -315,6 +350,26 @@ def test_cold_run_imports_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cold_compare_loads_no_process_pool(tmp_path):
+    """A fresh ``compare`` forks with ``os`` alone; no pool module is imported."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text("sim.T = 6\nsim.L = 2\n")
+    script = (
+        "import sys\n"
+        "import ancsim.cli\n"
+        "code = ancsim.cli.main(sys.argv[1:])\n"
+        "pools = ('multiprocessing', 'concurrent')\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in pools))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ancsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["compare", "--config", str(config), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert len(os.listdir(tmp_path / "out")) == 11
 
 
 def test_run_with_defaults_only(tmp_path, capsys, monkeypatch):

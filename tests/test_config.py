@@ -111,6 +111,16 @@ def test_unknown_key_rejected():
         ("noise.phases = 1.0", "noise.phases"),
         ("sweep.threshold = 0", "sweep.threshold"),
         ("run.divergence_cutoff = 0", "run.divergence_cutoff"),
+        ("sim.T = inf", "sim.T"),
+        ("sim.h = inf", "sim.h"),
+        ("adapt.mu = nan", "adapt.mu"),
+        ("adapt.mu = inf", "adapt.mu"),
+        ("adapt.mu_list = 0.1, nan", "adapt.mu_list"),
+        ("plant.zeta = inf", "plant.zeta"),
+        ("noise.amplitudes = 0.5, nan, 2.0, 2.0", "noise.amplitudes"),
+        ("noise.frequencies = 1.0, 2.6, nan, 4.8", "noise.frequencies"),
+        ("noise.decay_rates = nan, 0.01, 0.01, 0.01", "noise.decay_rates"),
+        ("noise.phases = 0.0, 0.0, 0.0, nan", "noise.phases"),
     ],
 )
 def test_field_validation_names_the_key(line, key):

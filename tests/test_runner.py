@@ -3,6 +3,7 @@
 import dataclasses
 import filecmp
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -399,12 +400,28 @@ def _assert_same_bytes(tmp_path, write, reference_write, result):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
+def _diverged_and_special():
+    """A run that diverges in its first period, and its extreme-value twin."""
+    diverged = run_single(short_config(divergence_cutoff=1e-9))
+    assert diverged.diverged and diverged.u_alg_blocks.shape[0] == 0
+    return diverged, _special_run(diverged)
+
+
+def _assert_comparisons_match(tmp_path, benchmark_comparison, diverged, special):
+    comparisons = {
+        "cmp_default": benchmark_comparison,
+        "cmp_special": ComparisonResult(proposed=special, conventional=diverged, ratio=np.nan),
+    }
+    for name, comp in comparisons.items():
+        _assert_same_bytes(
+            tmp_path / name, write_comparison_csv, oracles.reference_write_comparison_csv, comp
+        )
+
+
 def test_csv_writer_matches_row_wise_writer(
     tmp_path, benchmark_run, benchmark_comparison, default_config
 ):
-    diverged = run_single(short_config(divergence_cutoff=1e-9))
-    assert diverged.diverged and diverged.u_alg_blocks.shape[0] == 0
-    special = _special_run(diverged)
+    diverged, special = _diverged_and_special()
     empty = replace(
         diverged,
         trace=replace(diverged.trace, x_d=np.zeros(0), y_d=np.zeros(0), x=np.zeros(0), d=np.zeros(0),
@@ -417,14 +434,7 @@ def test_csv_writer_matches_row_wise_writer(
     assert (tmp_path / "diverged" / "new" / "u_blocks.csv").read_text().count("\n") == 1
     for name in ("fast.csv", "discrete.csv", "taps.csv", "u_blocks.csv"):
         assert (tmp_path / "empty" / "new" / name).read_text().count("\n") == 1, name
-    comparisons = {
-        "cmp_default": benchmark_comparison,
-        "cmp_special": ComparisonResult(proposed=special, conventional=diverged, ratio=np.nan),
-    }
-    for name, comp in comparisons.items():
-        _assert_same_bytes(
-            tmp_path / name, write_comparison_csv, oracles.reference_write_comparison_csv, comp
-        )
+    _assert_comparisons_match(tmp_path, benchmark_comparison, diverged, special)
     sweep = run_mu_sweep(short_config(T=30.0, threshold=5.0), mu_values=[0.1, 0.4, 100.0])
     assert sweep.rows[-1].diverged_proposed and sweep.rows[-1].error_proposed == np.inf
     special_row = SweepRow(-0.0, np.nan, 5e-324, True, False, False, True)
@@ -444,6 +454,48 @@ def test_csv_writer_matches_row_wise_writer(
         lambda config, out: [oracles.reference_write_bode_csv(config, out)],
         default_config,
     )
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing"])
+def test_comparison_writer_without_fork_matches_row_wise_writer(
+    fork, tmp_path, monkeypatch, benchmark_comparison
+):
+    """Where os.fork does not exist or fails, both arms are written in this process."""
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", failing_fork)
+    _assert_comparisons_match(tmp_path, benchmark_comparison, *_diverged_and_special())
+
+
+def test_comparison_writer_reports_a_killed_child(tmp_path, monkeypatch, benchmark_comparison):
+    """A child that dies without a message still fails the write, and is reaped."""
+    parent, write = os.getpid(), runner.write_run_csv
+
+    def killed_in_child(result, out_dir, prefix=""):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write(result, out_dir, prefix=prefix)
+
+    monkeypatch.setattr(runner, "write_run_csv", killed_in_child)
+    with pytest.raises(OSError, match="conventional arm writer exited with code -9"):
+        write_comparison_csv(benchmark_comparison, str(tmp_path))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_only_comparison_writer_forks(tmp_path, monkeypatch, benchmark_run, default_config):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    sweep = run_mu_sweep(short_config(T=6.0), mu_values=[0.1])
+    assert len(write_run_csv(benchmark_run, str(tmp_path / "run"))) == 5
+    assert len(write_sweep_csv(sweep, str(tmp_path / "sweep"))) == 2
+    assert os.path.isfile(write_bode_csv(default_config, str(tmp_path / "bode"), n_points=8))
 
 
 def test_csv_writer_streams_long_tables(tmp_path, monkeypatch):
