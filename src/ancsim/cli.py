@@ -158,6 +158,8 @@ def _cmd_bode(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = _build_config(args)
+    if not cfg.mu > 0.0:
+        raise ConfigError("adapt.mu", f"check needs a positive step size, got {cfg.mu}")
     blocks = runner.load_u_blocks(args.trace)
     report = check_lms_conditions(blocks, cfg.mu, cfg.n_taps, cfg.h, cfg.eps_threshold)
     print(f"trace: {report.n_intervals} periods, {blocks.shape[1]} cells, taps = {report.n_taps}")

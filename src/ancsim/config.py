@@ -214,6 +214,10 @@ class SimConfig:
             raise ConfigError(
                 f"{prefix}.dampings", f"expected {len(gains)} entries to match gains"
             )
+        for name, vals in (("poles", poles), ("gains", gains),
+                           ("frequencies", frequencies), ("dampings", dampings)):
+            if vals is not None and not np.all(np.isfinite(vals)):
+                raise ConfigError(f"{prefix}.{name}", "entries must be finite")
         try:
             self._build_plant(poles, gains, frequencies, dampings)
         except (PlantSpecificationError, ValueError) as exc:
@@ -251,6 +255,8 @@ class SimConfig:
                 raise ConfigError("noise.waveform", f"cannot read: {exc}") from None
             except ValueError as exc:
                 raise ConfigError("noise.waveform", f"cannot parse: {exc}") from None
+            if not np.all(np.isfinite(values)):
+                raise ConfigError("noise.waveform", "samples must be finite")
             needed = self.n_steps * self.L
             if values.size < needed:
                 raise ConfigError(

@@ -8,9 +8,11 @@ With the period split into L cells of width h/L::
     eta[n+1] = Ah eta[n] + Bh x[n]
     U[n]     = Ch eta[n] + Dh x[n]          (U[n][l] = int over cell l of u)
 
-``Ah = exp(A h)`` and ``Bh`` is the held-input integral; row l of ``Ch``/
-``Dh`` is a difference of cumulative output integrals at the cell
-endpoints, so every entry is exact up to the matrix exponential.
+``Ah = exp(A h)`` and ``Bh`` is the held-input integral. Every within-period
+map comes from one Van Loan exponential at the cell width: with the one-cell
+blocks Phi, Gamma, Lambda, Theta, row l of ``Ch`` is ``Lambda Phi^l`` and
+``Dh[l]`` is ``Theta + sum_{k<l} Lambda Phi^k Gamma``, so every entry is
+exact up to the matrix exponential and no integral is differenced.
 
 ``HybridLoop`` assembles these pieces into a closed loop: a noise source, a
 primary path, and a secondary path driven by a sampled FIR filter. The loop
@@ -18,22 +20,22 @@ is feedforward, so it splits at the taps: the reference, the disturbance and
 the regressor (the secondary dynamics driven by the held reference) form an
 exogenous half computed once per configuration, and only the anti-noise path
 is stepped under the taps, for a whole stack of arms (one row of taps and of
-secondary-path state per arm) in one call. The same lifting applies to the
-point samples at the cell left endpoints: each is a
-fixed linear map of the period-start state and the held inputs, built once
-from the exact one-cell propagators (rows ``c Phi^l`` and accumulated input
-gains), so one period is a handful of matrix-vector products with no loop
-over the cells. No numerical ODE integration happens anywhere in this module.
+secondary-path state per arm) in one call. The point samples at the cell
+left endpoints come from the same one-cell propagator (rows ``C Phi^l`` and
+input maps ``C Phi^k Gamma``), so one period is a handful of matrix-vector
+products with no loop over the cells. No numerical ODE integration happens
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .signals import AutonomousGenerator, HeldWaveform
-from .statespace import ContinuousStateSpace, DimensionError, expm, vanloan
+from .statespace import ContinuousStateSpace, DimensionError, expm, series, vanloan
 
 __all__ = [
     "LiftedDiscretization",
@@ -91,37 +93,62 @@ class LiftedDiscretization:
         return self.Ah.shape[0]
 
 
+def _output_rows(rows: np.ndarray, phi: np.ndarray, L: int) -> np.ndarray:
+    """``rows phi^l`` for l = 0 .. L-1, shape (p, L, n) for (p, n) ``rows``."""
+    out = np.empty((rows.shape[0], L, phi.shape[0]))
+    for l in range(L):
+        out[:, l] = rows
+        rows = rows @ phi
+    return out
+
+
+class _CellMaps(NamedTuple):
+    """Within-period maps of one plant: rows act on the period-start state, and
+    entry (l, i) of an input map is the effect of the input held over cell i."""
+
+    sample_rows: np.ndarray     # (L, n): C Phi^l, output at the left endpoint of cell l
+    integral_rows: np.ndarray   # (L, n): Lambda Phi^l, output integral over cell l
+    sample_input: np.ndarray    # (L, L): C Phi^(l-1-i) Gamma below the diagonal
+    integral_input: np.ndarray  # (L, L): Theta on the diagonal, Lambda Phi^(l-1-i) Gamma below
+    state_input: np.ndarray     # (n, L): Phi^(L-1-i) Gamma, effect on the next period's state
+
+
+def _cell_maps(sys: ContinuousStateSpace, dt: float, L: int) -> _CellMaps:
+    """Every within-period map of ``sys`` from one Van Loan exponential at ``dt``."""
+    cell = vanloan(sys, dt)
+    rows = _output_rows(np.vstack([sys.C, cell.Lambda]), cell.Phi, L)
+    # entry k of each sequence is the sample and the integral input map at lag l - i = k
+    seqs = np.hstack([[[0.0], cell.Theta[0]], rows @ cell.Gamma[:, 0]])
+    inputs = np.zeros((2, L, L))
+    for l in range(L):
+        inputs[:, l, :l + 1] = seqs[:, l::-1]
+    # column i is Phi^(L-1-i) Gamma, built as the rows Gamma^T (Phi^T)^k
+    state_input = _output_rows(cell.Gamma.T, cell.Phi.T, L)[0, ::-1].T
+    return _CellMaps(rows[0], rows[1], inputs[0], inputs[1], state_input)
+
+
+def _lift(sys: ContinuousStateSpace, h: float, L: int) -> tuple[LiftedDiscretization, _CellMaps]:
+    """Lifted blocks and cell maps of ``sys``; the period map is exp(A h), as Phi^L loses digits."""
+    cells, period = _cell_maps(sys, h / L, L), vanloan(sys, h)
+    return LiftedDiscretization(Ah=period.Phi, Bh=period.Gamma[:, 0], Ch=cells.integral_rows,
+                                Dh=cells.integral_input.sum(axis=1), h=h, L=L), cells
+
+
 def discretize_lifted(sys: ContinuousStateSpace, h: float, L: int) -> LiftedDiscretization:
     """Blocked discretization of a strictly proper SISO plant.
 
-    Cumulative integral blocks are evaluated at every cell endpoint
-    l h / L and differenced, which keeps adjacent rows consistent: refining
-    L and summing adjacent rows reproduces the coarse rows exactly.
+    Rows ``Ch``/``Dh`` come from the one-cell propagator (no cumulative
+    integral is differenced); refining L and summing adjacent rows
+    reproduces the coarse rows to within ``TOL.block_refinement``.
     """
     sampler = FastSampler(h, L)  # validates h and L
-    h, L = sampler.h, sampler.L
     if not sys.is_siso:
         raise DimensionError("lifted discretization expects a SISO plant")
     if not sys.is_strictly_proper:
         raise DimensionError("lifted discretization expects a strictly proper plant")
     if sys.nstates == 0:
         raise DimensionError("lifted discretization expects a dynamic plant")
-
-    nu = sys.nstates
-    Ch = np.empty((L, nu))
-    Dh = np.empty(L)
-    lam_prev = np.zeros((1, nu))
-    theta_prev = 0.0
-    for l in range(1, L + 1):
-        vl = vanloan(sys, l * h / L)
-        Ch[l - 1] = vl.Lambda[0] - lam_prev[0]
-        Dh[l - 1] = vl.Theta[0, 0] - theta_prev
-        lam_prev = vl.Lambda
-        theta_prev = vl.Theta[0, 0]
-        if l == L:
-            Ah = vl.Phi
-            Bh = vl.Gamma[:, 0]
-    return LiftedDiscretization(Ah=Ah, Bh=Bh, Ch=Ch, Dh=Dh, h=h, L=L)
+    return _lift(sys, sampler.h, sampler.L)[0]
 
 
 def fh_step(lift: LiftedDiscretization, eta: np.ndarray, x_d: float):
@@ -158,16 +185,6 @@ class ExogenousRecord:
     u_blocks: np.ndarray
 
 
-def _output_rows(c: np.ndarray, phi: np.ndarray, L: int) -> np.ndarray:
-    """Rows ``c phi^l`` for l = 0 .. L-1, shape (L, n)."""
-    rows = np.empty((L, phi.shape[0]))
-    row = c
-    for l in range(L):
-        rows[l] = row
-        row = row @ phi
-    return rows
-
-
 class HybridLoop:
     """Precomputed propagators and cell-output maps for one loop configuration.
 
@@ -176,21 +193,21 @@ class HybridLoop:
     of a stack of arms by one period. Every arm run on one configuration
     shares one exogenous record and differs only in its rows of the stack.
 
-    Construction discretizes the secondary path and folds its one-cell
-    propagator (phi_f, gamma_f) into the rows ``c_f phi_f^l`` and the
-    accumulated input gains ``sum_{i<l} c_f phi_f^i gamma_f``, which map the
-    period-start state and the held input to the L cell samples of the
-    anti-noise (input y_d) and of the regressor response (input x_d).
+    Every within-period map comes from one exponential per plant at the cell
+    width (``_cell_maps``), and every period-to-period state map from one at
+    the period, so a build runs four exponentials whatever L is. The
+    secondary path gives the lifted blocks ``lift``, the sample rows
+    ``c_f Phi_f^l`` and the gains of a period-held input on cells 1 .. L-1,
+    which map the period-start state and the held input to the L cell
+    samples of the anti-noise (input y_d) and of the regressor (input x_d).
 
     The noise source is wired in one of two ways. An autonomous generator is
     propagated jointly with the primary path (the cascade is again
-    autonomous): a stacked (2L x n) map takes the joint state to x_fast and
-    d_fast, and the one-period exponential gives the next joint state. A
-    held waveform drives the primary path cell by cell: rows
-    ``c_p phi_p^l``, a strictly lower-triangular L x L input map give
-    d_fast, and ``phi_p^L`` with an (n_p x L) input map gives the next
-    primary state. The one-cell propagators stay available as attributes for
-    stepping a period cell by cell.
+    autonomous): rows of the one-cell exponential take the joint state to
+    x_fast and d_fast, and the one-period exponential gives the next joint
+    state. A held waveform drives the primary path cell by cell: its sample
+    rows and (L, L) input map give d_fast, and the one-period exponential
+    with the (n_p, L) state input map gives the next primary state.
     """
 
     def __init__(
@@ -209,57 +226,34 @@ class HybridLoop:
         self.secondary = secondary
         self.primary = primary
         self.generator = generator
-        self.lift = discretize_lifted(secondary, self.h, L)
-
-        cell = vanloan(secondary, self.sampler.dt)
-        self._phi_f = cell.Phi
-        self._gamma_f = cell.Gamma[:, 0]
-        self._c_f = secondary.C[0]
-        self._f_rows = _output_rows(self._c_f, self._phi_f, L)
-        # gain of the held input on cells 1 .. L-1 (cell 0 does not see it)
-        self._f_gains = np.cumsum(self._f_rows @ self._gamma_f)[:-1]
+        self.lift, cells = _lift(secondary, self.h, L)
+        self._f_rows = cells.sample_rows
+        # gain of a period-held input on each cell; 0 on cell 0, which it does not reach
+        held_gains = cells.sample_input.sum(axis=1)
+        self._f_gains = held_gains[1:]
+        # one period of the regressor: [eta, x_d] -> [u, u_blocks, next eta]
+        self._u_period = np.block([[self._f_rows, held_gains[:, None]],
+                                   [self.lift.Ch, self.lift.Dh[:, None]],
+                                   [self.lift.Ah, self.lift.Bh[:, None]]])
 
         if isinstance(generator, AutonomousGenerator):
-            ng, npr = generator.nstates, primary.nstates
-            joint = np.zeros((ng + npr, ng + npr))
-            joint[:ng, :ng] = generator.A
-            joint[ng:, ng:] = primary.A
-            joint[ng:, :ng] = primary.B @ generator.C.reshape(1, -1)
-            self._phi_joint_cell = expm(joint * self.sampler.dt)
-            self._phi_joint_period = expm(joint * self.h)
-            self._c_g = generator.C
-            self._c_p = primary.C[0]
-            self._ng = ng
+            ng = generator.nstates
+            joint = series(ContinuousStateSpace(generator.A, np.zeros(ng), generator.C), primary)
+            picks = np.vstack([np.append(generator.C, np.zeros(primary.nstates)), joint.C])
+            # one period of the joint state: z -> [x_fast, d_fast, next z]
+            self._z_period = np.vstack([*_output_rows(picks, expm(joint.A * self.sampler.dt), L),
+                                        expm(joint.A * self.h)])
             self._held = None
-            pick_x = np.concatenate([self._c_g, np.zeros(npr)])
-            pick_d = np.concatenate([np.zeros(ng), self._c_p])
-            self._xd_rows = np.vstack([
-                _output_rows(pick_x, self._phi_joint_cell, L),
-                _output_rows(pick_d, self._phi_joint_cell, L),
-            ])
         elif isinstance(generator, HeldWaveform):
             if abs(generator.dt - self.sampler.dt) > 1e-12 * self.sampler.dt:
                 raise ValueError(
                     f"held waveform cell width {generator.dt} does not match h/L = {self.sampler.dt}"
                 )
-            pcell = vanloan(primary, self.sampler.dt)
-            self._phi_p = pcell.Phi
-            self._gamma_p = pcell.Gamma[:, 0]
-            self._c_p = primary.C[0]
             self._held = generator
-            self._p_rows = _output_rows(self._c_p, self._phi_p, L)
-            # d_fast[l] gets c_p phi_p^(l-1-i) gamma_p x[i] from every i < l;
-            # the map below covers cells 1 .. L-1 and inputs 0 .. L-2.
-            impulse = self._p_rows @ self._gamma_p
-            lag = np.subtract.outer(np.arange(L - 1), np.arange(L - 1))
-            self._p_input = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
-            self._phi_p_period = np.linalg.matrix_power(self._phi_p, L)
-            # column i: phi_p^(L-1-i) gamma_p, the end-of-period effect of x[i]
-            self._p_input_period = np.empty((primary.nstates, L))
-            col = self._gamma_p
-            for i in range(L - 1, -1, -1):
-                self._p_input_period[:, i] = col
-                col = self._phi_p @ col
+            p_lift, p_cells = _lift(primary, self.h, L)
+            # one period of the primary path: [z, the L cell inputs] -> [d_fast, next z]
+            self._z_period = np.block([[p_cells.sample_rows, p_cells.sample_input],
+                                       [p_lift.Ah, p_cells.state_input]])
         else:
             raise TypeError(
                 "generator must be an AutonomousGenerator or a HeldWaveform, "
@@ -270,8 +264,9 @@ class HybridLoop:
         """Reference, disturbance and regressor over ``n_steps`` periods.
 
         Starts from rest (generator at its initial state, plants at zero) and
-        applies the cell-output maps period by period. The arrays are
-        read-only: every arm run on this loop shares them.
+        applies each plant's period map (outputs and next state from one
+        product) period by period. The arrays are read-only: every arm run
+        on this loop shares them.
         """
         L, held = self.L, self._held
         if held is not None and n_steps * L > len(held):
@@ -279,25 +274,22 @@ class HybridLoop:
             raise ValueError(f"held waveform exhausted: period {n} needs samples up to {(n + 1) * L}")
         x_d = np.empty(n_steps)
         x, d, u, u_blocks = (np.empty((n_steps, L)) for _ in range(4))
-        eta, zeta_p = np.zeros(self.secondary.nstates), np.zeros(self.primary.nstates)
+        z = np.zeros(self.primary.nstates)
         if held is None:
-            z = np.concatenate([self.generator.x0, zeta_p])
+            z = np.concatenate([self.generator.x0, z])
+        eta_x = np.zeros(self.secondary.nstates + 1)  # [eta, x_d] of the current period
 
         for n in range(n_steps):
             if held is None:
-                x_d[n] = self._c_g @ z[:self._ng]
-                xd_fast = self._xd_rows @ z
-                x[n], d[n] = xd_fast[:L], xd_fast[L:]
-                z = self._phi_joint_period @ z
+                out = self._z_period @ z
+                x[n], d[n], z = out[:L], out[L:2 * L], out[2 * L:]
             else:
                 x[n] = held.values[n * L:(n + 1) * L]
-                x_d[n] = x[n, 0]
-                d[n] = self._p_rows @ zeta_p
-                d[n, 1:] += self._p_input @ x[n, :-1]
-                zeta_p = self._phi_p_period @ zeta_p + self._p_input_period @ x[n]
-            u[n] = self._f_rows @ eta
-            u[n, 1:] += self._f_gains * x_d[n]
-            eta, u_blocks[n] = fh_step(self.lift, eta, x_d[n])
+                out = self._z_period @ np.concatenate([z, x[n]])
+                d[n], z = out[:L], out[L:]
+            eta_x[-1] = x_d[n] = x[n, 0]
+            out = self._u_period @ eta_x
+            u[n], u_blocks[n], eta_x[:-1] = out[:L], out[L:2 * L], out[2 * L:]
 
         for arr in (x_d, x, d, u, u_blocks):
             arr.flags.writeable = False

@@ -108,11 +108,10 @@ def spectral_bound(
     """Evaluate the aliased energy density on a frequency grid.
 
     S(w) = (1/h) |Xd(e^{jwh})|^2 * sum_k |F H0 (j(w + 2 pi k / h))|^2 with
-    the alias sum truncated at ``n_alias``. Requires a strictly proper
-    secondary path (a feedthrough term would make the alias sum diverge).
+    the alias sum truncated at ``n_alias``. Requires a strictly proper SISO
+    secondary path (a feedthrough term would make the alias sum diverge);
+    each alias term is one ``u_spectrum``, which checks the SISO shape.
     """
-    if not secondary.is_siso:
-        raise DimensionError("spectral bound expects a SISO secondary path")
     if not secondary.is_strictly_proper:
         raise PlantSpecificationError(
             "spectral bound requires a strictly proper secondary path"
@@ -130,10 +129,7 @@ def spectral_bound(
 
     folded = np.zeros(grid_size)
     for k in range(-n_alias, n_alias + 1):
-        omk = om + 2.0 * np.pi * k / h
-        resp = freq_response_grid(secondary, omk)[:, 0, 0]
-        resp *= zoh_frequency_response(omk, h)
-        folded += np.abs(resp) ** 2
+        folded += np.abs(u_spectrum(secondary, 1.0, om + 2.0 * np.pi * k / h, h)) ** 2
     values = np.abs(xd) ** 2 / h * folded
 
     peak = float(values.max())

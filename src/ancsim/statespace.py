@@ -11,7 +11,7 @@ over a horizon t:
 ``vanloan`` reads all four off a single exponential of one block-triangular
 augmented matrix, so the discretization layer never touches a quadrature
 routine. The matrix exponential itself is a scaling-and-squaring Pade
-evaluation of fixed maximal degree 13.
+evaluation of the single degree 13.
 """
 
 from __future__ import annotations
@@ -279,53 +279,20 @@ def freq_response_grid(sys: ContinuousStateSpace, omegas) -> np.ndarray:
     return out
 
 
-# Pade numerator coefficients and scaling thresholds for the exponential
-# ladder (orders 3/5/7/9 for small norms, scaled order 13 otherwise).
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-    ),
-    13: (
-        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0,
-        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-        960960.0, 16380.0, 182.0, 1.0,
-    ),
-}
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-
-
-def _pade_low(M: np.ndarray, order: int) -> np.ndarray:
-    b = _PADE_B[order]
-    n = M.shape[0]
-    ident = np.eye(n)
-    M2 = M @ M
-    even = ident
-    U = b[1] * ident
-    V = b[0] * ident
-    for k in range(2, order + 1, 2):
-        even = even @ M2
-        V = V + b[k] * even
-        if k + 1 <= order:
-            U = U + b[k + 1] * even
-    U = M @ U
-    return np.linalg.solve(V - U, V + U)
+# Numerator coefficients of the degree-13 Pade approximant and the 1-norm up
+# to which it reaches double precision unscaled (Higham 2005).
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA_13 = 5.371920351148152e0
 
 
 def _pade_13(M: np.ndarray) -> np.ndarray:
-    b = _PADE_B[13]
-    n = M.shape[0]
-    ident = np.eye(n)
+    b = _PADE_13
+    ident = np.eye(M.shape[0])
     M2 = M @ M
     M4 = M2 @ M2
     M6 = M4 @ M2
@@ -337,26 +304,22 @@ def _pade_13(M: np.ndarray) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring Pade approximation.
+    """Matrix exponential by scaling and squaring with one Pade degree.
 
-    Degree 13 with power-of-two scaling for large norms; lower diagonal Pade
-    orders (3, 5, 7, 9) for norms already inside their accuracy radii.
+    The degree-13 approximant is evaluated on ``M / 2^s``, with ``s`` the
+    least power of two that brings the 1-norm within ``_THETA_13``, and
+    squared back ``s`` times.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expm expects a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[0] == 0:
         return np.zeros((0, 0))
     if not np.all(np.isfinite(M)):
         raise ValueError("expm argument contains non-finite entries")
 
     norm = np.linalg.norm(M, 1)
-    for order in (3, 5, 7, 9):
-        if norm <= _PADE_THETA[order]:
-            return _pade_low(M, order)
-
-    squarings = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13]))))
+    squarings = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
     X = _pade_13(M / (2.0 ** squarings))
     for _ in range(squarings):
         X = X @ X

@@ -1,7 +1,7 @@
 """Independent numerical references used by the test suite.
 
-Nothing in this module goes through the package's own matrix exponential,
-lifting, or update recursions. Matrix exponentials come from SciPy,
+The independent references do not go through the package's own matrix
+exponential, lifting, or update recursions. Matrix exponentials come from SciPy,
 integrals from adaptive quadrature, interval propagation from a high order
 Runge-Kutta solver, and gradients from central differences. Agreement
 between these references and the package is the point of the tests, so the
@@ -12,9 +12,11 @@ loop, coded from SciPy exponentials alone; at one cell per period the
 package's blocked loop must reproduce it.
 
 The other references are earlier, slower forms of package code, kept to
-check the rewrites that replaced them: :func:`reference_step` walks the
-cells of a period one by one with the loop's own one-cell propagators,
-advancing the exogenous and the anti-noise half of the loop together;
+check the rewrites that replaced them: :func:`reference_discretize_lifted`
+differences cumulative integrals from one ``vanloan`` per cell endpoint;
+:func:`reference_step` walks the cells of a period one by one on SciPy
+propagators, advancing the exogenous and the anti-noise half of the loop
+together;
 :func:`reference_run_arm` runs one adaptive arm a period per Python
 iteration through the single-arm :func:`reference_loop_step` and
 :func:`sdfx_lms_step`; :func:`reference_build_wiener` sums one delayed copy
@@ -28,6 +30,7 @@ per-value formatter; and
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -36,10 +39,10 @@ import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
 from ancsim.adaptive import LmsConditionReport, WienerProblem, check_lms_conditions
-from ancsim.lifting import SimTrace
+from ancsim.lifting import LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
-from ancsim.signals import AutonomousGenerator
-from ancsim.statespace import DimensionError
+from ancsim.signals import AutonomousGenerator, HeldWaveform
+from ancsim.statespace import DimensionError, vanloan
 
 
 def expm_ref(m: np.ndarray) -> np.ndarray:
@@ -344,6 +347,25 @@ def zoh_discretize_ref(a, b, dt):
     return big[:n, :n], big[:n, n:]
 
 
+def reference_discretize_lifted(sys, h: float, L: int):
+    """Lifted blocks from cumulative Van Loan integrals at every cell endpoint.
+
+    Runs ``vanloan`` at each endpoint l h / L and differences the cumulative
+    output integrals, L exponentials where the package uses two.
+    """
+    nu = sys.nstates
+    Ch = np.empty((L, nu))
+    Dh = np.empty(L)
+    lam_prev = np.zeros(nu)
+    theta_prev = 0.0
+    for l in range(1, L + 1):
+        vl = vanloan(sys, l * h / L)
+        Ch[l - 1] = vl.Lambda[0] - lam_prev
+        Dh[l - 1] = vl.Theta[0, 0] - theta_prev
+        lam_prev, theta_prev = vl.Lambda[0], vl.Theta[0, 0]
+    return LiftedDiscretization(Ah=vl.Phi, Bh=vl.Gamma[:, 0], Ch=Ch, Dh=Dh, h=h, L=L)
+
+
 def dtft_dense(samples, omegas, h: float) -> np.ndarray:
     """sum_n x[n] e^{-j w n h} as one dense (frequencies x samples) product."""
     x = np.asarray(samples, dtype=float).reshape(-1)
@@ -406,87 +428,102 @@ class ReferencePeriod:
 
 def reference_initial_state(loop, n_taps: int) -> ReferenceLoopState:
     """The per-cell loop at rest, with the generator at its initial state."""
-    gen0 = loop.generator.x0.copy() if loop._held is None else np.zeros(0)
+    held = isinstance(loop.generator, HeldWaveform)
     return ReferenceLoopState(
         zeta_F=np.zeros(loop.secondary.nstates),
         zeta_P=np.zeros(loop.primary.nstates),
-        gen_state=gen0,
+        gen_state=np.zeros(0) if held else loop.generator.x0.copy(),
         eta=np.zeros(loop.secondary.nstates),
         xd_hist=np.zeros(n_taps),
         n=0,
     )
 
 
+@functools.lru_cache(maxsize=4)  # one loop per test; bounded so loops do not outlive it
+def _reference_maps(loop) -> dict:
+    """SciPy one-cell and one-period propagators of ``loop``'s plants.
+
+    The secondary path is discretized with its output integral appended as
+    a last state (``[[A, 0], [c, 0]]``), so one hold discretization gives
+    the cell propagator, its input integral and the per-cell integral of
+    the output. The source and the primary path step as one joint state:
+    the generator (none for a held waveform) first, then the primary path.
+    """
+    dt, sec, pri, gen = loop.h / loop.L, loop.secondary, loop.primary, loop.generator
+    n = sec.nstates
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n], aug[n, :n] = sec.A, sec.C[0]
+    maps = {
+        "f_cell": zoh_discretize_ref(aug, np.vstack([sec.B, [[0.0]]]), dt),
+        "f_period": zoh_discretize_ref(sec.A, sec.B, loop.h),
+    }
+    if isinstance(gen, HeldWaveform):
+        maps["z_cell"] = zoh_discretize_ref(pri.A, pri.B, dt)
+    else:
+        ng, npr = gen.nstates, pri.nstates
+        joint = np.zeros((ng + npr, ng + npr))
+        joint[:ng, :ng], joint[ng:, ng:] = gen.A, pri.A
+        joint[ng:, :ng] = pri.B @ gen.C.reshape(1, -1)
+        maps["z_cell"] = (expm_ref(joint * dt), np.zeros((ng + npr, 1)))
+        maps["z_period"] = expm_ref(joint * loop.h)
+    return maps
+
+
 def reference_step(loop, state: ReferenceLoopState, taps) -> tuple[ReferenceLoopState, ReferencePeriod]:
     """One period of ``loop`` advanced cell by cell (the per-cell loop).
 
     Advances both halves of the loop together, the way the package did
-    before it split them at the taps. Uses the loop's one-cell propagators
-    and lifted blocks; the loop's precomputed cell-output maps are not used.
+    before it split them at the taps. Every propagator comes from SciPy
+    (:func:`_reference_maps`); of the loop it reads only the plants, the
+    source and the grid.
     """
     taps = np.asarray(taps, dtype=float).reshape(-1)
     if taps.size != state.xd_hist.size:
         raise DimensionError(
             f"taps length {taps.size} does not match delay line length {state.xd_hist.size}"
         )
-    n, L = state.n, loop.L
-    held = loop._held
+    n, L, gen = state.n, loop.L, loop.generator
+    held = isinstance(gen, HeldWaveform)
+    maps = _reference_maps(loop)
 
-    if held is None:
-        x_d = float(loop._c_g @ state.gen_state)
-    else:
-        base = n * L
-        if base + L > len(held):
+    if held:
+        if (n + 1) * L > len(gen):
             raise ValueError(
-                f"held waveform exhausted: period {n} needs samples up to {base + L}"
+                f"held waveform exhausted: period {n} needs samples up to {(n + 1) * L}"
             )
-        x_d = float(held.values[base])
+        x_d = float(gen.values[n * L])
+    else:
+        x_d = float(gen.C @ state.gen_state)
 
     xd_hist = np.empty_like(state.xd_hist)
     xd_hist[0] = x_d
     xd_hist[1:] = state.xd_hist[:-1]
     y_d = float(taps @ xd_hist)
 
-    u_block = loop.lift.Ch @ state.eta + loop.lift.Dh * x_d
+    x_fast, d_fast, w_fast, u_fast, u_block = (np.empty(L) for _ in range(5))
+    c_f, c_p, ng = loop.secondary.C[0], loop.primary.C[0], state.gen_state.size
+    (phi_a, gamma_a), (phi_z, gamma_z) = maps["f_cell"], maps["z_cell"]
+    phi_f, gamma_f = phi_a[:-1, :-1], gamma_a[:-1, 0]
+    z = np.concatenate([state.gen_state, state.zeta_P])
+    zf, eta = state.zeta_F, state.eta
+    for l in range(L):
+        x_fast[l] = gen.values[n * L + l] if held else gen.C @ z[:ng]
+        d_fast[l] = c_p @ z[ng:]
+        w_fast[l] = c_f @ zf
+        u_fast[l] = c_f @ eta
+        z = phi_z @ z + gamma_z[:, 0] * (x_fast[l] if held else 0.0)
+        zf = phi_f @ zf + gamma_f * y_d
+        eta_int = phi_a @ np.append(eta, 0.0) + gamma_a[:, 0] * x_d
+        eta, u_block[l] = eta_int[:-1], eta_int[-1]
+    if not held:
+        z = maps["z_period"] @ np.concatenate([state.gen_state, state.zeta_P])
 
-    x_fast = np.empty(L)
-    d_fast = np.empty(L)
-    w_fast = np.empty(L)
-    u_fast = np.empty(L)
-    zf = state.zeta_F
-    eta = state.eta
-    if held is None:
-        z = np.concatenate([state.gen_state, state.zeta_P])
-        for l in range(L):
-            x_fast[l] = loop._c_g @ z[:loop._ng]
-            d_fast[l] = loop._c_p @ z[loop._ng:]
-            w_fast[l] = loop._c_f @ zf
-            u_fast[l] = loop._c_f @ eta
-            z = loop._phi_joint_cell @ z
-            zf = loop._phi_f @ zf + loop._gamma_f * y_d
-            eta = loop._phi_f @ eta + loop._gamma_f * x_d
-        z_end = loop._phi_joint_period @ np.concatenate([state.gen_state, state.zeta_P])
-        gen_next = z_end[:loop._ng]
-        zeta_p_next = z_end[loop._ng:]
-    else:
-        zp = state.zeta_P
-        for l in range(L):
-            xv = held.values[n * L + l]
-            x_fast[l] = xv
-            d_fast[l] = loop._c_p @ zp
-            w_fast[l] = loop._c_f @ zf
-            u_fast[l] = loop._c_f @ eta
-            zp = loop._phi_p @ zp + loop._gamma_p * xv
-            zf = loop._phi_f @ zf + loop._gamma_f * y_d
-            eta = loop._phi_f @ eta + loop._gamma_f * x_d
-        gen_next = state.gen_state
-        zeta_p_next = zp
-
+    ad, bd = maps["f_period"]
     new_state = ReferenceLoopState(
-        zeta_F=loop.lift.Ah @ state.zeta_F + loop.lift.Bh * y_d,
-        zeta_P=zeta_p_next,
-        gen_state=gen_next,
-        eta=loop.lift.Ah @ state.eta + loop.lift.Bh * x_d,
+        zeta_F=ad @ state.zeta_F + bd[:, 0] * y_d,
+        zeta_P=z[ng:],
+        gen_state=z[:ng],
+        eta=ad @ state.eta + bd[:, 0] * x_d,
         xd_hist=xd_hist,
         n=n + 1,
     )

@@ -266,10 +266,14 @@ class TestErrorPaths:
         assert "adapt.mu" in err
 
     @pytest.mark.parametrize("command,mu,key", [("run", "nan", "adapt.mu"),
-                                                ("sweep", "0.1,nan", "adapt.mu_list")])
+                                                ("sweep", "0.1,nan", "adapt.mu_list"),
+                                                ("check", "0", "adapt.mu")])
     def test_nan_mu_exits_two(self, command, mu, key, small_config, tmp_path, capsys):
+        # check reads its trace only once the step size is valid
+        trace = ["--trace", str(tmp_path / "missing.csv")] if command == "check" else []
         code, _, err = _run_cli(
-            [command, "--config", small_config, "--out", str(tmp_path / "o"), "--mu", mu], capsys
+            [command, "--config", small_config, "--out", str(tmp_path / "o"), "--mu", mu] + trace,
+            capsys,
         )
         assert code == 2
         assert f"configuration error: {key}:" in err

@@ -121,6 +121,14 @@ def test_unknown_key_rejected():
         ("noise.frequencies = 1.0, 2.6, nan, 4.8", "noise.frequencies"),
         ("noise.decay_rates = nan, 0.01, 0.01, 0.01", "noise.decay_rates"),
         ("noise.phases = 0.0, 0.0, 0.0, nan", "noise.phases"),
+        ("plant.f.gains = nan, 1, 1, 1", "plant.f.gains"),
+        ("plant.f.frequencies = nan, 1, 1, 1", "plant.f.frequencies"),
+        ("plant.f.poles = nan", "plant.f.poles"),
+        ("plant.f.dampings = 0.1, nan, 0.1, 0.1", "plant.f.dampings"),
+        ("plant.p.gains = 0.078, 0.078, inf, 0.078", "plant.p.gains"),
+        ("plant.p.frequencies = 1.2, 2.4, 3.6, nan", "plant.p.frequencies"),
+        ("plant.p.poles = 1.2, inf", "plant.p.poles"),
+        ("plant.p.dampings = nan, 0.1, 0.1, 0.1", "plant.p.dampings"),
     ],
 )
 def test_field_validation_names_the_key(line, key):
@@ -173,6 +181,15 @@ def test_waveform_too_short(tmp_path):
     with pytest.raises(ConfigError) as err:
         config.make_generator()
     assert "noise.waveform" in str(err.value)
+
+
+def test_waveform_non_finite_sample_names_the_key(tmp_path):
+    path = tmp_path / "wave.txt"
+    path.write_text("0.5\nnan\n" + "0.0\n" * 6)
+    config = SimConfig().with_overrides(T=2.0, L=4, waveform_path=str(path))
+    with pytest.raises(ConfigError) as err:
+        config.make_generator()
+    assert str(err.value).startswith("noise.waveform:")
 
 
 def test_waveform_missing_file():

@@ -23,6 +23,7 @@ from ancsim import (
     l2_norm,
     vanloan,
 )
+from ancsim import lifting, statespace
 from ancsim.tolerances import TOL
 
 
@@ -92,6 +93,57 @@ def test_refining_cells_preserves_coarse_rows():
     scale = max(1.0, np.abs(coarse.Ch).max())
     assert np.abs(paired_c - coarse.Ch).max() < TOL.block_refinement * scale
     assert np.abs(paired_d - coarse.Dh).max() < TOL.block_refinement
+
+
+@pytest.mark.parametrize("L", [1, 2, 8, 32, 512])
+def test_discretize_matches_per_endpoint_reference(L):
+    """The one-cell construction reproduces the differenced cumulative integrals.
+
+    The reference loses digits when it differences integrals that grow with
+    the cell index, so the stated tolerance is TOL.block_refinement * L,
+    relative to each block's largest entry.
+    """
+    rng = np.random.default_rng(500 + L)
+    for _ in range(20):
+        sys = random_stable_siso(rng, max_states=8)
+        h = float(rng.uniform(0.3, 1.5))
+        got = discretize_lifted(sys, h, L)
+        want = oracles.reference_discretize_lifted(sys, h, L)
+        for name in ("Ah", "Bh", "Ch", "Dh"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= TOL.block_refinement * L * np.abs(b).max(), name
+
+
+def _count_expm(monkeypatch) -> list:
+    calls = []
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return real_expm(m)
+
+    real_expm = statespace.expm
+    monkeypatch.setattr(statespace, "expm", counting)
+    monkeypatch.setattr(lifting, "expm", counting)
+    return calls
+
+
+def test_discretize_runs_two_exponentials(monkeypatch):
+    calls = _count_expm(monkeypatch)
+    discretize_lifted(lag(), 1.0, 16)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["autonomous", "held"])
+@pytest.mark.parametrize("L", [1, 8, 32])
+def test_loop_build_runs_four_exponentials(kind, L, monkeypatch):
+    """One exponential per plant at the cell width and one at the period, at every L."""
+    sec, pri, gen = bench_small()
+    if kind == "held":
+        gen = HeldWaveform(values=np.zeros(4 * L), dt=1.0 / L)
+    calls = _count_expm(monkeypatch)
+    HybridLoop(sec, pri, gen, h=1.0, L=L)
+    assert len(calls) == 4
 
 
 def test_state_matrix_spectrum_maps_poles():
