@@ -336,7 +336,8 @@ def emit_bode(config: SimConfig, n_points: int = 400):
 # CSV output
 
 
-_CHUNK_ROWS = 4096
+# Values per written chunk: a wide table gets proportionally fewer rows.
+_CHUNK_VALUES = 8192
 _COLUMN_FORMATS = {"i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 
@@ -344,17 +345,19 @@ def _write_columns(path: str, header: list[str], columns) -> None:
     """Write equal-length 1-D columns as CSV, streamed in row chunks.
 
     Integer and boolean columns print with %d, text columns with %s, all
-    others with %.17g. Only one chunk of rows is ever held as Python objects.
+    others with %.17g. Only one chunk of about ``_CHUNK_VALUES`` values is
+    ever held as Python objects, however many columns the table has.
     A key/value table passes ``zip(*items)``, so its values form one float64
     column; %.17g prints its counts and flags without a decimal point.
     """
     columns = [np.asarray(c) for c in columns]
     fmt = ",".join(_COLUMN_FORMATS.get(c.dtype.kind, "%.17g") for c in columns) + "\n"
     n_rows = len(columns[0])
+    rows = max(1, _CHUNK_VALUES // len(columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
+        for start in range(0, n_rows, rows):
+            chunk = [c[start:start + rows].tolist() for c in columns]
             fh.write("".join([fmt % row for row in zip(*chunk)]))
 
 

@@ -6,7 +6,10 @@ Folding the squared magnitude over all aliases of the sampling frequency
 gives a 2 pi / h periodic energy density S(w). Its peak bounds every
 eigenvalue any realized Gram matrix can have, which turns into the usable
 step-size range (0, 2 / sup S) for descent on the quadratic problem. The
-module also checks the Gram/spectrum consistency: Gram entries are inverse
+plant and the record are real and the alias window is symmetric, so S is
+even: ``spectral_bound`` evaluates the nonnegative half of its grid, on one
+modal decomposition of the secondary path, and mirrors the rest. The module
+also checks the Gram/spectrum consistency: Gram entries are inverse
 transforms of S over one period of frequencies.
 """
 
@@ -49,12 +52,15 @@ def dtft(samples, omegas, h: float) -> np.ndarray:
     """Transform of a sampled sequence: sum_n x[n] e^{-j w n h}.
 
     Evaluated as a polynomial in e^{-j w h} by Horner's rule, so memory stays
-    at one value per frequency whatever the record length.
+    at one value per frequency whatever the record length. NaN or infinite
+    samples are rejected.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
     om = np.asarray(omegas, dtype=float).reshape(-1)
     if x.size == 0:
         raise ValueError("empty sample record")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample record contains non-finite values")
     return np.polynomial.polynomial.polyval(np.exp(-1j * om * h), x)
 
 
@@ -107,11 +113,15 @@ def spectral_bound(
 ) -> SpectralBound:
     """Evaluate the aliased energy density on a frequency grid.
 
-    S(w) = (1/h) |Xd(e^{jwh})|^2 * sum_k |F H0 (j(w + 2 pi k / h))|^2 with
-    the alias sum truncated at ``n_alias``. Requires a strictly proper SISO
-    secondary path (a feedthrough term would make the alias sum diverge);
-    each alias term is one ``u_spectrum``, which checks the SISO shape.
+    S(w) = (1/h) |Xd(e^{jwh})|^2 * sum_k |F(j w_k)|^2 |H0(j w_k)|^2 with
+    w_k = w + 2 pi k / h and the alias sum truncated at ``n_alias``. Requires
+    a strictly proper SISO secondary path (a feedthrough term would make the
+    alias sum diverge). S is even, so only the grid points with w >= 0 are
+    evaluated and the rest are their mirror images. Every alias term reuses
+    the one modal decomposition cached on ``secondary``.
     """
+    if not secondary.is_siso:
+        raise DimensionError("spectral bound expects a SISO secondary path")
     if not secondary.is_strictly_proper:
         raise PlantSpecificationError(
             "spectral bound requires a strictly proper secondary path"
@@ -125,12 +135,18 @@ def spectral_bound(
 
     spacing = 2.0 * np.pi / h / grid_size
     om = -np.pi / h + (np.arange(grid_size) + 0.5) * spacing
-    xd = dtft(xd_samples, om, h)
+    half = om[grid_size // 2:]
+    xd = dtft(xd_samples, half, h)
 
-    folded = np.zeros(grid_size)
+    folded = np.zeros(half.size)
     for k in range(-n_alias, n_alias + 1):
-        folded += np.abs(u_spectrum(secondary, 1.0, om + 2.0 * np.pi * k / h, h)) ** 2
-    values = np.abs(xd) ** 2 / h * folded
+        w = half + 2.0 * np.pi * k / h
+        f = freq_response_grid(secondary, w)[:, 0, 0]
+        # |H0|^2 from the sinc form: the hold's phase factor has modulus 1
+        hold = h * np.sinc(w * h / (2.0 * np.pi))
+        folded += (f.real ** 2 + f.imag ** 2) * hold ** 2
+    half_values = (xd.real ** 2 + xd.imag ** 2) / h * folded
+    values = np.concatenate([half_values[::-1][:grid_size // 2], half_values])
 
     peak = float(values.max())
     mu_limit = float("inf") if peak == 0.0 else 2.0 / peak

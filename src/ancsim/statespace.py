@@ -16,6 +16,7 @@ evaluation of the single degree 13.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,24 @@ class ContinuousStateSpace:
         if self.nstates == 0:
             return np.zeros(0, dtype=complex)
         return np.linalg.eigvals(self.A)
+
+    @functools.cached_property
+    def _modal(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Eigenvalues of A and the residue of each mode, or None.
+
+        Residue k is the outer product of column k of C V with row k of
+        V^-1 B, shape (n, p, m). None when the eigenvector matrix V is not
+        finite or has cond(V) >= 1e9. A, B and C are frozen, so the cache
+        cannot go stale; its arrays are read-only too.
+        """
+        lam, V = np.linalg.eig(self.A)
+        if not (np.all(np.isfinite(V)) and np.linalg.cond(V) < 1e9):
+            return None
+        CV = self.C @ V
+        VB = np.linalg.solve(V, self.B)
+        residues = CV.T[:, :, None] * VB[:, None, :]
+        lam.flags.writeable = residues.flags.writeable = False
+        return lam, residues
 
     @property
     def is_stable(self) -> bool:
@@ -245,37 +264,45 @@ def freq_response(sys: ContinuousStateSpace, omega: float) -> np.ndarray:
     return sys.C @ np.linalg.solve(shifted, sys.B) + sys.D
 
 
+# Bytes of each complex temporary of one stacked fallback solve: under the
+# 128 KiB at which glibc serves a block with a fresh mmap.
+_SOLVE_CHUNK_BYTES = 1 << 16
+
+
 def freq_response_grid(sys: ContinuousStateSpace, omegas) -> np.ndarray:
     """Transfer matrices on a frequency grid, shape (n, p, m).
 
-    Uses a modal decomposition when A diagonalizes well (one eigendecomposition
-    for the whole grid); falls back to per-frequency solves for defective or
-    badly conditioned eigenvector matrices.
+    Sums the modal form when A diagonalizes well. That form comes from one
+    eigendecomposition per system, cached on it, so repeated grids on one
+    plant decompose it once. Defective or badly conditioned eigenvector
+    matrices fall back to the shifted systems (jw I - A) X = B, solved as one
+    stacked ``np.linalg.solve`` per chunk of frequencies.
     """
     om = np.asarray(omegas, dtype=float).ravel()
     p, m = sys.noutputs, sys.ninputs
     if sys.nstates == 0:
         return np.broadcast_to(sys.D, (om.size, p, m)).astype(complex).copy()
 
-    lam, V = np.linalg.eig(sys.A)
-    use_modal = False
-    if np.all(np.isfinite(V)):
-        cond = np.linalg.cond(V)
-        use_modal = np.isfinite(cond) and cond < 1e9
-
-    if use_modal:
-        CV = sys.C @ V
-        VB = np.linalg.solve(V, sys.B)
+    modal = sys._modal
+    if modal is not None:
+        lam, residues = modal
+        jw = 1j * om
         # mode by mode: a grid x modes temporary would need a fresh mmap per call
         resp = np.zeros((om.size, p, m), dtype=complex)
         for k in range(lam.size):
-            resp += np.multiply.outer(1.0 / (1j * om - lam[k]), np.outer(CV[:, k], VB[k]))
+            resp += np.multiply.outer(1.0 / (jw - lam[k]), residues[k])
         resp += sys.D
         return resp
 
+    nu = sys.nstates
+    ident = np.eye(nu)
+    chunk = max(1, _SOLVE_CHUNK_BYTES // (16 * max(nu, p) * max(nu, m)))
     out = np.empty((om.size, p, m), dtype=complex)
-    for i, w in enumerate(om):
-        out[i] = freq_response(sys, w)
+    for start in range(0, om.size, chunk):
+        w = om[start:start + chunk]
+        shifted = np.multiply.outer(1j * w, ident) - sys.A
+        X = np.linalg.solve(shifted, np.broadcast_to(sys.B, (w.size, nu, m)))
+        out[start:start + chunk] = sys.C @ X + sys.D
     return out
 
 

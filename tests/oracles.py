@@ -24,8 +24,10 @@ of the record per lag pair and :func:`reference_check_lms_conditions` builds the
 of each period in a Python loop; :func:`reference_wiener_solve` solves the
 quadratic problem by Cholesky factorization plus one refinement step; the
 ``reference_write_*`` functions write every CSV table row by row through a
-per-value formatter; and
-:func:`dtft_dense` evaluates a transform as one dense matrix product.
+per-value formatter;
+:func:`dtft_dense` evaluates a transform as one dense matrix product; and
+:func:`reference_spectral_bound` folds the aliased energy density over the
+whole grid, one ``u_spectrum`` per alias term.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from ancsim.adaptive import LmsConditionReport, WienerProblem, check_lms_conditi
 from ancsim.lifting import LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator, HeldWaveform
-from ancsim.statespace import DimensionError, vanloan
+from ancsim.spectrum import SpectralBound, dtft, u_spectrum
+from ancsim.statespace import DimensionError, PlantSpecificationError, vanloan
 
 
 def expm_ref(m: np.ndarray) -> np.ndarray:
@@ -371,6 +374,42 @@ def dtft_dense(samples, omegas, h: float) -> np.ndarray:
     x = np.asarray(samples, dtype=float).reshape(-1)
     om = np.asarray(omegas, dtype=float).reshape(-1)
     return np.exp(-1j * np.outer(om, np.arange(x.size) * h)) @ x
+
+
+def reference_spectral_bound(
+    secondary, xd_samples, h: float, grid_size: int = 4096, n_alias: int = 64
+) -> SpectralBound:
+    """Aliased energy density on the whole grid, one ``u_spectrum`` per alias."""
+    if not secondary.is_strictly_proper:
+        raise PlantSpecificationError(
+            "spectral bound requires a strictly proper secondary path"
+        )
+    if not h > 0.0:
+        raise ValueError(f"period must be positive, got {h}")
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
+    if n_alias < 0:
+        raise ValueError("n_alias must be nonnegative")
+
+    spacing = 2.0 * np.pi / h / grid_size
+    om = -np.pi / h + (np.arange(grid_size) + 0.5) * spacing
+    xd = dtft(xd_samples, om, h)
+
+    folded = np.zeros(grid_size)
+    for k in range(-n_alias, n_alias + 1):
+        folded += np.abs(u_spectrum(secondary, 1.0, om + 2.0 * np.pi * k / h, h)) ** 2
+    values = np.abs(xd) ** 2 / h * folded
+
+    peak = float(values.max())
+    mu_limit = float("inf") if peak == 0.0 else 2.0 / peak
+    return SpectralBound(
+        omegas=om,
+        values=values,
+        peak=peak,
+        mu_limit=mu_limit,
+        h=float(h),
+        n_alias=int(n_alias),
+    )
 
 
 def held_output_fine(sys, x_held, h, refine):

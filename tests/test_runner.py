@@ -502,9 +502,31 @@ def test_csv_writer_streams_long_tables(tmp_path, monkeypatch):
     """Tables longer than one chunk come out whole and in order."""
     from ancsim import runner
 
-    monkeypatch.setattr(runner, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(runner, "_CHUNK_VALUES", 7)
     result = run_single(short_config())
     _assert_same_bytes(tmp_path, write_run_csv, oracles.reference_write_run_csv, result)
+
+
+@pytest.mark.parametrize("n_float", [1, 32])
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_csv_writer_chunk_boundaries(tmp_path, n_float, offset):
+    """Narrow and wide tables at and around one chunk of rows keep their bytes.
+
+    ``offset`` None writes an empty and a one-row table; otherwise the row
+    count is the writer's rows per chunk plus ``offset``.
+    """
+    n_cols = 1 + n_float
+    chunk = max(1, runner._CHUNK_VALUES // n_cols)
+    header = ["n"] + [f"v{j}" for j in range(n_float)]
+    fmt = ",".join(["%d"] + ["%.17g"] * n_float) + "\n"
+    rng = np.random.default_rng(n_cols)
+    for n_rows in ([0, 1] if offset is None else [chunk + offset]):
+        columns = [np.arange(n_rows)] + [rng.normal(size=n_rows) for _ in range(n_float)]
+        path = tmp_path / f"t{n_rows}.csv"
+        runner._write_columns(str(path), header, columns)
+        rows = zip(*[c.tolist() for c in columns])
+        want = ",".join(header) + "\n" + "".join([fmt % row for row in rows])
+        assert path.read_bytes() == want.encode(), n_rows
 
 
 def test_identical_runs_identical_bytes(tmp_path):

@@ -66,6 +66,12 @@ def test_dtft_impulse_and_shift():
         dtft([], om, h)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dtft_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        dtft([1.0, bad, 0.5], np.linspace(-1.0, 1.0, 5), 1.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 100, 2000])
 def test_dtft_matches_dense_sum(n):
     rng = np.random.default_rng(n)
@@ -160,6 +166,52 @@ def test_bound_input_validation():
         spectral_bound(lag(), [1.0], h=1.0, grid_size=1)
     with pytest.raises(ValueError):
         spectral_bound(lag(), [1.0], h=1.0, n_alias=-1)
+
+
+def test_bound_rejects_non_finite_record():
+    xd = np.ones(16)
+    xd[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_bound(lag(), xd, h=1.0)
+
+
+@pytest.mark.parametrize("zeta", [0.1, 0.03, 1.0])
+@pytest.mark.parametrize("h", [1.0, 0.7])
+@pytest.mark.parametrize("n_alias", [0, 1, 16])
+@pytest.mark.parametrize("grid_size", [2, 3, 64, 65, 1024])
+def test_bound_matches_full_grid_reference(grid_size, n_alias, h, zeta):
+    """The mirrored half grid equals the per-alias sum over the whole grid.
+
+    zeta = 1 gives repeated poles, so the secondary path takes the
+    non-modal branch of ``freq_response_grid``.
+    """
+    sec = SimConfig().with_overrides(zeta=zeta).secondary()
+    xd = np.random.default_rng(grid_size).normal(size=40)
+    got = spectral_bound(sec, xd, h, grid_size=grid_size, n_alias=n_alias)
+    want = oracles.reference_spectral_bound(sec, xd, h, grid_size=grid_size, n_alias=n_alias)
+    assert np.array_equal(got.omegas, want.omegas)
+    assert np.abs(got.values - want.values).max() <= 1e-12 * want.peak
+    assert abs(got.peak - want.peak) <= 1e-12 * want.peak
+    assert abs(got.mu_limit - want.mu_limit) <= 1e-12 * want.mu_limit
+
+
+@pytest.mark.parametrize("n_alias", [0, 64])
+def test_bound_decomposes_secondary_once(n_alias, monkeypatch, default_config):
+    calls = []
+    real_eig = np.linalg.eig
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    sec = default_config.secondary()
+    xd = np.random.default_rng(3).normal(size=40)
+    spectral_bound(sec, xd, h=1.0, grid_size=256, n_alias=n_alias)
+    assert len(calls) == 1
+    # the modal form is cached on the plant: a second bound decomposes nothing
+    spectral_bound(sec, xd, h=0.5, grid_size=256, n_alias=n_alias)
+    assert len(calls) == 1
 
 
 def test_gram_eigenvalues_below_spectral_peak(default_config):

@@ -168,6 +168,24 @@ def test_freq_response_grid_matches_pointwise():
             assert np.allclose(grid[i], single, rtol=1e-9, atol=1e-12)
 
 
+def test_freq_response_grid_fallback_matches_pointwise(default_config):
+    """Non-diagonalizable plants take the stacked solves, over several chunks."""
+    critically_damped = default_config.with_overrides(zeta=1.0).secondary()
+    jordan = ContinuousStateSpace(
+        A=[[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
+        B=[[0.0, 1.0], [0.5, 0.0], [1.0, -2.0]],
+        C=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 1.0]],
+        D=[[0.0, 0.1], [0.2, 0.0], [0.0, 0.0]],
+    )
+    omegas = np.linspace(-12.0, 12.0, 2049)
+    for sys in (critically_damped, jordan):
+        assert sys._modal is None
+        grid = freq_response_grid(sys, omegas)
+        want = np.array([freq_response(sys, w) for w in omegas])
+        assert grid.shape == want.shape
+        assert np.abs(grid - want).max() <= 1e-13 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # plant builder
 
