@@ -48,7 +48,6 @@ from .signals import AutonomousGenerator, HeldWaveform
 from .spectrum import (
     ParsevalReport,
     SpectralBound,
-    dtft,
     parseval_check,
     spectral_bound,
     u_spectrum,

@@ -7,8 +7,9 @@ gives a 2 pi / h periodic energy density S(w). Its peak bounds every
 eigenvalue any realized Gram matrix can have, which turns into the usable
 step-size range (0, 2 / sup S) for descent on the quadratic problem. The
 plant and the record are real and the alias window is symmetric, so S is
-even: ``spectral_bound`` evaluates the nonnegative half of its grid, on one
-modal decomposition of the secondary path, and mirrors the rest. The module
+even: ``spectral_bound`` evaluates the nonnegative half of its grid, from
+one FFT of the record and one modal decomposition of the secondary path, and
+mirrors the rest. The module
 also checks the Gram/spectrum consistency: Gram entries are inverse
 transforms of S over one period of frequencies.
 """
@@ -31,7 +32,6 @@ __all__ = [
     "SpectralBound",
     "ParsevalReport",
     "zoh_frequency_response",
-    "dtft",
     "u_spectrum",
     "spectral_bound",
     "parseval_check",
@@ -48,20 +48,32 @@ def zoh_frequency_response(omegas, h: float) -> np.ndarray:
     return h * np.exp(-0.5j * om * h) * np.sinc(om * h / (2.0 * np.pi))
 
 
-def dtft(samples, omegas, h: float) -> np.ndarray:
-    """Transform of a sampled sequence: sum_n x[n] e^{-j w n h}.
+def _half_grid_transform(samples, grid_size: int) -> np.ndarray:
+    """Record transform sum_n x[n] e^{-j w n h} at the grid points w >= 0.
 
-    Evaluated as a polynomial in e^{-j w h} by Horner's rule, so memory stays
-    at one value per frequency whatever the record length. NaN or infinite
-    samples are rejected.
+    Those points of ``spectral_bound``'s grid are w_j h = 2 pi (j + c) / G
+    with G = ``grid_size`` and c = 1/2 for even G, 0 for odd G, so the
+    transform is one length-G FFT of the record folded onto G samples:
+    y_m = e^{-j 2 pi c m / G} sum_q e^{-j 2 pi c q} x_{m + qG}. NaN or
+    infinite samples are rejected.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
-    om = np.asarray(omegas, dtype=float).reshape(-1)
     if x.size == 0:
         raise ValueError("empty sample record")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample record contains non-finite values")
-    return np.polynomial.polynomial.polyval(np.exp(-1j * om * h), x)
+    periods = -(-x.size // grid_size)
+    padded = np.zeros(periods * grid_size)
+    padded[:x.size] = x
+    rows = padded.reshape(periods, grid_size)
+    if grid_size % 2:
+        y = rows.sum(axis=0)
+    else:
+        # c = 1/2: alternate the sign of each folded period and shift by half a bin
+        half_bin = np.exp(-1j * np.pi * np.arange(grid_size) / grid_size)
+        y = (rows[0::2].sum(axis=0) - rows[1::2].sum(axis=0)) * half_bin
+    # numpy.fft loads on first use, so a run that takes no bound never imports it
+    return np.fft.fft(y)[:grid_size - grid_size // 2]
 
 
 def u_spectrum(
@@ -80,6 +92,11 @@ def u_spectrum(
     om = np.asarray(omegas, dtype=float).ravel()
     resp = freq_response_grid(secondary, om)[:, 0, 0]
     return resp * zoh_frequency_response(om, h) * np.asarray(xd_spectrum)
+
+
+# Frequencies per stacked alias chunk: its complex temporaries stay at 112 KiB,
+# under the 128 KiB above which glibc serves each one with a fresh mmap.
+_ALIAS_CHUNK_VALUES = 7168
 
 
 @dataclass(frozen=True)
@@ -117,8 +134,13 @@ def spectral_bound(
     w_k = w + 2 pi k / h and the alias sum truncated at ``n_alias``. Requires
     a strictly proper SISO secondary path (a feedthrough term would make the
     alias sum diverge). S is even, so only the grid points with w >= 0 are
-    evaluated and the rest are their mirror images. Every alias term reuses
-    the one modal decomposition cached on ``secondary``.
+    evaluated and the rest are their mirror images. On those points the
+    record transform Xd is one FFT of the record folded onto the grid. Every
+    alias has sin(w_k h / 2) = +-sin(w h / 2), so the hold factor
+    |H0(j w_k)|^2 = 4 sin^2(w h / 2) / w_k^2 takes one sine per grid point
+    (h^2 at w_k = 0). The aliases go through ``freq_response_grid`` a few at
+    a time as one stacked frequency vector of at most ``_ALIAS_CHUNK_VALUES``
+    values, on the one modal decomposition cached on ``secondary``.
     """
     if not secondary.is_siso:
         raise DimensionError("spectral bound expects a SISO secondary path")
@@ -136,15 +158,21 @@ def spectral_bound(
     spacing = 2.0 * np.pi / h / grid_size
     om = -np.pi / h + (np.arange(grid_size) + 0.5) * spacing
     half = om[grid_size // 2:]
-    xd = dtft(xd_samples, half, h)
+    xd = _half_grid_transform(xd_samples, grid_size)
 
+    four_sin2 = 4.0 * np.sin(0.5 * h * half) ** 2
+    shifts = 2.0 * np.pi * np.arange(-n_alias, n_alias + 1) / h
+    width = min(half.size, _ALIAS_CHUNK_VALUES)
+    rows = _ALIAS_CHUNK_VALUES // width
     folded = np.zeros(half.size)
-    for k in range(-n_alias, n_alias + 1):
-        w = half + 2.0 * np.pi * k / h
-        f = freq_response_grid(secondary, w)[:, 0, 0]
-        # |H0|^2 from the sinc form: the hold's phase factor has modulus 1
-        hold = h * np.sinc(w * h / (2.0 * np.pi))
-        folded += (f.real ** 2 + f.imag ** 2) * hold ** 2
+    for lo in range(0, half.size, width):
+        cols = slice(lo, lo + width)
+        for k0 in range(0, shifts.size, rows):
+            w = half[cols] + shifts[k0:k0 + rows, None]
+            f = freq_response_grid(secondary, w.ravel())[:, 0, 0].reshape(w.shape)
+            w2 = w * w
+            hold = np.divide(four_sin2[cols], w2, out=np.full(w.shape, h * h), where=w2 != 0.0)
+            folded[cols] += ((f.real ** 2 + f.imag ** 2) * hold).sum(axis=0)
     half_values = (xd.real ** 2 + xd.imag ** 2) / h * folded
     values = np.concatenate([half_values[::-1][:grid_size // 2], half_values])
 

@@ -25,9 +25,10 @@ of each period in a Python loop; :func:`reference_wiener_solve` solves the
 quadratic problem by Cholesky factorization plus one refinement step; the
 ``reference_write_*`` functions write every CSV table row by row through a
 per-value formatter;
-:func:`dtft_dense` evaluates a transform as one dense matrix product; and
+:func:`dtft` evaluates a record's transform by Horner's rule and
+:func:`dtft_dense` as one dense matrix product; and
 :func:`reference_spectral_bound` folds the aliased energy density over the
-whole grid, one ``u_spectrum`` per alias term.
+whole grid, with the Horner transform and one ``u_spectrum`` per alias term.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from ancsim.adaptive import LmsConditionReport, WienerProblem, check_lms_conditi
 from ancsim.lifting import LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator, HeldWaveform
-from ancsim.spectrum import SpectralBound, dtft, u_spectrum
+from ancsim.spectrum import SpectralBound, u_spectrum
 from ancsim.statespace import DimensionError, PlantSpecificationError, vanloan
 
 
@@ -369,6 +370,22 @@ def reference_discretize_lifted(sys, h: float, L: int):
     return LiftedDiscretization(Ah=vl.Phi, Bh=vl.Gamma[:, 0], Ch=Ch, Dh=Dh, h=h, L=L)
 
 
+def dtft(samples, omegas, h: float) -> np.ndarray:
+    """Transform of a sampled sequence: sum_n x[n] e^{-j w n h}.
+
+    Evaluated as a polynomial in e^{-j w h} by Horner's rule, so memory stays
+    at one value per frequency whatever the record length. NaN or infinite
+    samples are rejected.
+    """
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    om = np.asarray(omegas, dtype=float).reshape(-1)
+    if x.size == 0:
+        raise ValueError("empty sample record")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample record contains non-finite values")
+    return np.polynomial.polynomial.polyval(np.exp(-1j * om * h), x)
+
+
 def dtft_dense(samples, omegas, h: float) -> np.ndarray:
     """sum_n x[n] e^{-j w n h} as one dense (frequencies x samples) product."""
     x = np.asarray(samples, dtype=float).reshape(-1)
@@ -379,7 +396,10 @@ def dtft_dense(samples, omegas, h: float) -> np.ndarray:
 def reference_spectral_bound(
     secondary, xd_samples, h: float, grid_size: int = 4096, n_alias: int = 64
 ) -> SpectralBound:
-    """Aliased energy density on the whole grid, one ``u_spectrum`` per alias."""
+    """Aliased energy density on the whole grid, one ``u_spectrum`` per alias.
+
+    The record transform is the Horner-rule :func:`dtft` at every grid point.
+    """
     if not secondary.is_strictly_proper:
         raise PlantSpecificationError(
             "spectral bound requires a strictly proper secondary path"

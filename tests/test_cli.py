@@ -337,42 +337,43 @@ def test_module_entry_point(small_config, tmp_path):
     assert os.path.isfile(os.path.join(out_dir, "report.csv"))
 
 
-def test_cold_run_imports_no_scipy(tmp_path):
-    """A fresh process that imports ancsim and runs the CLI never loads scipy."""
+def cold_cli_modules(tmp_path, command, packages):
+    """Run ``anc-sim COMMAND`` on a tiny config in a fresh process.
+
+    Returns the last stdout line: the exit code and the sorted loaded
+    modules that are one of ``packages`` or inside one.
+    """
     config = tmp_path / "tiny.cfg"
     config.write_text("sim.T = 6\nsim.L = 2\n")
     script = (
         "import sys\n"
-        "import ancsim\n"
         "import ancsim.cli\n"
-        "code = ancsim.cli.main(sys.argv[1:])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "code = ancsim.cli.main(sys.argv[2:])\n"
+        "packages = sys.argv[1].split(',')\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if any(m == p or m.startswith(p + '.') for p in packages)))\n"
     )
     src = os.path.dirname(os.path.dirname(ancsim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    argv = [",".join(packages), command, "--config", str(config), "--out", str(tmp_path / "out")]
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cold_run_imports_no_scipy(tmp_path):
+    """A fresh process that imports ancsim and runs the CLI never loads scipy."""
+    assert cold_cli_modules(tmp_path, "run", ["scipy"]) == "0 []"
+
+
+def test_cold_run_loads_no_fft_or_polynomial(tmp_path):
+    """A fresh ``run`` takes no spectral bound, so neither numpy submodule loads."""
+    assert cold_cli_modules(tmp_path, "run", ["numpy.fft", "numpy.polynomial"]) == "0 []"
 
 
 def test_cold_compare_loads_no_process_pool(tmp_path):
     """A fresh ``compare`` forks with ``os`` alone; no pool module is imported."""
-    config = tmp_path / "tiny.cfg"
-    config.write_text("sim.T = 6\nsim.L = 2\n")
-    script = (
-        "import sys\n"
-        "import ancsim.cli\n"
-        "code = ancsim.cli.main(sys.argv[1:])\n"
-        "pools = ('multiprocessing', 'concurrent')\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in pools))\n"
-    )
-    src = os.path.dirname(os.path.dirname(ancsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = ["compare", "--config", str(config), "--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert cold_cli_modules(tmp_path, "compare", ["multiprocessing", "concurrent"]) == "0 []"
     assert len(os.listdir(tmp_path / "out")) == 11
 
 

@@ -16,6 +16,7 @@ REMOVED = (
     "sdfx_lms_step",
     "static_gain",
     "scaled",
+    "dtft",
 )
 
 

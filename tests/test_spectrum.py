@@ -1,5 +1,7 @@
 """Aliased energy spectrum, its peak bound, and the lag-domain cross-check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -11,13 +13,13 @@ from ancsim import (
     PlantSpecificationError,
     build_wiener,
     discretize_lifted,
-    dtft,
     fh_step,
     parseval_check,
     spectral_bound,
     u_spectrum,
     zoh_frequency_response,
 )
+from ancsim import spectrum
 from ancsim.config import SimConfig
 from ancsim.tolerances import TOL
 
@@ -55,21 +57,26 @@ def test_hold_response_zeros_at_sampling_multiples():
     assert np.abs(zoh_frequency_response(om, h)).max() < 1e-15
 
 
+def grid(grid_size, h):
+    """The midpoint grid ``spectral_bound`` evaluates on."""
+    return -np.pi / h + (np.arange(grid_size) + 0.5) * (2.0 * np.pi / h / grid_size)
+
+
 def test_dtft_impulse_and_shift():
     om = np.linspace(-2.0, 2.0, 9)
     h = 1.0
-    assert np.abs(dtft([1.0], om, h) - 1.0).max() < 1e-15
-    shifted = dtft([0.0, 0.0, 1.0], om, h)
+    assert np.abs(oracles.dtft([1.0], om, h) - 1.0).max() < 1e-15
+    shifted = oracles.dtft([0.0, 0.0, 1.0], om, h)
     want = np.exp(-2j * om * h)
     assert np.abs(shifted - want).max() < 1e-14
     with pytest.raises(ValueError):
-        dtft([], om, h)
+        oracles.dtft([], om, h)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dtft_rejects_non_finite_samples(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        dtft([1.0, bad, 0.5], np.linspace(-1.0, 1.0, 5), 1.0)
+        oracles.dtft([1.0, bad, 0.5], np.linspace(-1.0, 1.0, 5), 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 2000])
@@ -77,11 +84,29 @@ def test_dtft_matches_dense_sum(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=n)
     h = 0.7
-    # the grid spectral_bound evaluates on: 4096 cell midpoints over [-pi/h, pi/h)
-    om = -np.pi / h + (np.arange(4096) + 0.5) * (2.0 * np.pi / h / 4096)
+    om = grid(4096, h)
     want = oracles.dtft_dense(x, om, h)
-    got = dtft(x, om, h)
+    got = oracles.dtft(x, om, h)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("length", ["1", "40", "G", "2.5G"])
+@pytest.mark.parametrize("grid_size", [2, 3, 64, 65, 4096])
+def test_half_grid_transform_matches_dense_sum(grid_size, length):
+    """The folded-record FFT equals the dense transform on the grid's w >= 0 half.
+
+    Records longer than the grid ("2.5G") fold onto it. Tolerance: 1e-12 of
+    sum |x|, the bound on the transform's modulus.
+    """
+    n = {"1": 1, "40": 40, "G": grid_size, "2.5G": int(2.5 * grid_size)}[length]
+    x = np.random.default_rng(n + grid_size).normal(size=n)
+    h = 0.7
+    half = grid(grid_size, h)[grid_size // 2:]
+    got = spectrum._half_grid_transform(x, grid_size)
+    # 64 frequencies per dense product keeps the (frequencies x samples) matrix small
+    want = np.concatenate([oracles.dtft_dense(x, half[i:i + 64], h) for i in range(0, half.size, 64)])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(x).sum()
 
 
 def test_regressor_spectrum_is_product():
@@ -175,6 +200,11 @@ def test_bound_rejects_non_finite_record():
         spectral_bound(lag(), xd, h=1.0)
 
 
+def test_bound_rejects_empty_record():
+    with pytest.raises(ValueError, match="empty"):
+        spectral_bound(lag(), [], h=1.0)
+
+
 @pytest.mark.parametrize("zeta", [0.1, 0.03, 1.0])
 @pytest.mark.parametrize("h", [1.0, 0.7])
 @pytest.mark.parametrize("n_alias", [0, 1, 16])
@@ -193,6 +223,51 @@ def test_bound_matches_full_grid_reference(grid_size, n_alias, h, zeta):
     assert np.abs(got.values - want.values).max() <= 1e-12 * want.peak
     assert abs(got.peak - want.peak) <= 1e-12 * want.peak
     assert abs(got.mu_limit - want.mu_limit) <= 1e-12 * want.mu_limit
+
+
+@pytest.mark.parametrize("zeta", [None, 1.0])
+def test_bound_matches_reference_at_default_size(zeta, default_config):
+    """The default grid and alias count on a benchmark-length record.
+
+    2000 periods of the default reference, as the benchmark records them;
+    zeta = 1 takes the stacked-solve fallback of ``freq_response_grid``.
+    """
+    config = default_config if zeta is None else default_config.with_overrides(zeta=zeta)
+    sec = config.secondary()
+    xd = oracles.sample_grid(config.make_generator(), config.h, 2000)
+    got = spectral_bound(sec, xd, config.h, grid_size=4096, n_alias=64)
+    want = oracles.reference_spectral_bound(sec, xd, config.h, grid_size=4096, n_alias=64)
+    assert np.abs(got.values - want.values).max() <= 1e-12 * want.peak
+    assert abs(got.peak - want.peak) <= 1e-12 * want.peak
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 33, 100])
+@pytest.mark.parametrize("grid_size", [64, 65])
+def test_bound_alias_chunks_cover_every_term(grid_size, chunk, monkeypatch, default_config):
+    """A chunk smaller than the half grid (1, 7) splits it; a larger one (33, 100) stacks aliases."""
+    monkeypatch.setattr(spectrum, "_ALIAS_CHUNK_VALUES", chunk)
+    sec = default_config.secondary()
+    xd = np.random.default_rng(chunk).normal(size=40)
+    got = spectral_bound(sec, xd, 0.7, grid_size=grid_size, n_alias=3)
+    want = oracles.reference_spectral_bound(sec, xd, 0.7, grid_size=grid_size, n_alias=3)
+    assert np.abs(got.values - want.values).max() <= 1e-12 * want.peak
+
+
+def test_bound_memory_stays_small(default_config):
+    """One default-size bound on a fresh plant peaks at most 1 MiB of Python allocations.
+
+    The alias chunks bound every temporary; a dense grid x alias evaluation
+    would need about 4 MiB.
+    """
+    xd = oracles.sample_grid(default_config.make_generator(), default_config.h, 2000)
+    sec = default_config.secondary()
+    tracemalloc.start()
+    try:
+        spectral_bound(sec, xd, default_config.h, grid_size=4096, n_alias=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 @pytest.mark.parametrize("n_alias", [0, 64])
