@@ -61,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args, mu_is_list: bool = False) -> SimConfig:
-    cfg = SimConfig.from_file(args.config) if args.config else SimConfig()
+    """The config file (or the defaults) with the command-line overrides, built once."""
     over = {}
     if args.seed is not None:
         over["seed"] = args.seed
@@ -82,7 +82,7 @@ def _build_config(args, mu_is_list: bool = False) -> SimConfig:
                 over["mu"] = float(args.mu)
             except ValueError:
                 raise ConfigError("adapt.mu", f"expected a number, got {args.mu!r}") from None
-    return cfg.with_overrides(**over) if over else cfg
+    return SimConfig.from_file(args.config, **over) if args.config else SimConfig(**over)
 
 
 def _print_conditions(report) -> None:

@@ -9,7 +9,7 @@ decaying sinusoids with content on both sides of the Nyquist frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class SimConfig:
     threshold: float = 10.0
     divergence_cutoff: float = 1e9
     out_dir: str = "out"
+    # the plants validation builds, returned by secondary() and primary()
+    _secondary: ContinuousStateSpace = field(init=False, repr=False, compare=False)
+    _primary: ContinuousStateSpace = field(init=False, repr=False, compare=False)
 
     # dotted key -> (field, parser)
     _KEYS = {
@@ -130,27 +133,28 @@ class SimConfig:
         self._validate()
 
     @classmethod
-    def from_mapping(cls, mapping: dict[str, str]) -> "SimConfig":
+    def from_mapping(cls, mapping: dict[str, str], **overrides) -> "SimConfig":
+        """The config of ``mapping``'s dotted keys, with field ``overrides`` applied on top."""
         kwargs = {}
         for key, raw in mapping.items():
             if key not in cls._KEYS:
                 raise ConfigError(key, "unknown key")
             name, parser = cls._KEYS[key]
             kwargs[name] = raw if parser is None else parser(key, raw)
-        return cls(**kwargs)
+        return cls(**{**kwargs, **overrides})
 
     @classmethod
-    def from_text(cls, text: str) -> "SimConfig":
-        return cls.from_mapping(parse_config_text(text))
+    def from_text(cls, text: str, **overrides) -> "SimConfig":
+        return cls.from_mapping(parse_config_text(text), **overrides)
 
     @classmethod
-    def from_file(cls, path: str) -> "SimConfig":
+    def from_file(cls, path: str, **overrides) -> "SimConfig":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError("config", f"cannot read {path}: {exc}") from None
-        return cls.from_text(text)
+        return cls.from_text(text, **overrides)
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         return replace(self, **kwargs)
@@ -179,8 +183,8 @@ class SimConfig:
             raise ConfigError("adapt.eps_threshold", "threshold must be positive")
         if not 0.0 < self.zeta < np.inf:
             raise ConfigError("plant.zeta", f"damping ratio must be finite and > 0, got {self.zeta}")
-        self._plant("plant.f", self.f_poles, self.f_gains, self.f_frequencies, self.f_dampings)
-        self._plant("plant.p", self.p_poles, self.p_gains, self.p_frequencies, self.p_dampings)
+        secondary = self._plant("plant.f", self.f_poles, self.f_gains, self.f_frequencies, self.f_dampings)
+        primary = self._plant("plant.p", self.p_poles, self.p_gains, self.p_frequencies, self.p_dampings)
         na = len(self.noise_amplitudes)
         if na == 0:
             raise ConfigError("noise.amplitudes", "need at least one component")
@@ -204,8 +208,10 @@ class SimConfig:
             raise ConfigError("sweep.threshold", "threshold must be positive")
         if not self.divergence_cutoff > 0.0:
             raise ConfigError("run.divergence_cutoff", "cutoff must be positive")
+        object.__setattr__(self, "_secondary", secondary)
+        object.__setattr__(self, "_primary", primary)
 
-    def _plant(self, prefix, poles, gains, frequencies, dampings) -> None:
+    def _plant(self, prefix, poles, gains, frequencies, dampings) -> ContinuousStateSpace:
         if len(gains) != len(frequencies):
             raise ConfigError(
                 f"{prefix}.gains", f"expected {len(frequencies)} entries to match frequencies"
@@ -218,15 +224,12 @@ class SimConfig:
                            ("frequencies", frequencies), ("dampings", dampings)):
             if vals is not None and not np.all(np.isfinite(vals)):
                 raise ConfigError(f"{prefix}.{name}", "entries must be finite")
-        try:
-            self._build_plant(poles, gains, frequencies, dampings)
-        except (PlantSpecificationError, ValueError) as exc:
-            raise ConfigError(prefix, str(exc)) from None
-
-    def _build_plant(self, poles, gains, frequencies, dampings) -> ContinuousStateSpace:
         if dampings is None:
             dampings = (self.zeta,) * len(gains)
-        return from_second_order_bank(gains, dampings, frequencies, poles)
+        try:
+            return from_second_order_bank(gains, dampings, frequencies, poles)
+        except (PlantSpecificationError, ValueError) as exc:
+            raise ConfigError(prefix, str(exc)) from None
 
     @property
     def n_steps(self) -> int:
@@ -237,10 +240,12 @@ class SimConfig:
         return self.h / self.L
 
     def secondary(self) -> ContinuousStateSpace:
-        return self._build_plant(self.f_poles, self.f_gains, self.f_frequencies, self.f_dampings)
+        """The secondary path, built once when the config was validated."""
+        return self._secondary
 
     def primary(self) -> ContinuousStateSpace:
-        return self._build_plant(self.p_poles, self.p_gains, self.p_frequencies, self.p_dampings)
+        """The primary path, built once when the config was validated."""
+        return self._primary
 
     def make_generator(self):
         """Noise source: recorded waveform when given, else the sinusoid bank.

@@ -19,8 +19,9 @@ that equal the single-arm ones bit for bit. A diverged arm leaves the axis.
 The convergence report of every arm is read off one condition series per
 blocking at the arm's last update.
 CSV files contain no timestamps and format floats with %.17g, so equal
-configs give equal bytes. ``compare`` writes its two arms from two processes,
-one writer per file (see ``write_comparison_csv``).
+configs give equal bytes; long tables are formatted by the array kernel of
+``ancsim._g17``, with CPython's bytes. ``compare`` writes its two arms from
+two processes, one writer per file (see ``write_comparison_csv``).
 """
 
 from __future__ import annotations
@@ -336,29 +337,71 @@ def emit_bode(config: SimConfig, n_points: int = 400):
 # CSV output
 
 
-# Values per written chunk: a wide table gets proportionally fewer rows.
-_CHUNK_VALUES = 8192
-_COLUMN_FORMATS = {"i": "%d", "u": "%d", "b": "%d", "U": "%s"}
+# Values per written chunk: a wide table gets proportionally fewer rows. A
+# chunk's fields and bytes take 64 KiB each, and the kernel's temporaries
+# 16-48 KiB; 4000-value chunks wrote about 10% faster but left about 0.3 MB
+# more peak RSS behind on held_check.
+_CHUNK_VALUES = 2048
+# Chunks of fewer values are formatted value by value: the kernel's fixed
+# cost, about 0.15 ms a call, exceeds CPython's per-value cost below about
+# 150-200 values (a 20-row sweep table has 140).
+_KERNEL_MIN_VALUES = 256
+
+
+def _format_values(values: np.ndarray, fields: np.ndarray) -> None:
+    """``'%.17g' % x`` of each value, NUL-padded into its 32-byte row of ``fields``.
+
+    A chunk of at least ``_KERNEL_MIN_VALUES`` goes through the array kernel
+    of ``ancsim._g17``, loaded on first use; the values it leaves, and every
+    value of a smaller chunk, are formatted one at a time.
+    """
+    slow = slice(None)
+    if values.size >= _KERNEL_MIN_VALUES:
+        from . import _g17
+
+        slow = _g17.format_fields(values, fields)
+        values = values[slow]
+    if values.size:
+        text = np.array(["%.17g" % x for x in values.tolist()], dtype="S32")
+        fields[slow] = text.view(np.uint64).reshape(-1, 4)
 
 
 def _write_columns(path: str, header: list[str], columns) -> None:
     """Write equal-length 1-D columns as CSV, streamed in row chunks.
 
-    Integer and boolean columns print with %d, text columns with %s, all
-    others with %.17g. Only one chunk of about ``_CHUNK_VALUES`` values is
-    ever held as Python objects, however many columns the table has.
-    A key/value table passes ``zip(*items)``, so its values form one float64
-    column; %.17g prints its counts and flags without a decimal point.
+    Every number prints as CPython's ``'%.17g' % float(x)``, which for
+    integers and booleans up to 2^53 is also their ``%d``. Each value takes
+    one 32-byte field of one reused buffer: its text NUL-padded to 31 bytes,
+    then the separator. A chunk of about ``_CHUNK_VALUES`` values is
+    formatted at a time, and its NUL padding deleted as it is written.
+    Text columns, and integer columns past 2^53, are encoded into their
+    fields instead (31 bytes at most). A key/value table passes
+    ``zip(*items)``, so its values form one float64 column.
     """
     columns = [np.asarray(c) for c in columns]
-    fmt = ",".join(_COLUMN_FORMATS.get(c.dtype.kind, "%.17g") for c in columns) + "\n"
-    n_rows = len(columns[0])
-    rows = max(1, _CHUNK_VALUES // len(columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    text = {j: np.array([str(x).encode("utf-8") for x in c.tolist()], dtype=bytes)
+            for j, c in enumerate(columns)
+            if c.dtype.kind == "U"
+            or c.dtype.kind in "iu" and c.size and (c.min() < -2**53 or c.max() > 2**53)}
+    if any(enc.itemsize > 31 for enc in text.values()):
+        raise ValueError("text entries longer than 31 bytes")
+    numbers = [np.zeros(len(c)) if j in text else c for j, c in enumerate(columns)]
+    n_rows, n_cols = len(columns[0]), len(columns)
+    rows = max(1, _CHUNK_VALUES // n_cols)
+    buf = np.empty((min(rows, n_rows), n_cols, 4), np.uint64)
+    seps = np.full(n_cols, ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, n_rows, rows):
-            chunk = [c[start:start + rows].tolist() for c in columns]
-            fh.write("".join([fmt % row for row in zip(*chunk)]))
+            chunk = buf[:min(rows, n_rows - start)]
+            stop = start + len(chunk)
+            values = np.stack([c[start:stop] for c in numbers], axis=1, dtype=np.float64)
+            _format_values(values.reshape(-1), chunk.reshape(-1, 4))
+            for j, enc in text.items():
+                chunk[:, j] = enc[start:stop].astype("S32").view(np.uint64).reshape(-1, 4)
+            chunk.view(np.uint8)[:, :, -1] = seps
+            fh.write(chunk.tobytes().translate(None, b"\0"))
 
 
 def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> list[str]:

@@ -2,9 +2,10 @@
 
 Every test drives ``ancsim.cli.main`` with an argv list and checks the
 exit code, the files left in the output directory, and the stdout/stderr
-summary. One subprocess test confirms ``python3 -m ancsim`` resolves,
-another that a cold ``run`` loads no scipy module, and a third that a cold
-``compare`` loads no process-pool module.
+summary. One subprocess test confirms ``python3 -m ancsim`` resolves;
+others check which modules a cold process loads: no scipy for ``run``, and
+for ``compare`` no process-pool module and neither ``decimal`` nor
+``fractions``.
 """
 
 import os
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 import ancsim
-from ancsim import load_u_blocks
+import ancsim.config
+from ancsim import from_second_order_bank, load_u_blocks
 from ancsim.cli import main
 
 SMALL_CONFIG = """\
@@ -337,14 +339,14 @@ def test_module_entry_point(small_config, tmp_path):
     assert os.path.isfile(os.path.join(out_dir, "report.csv"))
 
 
-def cold_cli_modules(tmp_path, command, packages):
+def cold_cli_modules(tmp_path, command, packages, config_text="sim.T = 6\nsim.L = 2\n"):
     """Run ``anc-sim COMMAND`` on a tiny config in a fresh process.
 
     Returns the last stdout line: the exit code and the sorted loaded
     modules that are one of ``packages`` or inside one.
     """
     config = tmp_path / "tiny.cfg"
-    config.write_text("sim.T = 6\nsim.L = 2\n")
+    config.write_text(config_text)
     script = (
         "import sys\n"
         "import ancsim.cli\n"
@@ -375,6 +377,38 @@ def test_cold_compare_loads_no_process_pool(tmp_path):
     """A fresh ``compare`` forks with ``os`` alone; no pool module is imported."""
     assert cold_cli_modules(tmp_path, "compare", ["multiprocessing", "concurrent"]) == "0 []"
     assert len(os.listdir(tmp_path / "out")) == 11
+
+
+def test_cold_compare_formats_without_decimal_or_fractions(tmp_path):
+    """A fresh ``compare`` long enough for the array formatter loads neither module.
+
+    At T = 200 and L = 2 each arm's fast.csv holds 2400 values, so the
+    ``ancsim._g17`` kernel formats it and builds its tables from ints.
+    """
+    line = cold_cli_modules(tmp_path, "compare", ["decimal", "_decimal", "_pydecimal", "fractions",
+                                                  "ancsim._g17"], "sim.T = 200\nsim.L = 2\n")
+    assert line == "0 ['ancsim._g17']"
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "bode", "check"])
+def test_command_builds_each_plant_once(command, small_config, tmp_path, capsys, monkeypatch):
+    """The config validation builds the two plants, overrides included; nothing rebuilds them."""
+    out_dir = str(tmp_path / "out")
+    assert main(["run", "--config", small_config, "--out", out_dir]) == 0
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return from_second_order_bank(*args, **kwargs)
+
+    monkeypatch.setattr(ancsim.config, "from_second_order_bank", counting)
+    argv = [command, "--config", small_config, "--out", out_dir, "--seed", "7", "--L", "2",
+            "--threshold", "5", "--mu", "0.1"]
+    if command == "check":
+        argv += ["--trace", os.path.join(out_dir, "u_blocks.csv")]
+    code, _, err = _run_cli(argv, capsys)
+    assert code == 0, err
+    assert len(calls) == 2
 
 
 def test_run_with_defaults_only(tmp_path, capsys, monkeypatch):

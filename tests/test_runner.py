@@ -374,10 +374,24 @@ def test_bode_table(tmp_path, default_config):
         assert abs(peak_om - w0) < 0.15 * w0
 
 
-def _special_run(base):
-    """``base`` with every table holding extreme and signed values."""
-    special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, -1.5, 0.1])
-    n, L = 2, 4
+SPECIAL = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, -1.5, 0.1])
+
+
+def _with_specials(count: int, seed: int) -> np.ndarray:
+    """``count`` ordinary values with each of ``SPECIAL`` repeated among them."""
+    values = np.random.default_rng(seed).standard_normal(count) * 10.0 ** (np.arange(count) % 7 - 3)
+    values[::53] = np.resize(SPECIAL, values[::53].size)
+    return values
+
+
+def _special_run(base, n=2):
+    """``base`` with every table holding extreme and signed values.
+
+    At two periods every value is one of ``SPECIAL``; at more, the tables
+    run over several chunks of ordinary values with the specials inside.
+    """
+    L = 4
+    special = SPECIAL if n == 2 else _with_specials(n * L, n)
     fast = [np.roll(special, k) for k in range(5)]
     trace = SimTrace(
         h=0.3, L=L, x_d=special[:n], y_d=special[-n:], x=fast[0], d=fast[1], w=fast[2],
@@ -496,6 +510,31 @@ def test_only_comparison_writer_forks(tmp_path, monkeypatch, benchmark_run, defa
     assert len(write_run_csv(benchmark_run, str(tmp_path / "run"))) == 5
     assert len(write_sweep_csv(sweep, str(tmp_path / "sweep"))) == 2
     assert os.path.isfile(write_bode_csv(default_config, str(tmp_path / "bode"), n_points=8))
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_special_values_inside_long_tables(tmp_path, monkeypatch, chunk):
+    """-0.0, +-inf, nan, 5e-324 and the largest double keep their bytes inside long tables.
+
+    At 400 periods fast.csv and taps.csv span several chunks of the default
+    ``_CHUNK_VALUES``, so the array formatter meets the special values among
+    ordinary ones; at 7 values a chunk every row is a chunk of its own.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(runner, "_CHUNK_VALUES", chunk)
+    diverged = run_single(short_config(divergence_cutoff=1e-9))
+    special = _special_run(diverged, n=400)
+    assert special.trace.x.size * 6 > 3 * runner._CHUNK_VALUES or chunk == 7
+    _assert_same_bytes(tmp_path / "run", write_run_csv, oracles.reference_write_run_csv, special)
+    _assert_same_bytes(
+        tmp_path / "cmp", write_comparison_csv, oracles.reference_write_comparison_csv,
+        ComparisonResult(proposed=special, conventional=diverged, ratio=np.nan),
+    )
+    values = _with_specials(3 * 700, 700).reshape(700, 3)
+    flags = np.random.default_rng(7).integers(0, 2, (700, 4)).astype(bool).tolist()
+    rows = tuple(SweepRow(*v, *f) for v, f in zip(values.tolist(), flags))
+    sweep = replace(run_mu_sweep(short_config(T=6.0), mu_values=[0.1]), rows=rows)
+    _assert_same_bytes(tmp_path / "sweep", write_sweep_csv, oracles.reference_write_sweep_csv, sweep)
 
 
 def test_csv_writer_streams_long_tables(tmp_path, monkeypatch):

@@ -260,7 +260,7 @@ def test_bound_memory_stays_small(default_config):
     would need about 4 MiB.
     """
     xd = oracles.sample_grid(default_config.make_generator(), default_config.h, 2000)
-    sec = default_config.secondary()
+    sec = SimConfig().secondary()  # a config keeps its plants, and a plant its modal form
     tracemalloc.start()
     try:
         spectral_bound(sec, xd, default_config.h, grid_size=4096, n_alias=64)
@@ -271,7 +271,7 @@ def test_bound_memory_stays_small(default_config):
 
 
 @pytest.mark.parametrize("n_alias", [0, 64])
-def test_bound_decomposes_secondary_once(n_alias, monkeypatch, default_config):
+def test_bound_decomposes_secondary_once(n_alias, monkeypatch):
     calls = []
     real_eig = np.linalg.eig
 
@@ -280,7 +280,7 @@ def test_bound_decomposes_secondary_once(n_alias, monkeypatch, default_config):
         return real_eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counting)
-    sec = default_config.secondary()
+    sec = SimConfig().secondary()  # fresh: default_config's plant may hold its modal form
     xd = np.random.default_rng(3).normal(size=40)
     spectral_bound(sec, xd, h=1.0, grid_size=256, n_alias=n_alias)
     assert len(calls) == 1
