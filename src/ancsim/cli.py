@@ -102,8 +102,7 @@ def _print_conditions(report) -> None:
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
     t0 = time.perf_counter()
-    result = runner.run_single(cfg)
-    paths = runner.write_run_csv(result, cfg.out_dir)
+    result, paths = runner.run_to_csv(cfg, cfg.out_dir)
     wall = time.perf_counter() - t0
     print(f"run: {result.n_completed} periods, mu = {cfg.mu}, L = {cfg.L}")
     print(
@@ -119,8 +118,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _build_config(args)
     t0 = time.perf_counter()
-    result = runner.run_comparison(cfg)
-    paths = runner.write_comparison_csv(result, cfg.out_dir)
+    result, paths = runner.run_to_csv(cfg, cfg.out_dir, compare=True)
     wall = time.perf_counter() - t0
     print(
         f"compare: proposed error L2 = {result.proposed.error_norm:.6g},"

@@ -9,7 +9,8 @@ decaying sinusoids with content on both sides of the Nyquist frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -157,9 +158,21 @@ class SimConfig:
         return cls.from_text(text, **overrides)
 
     def with_overrides(self, **kwargs) -> "SimConfig":
-        return replace(self, **kwargs)
+        """This config with fields replaced and validated again.
 
-    def _validate(self) -> None:
+        The plants are rebuilt only when a ``plant.*`` field or ``zeta``
+        changes; otherwise the new config keeps this one's.
+        """
+        new = copy.copy(self)
+        for name, value in kwargs.items():
+            if name not in _INIT_FIELDS:
+                raise TypeError(f"SimConfig has no field {name!r}")
+            object.__setattr__(new, name, value)
+        rebuild = not _PLANT_FIELDS.isdisjoint(kwargs)
+        new._validate(plants=None if rebuild else (self._secondary, self._primary))
+        return new
+
+    def _validate(self, plants=None) -> None:
         if not 0.0 < self.h < np.inf:
             raise ConfigError("sim.h", f"period must be positive and finite, got {self.h}")
         if self.L < 1:
@@ -181,10 +194,11 @@ class SimConfig:
             raise ConfigError("adapt.mu_list", "sweep needs at least one step size")
         if not self.eps_threshold > 0.0:
             raise ConfigError("adapt.eps_threshold", "threshold must be positive")
-        if not 0.0 < self.zeta < np.inf:
-            raise ConfigError("plant.zeta", f"damping ratio must be finite and > 0, got {self.zeta}")
-        secondary = self._plant("plant.f", self.f_poles, self.f_gains, self.f_frequencies, self.f_dampings)
-        primary = self._plant("plant.p", self.p_poles, self.p_gains, self.p_frequencies, self.p_dampings)
+        if plants is None:
+            if not 0.0 < self.zeta < np.inf:
+                raise ConfigError("plant.zeta", f"damping ratio must be finite and > 0, got {self.zeta}")
+            plants = (self._plant("plant.f", self.f_poles, self.f_gains, self.f_frequencies, self.f_dampings),
+                      self._plant("plant.p", self.p_poles, self.p_gains, self.p_frequencies, self.p_dampings))
         na = len(self.noise_amplitudes)
         if na == 0:
             raise ConfigError("noise.amplitudes", "need at least one component")
@@ -208,8 +222,8 @@ class SimConfig:
             raise ConfigError("sweep.threshold", "threshold must be positive")
         if not self.divergence_cutoff > 0.0:
             raise ConfigError("run.divergence_cutoff", "cutoff must be positive")
-        object.__setattr__(self, "_secondary", secondary)
-        object.__setattr__(self, "_primary", primary)
+        object.__setattr__(self, "_secondary", plants[0])
+        object.__setattr__(self, "_primary", plants[1])
 
     def _plant(self, prefix, poles, gains, frequencies, dampings) -> ContinuousStateSpace:
         if len(gains) != len(frequencies):
@@ -277,3 +291,8 @@ class SimConfig:
         return AutonomousGenerator.damped_sinusoids(
             self.noise_amplitudes, self.noise_frequencies, self.noise_decay_rates, phases
         )
+
+
+_INIT_FIELDS = frozenset(f.name for f in fields(SimConfig) if f.init)
+# the fields the two plants are built from
+_PLANT_FIELDS = frozenset(name for name in _INIT_FIELDS if name == "zeta" or name[:2] in ("f_", "p_"))

@@ -295,23 +295,26 @@ class HybridLoop:
             arr.flags.writeable = False
         return ExogenousRecord(x_d=x_d, x=x, d=d, u=u, u_blocks=u_blocks)
 
-    def step(self, zeta_F, taps, xd_hist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, zeta_F, taps, xd_hist, y_d=None, w_fast=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance the anti-noise path of a stack of arms over one period.
 
         ``zeta_F`` (A, n) holds each arm's secondary-path state and ``taps``
         (A, n_taps) its FIR taps; the arms share the reference delay line
         ``xd_hist`` (n_taps,), newest sample first. Returns the next states,
         the filter outputs ``y_d`` (A,) and the anti-noise at the L cell left
-        endpoints (A, L). Every product is a stacked ``matmul``, which makes
-        the same BLAS call per arm as a single-arm product would.
+        endpoints (A, L), written into the ``y_d`` and ``w_fast`` arrays when
+        given. Every product is a stacked ``matmul``, which makes the same
+        BLAS call per arm as a single-arm product would.
         """
         taps = np.asarray(taps, dtype=float)
         if taps.shape[1:] != xd_hist.shape:
             raise DimensionError(
                 f"taps shape {taps.shape} does not match delay line length {xd_hist.size}"
             )
-        y_d = np.matmul(taps[:, None, :], xd_hist[:, None])[:, 0, 0]
-        w_fast = np.matmul(self._f_rows, zeta_F[:, :, None])[:, :, 0]
+        y_d = np.matmul(taps[:, None, :], xd_hist[:, None],
+                        out=None if y_d is None else y_d[:, None, None])[:, 0, 0]
+        w_fast = np.matmul(self._f_rows, zeta_F[:, :, None],
+                           out=None if w_fast is None else w_fast[:, :, None])[:, :, 0]
         w_fast[:, 1:] += self._f_gains * y_d[:, None]
         zeta_next = np.matmul(self.lift.Ah, zeta_F[:, :, None])[:, :, 0] + self.lift.Bh * y_d[:, None]
         return zeta_next, y_d, w_fast

@@ -20,17 +20,26 @@ The convergence report of every arm is read off one condition series per
 blocking at the arm's last update.
 CSV files contain no timestamps and format floats with %.17g, so equal
 configs give equal bytes; long tables are formatted by the array kernel of
-``ancsim._g17``, with CPython's bytes. ``compare`` writes its two arms from
-two processes, one writer per file (see ``write_comparison_csv``).
+``ancsim._g17``, with CPython's bytes. ``run_to_csv`` (the ``run`` and
+``compare`` commands) forks one writer right after the exogenous record is
+built: it streams every fast.csv from the arm loop's shared w and e
+histories while the arms run, and this process writes every other table.
+Where forking is missing, fails, or would copy a process with other OS
+threads (BLAS workers; the command pins BLAS to one thread, see
+``ancsim/__init__.py``), this process writes the fast tables after the loop
+instead (see ``_FastWriter``). ``write_run_csv`` and
+``write_comparison_csv`` always write in the calling process.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._tables import _FastWriter, _write_columns, _write_fast
 from .adaptive import LmsConditionReport, _condition_series, _report_at
 from .config import SimConfig
 from .lifting import ExogenousRecord, HybridLoop, SimTrace
@@ -44,6 +53,7 @@ __all__ = [
     "run_single",
     "run_comparison",
     "run_mu_sweep",
+    "run_to_csv",
     "emit_bode",
     "write_run_csv",
     "write_comparison_csv",
@@ -130,8 +140,15 @@ def _lag_source(rows: np.ndarray, n_taps: int) -> np.ndarray:
     return np.concatenate([rows[::-1], np.zeros((n_taps - 1,) + rows.shape[1:])])
 
 
+def _folds(group: np.ndarray, u_lags: dict, L: int) -> list[tuple[np.ndarray, slice, int]]:
+    """(regressor lag source, rows of the arm axis, cell stride) of each blocking with live arms."""
+    edges = np.searchsorted(group, [*u_lags, L + 1]).tolist()
+    return [(u_lag, slice(lo, hi), L // b)
+            for (b, u_lag), lo, hi in zip(u_lags.items(), edges, edges[1:]) if lo < hi]
+
+
 def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
-              arms) -> list[SingleRunResult]:
+              arms, stream: _FastWriter | None = None) -> list[SingleRunResult]:
     """Adaptive arms ``(mu, algorithm_cells)`` on a shared loop, stepped together.
 
     Row r of the arm axis is arm ``order[r]``; its taps, direction and
@@ -140,6 +157,8 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     period steps the anti-noise path once for all arms and folds the update
     once per blocking; an arm whose error leaves the cutoff drops off the
     axis and is not computed further. Results come back in ``arms`` order.
+    With a ``stream``, the w and e histories are the stream's, and it learns
+    after every ``stream.every`` periods which rows are final.
     """
     L, N, n_taps, h = config.L, config.n_steps, config.n_taps, config.h
     cells = []
@@ -160,45 +179,57 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     order = sorted(range(len(arms)), key=cells.__getitem__)
     group = np.array([cells[a] for a in order])
     mu = np.array([float(arms[a][0]) for a in order])[:, None]
-    A, cutoff = len(arms), config.divergence_cutoff
+    # one comparison rejects nan, inf and the cutoff alike, even for an infinite cutoff
+    A, cutoff = len(arms), min(config.divergence_cutoff, sys.float_info.max)
     alpha, delta = np.zeros((A, n_taps)), np.zeros((A, n_taps))
     zeta = np.zeros((A, machine.secondary.nstates))
     y_d = np.empty((A, N))
-    w, e = np.empty((A, N, L)), np.empty((A, N, L))
+    if stream is None:
+        w, e = np.empty((A, N, L)), np.empty((A, N, L))
+    else:
+        w, e = stream.start((A, N, L), [order.index(a) for a in range(A)])
     alpha_hist, delta_hist = np.empty((A, N, n_taps)), np.empty((A, N, n_taps))
     final_alpha, final_delta = np.empty((A, n_taps)), np.empty((A, n_taps))
     n_completed, diverged = np.full(A, N), np.zeros(A, dtype=bool)
     live, at = np.arange(A), slice(None)  # rows on the axis; ``at`` indexes them
-    edges = np.searchsorted(group, [*u_alg, L + 1]).tolist()
+    folds = _folds(group, u_lags, L)
 
     for n in range(N):
         lag = slice(N - 1 - n, N - 1 - n + n_taps)
+        # the period's history rows: views while every arm is live, else
+        # copies that take the results and are scattered back
+        rows = alpha_hist[at, n], y_d[at, n], w[at, n], e[at, n]
         # period n runs under the update committed with the direction through
         # t = n h; its error is folded into the direction after the step
-        taps = alpha + mu * delta
+        taps = np.add(alpha, mu * delta, out=rows[0])
         delta_hist[at, n] = delta
-        alpha_hist[at, n] = taps
-        zeta, y_d[at, n], w_n = machine.step(zeta, taps, xd_lags[lag])
-        w[at, n] = w_n
-        e[at, n] = e_n = record.d[n] - w_n
-        peak = np.max(np.abs(e_n), axis=1)
-        bad = ~(np.isfinite(peak) & (peak <= cutoff))
-        if bad.any():
+        zeta, y_n, w_n = machine.step(zeta, taps, xd_lags[lag], *rows[1:3])
+        e_n = np.subtract(record.d[n], w_n, out=rows[3])
+        if live.size < A:
+            alpha_hist[at, n], y_d[at, n], w[at, n], e[at, n] = taps, y_n, w_n, e_n
+        if not abs(e_n).max() <= cutoff:
+            ok = abs(e_n).max(axis=1) <= cutoff
+            bad = ~ok
             out = live[bad]
             n_completed[out], diverged[out] = n + 1, True
             final_alpha[out], final_delta[out] = alpha[bad], delta[bad]
-            keep = ~bad
             live, group, mu, delta, zeta, taps, e_n = (
-                a[keep] for a in (live, group, mu, delta, zeta, taps, e_n))
+                a[ok] for a in (live, group, mu, delta, zeta, taps, e_n))
             at = live
-            edges = np.searchsorted(group, [*u_alg, L + 1]).tolist()
-        for (b, u_lag), lo, hi in zip(u_lags.items(), edges, edges[1:]):
-            if lo < hi:
-                delta[lo:hi] += np.matmul(u_lag[lag], e_n[lo:hi, ::L // b, None])[:, :, 0]
+            folds = _folds(group, u_lags, L)
+        for u_lag, arm_rows, stride in folds:
+            delta[arm_rows] += np.matmul(u_lag[lag], e_n[arm_rows, ::stride, None])[:, :, 0]
         alpha = taps
+        if stream is not None and (n + 1) % stream.every == 0:
+            stream.progress(n + 1, n_completed)
         if not live.size:
             break
     final_alpha[live], final_delta[live] = alpha, delta
+    if stream is not None:
+        stream.progress(N, n_completed)
+    # the lag windows are spent: free them before the condition series, which
+    # sets the peak memory of a run
+    u_lags = xd_lags = folds = u_lag = None
 
     series = {}
     results = []
@@ -251,8 +282,12 @@ def _comparisons(config: SimConfig, machine: HybridLoop, record: ExogenousRecord
                  mus) -> list[ComparisonResult]:
     """Both arms at every step size in ``mus``, all on one arm axis."""
     results = _run_arms(config, machine, record, [(mu, cells) for mu in mus for cells in (None, 1)])
-    return [ComparisonResult(proposed=p, conventional=c, ratio=_ratio(p.error_norm, c.error_norm))
-            for p, c in zip(results[0::2], results[1::2])]
+    return [_pair(p, c) for p, c in zip(results[0::2], results[1::2])]
+
+
+def _pair(proposed: SingleRunResult, conventional: SingleRunResult) -> ComparisonResult:
+    return ComparisonResult(proposed=proposed, conventional=conventional,
+                            ratio=_ratio(proposed.error_norm, conventional.error_norm))
 
 
 def _step_ok(result: SingleRunResult) -> bool:
@@ -337,76 +372,8 @@ def emit_bode(config: SimConfig, n_points: int = 400):
 # CSV output
 
 
-# Values per written chunk: a wide table gets proportionally fewer rows. A
-# chunk's fields and bytes take 64 KiB each, and the kernel's temporaries
-# 16-48 KiB; 4000-value chunks wrote about 10% faster but left about 0.3 MB
-# more peak RSS behind on held_check.
-_CHUNK_VALUES = 2048
-# Chunks of fewer values are formatted value by value: the kernel's fixed
-# cost, about 0.15 ms a call, exceeds CPython's per-value cost below about
-# 150-200 values (a 20-row sweep table has 140).
-_KERNEL_MIN_VALUES = 256
-
-
-def _format_values(values: np.ndarray, fields: np.ndarray) -> None:
-    """``'%.17g' % x`` of each value, NUL-padded into its 32-byte row of ``fields``.
-
-    A chunk of at least ``_KERNEL_MIN_VALUES`` goes through the array kernel
-    of ``ancsim._g17``, loaded on first use; the values it leaves, and every
-    value of a smaller chunk, are formatted one at a time.
-    """
-    slow = slice(None)
-    if values.size >= _KERNEL_MIN_VALUES:
-        from . import _g17
-
-        slow = _g17.format_fields(values, fields)
-        values = values[slow]
-    if values.size:
-        text = np.array(["%.17g" % x for x in values.tolist()], dtype="S32")
-        fields[slow] = text.view(np.uint64).reshape(-1, 4)
-
-
-def _write_columns(path: str, header: list[str], columns) -> None:
-    """Write equal-length 1-D columns as CSV, streamed in row chunks.
-
-    Every number prints as CPython's ``'%.17g' % float(x)``, which for
-    integers and booleans up to 2^53 is also their ``%d``. Each value takes
-    one 32-byte field of one reused buffer: its text NUL-padded to 31 bytes,
-    then the separator. A chunk of about ``_CHUNK_VALUES`` values is
-    formatted at a time, and its NUL padding deleted as it is written.
-    Text columns, and integer columns past 2^53, are encoded into their
-    fields instead (31 bytes at most). A key/value table passes
-    ``zip(*items)``, so its values form one float64 column.
-    """
-    columns = [np.asarray(c) for c in columns]
-    text = {j: np.array([str(x).encode("utf-8") for x in c.tolist()], dtype=bytes)
-            for j, c in enumerate(columns)
-            if c.dtype.kind == "U"
-            or c.dtype.kind in "iu" and c.size and (c.min() < -2**53 or c.max() > 2**53)}
-    if any(enc.itemsize > 31 for enc in text.values()):
-        raise ValueError("text entries longer than 31 bytes")
-    numbers = [np.zeros(len(c)) if j in text else c for j, c in enumerate(columns)]
-    n_rows, n_cols = len(columns[0]), len(columns)
-    rows = max(1, _CHUNK_VALUES // n_cols)
-    buf = np.empty((min(rows, n_rows), n_cols, 4), np.uint64)
-    seps = np.full(n_cols, ord(","), np.uint8)
-    seps[-1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, n_rows, rows):
-            chunk = buf[:min(rows, n_rows - start)]
-            stop = start + len(chunk)
-            values = np.stack([c[start:stop] for c in numbers], axis=1, dtype=np.float64)
-            _format_values(values.reshape(-1), chunk.reshape(-1, 4))
-            for j, enc in text.items():
-                chunk[:, j] = enc[start:stop].astype("S32").view(np.uint64).reshape(-1, 4)
-            chunk.view(np.uint8)[:, :, -1] = seps
-            fh.write(chunk.tobytes().translate(None, b"\0"))
-
-
-def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> list[str]:
-    """Write fast/discrete/taps/u_blocks/report tables; returns the paths."""
-    os.makedirs(out_dir, exist_ok=True)
+def _write_period_tables(result: SingleRunResult, out_dir: str, prefix: str) -> list[str]:
+    """Write discrete/taps/u_blocks/report tables of one arm; returns the paths."""
     tr = result.trace
     paths = []
 
@@ -415,11 +382,6 @@ def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> li
         paths.append(path)
         return path
 
-    _write_columns(
-        p("fast.csv"),
-        ["t", "x", "d", "w", "e", "u"],
-        [tr.t_fast, tr.x, tr.d, tr.w, tr.e, tr.u],
-    )
     n_idx = np.arange(tr.n_steps)
     _write_columns(
         p("discrete.csv"),
@@ -464,54 +426,71 @@ def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> li
     return paths
 
 
-def write_comparison_csv(result: ComparisonResult, out_dir: str) -> list[str]:
-    """Write both arms' tables and comparison.csv; returns the paths.
+def _write_ratio_table(result: ComparisonResult, out_dir: str) -> str:
+    path = os.path.join(out_dir, "comparison.csv")
+    items = [
+        ("error_l2_proposed", result.proposed.error_norm),
+        ("error_l2_conventional", result.conventional.error_norm),
+        ("ratio", result.ratio),
+    ]
+    _write_columns(path, ["key", "value"], zip(*items))
+    return path
 
-    A forked child writes the conventional arm while this process writes the
-    rest; each file has one writer, so the bytes are a one-process write's. A
-    child failure is raised here as ``OSError`` with its text. Without a
-    working ``os.fork`` the arms are written in turn. Python 3.12+ warns when
-    a threaded process forks; the tests pin BLAS to one thread, so their
-    process has no second thread and the warning cannot fire there.
-    """
-    pid = None
-    if hasattr(os, "fork"):
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-        if pid == 0:  # leave through os._exit only: no return, no stdio flush
-            try:
-                write_run_csv(result.conventional, out_dir, prefix="conventional_")
-                os._exit(0)
-            except BaseException as exc:
-                os.write(write_fd, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
-            finally:
-                os._exit(1)
-        os.close(write_fd)
-    try:
-        paths = write_run_csv(result.proposed, out_dir, prefix="proposed_")
-        if pid is None:
-            write_run_csv(result.conventional, out_dir, prefix="conventional_")
-        names = [os.path.basename(p).removeprefix("proposed_") for p in paths]
-        paths += [os.path.join(out_dir, "conventional_" + name) for name in names]
-        path = os.path.join(out_dir, "comparison.csv")
-        items = [
-            ("error_l2_proposed", result.proposed.error_norm),
-            ("error_l2_conventional", result.conventional.error_norm),
-            ("ratio", result.ratio),
-        ]
-        _write_columns(path, ["key", "value"], zip(*items))
-    finally:
-        if pid is not None:
-            with os.fdopen(read_fd, "rb") as pipe:
-                failure = pipe.read().decode("utf-8", "replace")
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if pid is not None and (failure or status):
-        raise OSError(failure or f"conventional arm writer exited with code {status}")
-    paths.append(path)
+
+def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> list[str]:
+    """Write fast/discrete/taps/u_blocks/report tables; returns the paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    tr = result.trace
+    path, t = os.path.join(out_dir, prefix + "fast.csv"), tr.t_fast
+    errors = _write_fast([path], t, tr.x, tr.d, tr.u, [tr.w], [tr.e], [[t.size]])
+    if errors:
+        raise errors[0]
+    return [path] + _write_period_tables(result, out_dir, prefix)
+
+
+def write_comparison_csv(result: ComparisonResult, out_dir: str) -> list[str]:
+    """Write both arms' tables and comparison.csv; returns the paths."""
+    paths = write_run_csv(result.proposed, out_dir, prefix="proposed_")
+    paths += write_run_csv(result.conventional, out_dir, prefix="conventional_")
+    paths.append(_write_ratio_table(result, out_dir))
     return paths
+
+
+# ---------------------------------------------------------------------------
+# Runs that write their tables as they go
+
+
+def run_to_csv(config: SimConfig, out_dir: str, compare: bool = False):
+    """``run_single`` (``run_comparison`` when ``compare``) and its tables in one pass.
+
+    The tables and their bytes are those of ``write_run_csv``
+    (``write_comparison_csv``), and so are the returned ``(result, paths)``.
+    A forked process writes each arm's fast.csv while the arms run (see
+    ``_FastWriter``); this one writes every other table. A writer failure is
+    raised as ``OSError`` naming the file after the other tables are written.
+    """
+    prefixes = ("proposed_", "conventional_") if compare else ("",)
+    machine, record = _setup(config)
+    os.makedirs(out_dir, exist_ok=True)
+    fast = [os.path.join(out_dir, prefix + "fast.csv") for prefix in prefixes]
+    writer = _FastWriter(fast, config.h, record)
+    results = None
+    try:
+        arms = [(config.mu, None), (config.mu, 1)][:len(prefixes)]
+        results = _run_arms(config, machine, record, arms, writer)
+        paths = []
+        for res, prefix, path in zip(results, prefixes, fast):
+            paths += [path] + _write_period_tables(res, out_dir, prefix)
+        result = results[0]
+        if compare:
+            result = _pair(*results)
+            paths.append(_write_ratio_table(result, out_dir))
+    finally:
+        # a run that stopped before its results leaves no fast tables behind
+        failure = writer.close(abort=results is None)
+    if failure:
+        raise OSError(failure)
+    return result, paths
 
 
 def write_sweep_csv(result: SweepResult, out_dir: str) -> list[str]:

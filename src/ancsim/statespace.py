@@ -286,11 +286,17 @@ def freq_response_grid(sys: ContinuousStateSpace, omegas) -> np.ndarray:
     modal = sys._modal
     if modal is not None:
         lam, residues = modal
-        jw = 1j * om
-        # mode by mode: a grid x modes temporary would need a fresh mmap per call
+        jw = (1j * om)[:, None, None]
+        # mode by mode, in place: a grid x modes temporary would need a fresh
+        # mmap per call, and one per mode costs three allocations a mode
         resp = np.zeros((om.size, p, m), dtype=complex)
+        term = np.empty((om.size, 1, 1), dtype=complex)
+        scaled = term if p == m == 1 else np.empty_like(resp)
         for k in range(lam.size):
-            resp += np.multiply.outer(1.0 / (jw - lam[k]), residues[k])
+            np.subtract(jw, lam[k], out=term)
+            np.divide(1.0, term, out=term)
+            np.multiply(term, residues[k], out=scaled)
+            resp += scaled
         resp += sys.D
         return resp
 

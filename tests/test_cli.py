@@ -11,6 +11,7 @@ for ``compare`` no process-pool module and neither ``decimal`` nor
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 import ancsim
 import ancsim.config
+import ancsim.lifting
 from ancsim import from_second_order_bank, load_u_blocks
 from ancsim.cli import main
 
@@ -126,6 +128,46 @@ class TestCompareCommand:
             assert (out_dir / name).read_bytes() == (clean / name).read_bytes(), name
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", ["success", "blocked", "raised"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_no_writer_outlives_the_command(command, case, small_config, tmp_path, capsys, monkeypatch):
+    """``run`` and ``compare`` fork one fast-table writer and reap it on success,
+    on a writer failure (exit 2 naming the file) and on an error in the arm
+    loop, which leaves no fast table behind."""
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    out_dir = tmp_path / "out"
+    fast = ("proposed_" if command == "compare" else "") + "fast.csv"
+    if case == "blocked":
+        (out_dir / fast).mkdir(parents=True)
+    elif case == "raised":
+        steps, step = [], ancsim.lifting.HybridLoop.step
+
+        def failing_step(self, *args):
+            steps.append(1)
+            if len(steps) == 3:
+                # let the writer open its tables first: the failed run must remove them
+                deadline = time.monotonic() + 10
+                while not (out_dir / fast).exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise ValueError("step failed")
+            return step(self, *args)
+
+        monkeypatch.setattr(ancsim.lifting.HybridLoop, "step", failing_step)
+    code, _, err = _run_cli([command, "--config", small_config, "--out", str(out_dir)], capsys)
+    assert forks == [1]
+    if case == "success":
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert (fast if case == "blocked" else "step failed") in err
+    if case == "raised":
+        assert not list(out_dir.glob("*fast.csv"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweepCommand:
@@ -337,6 +379,36 @@ def test_module_entry_point(small_config, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "error L2" in proc.stdout
     assert os.path.isfile(os.path.join(out_dir, "report.csv"))
+
+
+FORK_HOOK = """\
+import atexit, os
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+atexit.register(lambda: print("forks", len(forks), "blas", os.environ.get("OPENBLAS_NUM_THREADS")))
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script", "library"])
+def test_command_runs_blas_on_one_thread(entry, small_config, tmp_path):
+    """``python -m ancsim`` and the ``anc-sim`` script pin BLAS to one thread
+    before numpy loads, so ``compare`` forks its writer in an unpinned
+    environment; a process that only imports ancsim keeps its BLAS."""
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(FORK_HOOK)
+    script = tmp_path / "anc-sim"
+    script.write_text("import sys\nfrom ancsim.cli import main\nsys.exit(main())\n")
+    src = os.path.dirname(os.path.dirname(ancsim.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(hook), src])
+    command = ["compare", "--config", small_config, "--out", str(tmp_path / "out")]
+    argv = {"module": ["-m", "ancsim", *command], "script": [str(script), *command],
+            "library": ["-c", "import ancsim"]}[entry]
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    expected = "forks 0 blas None" if entry == "library" else "forks 1 blas 1"
+    assert proc.stdout.splitlines()[-1] == expected
 
 
 def cold_cli_modules(tmp_path, command, packages, config_text="sim.T = 6\nsim.L = 2\n"):

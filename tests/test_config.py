@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ancsim import AutonomousGenerator, HeldWaveform
+import ancsim.config
+from ancsim import AutonomousGenerator, HeldWaveform, from_second_order_bank
 from ancsim.config import ConfigError, SimConfig, parse_config_text
 
 
@@ -144,6 +145,31 @@ def test_overrides_and_frozen():
     assert config.T == 100.0
     with pytest.raises(Exception):
         config.mu = 0.3
+
+
+@pytest.mark.parametrize("overrides,builds", [
+    (dict(T=10.0), 0),
+    (dict(zeta=0.2), 2),
+])
+def test_overrides_rebuild_plants_only_for_plant_fields(overrides, builds, monkeypatch):
+    """A non-plant override keeps the plants and still validates; a plant field rebuilds both."""
+    config = SimConfig()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return from_second_order_bank(*args, **kwargs)
+
+    monkeypatch.setattr(ancsim.config, "from_second_order_bank", counting)
+    new = config.with_overrides(**overrides)
+    assert len(calls) == builds
+    assert new == SimConfig(**overrides)
+    assert (new.secondary() is config.secondary()) == (builds == 0)
+    assert np.array_equal(new.secondary().A, SimConfig(**overrides).secondary().A)
+    with pytest.raises(ConfigError, match="sim.T"):
+        config.with_overrides(T=-1.0)
+    with pytest.raises(TypeError):
+        config.with_overrides(no_such_field=1)
 
 
 def test_generator_phases_seeded_and_reproducible():

@@ -1,7 +1,7 @@
 """The CSV writer's array formatter against CPython's per-value ``'%.17g'``.
 
 ``ancsim._g17.format_fields`` together with the runner's per-value fallback
-(``runner._format_values``) must give, for every float64, the bytes of
+(``_tables._format_values``) must give, for every float64, the bytes of
 ``oracles._fmt``, the formatter of the row-wise reference writer. The sets
 cover random bit patterns, scaled normals, powers of two and ten with their
 neighbours, the %g switch points, exact decimal ties, integers and the
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ancsim import _g17, runner
+from ancsim import _g17, _tables
 
 BATCH = 1 << 16
 
@@ -27,7 +27,7 @@ def _check(values: np.ndarray) -> float:
     for start in range(0, values.size, BATCH):
         v = values[start:start + BATCH]
         fields = np.zeros((v.size, 4), np.uint64)
-        runner._format_values(v, fields)
+        _tables._format_values(v, fields)
         fields.view(np.uint8)[:, -1] = ord("\n")
         got = fields.tobytes().translate(None, b"\0").split(b"\n")[:-1]
         want = [oracles._fmt(x).encode() for x in v.tolist()]
@@ -114,7 +114,7 @@ def test_integers_and_booleans(tmp_path):
     big[1000:1005] = [2**53 + 1, -2**63, 2**63 - 1, 10**18, -10**17]
     columns = [small, flags, big, small.astype(float)]
     header = ["n", "flag", "big", "x"]
-    runner._write_columns(str(tmp_path / "new.csv"), header, columns)
+    _tables._write_columns(str(tmp_path / "new.csv"), header, columns)
     oracles.write_csv_rows(str(tmp_path / "old.csv"), header, zip(*[c.tolist() for c in columns]))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert _check(small.astype(float)) < 0.01

@@ -419,8 +419,9 @@ def test_generator_type_checked():
 def test_taps_length_checked():
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=2)
-    with pytest.raises(DimensionError):
-        loop.step(np.zeros((1, sec.nstates)), np.zeros((1, 2)), np.zeros(3))
+    for taps in (np.zeros((1, 2)), np.zeros(3), [0.0, 0.0, 0.0], [[0.0, 0.0]]):
+        with pytest.raises(DimensionError):
+            loop.step(np.zeros((1, sec.nstates)), taps, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

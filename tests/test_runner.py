@@ -4,6 +4,7 @@ import dataclasses
 import filecmp
 import os
 import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import _frozen
 import oracles
-from ancsim import runner
+from ancsim import _tables, runner
 from ancsim import (
     ComparisonResult,
     SimTrace,
@@ -470,44 +471,111 @@ def test_csv_writer_matches_row_wise_writer(
     )
 
 
-@pytest.mark.parametrize("fork", ["missing", "failing"])
-def test_comparison_writer_without_fork_matches_row_wise_writer(
-    fork, tmp_path, monkeypatch, benchmark_comparison
-):
-    """Where os.fork does not exist or fails, both arms are written in this process."""
+def _assert_streamed_tables_match(tmp_path, config, compare=True):
+    """``run_to_csv``'s tables equal the row-wise writer's tables of its result."""
+    result, paths = runner.run_to_csv(config, str(tmp_path / "new"), compare=compare)
+    reference = oracles.reference_write_comparison_csv if compare else oracles.reference_write_run_csv
+    ref_paths = reference(result, str(tmp_path / "old"))
+    assert [os.path.basename(p) for p in paths] == [os.path.basename(p) for p in ref_paths]
+    assert sorted(os.listdir(tmp_path / "new")) == sorted(os.listdir(tmp_path / "old"))
+    for name in os.listdir(tmp_path / "old"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes(), name
+    return result
+
+
+def _counting_fork(monkeypatch):
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing", "threads"])
+def test_comparison_writer_without_fork_matches_row_wise_writer(fork, tmp_path, monkeypatch):
+    """Where os.fork does not exist or fails, or other OS threads run, the
+    streamed run writes every table in this process, with the same bytes."""
     def failing_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     if fork == "missing":
         monkeypatch.delattr(os, "fork")
-    else:
+    elif fork == "failing":
         monkeypatch.setattr(os, "fork", failing_fork)
-    _assert_comparisons_match(tmp_path, benchmark_comparison, *_diverged_and_special())
+    else:
+        forks = _counting_fork(monkeypatch)
+        monkeypatch.setattr(_tables, "_thread_count", lambda: 2)
+    config = short_config(T=60.0, mu=2.0, divergence_cutoff=5.0)
+    result = _assert_streamed_tables_match(tmp_path / "cmp", config)
+    assert result.conventional.n_completed < result.proposed.n_completed
+    _assert_streamed_tables_match(tmp_path / "run", config, compare=False)
+    if fork == "threads":
+        assert forks == []
 
 
-def test_comparison_writer_reports_a_killed_child(tmp_path, monkeypatch, benchmark_comparison):
-    """A child that dies without a message still fails the write, and is reaped."""
-    parent, write = os.getpid(), runner.write_run_csv
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc/self/stat")
+def test_thread_count_sees_other_threads():
+    """This process runs one OS thread (BLAS is pinned), so runs fork; a second thread counts."""
+    assert _tables._thread_count() == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _tables._thread_count() == 2
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
-    def killed_in_child(result, out_dir, prefix=""):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return write(result, out_dir, prefix=prefix)
 
-    monkeypatch.setattr(runner, "write_run_csv", killed_in_child)
-    with pytest.raises(OSError, match="conventional arm writer exited with code -9"):
-        write_comparison_csv(benchmark_comparison, str(tmp_path))
+@pytest.mark.parametrize("overrides,progress,stops", [
+    (dict(T=60.0, mu=2.0, divergence_cutoff=5.0), 11, (60, 44)),  # on a progress edge
+    (dict(T=60.0, mu=2.0, divergence_cutoff=5.0), 5, (60, 44)),   # inside a progress chunk
+    (dict(T=40.0, mu=5.0, divergence_cutoff=5.0), 3, (22, 24)),   # both, in different chunks
+    (dict(T=20.0, divergence_cutoff=1e-9), 4, (1, 1)),            # both in period 0
+])
+def test_streamed_tables_match_row_wise_writer(overrides, progress, stops, tmp_path, monkeypatch):
+    """A forked writer streams the fast tables to the bytes of the row-wise
+    writer wherever an arm stops (``stops``: each arm's periods), with small
+    progress and CSV chunks."""
+    monkeypatch.setattr(_tables._FastWriter, "every", progress)
+    monkeypatch.setattr(_tables, "_CHUNK_VALUES", 50)
+    forks = _counting_fork(monkeypatch)
+    config = SimConfig().with_overrides(**overrides)
+    result = _assert_streamed_tables_match(tmp_path / "cmp", config)
+    assert (result.proposed.n_completed, result.conventional.n_completed) == stops
+    assert result.conventional.diverged
+    single = _assert_streamed_tables_match(tmp_path / "run", config, compare=False)
+    assert single.n_completed == stops[0]
+    assert forks == [1, 1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_only_comparison_writer_forks(tmp_path, monkeypatch, benchmark_run, default_config):
+def test_comparison_writer_reports_a_killed_child(tmp_path, monkeypatch):
+    """A fast-table writer that dies without a message still fails the run, and is reaped."""
+    parent, write = os.getpid(), _tables._write_fast
+
+    def killed_in_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write(*args)
+
+    monkeypatch.setattr(_tables, "_write_fast", killed_in_child)
+    with pytest.raises(OSError, match="fast table writer exited with code -9"):
+        runner.run_to_csv(short_config(), str(tmp_path), compare=True)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (tmp_path / "comparison.csv").is_file()
+
+
+def test_library_writers_never_fork(tmp_path, monkeypatch, benchmark_run, benchmark_comparison,
+                                    default_config):
     def no_fork():
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", no_fork)
     sweep = run_mu_sweep(short_config(T=6.0), mu_values=[0.1])
     assert len(write_run_csv(benchmark_run, str(tmp_path / "run"))) == 5
+    assert len(write_comparison_csv(benchmark_comparison, str(tmp_path / "cmp"))) == 11
     assert len(write_sweep_csv(sweep, str(tmp_path / "sweep"))) == 2
     assert os.path.isfile(write_bode_csv(default_config, str(tmp_path / "bode"), n_points=8))
 
@@ -521,10 +589,10 @@ def test_special_values_inside_long_tables(tmp_path, monkeypatch, chunk):
     ordinary ones; at 7 values a chunk every row is a chunk of its own.
     """
     if chunk is not None:
-        monkeypatch.setattr(runner, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(_tables, "_CHUNK_VALUES", chunk)
     diverged = run_single(short_config(divergence_cutoff=1e-9))
     special = _special_run(diverged, n=400)
-    assert special.trace.x.size * 6 > 3 * runner._CHUNK_VALUES or chunk == 7
+    assert special.trace.x.size * 6 > 3 * _tables._CHUNK_VALUES or chunk == 7
     _assert_same_bytes(tmp_path / "run", write_run_csv, oracles.reference_write_run_csv, special)
     _assert_same_bytes(
         tmp_path / "cmp", write_comparison_csv, oracles.reference_write_comparison_csv,
@@ -539,9 +607,7 @@ def test_special_values_inside_long_tables(tmp_path, monkeypatch, chunk):
 
 def test_csv_writer_streams_long_tables(tmp_path, monkeypatch):
     """Tables longer than one chunk come out whole and in order."""
-    from ancsim import runner
-
-    monkeypatch.setattr(runner, "_CHUNK_VALUES", 7)
+    monkeypatch.setattr(_tables, "_CHUNK_VALUES", 7)
     result = run_single(short_config())
     _assert_same_bytes(tmp_path, write_run_csv, oracles.reference_write_run_csv, result)
 
@@ -555,14 +621,14 @@ def test_csv_writer_chunk_boundaries(tmp_path, n_float, offset):
     count is the writer's rows per chunk plus ``offset``.
     """
     n_cols = 1 + n_float
-    chunk = max(1, runner._CHUNK_VALUES // n_cols)
+    chunk = max(1, _tables._CHUNK_VALUES // n_cols)
     header = ["n"] + [f"v{j}" for j in range(n_float)]
     fmt = ",".join(["%d"] + ["%.17g"] * n_float) + "\n"
     rng = np.random.default_rng(n_cols)
     for n_rows in ([0, 1] if offset is None else [chunk + offset]):
         columns = [np.arange(n_rows)] + [rng.normal(size=n_rows) for _ in range(n_float)]
         path = tmp_path / f"t{n_rows}.csv"
-        runner._write_columns(str(path), header, columns)
+        _tables._write_columns(str(path), header, columns)
         rows = zip(*[c.tolist() for c in columns])
         want = ",".join(header) + "\n" + "".join([fmt % row for row in rows])
         assert path.read_bytes() == want.encode(), n_rows
