@@ -14,12 +14,12 @@ the arm loop of ``runner``, stacked over every arm of a configuration.
 A separate checker verifies the three conditions under which the online
 update is a slowly-varying perturbation of steepest descent: uniformly
 bounded Gram matrices, step size inside the stability range, and small
-per-period Gram increments. It computes one condition series per record, the
-running maxima of the top Gram and increment eigenvalues period by period,
-and reads a report off it at any truncation: the runner computes the series
-once per blocking and looks every arm up at its last update. The design
-problem and the checker build the Gram matrix from one lag stack of the
-record, processed in chunks.
+per-period Gram increments, from the largest top eigenvalues of the running
+Gram matrices and of their increments: one call reads them at any set of
+truncations (the runner's, per blocking: every arm's last update) and
+decomposes only what a norm bound or the monotone growth of the Gram matrix
+cannot rule out. The design problem and the checker build the Gram matrix
+from one lag stack of the record, processed in chunks.
 """
 
 from __future__ import annotations
@@ -121,16 +121,16 @@ class WienerProblem:
 _CHUNK_PERIODS = 128
 
 
-def _lagged_chunks(U: np.ndarray, n_taps: int):
+def _lagged_chunks(U: np.ndarray, n_taps: int, starts=None):
     """Yield ``(start, V)``, ``V[n - start, :, k] = U[n - k]``, zero before U.
 
     Each ``V`` is a contiguous (periods, L, n_taps) stack of at most
     _CHUNK_PERIODS periods: batched products on it equal per-period ones bit
     for bit (an einsum or a strided view does not), and chunks keep the
-    temporaries small.
+    temporaries small. ``starts`` picks chunks by their first periods.
     """
     n_steps, L = U.shape
-    for start in range(0, n_steps, _CHUNK_PERIODS):
+    for start in range(0, n_steps, _CHUNK_PERIODS) if starts is None else starts:
         stop = min(start + _CHUNK_PERIODS, n_steps)
         V = np.zeros((stop - start, L, n_taps))
         for k in range(min(n_taps, stop)):
@@ -294,11 +294,12 @@ def check_lms_conditions(
     """Evaluate the three convergence conditions on a recorded run.
 
     Builds the running Gram matrices Phi[n] from the lag stack of the
-    blocked regressor record, one chunk of periods at a time, and reports:
-    (1) a uniform norm bound, (2) whether the step size lies inside
-    (0, 2 / max eigenvalue), (3) whether the per-period change of mu Phi[n]
-    stays below ``eps_threshold``. A record with no regressor energy is
-    flagged degenerate (conditions hold vacuously).
+    blocked regressor record, one chunk of periods at a time, and reports,
+    from the largest top eigenvalues of Phi[n] and of its increments: (1) a
+    uniform norm bound, (2) whether the step size lies inside (0, 2 / max
+    eigenvalue), (3) whether the per-period change of mu Phi[n] stays below
+    ``eps_threshold``. A record with no regressor energy is flagged
+    degenerate (conditions hold vacuously).
     """
     U = np.asarray(u_blocks, dtype=float)
     if U.ndim != 2:
@@ -311,37 +312,77 @@ def check_lms_conditions(
         raise ValueError(f"period must be positive, got {h}")
     if not mu > 0.0:
         raise ValueError(f"step size must be positive, got {mu}")
-    return _report_at(_condition_series(U, n_taps, h), U.shape[0], n_taps, mu, eps_threshold)
+    return _report_at(_condition_maxima(U, n_taps, h, [len(U)])[len(U)], len(U), n_taps, mu, eps_threshold)
 
 
-def _condition_series(U: np.ndarray, n_taps: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix maxima of lambda_max(Phi[n]) and of the increment lambda_max.
+def _condition_maxima(U: np.ndarray, n_taps: int, h: float, reads) -> dict:
+    """``{n: (lambda_max, increment lambda_max)}`` over the first n periods, for n in ``reads``.
 
-    Entry n of each (n_steps + 1,) series covers the first n periods of the
-    record (entry 0 is 0), so one series serves every truncation of it: a
-    run that stopped early reads the entry at its last update. The chunks
-    start at period 0 whatever the length, so a truncated record gives the
-    same entries bit for bit.
+    The largest top eigenvalues (``eigvalsh``) of the running Gram matrices
+    Phi[1..n] and of their increments M_m = (L/h) V_m^T V_m (0 at n = 0), bit
+    for bit: every truncation builds the same matrices by the same chunked
+    products and in-place cumsum. With k = n_taps and eps the machine epsilon:
+
+    * lambda(M_m) <= ||M_m||_F (1 + 4 k^2 (L + 2) eps), the margin covering
+      ``eigvalsh`` (k^2 eps) and the asymmetry of the triangles (2 L eps of
+      the top diagonal entry each); k^2 smallest normal doubles under the
+      root cover underflowed squares. Nonzero increments are decomposed,
+      largest bound first, while a bound reaches the largest value found.
+    * lambda(Phi[m]) cannot fall as m grows (Weyl) but for rounding: the
+      increments are PSD to k (L + 1) eps of traces summing to k Lambda
+      (Lambda, the top lambda(Phi[m]) up to the read n, is below twice the
+      largest value found), the cumsum is off by k n eps Lambda, ``eigvalsh``
+      by k^2 eps Lambda. So no value before m exceeds the one at m by 2 delta,
+      delta = k (n + k (L + 2)) eps Lambda. From each read, running sums
+      rebuilt from their chunk's stored start are decomposed backwards, 8 at
+      a time, until a block starts at least 2 delta below the maximum.
     """
-    n_steps, L = U.shape
-    lam, inc = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
-    # Phi[n] grows by the PSD increment (L/h) V_n^T V_n each period; the
-    # in-place cumsum turns a chunk's increments into its running sums.
-    Phi = np.zeros((n_taps, n_taps))
-    for start, V in _lagged_chunks(U, n_taps):
-        stop = start + V.shape[0]
-        running = (L / h) * (V.transpose(0, 2, 1) @ V)
-        inc[start + 1:stop + 1] = np.linalg.eigvalsh(running)[:, -1]
+    reads = sorted(set(reads))
+    U = U[:reads[-1]]  # later periods change nothing before the last read
+    L, eps = U.shape[1], np.finfo(float).eps
+    margin, floor = 4 * n_taps**2 * (L + 2) * eps, n_taps**2 * np.finfo(float).tiny
+    starts = np.empty((-(-U.shape[0] // _CHUNK_PERIODS), n_taps, n_taps))
+    Phi, inc, inc_at = np.zeros((n_taps, n_taps)), 0.0, {0: 0.0}
+    for c, (start, V) in enumerate(_lagged_chunks(U, n_taps)):
+        running = V.transpose(0, 2, 1) @ V
+        running *= L / h  # the bits of (L / h) * (V^T V), without a second stack
+        rows = running.reshape(len(V), 1, -1)
+        bound = np.sqrt((rows @ rows.transpose(0, 2, 1)).ravel() + floor) * (1.0 + margin)
+        bound = np.where(rows.any(axis=2).ravel(), bound, -1.0).tolist()  # zero: no new maximum
+        lo = 0
+        for hi in [n - start for n in reads if start < n < start + len(V)] + [len(V)]:
+            for m in sorted(range(lo, hi), key=bound.__getitem__, reverse=True):
+                if bound[m] < inc:
+                    break
+                inc = max(inc, float(np.linalg.eigvalsh(running[m])[-1]))
+            inc_at[start + hi], lo = inc, hi
+        starts[c] = Phi
         running[0] += Phi
         np.cumsum(running, axis=0, out=running)
-        lam[start + 1:stop + 1] = np.linalg.eigvalsh(running)[:, -1]
-        Phi = running[-1]
-    return np.maximum.accumulate(lam), np.maximum.accumulate(inc)
+        Phi, last = running[-1], (start, running)
+    out, lam, prev = {}, 0.0, 0
+    for n in reads:
+        m = n
+        while m > prev:
+            start = (m - 1) // _CHUNK_PERIODS * _CHUNK_PERIODS
+            if last[0] != start:
+                ((_, V),) = _lagged_chunks(U, n_taps, [start])
+                running = V.transpose(0, 2, 1) @ V
+                running *= L / h
+                running[0] += starts[start // _CHUNK_PERIODS]
+                last = start, np.cumsum(running, axis=0, out=running)
+            first = max(prev, m - 8, start)
+            block = np.linalg.eigvalsh(last[1][first - start:m - start])[:, -1]
+            lam, m = max(lam, float(block.max())), first
+            if block[0] <= lam * (1.0 - 4.0 * n_taps * (n + n_taps * (L + 2)) * eps):
+                break
+        out[n], prev = (lam, inc_at[n]), n
+    return out
 
 
-def _report_at(series, n: int, n_taps: int, mu: float, eps_threshold: float) -> LmsConditionReport:
-    """The conditions on the first ``n`` periods of a record, read off its series."""
-    lam_max, inc_max = float(series[0][n]), float(series[1][n])
+def _report_at(maxima, n: int, n_taps: int, mu: float, eps_threshold: float) -> LmsConditionReport:
+    """The conditions on the first ``n`` periods of a record, from its maxima there."""
+    lam_max, inc_max = maxima
     degenerate = lam_max == 0.0
     mu_limit = float("inf") if degenerate else 2.0 / lam_max
     eps_realized = mu * inc_max

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._tables import _FastWriter, _write_columns, _write_fast
-from .adaptive import LmsConditionReport, _condition_series, _report_at
+from .adaptive import LmsConditionReport, _condition_maxima, _report_at
 from .config import SimConfig
 from .lifting import ExogenousRecord, HybridLoop, SimTrace
 from .statespace import freq_response_grid
@@ -227,11 +227,12 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     final_alpha[live], final_delta[live] = alpha, delta
     if stream is not None:
         stream.progress(N, n_completed)
-    # the lag windows are spent: free them before the condition series, which
-    # sets the peak memory of a run
-    u_lags = xd_lags = folds = u_lag = None
-
-    series = {}
+    u_lags = xd_lags = folds = u_lag = None  # the lag windows are spent
+    n_updates, reads = n_completed - diverged, {}  # the diverging period made no update
+    for r, a in enumerate(order):
+        if arms[a][0] > 0.0 and n_updates[r] > 0:
+            reads.setdefault(cells[a], []).append(int(n_updates[r]))
+    maxima = {b: _condition_maxima(u_alg[b], n_taps, h, ns) for b, ns in reads.items()}
     results = []
     for a, (mu_a, _) in enumerate(arms):
         r, b = order.index(a), cells[a]
@@ -240,19 +241,16 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
                 dict(x=record.x, d=record.d, w=w[r], e=e[r], u=record.u).items()}
         trace = SimTrace(h=h, L=L, x_d=record.x_d[:k], y_d=y_d[r, :k],
                          u_blocks=record.u_blocks[:k], **fast)
-        n_updates = k - 1 if diverged[r] else k  # the diverging period made no update
-        report = None
-        if mu_a > 0.0 and n_updates > 0:
-            if b not in series:
-                series[b] = _condition_series(u_alg[b], n_taps, h)
-            report = _report_at(series[b], n_updates, n_taps, mu_a, config.eps_threshold)
+        n_up = int(n_updates[r])
+        report = (_report_at(maxima[b][n_up], n_up, n_taps, mu_a, config.eps_threshold)
+                  if mu_a > 0.0 and n_up > 0 else None)
         results.append(SingleRunResult(
             trace=trace,
             alpha_hist=alpha_hist[r, :k],
             delta_hist=delta_hist[r, :k],
             final_alpha=final_alpha[r],
             final_delta=final_delta[r],
-            u_alg_blocks=u_alg[b][:n_updates],
+            u_alg_blocks=u_alg[b][:n_up],
             algorithm_cells=b,
             mu=mu_a,
             error_norm=float("inf") if diverged[r] else trace.norm("e"),

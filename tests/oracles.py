@@ -21,7 +21,10 @@ together;
 iteration through the single-arm :func:`reference_loop_step` and
 :func:`sdfx_lms_step`; :func:`reference_build_wiener` sums one delayed copy
 of the record per lag pair and :func:`reference_check_lms_conditions` builds the Gram increment
-of each period in a Python loop; :func:`reference_wiener_solve` solves the
+of each period in a Python loop; :func:`reference_condition_series`
+decomposes every running Gram matrix and every increment of a record, so
+one series of prefix maxima serves each truncation;
+:func:`reference_wiener_solve` solves the
 quadratic problem by Cholesky factorization plus one refinement step; the
 ``reference_write_*`` functions write every CSV table row by row through a
 per-value formatter;
@@ -41,7 +44,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
-from ancsim.adaptive import LmsConditionReport, WienerProblem, check_lms_conditions
+from ancsim.adaptive import LmsConditionReport, WienerProblem, _lagged_chunks, check_lms_conditions
 from ancsim.lifting import LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator, HeldWaveform
@@ -263,6 +266,31 @@ def reference_check_lms_conditions(u_blocks, mu, n_taps, h, eps_threshold=0.5) -
         step_ok=bool(degenerate or mu < mu_limit),
         slow_ok=bool(eps_realized <= eps_threshold),
     )
+
+
+def reference_condition_series(U: np.ndarray, n_taps: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix maxima of lambda_max(Phi[n]) and of the increment lambda_max.
+
+    Entry n of each (n_steps + 1,) series covers the first n periods of the
+    record (entry 0 is 0), so one series serves every truncation of it: a
+    run that stopped early reads the entry at its last update. The chunks
+    start at period 0 whatever the length, so a truncated record gives the
+    same entries bit for bit.
+    """
+    n_steps, L = U.shape
+    lam, inc = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+    # Phi[n] grows by the PSD increment (L/h) V_n^T V_n each period; the
+    # in-place cumsum turns a chunk's increments into its running sums.
+    Phi = np.zeros((n_taps, n_taps))
+    for start, V in _lagged_chunks(U, n_taps):
+        stop = start + V.shape[0]
+        running = (L / h) * (V.transpose(0, 2, 1) @ V)
+        inc[start + 1:stop + 1] = np.linalg.eigvalsh(running)[:, -1]
+        running[0] += Phi
+        np.cumsum(running, axis=0, out=running)
+        lam[start + 1:stop + 1] = np.linalg.eigvalsh(running)[:, -1]
+        Phi = running[-1]
+    return np.maximum.accumulate(lam), np.maximum.accumulate(inc)
 
 
 class DampedSines:

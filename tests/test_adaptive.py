@@ -1,5 +1,7 @@
 """Quadratic problem assembly, direct solve, descent, and the online update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from ancsim import (
     sd_run,
     wiener_solve,
 )
+from ancsim.adaptive import _condition_maxima
 from ancsim.config import SimConfig
 from ancsim.tolerances import TOL
 
@@ -495,3 +498,87 @@ def test_running_gram_top_eigenvalue_is_monotone():
         problem = build_wiener(u[:n], np.zeros((n, L)), n_taps, float(n), h, L)
         tops.append(np.linalg.eigvalsh(problem.Phi)[-1])
     assert np.all(np.diff(tops) > -1e-12)
+
+
+def _maxima_records():
+    """(U, n_taps, h): the Gram records plus the shapes that stress the
+    pruning of ``_condition_maxima`` (ties, plateaus, zeros, one spike)."""
+    out = []
+    for n_steps, L, n_taps in GRAM_RECORDS:
+        rng = np.random.default_rng(n_steps + 7 * L + n_taps)
+        u = rng.normal(size=(n_steps, L)) * np.exp(rng.normal(size=(n_steps, 1)))
+        out += [pytest.param(u, n_taps, h, id=f"gram-{n_steps}-{L}-{n_taps}-h{h}") for h in (1.0, 0.3)]
+    rng = np.random.default_rng(41)
+    tail = rng.normal(size=(300, 4))
+    tail[140:] = 0.0
+    head = rng.normal(size=(300, 4))
+    head[:150] = 0.0
+    # from period ~340 the top eigenvalue moves by rounding, up and down, and
+    # after ~400 the increments no longer change the running sums at all
+    decay = rng.normal(size=(500, 2)) * np.exp(-0.05 * np.arange(500))[:, None]
+    spike = rng.normal(size=(300, 3))
+    spike[170] *= 1e6
+    # exact periods: every increment is one of a few. With one cell and a
+    # period of n_taps, the lag vectors are rotations of one another, so the
+    # increments tie in exact arithmetic, their eigenvalues equal their
+    # Frobenius norms, and rounding alone orders them
+    rotations = [np.tile(np.random.default_rng(1).normal(size=(n, 1)), (200 // n + 1, 1))[:200] for n in (6, 8)]
+    blocks = np.tile(rng.normal(size=(5, 3)), (60, 1))
+    out += [
+        pytest.param(np.zeros((200, 4)), 8, 1.0, id="zero"),
+        pytest.param(tail, 8, 1.0, id="zero-tail"),
+        pytest.param(head, 8, 1.0, id="zero-head"),
+        pytest.param(decay, 8, 1.0, id="plateau"),
+        pytest.param(spike, 8, 0.5, id="spike"),
+        pytest.param(rotations[0], 6, 1.0, id="periodic-rotations-6"),
+        pytest.param(rotations[1], 8, 1.0, id="periodic-rotations-8"),
+        pytest.param(blocks, 4, 1.0, id="periodic-blocks"),
+        pytest.param(rng.normal(size=(5, 3)), 8, 1.0, id="taps-beyond-record"),
+        # increments below the smallest normal double: their squares underflow
+        pytest.param(rng.normal(size=(300, 3)) * 1e-158, 8, 1.0, id="subnormal"),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("u, n_taps, h", _maxima_records())
+def test_condition_maxima_equal_full_series_at_every_truncation(u, n_taps, h):
+    """Bit for bit the full per-period series, read alone at each n and all at once."""
+    lam, inc = oracles.reference_condition_series(u, n_taps, h)
+    want = {n: np.array([lam[n], inc[n]]).tobytes() for n in range(u.shape[0] + 1)}
+    together = _condition_maxima(u, n_taps, h, range(u.shape[0] + 1))
+    assert {n: np.array(v).tobytes() for n, v in together.items()} == want
+    for n in range(u.shape[0] + 1):
+        assert np.array(_condition_maxima(u, n_taps, h, [n])[n]).tobytes() == want[n], n
+
+
+def _decaying_broadband(n_steps=2000, L=8):
+    rng = np.random.default_rng(2)
+    return rng.standard_normal((n_steps, L)) * np.exp(-0.002 * np.arange(n_steps))[:, None]
+
+
+def test_checker_decomposes_few_matrices(monkeypatch):
+    """Bounds and the monotone running Gram leave most matrices undecomposed
+    (the full series took 2 T = 4000)."""
+    counted = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counted.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    u = _decaying_broadband()
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    check_lms_conditions(u, mu=0.02, n_taps=8, h=1.0)
+    assert 0 < sum(counted) <= 200
+
+
+def test_checker_memory_stays_at_one_chunk():
+    """No full-horizon (T, n_taps, n_taps) stack: it alone would be 1 MiB here."""
+    u = _decaying_broadband()
+    tracemalloc.start()
+    try:
+        check_lms_conditions(u, mu=0.02, n_taps=8, h=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 << 10

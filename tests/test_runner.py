@@ -12,7 +12,7 @@ import pytest
 
 import _frozen
 import oracles
-from ancsim import _tables, runner
+from ancsim import _tables, adaptive, runner
 from ancsim import (
     ComparisonResult,
     SimTrace,
@@ -296,6 +296,54 @@ def test_arm_loop_matches_single_arm_reference(tmp_path):
                 assert result.lms_report is None
             assert 1 <= k <= N
     assert seen == {"stable", "mid-run", "first"}
+
+
+def test_sweep_reads_every_arm_of_a_blocking_in_one_call(monkeypatch):
+    """One maxima call per blocking serves arms that diverge in one chunk, in
+    different chunks and right after their first update; mu = 0 arms read
+    nothing. Every field equals the single-arm loop's, and every report the
+    full per-period series' values."""
+    config = short_config(T=300.0, L=4)
+    arms = [(mu, cells) for mu in (0.0, 0.5, 13.0, 16.0, 30.0, 1e15) for cells in (None, 1, 2)]
+    calls = []
+    real = runner._condition_maxima
+
+    def recording(U, n_taps, h, reads):
+        calls.append((U.shape[1], sorted(reads)))
+        return real(U, n_taps, h, reads)
+
+    monkeypatch.setattr(runner, "_condition_maxima", recording)
+    machine, record = runner._setup(config)
+    got = runner._run_arms(config, machine, record, arms)
+
+    assert sorted(b for b, _ in calls) == [1, 2, 4]
+    for _, reads in calls:
+        assert len(reads) == 5  # one per arm with mu > 0: none diverged alike
+        chunks = [(n - 1) // adaptive._CHUNK_PERIODS for n in reads]
+        assert len(set(chunks)) >= 2 and len(set(chunks)) < len(chunks)
+    assert sum(reads[0] == 1 for _, reads in calls) == 2  # mu = 1e15 at 4 and 2 cells
+
+    series = {}
+    for (mu, cells), result in zip(arms, got):
+        want = oracles.reference_run_arm(replace(config, mu=mu), machine, record, cells)
+        _assert_identical(result, want)
+        assert result.lms_report == want.lms_report
+        for name in ("alpha_hist", "delta_hist", "final_alpha", "final_delta", "u_alg_blocks"):
+            assert np.array_equal(getattr(result, name), getattr(want, name)), name
+        n_up = result.u_alg_blocks.shape[0]
+        if mu == 0.0:
+            assert result.lms_report is None and not result.diverged
+            continue
+        b = result.algorithm_cells
+        if b not in series:
+            u_alg = record.u_blocks if b == config.L else \
+                record.u_blocks.reshape(config.n_steps, b, config.L // b).sum(axis=2)
+            series[b] = oracles.reference_condition_series(u_alg, config.n_taps, config.h)
+        lam, inc = series[b][0][n_up], series[b][1][n_up]
+        report = result.lms_report
+        assert report.n_intervals == n_up
+        assert np.array([report.lambda_max, report.eps_realized]).tobytes() == \
+            np.array([lam, mu * inc]).tobytes()
 
 
 def test_shared_trace_arrays_are_read_only():
