@@ -5,6 +5,10 @@ conventional blocking), ``sweep`` (step-size sweep of both arms), ``bode``
 (plant frequency-response table), ``check`` (re-evaluate the convergence
 conditions on a recorded u_blocks.csv). Results go to CSV files in the
 output directory; summaries and wall time go to stdout only.
+
+Each common flag sets one config key on top of the config file (``--mu``
+sets ``adapt.mu``, or ``adapt.mu_list`` for ``sweep``), and the config is
+built once; a bad value exits 2 naming its key.
 """
 
 from __future__ import annotations
@@ -15,18 +19,17 @@ import time
 
 from . import runner
 from .adaptive import check_lms_conditions
-from .config import ConfigError, SimConfig
+from .config import ConfigError, SimConfig, read_config
 
 __all__ = ["main"]
 
 
-def _add_common(sub: argparse.ArgumentParser, mu_help: str) -> None:
+def _add_common(sub: argparse.ArgumentParser, mu_key: str = "adapt.mu") -> None:
     sub.add_argument("--config", help="path to a key = value config file")
-    sub.add_argument("--out", help="output directory (default: output.dir from config)")
-    sub.add_argument("--seed", type=int, help="override sim.seed")
-    sub.add_argument("--mu", help=mu_help)
-    sub.add_argument("--L", type=int, dest="cells", help="override sim.L (cells per period)")
-    sub.add_argument("--threshold", type=float, help="override sweep.threshold")
+    # a flag's dest is the dotted key it sets (see _build_config)
+    for flag, key in (("--out", "output.dir"), ("--seed", "sim.seed"), ("--mu", mu_key),
+                      ("--L", "sim.L"), ("--threshold", "sweep.threshold")):
+        sub.add_argument(flag, dest=key, help=f"set {key} over the config file")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -37,52 +40,34 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="single adaptive run")
-    _add_common(p_run, "override adapt.mu (one number)")
+    _add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="proposed vs conventional blocking")
-    _add_common(p_cmp, "override adapt.mu (one number)")
+    _add_common(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="step-size sweep of both arms")
-    _add_common(p_swp, "override adapt.mu_list (comma-separated numbers)")
+    _add_common(p_swp, "adapt.mu_list")
     p_swp.set_defaults(func=_cmd_sweep)
 
     p_bode = sub.add_parser("bode", help="plant frequency-response table")
-    _add_common(p_bode, "ignored for bode")
+    _add_common(p_bode)
     p_bode.set_defaults(func=_cmd_bode)
 
     p_chk = sub.add_parser("check", help="convergence conditions on a recorded trace")
-    _add_common(p_chk, "step size the trace was recorded with (default: adapt.mu)")
-    p_chk.add_argument("--trace", required=True, help="path to a recorded u_blocks.csv")
+    _add_common(p_chk)
+    p_chk.add_argument("--trace", required=True, help="path to a u_blocks.csv recorded with adapt.mu")
     p_chk.set_defaults(func=_cmd_check)
 
     return parser
 
 
-def _build_config(args, mu_is_list: bool = False) -> SimConfig:
-    """The config file (or the defaults) with the command-line overrides, built once."""
-    over = {}
-    if args.seed is not None:
-        over["seed"] = args.seed
-    if args.cells is not None:
-        over["L"] = args.cells
-    if args.threshold is not None:
-        over["threshold"] = args.threshold
-    if args.out is not None:
-        over["out_dir"] = args.out
-    if args.mu is not None:
-        if mu_is_list:
-            try:
-                over["mu_list"] = tuple(float(p) for p in args.mu.split(",") if p.strip())
-            except ValueError:
-                raise ConfigError("adapt.mu_list", f"expected numbers, got {args.mu!r}") from None
-        else:
-            try:
-                over["mu"] = float(args.mu)
-            except ValueError:
-                raise ConfigError("adapt.mu", f"expected a number, got {args.mu!r}") from None
-    return SimConfig.from_file(args.config, **over) if args.config else SimConfig(**over)
+def _build_config(args) -> SimConfig:
+    """The config file (or the defaults) with each given flag's key laid over it, built once."""
+    mapping = read_config(args.config) if args.config else {}
+    mapping.update((key, value) for key, value in vars(args).items() if "." in key and value is not None)
+    return SimConfig.from_mapping(mapping)
 
 
 def _print_conditions(report) -> None:
@@ -131,7 +116,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_config(args, mu_is_list=True)
+    cfg = _build_config(args)
     t0 = time.perf_counter()
     result = runner.run_mu_sweep(cfg)
     paths = runner.write_sweep_csv(result, cfg.out_dir)

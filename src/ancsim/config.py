@@ -1,7 +1,10 @@
 """Flat key-value configuration for the experiment harness.
 
-Files are plain ``key = value`` lines with dotted keys, ``#`` comments and
-blank lines; lists are comma separated. Defaults reproduce the benchmark
+Files are plain ``key = value`` lines with dotted keys; blank lines and
+lines that start with ``#`` or ``;`` are skipped, and lists are comma
+separated. Every setting is parsed and validated here: the command line
+lays its flags over the file's keys and calls ``SimConfig.from_mapping``
+once, and each ``ConfigError`` names its key. Defaults reproduce the benchmark
 setup used throughout the test suite: two resonant-bank plants behind
 first-order lags, an eight-cell fast grid over a unit period, and a bank of
 decaying sinusoids with content on both sides of the Nyquist frequency.
@@ -9,15 +12,14 @@ decaying sinusoids with content on both sides of the Nyquist frequency.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .signals import AutonomousGenerator, HeldWaveform
 from .statespace import ContinuousStateSpace, PlantSpecificationError, from_second_order_bank
 
-__all__ = ["ConfigError", "SimConfig", "parse_config_text"]
+__all__ = ["ConfigError", "SimConfig", "parse_config_text", "read_config"]
 
 
 class ConfigError(ValueError):
@@ -42,6 +44,16 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw.strip()!r}")
         out[key] = value
     return out
+
+
+def read_config(path: str) -> dict[str, str]:
+    """The string mapping of the config file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from None
+    return parse_config_text(text)
 
 
 def _float(key: str, text: str) -> float:
@@ -134,45 +146,29 @@ class SimConfig:
         self._validate()
 
     @classmethod
-    def from_mapping(cls, mapping: dict[str, str], **overrides) -> "SimConfig":
-        """The config of ``mapping``'s dotted keys, with field ``overrides`` applied on top."""
+    def from_mapping(cls, mapping: dict[str, str]) -> "SimConfig":
+        """The config of ``mapping``'s dotted keys; unset keys keep their defaults."""
         kwargs = {}
         for key, raw in mapping.items():
             if key not in cls._KEYS:
                 raise ConfigError(key, "unknown key")
             name, parser = cls._KEYS[key]
             kwargs[name] = raw if parser is None else parser(key, raw)
-        return cls(**{**kwargs, **overrides})
+        return cls(**kwargs)
 
     @classmethod
-    def from_text(cls, text: str, **overrides) -> "SimConfig":
-        return cls.from_mapping(parse_config_text(text), **overrides)
+    def from_text(cls, text: str) -> "SimConfig":
+        return cls.from_mapping(parse_config_text(text))
 
     @classmethod
-    def from_file(cls, path: str, **overrides) -> "SimConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError("config", f"cannot read {path}: {exc}") from None
-        return cls.from_text(text, **overrides)
+    def from_file(cls, path: str) -> "SimConfig":
+        return cls.from_mapping(read_config(path))
 
     def with_overrides(self, **kwargs) -> "SimConfig":
-        """This config with fields replaced and validated again.
+        """This config with fields replaced, validated and its plants built again."""
+        return replace(self, **kwargs)
 
-        The plants are rebuilt only when a ``plant.*`` field or ``zeta``
-        changes; otherwise the new config keeps this one's.
-        """
-        new = copy.copy(self)
-        for name, value in kwargs.items():
-            if name not in _INIT_FIELDS:
-                raise TypeError(f"SimConfig has no field {name!r}")
-            object.__setattr__(new, name, value)
-        rebuild = not _PLANT_FIELDS.isdisjoint(kwargs)
-        new._validate(plants=None if rebuild else (self._secondary, self._primary))
-        return new
-
-    def _validate(self, plants=None) -> None:
+    def _validate(self) -> None:
         if not 0.0 < self.h < np.inf:
             raise ConfigError("sim.h", f"period must be positive and finite, got {self.h}")
         if self.L < 1:
@@ -194,11 +190,12 @@ class SimConfig:
             raise ConfigError("adapt.mu_list", "sweep needs at least one step size")
         if not self.eps_threshold > 0.0:
             raise ConfigError("adapt.eps_threshold", "threshold must be positive")
-        if plants is None:
-            if not 0.0 < self.zeta < np.inf:
-                raise ConfigError("plant.zeta", f"damping ratio must be finite and > 0, got {self.zeta}")
-            plants = (self._plant("plant.f", self.f_poles, self.f_gains, self.f_frequencies, self.f_dampings),
-                      self._plant("plant.p", self.p_poles, self.p_gains, self.p_frequencies, self.p_dampings))
+        if not 0.0 < self.zeta < np.inf:
+            raise ConfigError("plant.zeta", f"damping ratio must be finite and > 0, got {self.zeta}")
+        object.__setattr__(self, "_secondary", self._plant(
+            "plant.f", self.f_poles, self.f_gains, self.f_frequencies, self.f_dampings))
+        object.__setattr__(self, "_primary", self._plant(
+            "plant.p", self.p_poles, self.p_gains, self.p_frequencies, self.p_dampings))
         na = len(self.noise_amplitudes)
         if na == 0:
             raise ConfigError("noise.amplitudes", "need at least one component")
@@ -222,8 +219,8 @@ class SimConfig:
             raise ConfigError("sweep.threshold", "threshold must be positive")
         if not self.divergence_cutoff > 0.0:
             raise ConfigError("run.divergence_cutoff", "cutoff must be positive")
-        object.__setattr__(self, "_secondary", plants[0])
-        object.__setattr__(self, "_primary", plants[1])
+        if not self.out_dir:
+            raise ConfigError("output.dir", "output directory must not be empty")
 
     def _plant(self, prefix, poles, gains, frequencies, dampings) -> ContinuousStateSpace:
         if len(gains) != len(frequencies):
@@ -291,8 +288,3 @@ class SimConfig:
         return AutonomousGenerator.damped_sinusoids(
             self.noise_amplitudes, self.noise_frequencies, self.noise_decay_rates, phases
         )
-
-
-_INIT_FIELDS = frozenset(f.name for f in fields(SimConfig) if f.init)
-# the fields the two plants are built from
-_PLANT_FIELDS = frozenset(name for name in _INIT_FIELDS if name == "zeta" or name[:2] in ("f_", "p_"))

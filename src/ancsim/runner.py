@@ -524,12 +524,22 @@ def write_bode_csv(config: SimConfig, out_dir: str, n_points: int = 400) -> str:
 
 
 def load_u_blocks(path: str) -> np.ndarray:
-    """Read back a u_blocks.csv table (inverse of write_run_csv's writer)."""
+    """Read back a u_blocks.csv table (inverse of write_run_csv's writer).
+
+    The header must be ``n,u_0,...,u_{k-1}`` with k >= 1, and every row must
+    hold 1 + k numbers; anything else raises ``ValueError`` naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
-        rows = fh.read().splitlines()[1:]
+        header, *rows = fh.read().splitlines() or [""]
+    names = header.split(",")
+    if len(names) < 2 or names != ["n"] + [f"u_{l}" for l in range(len(names) - 1)]:
+        raise ValueError(f"{path}: expected a u_blocks.csv header 'n,u_0,...', got {header[:60]!r}")
     if not any(row.strip() for row in rows):
         raise ValueError(f"{path}: no periods recorded")
-    data = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{path}: expected an index column plus block columns")
+    try:
+        data = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:  # a field that is no number, or rows of unequal width
+        raise ValueError(f"{path}: {exc}") from None
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path}: expected {len(names)} fields on every row, as in the header")
     return data[:, 1:]

@@ -289,6 +289,28 @@ class TestCheckCommand:
         assert out == ""
         assert f"{trace}: no periods recorded" in err
 
+    @pytest.mark.parametrize("table", ["taps.csv", "fast.csv", "wrong_width"])
+    def test_other_table_exits_two_naming_file(self, table, recorded_trace, small_config, capsys):
+        """Only a u_blocks.csv header over rows of its width reads as a trace."""
+        trace = os.path.join(os.path.dirname(recorded_trace), table)
+        if table == "wrong_width":
+            trace = recorded_trace
+            lines = Path(trace).read_text().splitlines()
+            Path(trace).write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:]) + "\n")
+        code, out, err = _run_cli(["check", "--config", small_config, "--trace", trace], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {trace}: ")
+
+    def test_all_zero_trace_holds_vacuously(self, small_config, tmp_path, capsys):
+        trace = tmp_path / "u_blocks.csv"
+        trace.write_text("n,u_0,u_1\n" + "".join(f"{n},0,0\n" for n in range(10)))
+        code, out, _ = _run_cli(["check", "--config", small_config, "--trace", str(trace)], capsys)
+        assert code == 0
+        assert "trace: 10 periods, 2 cells" in out
+        assert "note: trace carries no regressor energy; conditions hold vacuously" in out
+        assert "overall: PASS" in out
+
 
 class TestErrorPaths:
     def test_bad_config_value_exits_two_with_key(self, tmp_path, capsys):
@@ -358,6 +380,52 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+COMMANDS = ["run", "compare", "sweep", "bode", "check"]
+BAD_FLAGS = [
+    (["--seed", "x"], "sim.seed"),
+    (["--L", "2.5"], "sim.L"),
+    (["--threshold", "x"], "sweep.threshold"),
+    (["--mu", "abc"], "adapt.mu"),
+    (["--out", ""], "output.dir"),
+]
+
+
+@pytest.mark.parametrize("command,flag,key", [
+    *((c, f, k) for c in COMMANDS for f, k in BAD_FLAGS if not (c == "sweep" and k == "adapt.mu")),
+    ("sweep", ["--mu", "x"], "adapt.mu_list"),
+    ("sweep", ["--mu", ","], "adapt.mu_list"),
+])
+def test_bad_flag_value_exits_two_naming_its_key(command, flag, key, small_config, tmp_path, capsys):
+    """Each common flag sets one config key, so a bad value is that key's error."""
+    argv = [command, "--config", small_config, "--out", str(tmp_path / "o"), *flag]
+    if command == "check":
+        argv += ["--trace", str(tmp_path / "missing.csv")]
+    code, out, err = _run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"configuration error: {key}: ")
+
+
+@pytest.mark.parametrize("command,mu", [("run", "0.1"), ("compare", "0.1"),
+                                        ("sweep", "0.05,0.1"), ("bode", "0.1")])
+def test_flags_equal_the_keys_they_set(command, mu, tmp_path, capsys):
+    """Flags over a file's keys write the bytes of a file holding the flag values."""
+    key = "adapt.mu_list" if command == "sweep" else "adapt.mu"
+    overridden = tmp_path / "overridden.cfg"
+    overridden.write_text(SMALL_CONFIG + f"sim.seed = 3\nsim.L = 4\nsweep.threshold = 8\n{key} = 0.3\n"
+                          "output.dir = elsewhere\n")
+    flags = ["--seed", "7", "--L", "2", "--threshold", "5", "--mu", mu, "--out", str(tmp_path / "a")]
+    assert _run_cli([command, "--config", str(overridden), *flags], capsys)[0] == 0
+    direct = tmp_path / "direct.cfg"
+    direct.write_text(SMALL_CONFIG + f"sim.seed = 7\nsim.L = 2\nsweep.threshold = 5\n{key} = {mu}\n"
+                    f"output.dir = {tmp_path / 'b'}\n")
+    assert _run_cli([command, "--config", str(direct)], capsys)[0] == 0
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_module_entry_point(small_config, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import ancsim.config
 from ancsim import AutonomousGenerator, HeldWaveform, from_second_order_bank
-from ancsim.config import ConfigError, SimConfig, parse_config_text
+from ancsim.config import ConfigError, SimConfig, parse_config_text, read_config
 
 
 def test_parse_lines_comments_and_whitespace():
@@ -130,6 +130,9 @@ def test_unknown_key_rejected():
         ("plant.p.frequencies = 1.2, 2.4, 3.6, nan", "plant.p.frequencies"),
         ("plant.p.poles = 1.2, inf", "plant.p.poles"),
         ("plant.p.dampings = nan, 0.1, 0.1, 0.1", "plant.p.dampings"),
+        ("sim.L = 2.5", "sim.L"),
+        ("noise.frequencies = 1.0, -2.6, 3.6, 4.8", "noise.frequencies"),
+        ("output.dir =", "output.dir"),
     ],
 )
 def test_field_validation_names_the_key(line, key):
@@ -147,12 +150,9 @@ def test_overrides_and_frozen():
         config.mu = 0.3
 
 
-@pytest.mark.parametrize("overrides,builds", [
-    (dict(T=10.0), 0),
-    (dict(zeta=0.2), 2),
-])
-def test_overrides_rebuild_plants_only_for_plant_fields(overrides, builds, monkeypatch):
-    """A non-plant override keeps the plants and still validates; a plant field rebuilds both."""
+@pytest.mark.parametrize("overrides", [dict(T=10.0), dict(zeta=0.2)])
+def test_overrides_validate_and_rebuild_plants(overrides, monkeypatch):
+    """An override validates the new config and builds its two plants, like a new config."""
     config = SimConfig()
     calls = []
 
@@ -162,9 +162,9 @@ def test_overrides_rebuild_plants_only_for_plant_fields(overrides, builds, monke
 
     monkeypatch.setattr(ancsim.config, "from_second_order_bank", counting)
     new = config.with_overrides(**overrides)
-    assert len(calls) == builds
+    assert len(calls) == 2
     assert new == SimConfig(**overrides)
-    assert (new.secondary() is config.secondary()) == (builds == 0)
+    assert new.secondary() is not config.secondary()
     assert np.array_equal(new.secondary().A, SimConfig(**overrides).secondary().A)
     with pytest.raises(ConfigError, match="sim.T"):
         config.with_overrides(T=-1.0)
@@ -216,6 +216,23 @@ def test_waveform_non_finite_sample_names_the_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         config.make_generator()
     assert str(err.value).startswith("noise.waveform:")
+
+
+def test_waveform_unparsable_file_names_the_key(tmp_path):
+    path = tmp_path / "wave.txt"
+    path.write_text("0.5\nnot a number\n" + "0.0\n" * 6)
+    config = SimConfig().with_overrides(T=2.0, L=4, waveform_path=str(path))
+    with pytest.raises(ConfigError, match="^noise.waveform: cannot parse"):
+        config.make_generator()
+
+
+def test_read_config_is_the_files_mapping(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_text("# comment\nsim.L = 2\noutput.dir = res  # kept\n")
+    assert read_config(str(path)) == {"sim.L": "2", "output.dir": "res  # kept"}
+    assert SimConfig.from_file(str(path)) == SimConfig.from_mapping(read_config(str(path)))
+    with pytest.raises(ConfigError, match="^config: cannot read"):
+        read_config(str(tmp_path / "missing.cfg"))
 
 
 def test_waveform_missing_file():

@@ -447,6 +447,8 @@ def test_l2_norm_edge_cases():
         l2_norm(np.ones(3), 0.1, t_end=-1.0)
     assert l2_norm(np.array([1.0, np.nan]), 0.1) == np.inf
     assert l2_norm(np.array([1e200, 1e200]), 0.1) == np.inf
+    # each square is finite, the sum of squares passes 1e300
+    assert l2_norm(np.full(10_000, 1e149), 1.0) == np.inf
 
 
 def test_l2_norm_bytes_do_not_depend_on_blas_threads():

@@ -200,6 +200,21 @@ def test_sweep_structure_and_edges():
         assert sweep.mu_max_proposed >= stable[0]
 
 
+def test_sweep_zero_step_row_passes_the_step_check():
+    """A mu = 0 arm takes no update, so it has no report and its step check passes."""
+    sweep = run_mu_sweep(short_config(T=10.0), mu_values=[0.0, 0.1])
+    zero = sweep.rows[0]
+    assert zero.mu == 0.0
+    assert zero.step_ok_proposed and zero.step_ok_conventional
+    assert zero.error_proposed == zero.error_conventional
+
+
+def test_silent_comparison_has_ratio_one():
+    comp = run_comparison(short_config(T=10.0, noise_amplitudes=(0.0,) * 4))
+    assert comp.proposed.error_norm == comp.conventional.error_norm == 0.0
+    assert comp.ratio == 1.0
+
+
 def test_sweep_requires_steps():
     with pytest.raises(ValueError):
         run_mu_sweep(short_config(), mu_values=[])
@@ -373,6 +388,12 @@ def test_run_csv_round_trip(tmp_path):
     report_text = (tmp_path / "report.csv").read_text()
     assert "error_l2" in report_text
     assert "\r" not in report_text
+
+
+def test_run_csv_raises_a_failed_fast_table(tmp_path):
+    (tmp_path / "fast.csv").mkdir()
+    with pytest.raises(OSError, match="fast.csv"):
+        write_run_csv(run_single(short_config(T=10.0)), str(tmp_path))
 
 
 def test_fast_csv_columns(tmp_path):
