@@ -14,12 +14,13 @@ the arm loop of ``runner``, stacked over every arm of a configuration.
 A separate checker verifies the three conditions under which the online
 update is a slowly-varying perturbation of steepest descent: uniformly
 bounded Gram matrices, step size inside the stability range, and small
-per-period Gram increments, from the largest top eigenvalues of the running
-Gram matrices and of their increments: one call reads them at any set of
-truncations (the runner's, per blocking: every arm's last update) and
-decomposes only what a norm bound or the monotone growth of the Gram matrix
-cannot rule out. The design problem and the checker build the Gram matrix
-from one lag stack of the record, processed in chunks.
+per-period Gram increments, from the top eigenvalue of the running Gram
+matrix (its positive semidefinite growth makes it the largest so far) and
+the largest top eigenvalue of its increments: one call reads them at any set
+of truncations (the runner's, per blocking: every arm's last update),
+decomposing one running Gram matrix per truncation and the increments a
+norm bound cannot rule out. The design problem and the checker build the
+Gram matrix from one lag stack of the record, processed in chunks.
 """
 
 from __future__ import annotations
@@ -121,16 +122,16 @@ class WienerProblem:
 _CHUNK_PERIODS = 128
 
 
-def _lagged_chunks(U: np.ndarray, n_taps: int, starts=None):
+def _lagged_chunks(U: np.ndarray, n_taps: int):
     """Yield ``(start, V)``, ``V[n - start, :, k] = U[n - k]``, zero before U.
 
     Each ``V`` is a contiguous (periods, L, n_taps) stack of at most
     _CHUNK_PERIODS periods: batched products on it equal per-period ones bit
     for bit (an einsum or a strided view does not), and chunks keep the
-    temporaries small. ``starts`` picks chunks by their first periods.
+    temporaries small.
     """
     n_steps, L = U.shape
-    for start in range(0, n_steps, _CHUNK_PERIODS) if starts is None else starts:
+    for start in range(0, n_steps, _CHUNK_PERIODS):
         stop = min(start + _CHUNK_PERIODS, n_steps)
         V = np.zeros((stop - start, L, n_taps))
         for k in range(min(n_taps, stop)):
@@ -295,11 +296,11 @@ def check_lms_conditions(
 
     Builds the running Gram matrices Phi[n] from the lag stack of the
     blocked regressor record, one chunk of periods at a time, and reports,
-    from the largest top eigenvalues of Phi[n] and of its increments: (1) a
-    uniform norm bound, (2) whether the step size lies inside (0, 2 / max
-    eigenvalue), (3) whether the per-period change of mu Phi[n] stays below
-    ``eps_threshold``. A record with no regressor energy is flagged
-    degenerate (conditions hold vacuously).
+    from the top eigenvalue of the final Phi and the largest one of its
+    increments: (1) a uniform norm bound, (2) whether the step size lies
+    inside (0, 2 / max eigenvalue), (3) whether the per-period change of
+    mu Phi[n] stays below ``eps_threshold``. A record with no regressor
+    energy is flagged degenerate (conditions hold vacuously).
     """
     U = np.asarray(u_blocks, dtype=float)
     if U.ndim != 2:
@@ -316,68 +317,47 @@ def check_lms_conditions(
 
 
 def _condition_maxima(U: np.ndarray, n_taps: int, h: float, reads) -> dict:
-    """``{n: (lambda_max, increment lambda_max)}`` over the first n periods, for n in ``reads``.
+    """``{n: (lambda_max(Phi[n]), increment lambda_max)}`` over the first n periods, for n in ``reads``.
 
-    The largest top eigenvalues (``eigvalsh``) of the running Gram matrices
-    Phi[1..n] and of their increments M_m = (L/h) V_m^T V_m (0 at n = 0), bit
-    for bit: every truncation builds the same matrices by the same chunked
-    products and in-place cumsum. With k = n_taps and eps the machine epsilon:
-
-    * lambda(M_m) <= ||M_m||_F (1 + 4 k^2 (L + 2) eps), the margin covering
-      ``eigvalsh`` (k^2 eps) and the asymmetry of the triangles (2 L eps of
-      the top diagonal entry each); k^2 smallest normal doubles under the
-      root cover underflowed squares. Nonzero increments are decomposed,
-      largest bound first, while a bound reaches the largest value found.
-    * lambda(Phi[m]) cannot fall as m grows (Weyl) but for rounding: the
-      increments are PSD to k (L + 1) eps of traces summing to k Lambda
-      (Lambda, the top lambda(Phi[m]) up to the read n, is below twice the
-      largest value found), the cumsum is off by k n eps Lambda, ``eigvalsh``
-      by k^2 eps Lambda. So no value before m exceeds the one at m by 2 delta,
-      delta = k (n + k (L + 2)) eps Lambda. From each read, running sums
-      rebuilt from their chunk's stored start are decomposed backwards, 8 at
-      a time, until a block starts at least 2 delta below the maximum.
+    The top eigenvalue (``eigvalsh``) of the running Gram matrix Phi[n] and
+    the largest one of its increments M_m = (L/h) V_m^T V_m, m <= n (0 at
+    n = 0), bit for bit: every truncation builds the same matrices by the
+    same chunked products and in-place cumsum. The increments are positive
+    semidefinite, so lambda(Phi[n]) is already the largest over m <= n
+    (Weyl's inequality, up to rounding), and each read decomposes Phi[n]
+    alone. With k = n_taps and eps the machine epsilon, lambda(M_m) <=
+    ||M_m||_F (1 + 4 k^2 (L + 2) eps), the margin covering ``eigvalsh``
+    (k^2 eps) and the asymmetry of the triangles (2 L eps of the top
+    diagonal entry each); k^2 smallest normal doubles under the root cover
+    underflowed squares. Nonzero increments are decomposed, largest bound
+    first, while a bound reaches the largest value found.
     """
     reads = sorted(set(reads))
     U = U[:reads[-1]]  # later periods change nothing before the last read
     L, eps = U.shape[1], np.finfo(float).eps
     margin, floor = 4 * n_taps**2 * (L + 2) * eps, n_taps**2 * np.finfo(float).tiny
-    starts = np.empty((-(-U.shape[0] // _CHUNK_PERIODS), n_taps, n_taps))
-    Phi, inc, inc_at = np.zeros((n_taps, n_taps)), 0.0, {0: 0.0}
-    for c, (start, V) in enumerate(_lagged_chunks(U, n_taps)):
+    Phi, inc, lam_at, inc_at = np.zeros((n_taps, n_taps)), 0.0, {0: 0.0}, {0: 0.0}
+    for start, V in _lagged_chunks(U, n_taps):
         running = V.transpose(0, 2, 1) @ V
         running *= L / h  # the bits of (L / h) * (V^T V), without a second stack
         rows = running.reshape(len(V), 1, -1)
         bound = np.sqrt((rows @ rows.transpose(0, 2, 1)).ravel() + floor) * (1.0 + margin)
         bound = np.where(rows.any(axis=2).ravel(), bound, -1.0).tolist()  # zero: no new maximum
+        hits = [n for n in reads if start < n <= start + len(V)]
         lo = 0
-        for hi in [n - start for n in reads if start < n < start + len(V)] + [len(V)]:
+        for hi in [n - start for n in hits] + [len(V)]:
             for m in sorted(range(lo, hi), key=bound.__getitem__, reverse=True):
                 if bound[m] < inc:
                     break
                 inc = max(inc, float(np.linalg.eigvalsh(running[m])[-1]))
             inc_at[start + hi], lo = inc, hi
-        starts[c] = Phi
         running[0] += Phi
         np.cumsum(running, axis=0, out=running)
-        Phi, last = running[-1], (start, running)
-    out, lam, prev = {}, 0.0, 0
-    for n in reads:
-        m = n
-        while m > prev:
-            start = (m - 1) // _CHUNK_PERIODS * _CHUNK_PERIODS
-            if last[0] != start:
-                ((_, V),) = _lagged_chunks(U, n_taps, [start])
-                running = V.transpose(0, 2, 1) @ V
-                running *= L / h
-                running[0] += starts[start // _CHUNK_PERIODS]
-                last = start, np.cumsum(running, axis=0, out=running)
-            first = max(prev, m - 8, start)
-            block = np.linalg.eigvalsh(last[1][first - start:m - start])[:, -1]
-            lam, m = max(lam, float(block.max())), first
-            if block[0] <= lam * (1.0 - 4.0 * n_taps * (n + n_taps * (L + 2)) * eps):
-                break
-        out[n], prev = (lam, inc_at[n]), n
-    return out
+        Phi = running[-1]
+        if hits:
+            tops = np.linalg.eigvalsh(running[[n - start - 1 for n in hits]])[:, -1]
+            lam_at.update(zip(hits, tops.tolist()))
+    return {n: (lam_at[n], inc_at[n]) for n in reads}
 
 
 def _report_at(maxima, n: int, n_taps: int, mu: float, eps_threshold: float) -> LmsConditionReport:

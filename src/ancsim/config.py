@@ -147,12 +147,16 @@ class SimConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SimConfig":
-        """The config of ``mapping``'s dotted keys; unset keys keep their defaults."""
+        """The config of ``mapping``'s dotted keys; unset keys keep their defaults.
+
+        Values are stripped, so a flag's value reads as the same text in a file.
+        """
         kwargs = {}
         for key, raw in mapping.items():
             if key not in cls._KEYS:
                 raise ConfigError(key, "unknown key")
             name, parser = cls._KEYS[key]
+            raw = raw.strip()
             kwargs[name] = raw if parser is None else parser(key, raw)
         return cls(**kwargs)
 

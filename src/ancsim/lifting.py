@@ -44,7 +44,6 @@ __all__ = [
     "ExogenousRecord",
     "SimTrace",
     "discretize_lifted",
-    "fh_step",
     "l2_norm",
 ]
 
@@ -149,22 +148,6 @@ def discretize_lifted(sys: ContinuousStateSpace, h: float, L: int) -> LiftedDisc
     if sys.nstates == 0:
         raise DimensionError("lifted discretization expects a dynamic plant")
     return _lift(sys, sampler.h, sampler.L)[0]
-
-
-def fh_step(lift: LiftedDiscretization, eta: np.ndarray, x_d: float):
-    """One period of the blocked recursion: returns (eta_next, U).
-
-    ``U[l]`` is the exact integral of the plant response over cell l of the
-    current period given state ``eta`` and the held input sample ``x_d``.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (lift.nstates,):
-        raise DimensionError(
-            f"state must have shape ({lift.nstates},), got {eta.shape}"
-        )
-    U = lift.Ch @ eta + lift.Dh * x_d
-    eta_next = lift.Ah @ eta + lift.Bh * x_d
-    return eta_next, U
 
 
 @dataclass(frozen=True)

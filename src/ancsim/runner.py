@@ -16,19 +16,18 @@ secondary-path state; the delay line and the regressor history are lag
 windows of the shared record. Each period steps the anti-noise path of every
 arm at once and folds the update once per blocking, with stacked products
 that equal the single-arm ones bit for bit. A diverged arm leaves the axis.
-The convergence report of every arm is read off one condition series per
-blocking at the arm's last update.
+The convergence reports of a blocking's arms come from one checker call
+that reads the running Gram matrix at each arm's last update.
 CSV files contain no timestamps and format floats with %.17g, so equal
 configs give equal bytes; long tables are formatted by the array kernel of
 ``ancsim._g17``, with CPython's bytes. ``run_to_csv`` (the ``run`` and
-``compare`` commands) forks one writer right after the exogenous record is
-built: it streams every fast.csv from the arm loop's shared w and e
-histories while the arms run, and this process writes every other table.
-Where forking is missing, fails, or would copy a process with other OS
-threads (BLAS workers; the command pins BLAS to one thread, see
-``ancsim/__init__.py``), this process writes the fast tables after the loop
-instead (see ``_FastWriter``). ``write_run_csv`` and
-``write_comparison_csv`` always write in the calling process.
+``compare`` commands, the one writer of their tables) forks one writer right
+after the exogenous record is built: it streams every fast.csv from the arm
+loop's shared w and e histories while the arms run, and this process writes
+every other table. Where forking is missing, fails, or would copy a process
+with other OS threads (BLAS workers; the command pins BLAS to one thread,
+see ``ancsim/__init__.py``), this process writes the fast tables after the
+loop instead (see ``_FastWriter``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._tables import _FastWriter, _write_columns, _write_fast
+from ._tables import _FastWriter, _write_columns
 from .adaptive import LmsConditionReport, _condition_maxima, _report_at
 from .config import SimConfig
 from .lifting import ExogenousRecord, HybridLoop, SimTrace
@@ -55,8 +54,6 @@ __all__ = [
     "run_mu_sweep",
     "run_to_csv",
     "emit_bode",
-    "write_run_csv",
-    "write_comparison_csv",
     "write_sweep_csv",
     "write_bode_csv",
     "load_u_blocks",
@@ -435,25 +432,6 @@ def _write_ratio_table(result: ComparisonResult, out_dir: str) -> str:
     return path
 
 
-def write_run_csv(result: SingleRunResult, out_dir: str, prefix: str = "") -> list[str]:
-    """Write fast/discrete/taps/u_blocks/report tables; returns the paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    tr = result.trace
-    path, t = os.path.join(out_dir, prefix + "fast.csv"), tr.t_fast
-    errors = _write_fast([path], t, tr.x, tr.d, tr.u, [tr.w], [tr.e], [[t.size]])
-    if errors:
-        raise errors[0]
-    return [path] + _write_period_tables(result, out_dir, prefix)
-
-
-def write_comparison_csv(result: ComparisonResult, out_dir: str) -> list[str]:
-    """Write both arms' tables and comparison.csv; returns the paths."""
-    paths = write_run_csv(result.proposed, out_dir, prefix="proposed_")
-    paths += write_run_csv(result.conventional, out_dir, prefix="conventional_")
-    paths.append(_write_ratio_table(result, out_dir))
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Runs that write their tables as they go
 
@@ -461,11 +439,12 @@ def write_comparison_csv(result: ComparisonResult, out_dir: str) -> list[str]:
 def run_to_csv(config: SimConfig, out_dir: str, compare: bool = False):
     """``run_single`` (``run_comparison`` when ``compare``) and its tables in one pass.
 
-    The tables and their bytes are those of ``write_run_csv``
-    (``write_comparison_csv``), and so are the returned ``(result, paths)``.
-    A forked process writes each arm's fast.csv while the arms run (see
-    ``_FastWriter``); this one writes every other table. A writer failure is
-    raised as ``OSError`` naming the file after the other tables are written.
+    Writes fast, discrete, taps, u_blocks and report tables per arm
+    (prefixed ``proposed_`` and ``conventional_`` when ``compare``, plus
+    comparison.csv) and returns ``(result, paths)``. A forked process
+    writes each arm's fast.csv while the arms run (see ``_FastWriter``);
+    this one writes every other table. A writer failure is raised as
+    ``OSError`` naming the file after the other tables are written.
     """
     prefixes = ("proposed_", "conventional_") if compare else ("",)
     machine, record = _setup(config)
@@ -524,7 +503,7 @@ def write_bode_csv(config: SimConfig, out_dir: str, n_points: int = 400) -> str:
 
 
 def load_u_blocks(path: str) -> np.ndarray:
-    """Read back a u_blocks.csv table (inverse of write_run_csv's writer).
+    """Read back a u_blocks.csv table (inverse of ``run_to_csv``'s writer).
 
     The header must be ``n,u_0,...,u_{k-1}`` with k >= 1, and every row must
     hold 1 + k numbers; anything else raises ``ValueError`` naming the file.
@@ -536,10 +515,12 @@ def load_u_blocks(path: str) -> np.ndarray:
         raise ValueError(f"{path}: expected a u_blocks.csv header 'n,u_0,...', got {header[:60]!r}")
     if not any(row.strip() for row in rows):
         raise ValueError(f"{path}: no periods recorded")
+    width = f"{path}: expected {len(names)} fields on every row, as in the header"
     try:
         data = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:  # a field that is no number, or rows of unequal width
-        raise ValueError(f"{path}: {exc}") from None
+        ragged = any(row.count(",") != len(names) - 1 for row in rows if row.strip())
+        raise ValueError(width if ragged else f"{path}: {exc}") from None
     if data.shape[1] != len(names):
-        raise ValueError(f"{path}: expected {len(names)} fields on every row, as in the header")
+        raise ValueError(width)
     return data[:, 1:]

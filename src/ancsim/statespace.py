@@ -31,7 +31,6 @@ __all__ = [
     "series",
     "parallel",
     "from_second_order_bank",
-    "freq_response",
     "freq_response_grid",
 ]
 
@@ -253,15 +252,6 @@ def from_second_order_bank(
 
     assert sys is not None
     return sys
-
-
-def freq_response(sys: ContinuousStateSpace, omega: float) -> np.ndarray:
-    """Transfer matrix ``C (jw I - A)^-1 B + D`` at one real frequency."""
-    if sys.nstates == 0:
-        return sys.D.astype(complex)
-    nu = sys.nstates
-    shifted = 1j * omega * np.eye(nu) - sys.A
-    return sys.C @ np.linalg.solve(shifted, sys.B) + sys.D
 
 
 # Bytes of each complex temporary of one stacked fallback solve: under the

@@ -11,6 +11,10 @@ two sides must stay independent.
 loop, coded from SciPy exponentials alone; at one cell per period the
 package's blocked loop must reproduce it.
 
+:func:`fh_step` advances a lifted plant one period, and
+:func:`freq_response` evaluates a transfer matrix at one frequency by one
+linear solve; the package steps and evaluates whole stacks instead.
+
 The other references are earlier, slower forms of package code, kept to
 check the rewrites that replaced them: :func:`reference_discretize_lifted`
 differences cumulative integrals from one ``vanloan`` per cell endpoint;
@@ -23,7 +27,7 @@ iteration through the single-arm :func:`reference_loop_step` and
 of the record per lag pair and :func:`reference_check_lms_conditions` builds the Gram increment
 of each period in a Python loop; :func:`reference_condition_series`
 decomposes every running Gram matrix and every increment of a record, so
-one series of prefix maxima serves each truncation;
+one pair of series serves each truncation;
 :func:`reference_wiener_solve` solves the
 quadratic problem by Cholesky factorization plus one refinement step; the
 ``reference_write_*`` functions write every CSV table row by row through a
@@ -269,7 +273,7 @@ def reference_check_lms_conditions(u_blocks, mu, n_taps, h, eps_threshold=0.5) -
 
 
 def reference_condition_series(U: np.ndarray, n_taps: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix maxima of lambda_max(Phi[n]) and of the increment lambda_max.
+    """lambda_max(Phi[n]) and the prefix maxima of the increment lambda_max.
 
     Entry n of each (n_steps + 1,) series covers the first n periods of the
     record (entry 0 is 0), so one series serves every truncation of it: a
@@ -290,7 +294,7 @@ def reference_condition_series(U: np.ndarray, n_taps: int, h: float) -> tuple[np
         np.cumsum(running, axis=0, out=running)
         lam[start + 1:stop + 1] = np.linalg.eigvalsh(running)[:, -1]
         Phi = running[-1]
-    return np.maximum.accumulate(lam), np.maximum.accumulate(inc)
+    return lam, np.maximum.accumulate(inc)
 
 
 class DampedSines:
@@ -377,6 +381,26 @@ def zoh_discretize_ref(a, b, dt):
     block[:n, n:] = b
     big = scipy.linalg.expm(block * dt)
     return big[:n, :n], big[:n, n:]
+
+
+def fh_step(lift: LiftedDiscretization, eta: np.ndarray, x_d: float):
+    """One period of the blocked recursion of a lifted plant: returns (eta_next, U).
+
+    ``U[l]`` is the exact integral of the plant response over cell l of the
+    current period given state ``eta`` and the held input sample ``x_d``.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (lift.nstates,):
+        raise DimensionError(f"state must have shape ({lift.nstates},), got {eta.shape}")
+    return lift.Ah @ eta + lift.Bh * x_d, lift.Ch @ eta + lift.Dh * x_d
+
+
+def freq_response(sys, omega: float) -> np.ndarray:
+    """Transfer matrix ``C (jw I - A)^-1 B + D`` at one real frequency, by one solve."""
+    if sys.nstates == 0:
+        return sys.D.astype(complex)
+    shifted = 1j * omega * np.eye(sys.nstates) - sys.A
+    return sys.C @ np.linalg.solve(shifted, sys.B) + sys.D
 
 
 def reference_discretize_lifted(sys, h: float, L: int):
@@ -921,7 +945,7 @@ def write_csv_rows(path: str, header: list[str], rows) -> None:
 
 
 def reference_write_run_csv(result, out_dir: str, prefix: str = "") -> list[str]:
-    """The run tables of ``ancsim.write_run_csv``, written by ``write_csv_rows``."""
+    """The run tables of ``ancsim.run_to_csv``, written by ``write_csv_rows``."""
     os.makedirs(out_dir, exist_ok=True)
     tr = result.trace
     paths = []
@@ -985,7 +1009,7 @@ def reference_write_run_csv(result, out_dir: str, prefix: str = "") -> list[str]
 
 
 def reference_write_comparison_csv(result, out_dir: str) -> list[str]:
-    """The tables of ``ancsim.write_comparison_csv``, written by ``write_csv_rows``."""
+    """The tables of ``ancsim.run_to_csv(..., compare=True)``, written by ``write_csv_rows``."""
     paths = reference_write_run_csv(result.proposed, out_dir, prefix="proposed_")
     paths += reference_write_run_csv(result.conventional, out_dir, prefix="conventional_")
     path = os.path.join(out_dir, "comparison.csv")

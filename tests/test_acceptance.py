@@ -21,7 +21,6 @@ from ancsim import (
     build_wiener,
     check_lms_conditions,
     discretize_lifted,
-    fh_step,
     gradient,
     j_value,
     parseval_check,
@@ -92,7 +91,7 @@ def _record_u(secondary, xd_samples, h, L):
     eta = np.zeros(secondary.nstates)
     out = np.empty((len(xd_samples), L))
     for n, x in enumerate(xd_samples):
-        eta, out[n] = fh_step(lift, eta, x)
+        eta, out[n] = oracles.fh_step(lift, eta, x)
     return out
 
 
@@ -126,7 +125,7 @@ def test_criterion_01_lifting_matches_ode_and_quadrature():
         eta = np.zeros(plant.nstates)
         states = np.empty((N_PERIODS, plant.nstates))
         for n, x in enumerate(xd):
-            eta, _ = fh_step(lift, eta, x)
+            eta, _ = oracles.fh_step(lift, eta, x)
             states[n] = eta
         ref_states = oracles.held_states_rk(plant, xd, h)
         c_row = plant.C.reshape(-1)

@@ -289,7 +289,7 @@ class TestCheckCommand:
         assert out == ""
         assert f"{trace}: no periods recorded" in err
 
-    @pytest.mark.parametrize("table", ["taps.csv", "fast.csv", "wrong_width"])
+    @pytest.mark.parametrize("table", ["taps.csv", "fast.csv", "wrong_width", "ragged"])
     def test_other_table_exits_two_naming_file(self, table, recorded_trace, small_config, capsys):
         """Only a u_blocks.csv header over rows of its width reads as a trace."""
         trace = os.path.join(os.path.dirname(recorded_trace), table)
@@ -297,10 +297,16 @@ class TestCheckCommand:
             trace = recorded_trace
             lines = Path(trace).read_text().splitlines()
             Path(trace).write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:]) + "\n")
+        elif table == "ragged":
+            Path(trace).write_text("n,u_0,u_1\n0,1,2\n1,2\n")
         code, out, err = _run_cli(["check", "--config", small_config, "--trace", trace], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {trace}: ")
+        assert "usecols" not in err
+        if table in ("wrong_width", "ragged"):
+            fields = Path(trace).read_text().split("\n", 1)[0].count(",") + 1
+            assert err == f"error: {trace}: expected {fields} fields on every row, as in the header\n"
 
     def test_all_zero_trace_holds_vacuously(self, small_config, tmp_path, capsys):
         trace = tmp_path / "u_blocks.csv"
@@ -426,6 +432,17 @@ def test_flags_equal_the_keys_they_set(command, mu, tmp_path, capsys):
     assert names == sorted(os.listdir(tmp_path / "b"))
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_flag_and_file_values_are_stripped_alike(tmp_path, capsys, monkeypatch):
+    """``--out " res "`` and ``output.dir =  res`` write to the one directory ``res``."""
+    monkeypatch.chdir(tmp_path)
+    Path("out.cfg").write_text("output.dir =  res \n")
+    for argv in (["bode", "--out", " res "], ["bode", "--config", "out.cfg"]):
+        code, out, _ = _run_cli(argv, capsys)
+        assert code == 0
+        assert out == f"wrote {os.path.join('res', 'bode.csv')}\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.cfg", "res"]
 
 
 def test_module_entry_point(small_config, tmp_path):

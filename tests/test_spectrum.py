@@ -13,7 +13,6 @@ from ancsim import (
     PlantSpecificationError,
     build_wiener,
     discretize_lifted,
-    fh_step,
     parseval_check,
     spectral_bound,
     u_spectrum,
@@ -34,7 +33,7 @@ def record_u(secondary, xd_samples, h, L):
     eta = np.zeros(secondary.nstates)
     out = np.empty((len(xd_samples), L))
     for n, x in enumerate(xd_samples):
-        eta, out[n] = fh_step(lift, eta, x)
+        eta, out[n] = oracles.fh_step(lift, eta, x)
     return out
 
 
