@@ -18,11 +18,19 @@ import numpy as np
 from .lifting import ExogenousRecord, FastSampler
 
 
-# Values per written chunk: a wide table gets proportionally fewer rows. A
-# chunk's fields and bytes take 64 KiB each, and the kernel's temporaries
-# 16-48 KiB; 4000-value chunks wrote about 10% faster but left about 0.3 MB
-# more peak RSS behind on held_check.
+# Values per chunk that ``_write_columns`` formats, in the main process: a
+# wide table gets proportionally fewer rows. A chunk's fields and bytes take
+# 64 KiB each, and the kernel's temporaries 16-48 KiB; 4000-value chunks
+# wrote about 10% faster but left about 0.3 MB more peak RSS behind on
+# held_check, whose tables this process writes.
 _CHUNK_VALUES = 2048
+# Values per chunk of ``_write_fast``, which runs in the forked writer
+# (here only where nothing forks), whose memory no command reports. On
+# compare_long's 512000 values the kernel took about 110 ns a value at 2048,
+# 85 at 4096 and 8192, and 145 at 16384; the whole write took the least at
+# 8192. The writer's peak RSS is about 1.3 MB above what 2048 left (31.7 ->
+# 33.0 MB on compare_long).
+_FAST_CHUNK_VALUES = 8192
 # Chunks of fewer values are formatted value by value: the kernel's fixed
 # cost, about 0.15 ms a call, exceeds CPython's per-value cost below about
 # 150-200 values (a 20-row sweep table has 140).
@@ -97,9 +105,11 @@ def _write_fast(paths, t, x, d, u, ws, es, ready) -> list[OSError]:
     The arms share the columns ``t, x, d, u``; ``ws[a]`` and ``es[a]`` are
     arm a's. ``ready`` yields, per arm, how many leading rows are final; an
     arm whose count trails another's has stopped for good. So each chunk of
-    about ``_CHUNK_VALUES`` values formats the shared columns once for every
-    arm it still writes, and each arm's rows are a selection of its fields.
-    A file that fails is dropped and the others go on; returns the errors.
+    about ``_FAST_CHUNK_VALUES`` values formats the shared columns once for
+    every arm it still writes, and each arm's rows are a selection of its
+    fields. The values, the fields and the selection each take one buffer,
+    allocated once. A file that fails is dropped and the others go on;
+    returns the errors.
     """
     files, errors = {}, []
 
@@ -119,19 +129,26 @@ def _write_fast(paths, t, x, d, u, ws, es, ready) -> list[OSError]:
     try:
         for a in list(files):
             write(a, b"t,x,d,w,e,u\n")
-        rows, done = max(1, _CHUNK_VALUES // (4 + 2 * len(paths))), 0
+        width = 4 + 2 * len(paths)
+        rows, done = max(1, _FAST_CHUNK_VALUES // width), 0
+        values, fields = np.empty(rows * width), np.empty((rows * width, 4), np.uint64)
+        own = np.empty(rows * 6 * 4, np.uint64)
         for counts in ready:
             while arms := [a for a in files if counts[a] > done]:
                 stop = min(done + rows, max(counts[a] for a in arms))
-                values = np.stack([c[done:stop] for c in (t, x, d)]
-                                  + [c[a][done:stop] for a in arms for c in (ws, es)]
-                                  + [u[done:stop]], axis=1)
-                fields = np.empty(values.shape + (4,), np.uint64)
-                _format_values(values.reshape(-1), fields.reshape(-1, 4))
-                _separate(fields)
+                columns = [t, x, d] + [c[a] for a in arms for c in (ws, es)] + [u]
+                chunk = values[:(stop - done) * len(columns)].reshape(stop - done, -1)
+                np.stack([c[done:stop] for c in columns], axis=1, out=chunk)
+                text = fields[:chunk.size]
+                _format_values(chunk.reshape(-1), text)
+                text = text.reshape(chunk.shape + (4,))
+                _separate(text)
                 for j, a in enumerate(arms):
-                    own = fields[:counts[a] - done, [0, 1, 2, 3 + 2 * j, 4 + 2 * j, -1]]
-                    write(a, own.tobytes().translate(None, b"\0"))
+                    n = min(counts[a], stop) - done
+                    sel = own[:n * 6 * 4].reshape(n, 6, 4)
+                    np.take(text[:n], [0, 1, 2, 3 + 2 * j, 4 + 2 * j, len(columns) - 1],
+                            axis=1, out=sel, mode="clip")
+                    write(a, sel.tobytes().translate(None, b"\0"))
                 done = stop
     finally:
         for fh in files.values():
@@ -178,8 +195,8 @@ class _FastWriter:
         self.paths, self.h, self.record = paths, h, record
         self.pid = self.counts = None
 
-    def start(self, shape: tuple[int, int, int], rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The w and e histories of ``shape`` (arm rows, periods, L); arm a is row ``rows[a]``."""
+    def start(self, shape: tuple[int, ...], rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The w and e histories of ``shape`` (arm rows, periods, L, ...); arm a is row ``rows[a]``."""
         self.w, self.e = _shared_empty((2, *shape))
         self.rows, self.counts = rows, [0] * len(rows)
         if hasattr(os, "fork") and _thread_count() == 1:

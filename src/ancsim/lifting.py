@@ -213,7 +213,8 @@ class HybridLoop:
         self._f_rows = cells.sample_rows
         # gain of a period-held input on each cell; 0 on cell 0, which it does not reach
         held_gains = cells.sample_input.sum(axis=1)
-        self._f_gains = held_gains[1:]
+        # as columns, the gains of y_d on cells 1 .. L-1 and on the next state
+        self._f_gains, self._Bh = held_gains[1:, None], self.lift.Bh[:, None]
         # one period of the regressor: [eta, x_d] -> [u, u_blocks, next eta]
         self._u_period = np.block([[self._f_rows, held_gains[:, None]],
                                    [self.lift.Ch, self.lift.Dh[:, None]],
@@ -278,29 +279,44 @@ class HybridLoop:
             arr.flags.writeable = False
         return ExogenousRecord(x_d=x_d, x=x, d=d, u=u, u_blocks=u_blocks)
 
-    def step(self, zeta_F, taps, xd_hist, y_d=None, w_fast=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, zeta_F, taps, xd_hist, y_d=None, w_fast=None,
+             zeta_next=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance the anti-noise path of a stack of arms over one period.
 
         ``zeta_F`` (A, n) holds each arm's secondary-path state and ``taps``
         (A, n_taps) its FIR taps; the arms share the reference delay line
         ``xd_hist`` (n_taps,), newest sample first. Returns the next states,
         the filter outputs ``y_d`` (A,) and the anti-noise at the L cell left
-        endpoints (A, L), written into the ``y_d`` and ``w_fast`` arrays when
-        given. Every product is a stacked ``matmul``, which makes the same
-        BLAS call per arm as a single-arm product would.
+        endpoints (A, L), written into the ``zeta_next``, ``y_d`` and
+        ``w_fast`` arrays when given. Every product is a stacked ``matmul``,
+        which makes the same BLAS call per arm as a single-arm product would.
+
+        The arm loop passes every array with the trailing unit axis that
+        ``matmul`` reads: ``zeta_F`` and ``zeta_next`` (A, n, 1), ``taps``
+        (A, 1, n_taps), ``xd_hist`` (n_taps, 1), ``y_d`` (A, 1, 1) and
+        ``w_fast`` (A, L, 1), all three outputs given. That form is taken as
+        it is, unchecked: the loop fixes every shape once, before its first
+        period.
         """
-        taps = np.asarray(taps, dtype=float)
-        if taps.shape[1:] != xd_hist.shape:
-            raise DimensionError(
-                f"taps shape {taps.shape} does not match delay line length {xd_hist.size}"
-            )
-        y_d = np.matmul(taps[:, None, :], xd_hist[:, None],
-                        out=None if y_d is None else y_d[:, None, None])[:, 0, 0]
-        w_fast = np.matmul(self._f_rows, zeta_F[:, :, None],
-                           out=None if w_fast is None else w_fast[:, :, None])[:, :, 0]
-        w_fast[:, 1:] += self._f_gains * y_d[:, None]
-        zeta_next = np.matmul(self.lift.Ah, zeta_F[:, :, None])[:, :, 0] + self.lift.Bh * y_d[:, None]
-        return zeta_next, y_d, w_fast
+        library = zeta_F.ndim == 2
+        if library:
+            taps = np.asarray(taps, dtype=float)
+            if taps.shape[1:] != xd_hist.shape:
+                raise DimensionError(
+                    f"taps shape {taps.shape} does not match delay line length {xd_hist.size}"
+                )
+            A = taps.shape[0]
+            out = (np.empty(zeta_F.shape) if zeta_next is None else zeta_next,
+                   np.empty(A) if y_d is None else y_d,
+                   np.empty((A, self.L)) if w_fast is None else w_fast)
+            zeta_F, taps, xd_hist = zeta_F[:, :, None], taps[:, None, :], xd_hist[:, None]
+            zeta_next, y_d, w_fast = out[0][:, :, None], out[1][:, None, None], out[2][:, :, None]
+        np.matmul(taps, xd_hist, out=y_d)
+        np.matmul(self._f_rows, zeta_F, out=w_fast)
+        w_fast[:, 1:] += self._f_gains * y_d
+        np.matmul(self.lift.Ah, zeta_F, out=zeta_next)
+        zeta_next += self._Bh * y_d
+        return out if library else (zeta_next, y_d, w_fast)
 
 
 @dataclass(frozen=True)

@@ -131,16 +131,18 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
     return _run_arms(config, *_setup(config), [(config.mu, algorithm_cells)])[0]
 
 
-def _lag_source(rows: np.ndarray, n_taps: int) -> np.ndarray:
-    """``rows`` reversed, then n_taps - 1 zero rows: the slice [N-1-n : N-1-n+n_taps]
-    is the contiguous lag window of period n, row k = rows[n - k] (zero before the record)."""
-    return np.concatenate([rows[::-1], np.zeros((n_taps - 1,) + rows.shape[1:])])
+def _lag_windows(rows: np.ndarray, n_taps: int) -> np.ndarray:
+    """Read-only windows (N, n_taps, ...) of the N ``rows``: window n holds
+    rows n, n-1, ..., n-n_taps+1, zero before the record, as contiguous rows."""
+    source = np.concatenate([rows[::-1], np.zeros((n_taps - 1,) + rows.shape[1:])])
+    return np.moveaxis(np.lib.stride_tricks.sliding_window_view(source, n_taps, 0), -1, 1)[::-1]
 
 
-def _folds(group: np.ndarray, u_lags: dict, L: int) -> list[tuple[np.ndarray, slice, int]]:
-    """(regressor lag source, rows of the arm axis, cell stride) of each blocking with live arms."""
+def _folds(group: np.ndarray, u_lags: dict, L: int, prod: np.ndarray) -> list:
+    """(regressor windows, rows of the arm axis, cell stride, those rows of the
+    (A, 1, n_taps) ``prod`` as columns) of each blocking with live arms."""
     edges = np.searchsorted(group, [*u_lags, L + 1]).tolist()
-    return [(u_lag, slice(lo, hi), L // b)
+    return [(u_lag, slice(lo, hi), L // b, prod[lo:hi].reshape(hi - lo, -1, 1))
             for (b, u_lag), lo, hi in zip(u_lags.items(), edges, edges[1:]) if lo < hi]
 
 
@@ -169,59 +171,60 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     # stride 1 passes the blocks through: a one-term sum would print -0.0 as 0
     u_alg = {b: record.u_blocks if b == L else record.u_blocks.reshape(N, b, L // b).sum(axis=2)
              for b in sorted(set(cells))}
-    u_lags = {b: _lag_source(u, n_taps) for b, u in u_alg.items()}
-    xd_lags = _lag_source(record.x_d, n_taps)
+    u_lags = {b: _lag_windows(u, n_taps) for b, u in u_alg.items()}
+    xd_lags = _lag_windows(record.x_d[:, None], n_taps)
 
     # rows sorted by blocking, so each blocking is one slice of the arm axis
     order = sorted(range(len(arms)), key=cells.__getitem__)
     group = np.array([cells[a] for a in order])
-    mu = np.array([float(arms[a][0]) for a in order])[:, None]
+    mu = np.array([float(arms[a][0]) for a in order])[:, None, None]
     # one comparison rejects nan, inf and the cutoff alike, even for an infinite cutoff
     A, cutoff = len(arms), min(config.divergence_cutoff, sys.float_info.max)
-    alpha, delta = np.zeros((A, n_taps)), np.zeros((A, n_taps))
-    zeta = np.zeros((A, machine.secondary.nstates))
-    y_d = np.empty((A, N))
-    if stream is None:
-        w, e = np.empty((A, N, L)), np.empty((A, N, L))
-    else:
-        w, e = stream.start((A, N, L), [order.index(a) for a in range(A)])
-    alpha_hist, delta_hist = np.empty((A, N, n_taps)), np.empty((A, N, n_taps))
-    final_alpha, final_delta = np.empty((A, n_taps)), np.empty((A, n_taps))
+    # Every array a period touches carries the trailing unit axis that
+    # ``matmul`` reads, so the shapes ``step`` takes are fixed here, once.
+    # Row n of the taps and direction histories enters period n: row 0 is
+    # zero and row N final.
+    alpha_hist, delta_hist = np.zeros((A, N + 1, 1, n_taps)), np.zeros((A, N + 1, 1, n_taps))
+    y_d = np.empty((A, N, 1, 1))
+    shape, d = (A, N, L, 1), record.d[:, :, None]
+    w, e = (stream.start(shape, [order.index(a) for a in range(A)]) if stream is not None
+            else np.empty((2, *shape)))
+    zeta, spare = np.zeros((2, A, machine.secondary.nstates, 1))
+    prod = np.empty((A, 1, n_taps))
     n_completed, diverged = np.full(A, N), np.zeros(A, dtype=bool)
-    live, at = np.arange(A), slice(None)  # rows on the axis; ``at`` indexes them
-    folds = _folds(group, u_lags, L)
+    live, at = np.arange(A), None  # rows on the axis; ``at`` indexes them once some have left
+    folds = _folds(group, u_lags, L, prod)
+    taps, delta = alpha_hist[:, 0], delta_hist[:, 0]
 
     for n in range(N):
-        lag = slice(N - 1 - n, N - 1 - n + n_taps)
-        # the period's history rows: views while every arm is live, else
-        # copies that take the results and are scattered back
-        rows = alpha_hist[at, n], y_d[at, n], w[at, n], e[at, n]
+        alpha, direction = taps, delta
+        if at is None:  # every arm live: the period writes its history rows in place
+            taps, delta = alpha_hist[:, n + 1], delta_hist[:, n + 1]
+            y_n, w_n, e_n = y_d[:, n], w[:, n], e[:, n]
         # period n runs under the update committed with the direction through
         # t = n h; its error is folded into the direction after the step
-        taps = np.add(alpha, mu * delta, out=rows[0])
-        delta_hist[at, n] = delta
-        zeta, y_n, w_n = machine.step(zeta, taps, xd_lags[lag], *rows[1:3])
-        e_n = np.subtract(record.d[n], w_n, out=rows[3])
-        if live.size < A:
-            alpha_hist[at, n], y_d[at, n], w[at, n], e[at, n] = taps, y_n, w_n, e_n
+        np.add(alpha, mu * direction, out=taps)
+        zeta, spare = machine.step(zeta, taps, xd_lags[n], y_n, w_n, spare)[0], zeta
+        np.subtract(d[n], w_n, out=e_n)
+        if at is not None:  # the live rows are buffers: scatter them into the histories
+            alpha_hist[at, n + 1], y_d[at, n], w[at, n], e[at, n] = taps, y_n, w_n, e_n
         if not abs(e_n).max() <= cutoff:
-            ok = abs(e_n).max(axis=1) <= cutoff
-            bad = ~ok
-            out = live[bad]
+            ok = abs(e_n).max(axis=(1, 2)) <= cutoff
+            out = live[~ok]
             n_completed[out], diverged[out] = n + 1, True
-            final_alpha[out], final_delta[out] = alpha[bad], delta[bad]
-            live, group, mu, delta, zeta, taps, e_n = (
-                a[ok] for a in (live, group, mu, delta, zeta, taps, e_n))
-            at = live
-            folds = _folds(group, u_lags, L)
-        for u_lag, arm_rows, stride in folds:
-            delta[arm_rows] += np.matmul(u_lag[lag], e_n[arm_rows, ::stride, None])[:, :, 0]
-        alpha = taps
+            live, group, mu, zeta, spare, taps, delta, y_n, w_n, e_n, prod = (
+                a[ok] for a in (live, group, mu, zeta, spare, taps, direction, y_n, w_n, e_n, prod))
+            if not live.size:
+                break
+            direction, at = delta, live
+            folds = _folds(group, u_lags, L, prod)
+        for u_lag, arm_rows, stride, prod_rows in folds:
+            np.matmul(u_lag[n], e_n[arm_rows, ::stride], out=prod_rows)
+        np.add(direction, prod, out=delta)
+        if at is not None:
+            delta_hist[at, n + 1] = delta
         if stream is not None and (n + 1) % stream.every == 0:
             stream.progress(n + 1, n_completed)
-        if not live.size:
-            break
-    final_alpha[live], final_delta[live] = alpha, delta
     if stream is not None:
         stream.progress(N, n_completed)
     u_lags = xd_lags = folds = u_lag = None  # the lag windows are spent
@@ -230,28 +233,29 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
         if arms[a][0] > 0.0 and n_updates[r] > 0:
             reads.setdefault(cells[a], []).append(int(n_updates[r]))
     maxima = {b: _condition_maxima(u_alg[b], n_taps, h, ns) for b, ns in reads.items()}
-    results = []
+    results, d_norms = [], {}  # arms that stop together share the disturbance's norm
     for a, (mu_a, _) in enumerate(arms):
         r, b = order.index(a), cells[a]
-        k = int(n_completed[r])
+        k, n_up = int(n_completed[r]), int(n_updates[r])
         fast = {name: arr[:k].reshape(-1) for name, arr in
                 dict(x=record.x, d=record.d, w=w[r], e=e[r], u=record.u).items()}
-        trace = SimTrace(h=h, L=L, x_d=record.x_d[:k], y_d=y_d[r, :k],
+        trace = SimTrace(h=h, L=L, x_d=record.x_d[:k], y_d=y_d[r, :k, 0, 0],
                          u_blocks=record.u_blocks[:k], **fast)
-        n_up = int(n_updates[r])
+        if k not in d_norms:
+            d_norms[k] = trace.norm("d")
         report = (_report_at(maxima[b][n_up], n_up, n_taps, mu_a, config.eps_threshold)
                   if mu_a > 0.0 and n_up > 0 else None)
         results.append(SingleRunResult(
             trace=trace,
-            alpha_hist=alpha_hist[r, :k],
-            delta_hist=delta_hist[r, :k],
-            final_alpha=final_alpha[r],
-            final_delta=final_delta[r],
+            alpha_hist=alpha_hist[r, 1:k + 1, 0],
+            delta_hist=delta_hist[r, :k, 0],
+            final_alpha=alpha_hist[r, n_up, 0],
+            final_delta=delta_hist[r, n_up, 0],
             u_alg_blocks=u_alg[b][:n_up],
             algorithm_cells=b,
             mu=mu_a,
             error_norm=float("inf") if diverged[r] else trace.norm("e"),
-            d_norm=trace.norm("d"),
+            d_norm=d_norms[k],
             w_norm=trace.norm("w"),
             diverged=bool(diverged[r]),
             n_completed=k,

@@ -679,7 +679,7 @@ def reference_loop_step(loop, state: HybridLoopState, taps, x_d: float) -> tuple
     y_d = float(taps @ xd_hist)
 
     w_fast = loop._f_rows @ state.zeta_F
-    w_fast[1:] += loop._f_gains * y_d
+    w_fast[1:] += loop._f_gains[:, 0] * y_d
     new_state = HybridLoopState(
         zeta_F=loop.lift.Ah @ state.zeta_F + loop.lift.Bh * y_d,
         xd_hist=xd_hist,

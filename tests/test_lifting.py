@@ -415,6 +415,26 @@ def test_generator_type_checked():
         HybridLoop(sec, pri, np.zeros(8), h=1.0, L=4)
 
 
+def test_step_buffers_give_identical_bits():
+    """``step`` returns the same bits whether it allocates its outputs, writes
+    caller buffers, or takes the arm loop's matmul-ready (trailing unit axis)
+    arrays; given buffers are the arrays it returns."""
+    rng = np.random.default_rng(21)
+    sec, pri, gen = bench_small()
+    loop = HybridLoop(sec, pri, gen, h=1.0, L=8)
+    A, n, n_taps = 3, sec.nstates, 5
+    zeta, taps, xd = rng.normal(size=(A, n)), rng.normal(size=(A, n_taps)), rng.normal(size=n_taps)
+    want = loop.step(zeta, taps, xd)
+    assert [a.shape for a in want] == [(A, n), (A,), (A, 8)]
+    out = np.empty((A, n)), np.empty(A), np.empty((A, 8))
+    got = loop.step(zeta, taps, xd, out[1], out[2], out[0])
+    assert all(g is o for g, o in zip(got, out))
+    ready = np.empty((A, n, 1)), np.empty((A, 1, 1)), np.empty((A, 8, 1))
+    loop.step(zeta[:, :, None], taps[:, None, :], xd[:, None], ready[1], ready[2], ready[0])
+    for w, g, r in zip(want, got, ready):
+        assert w.tobytes() == g.tobytes() == r.tobytes()
+
+
 def test_taps_length_checked():
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=2)

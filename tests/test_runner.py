@@ -594,6 +594,27 @@ def test_comparison_writer_without_fork_matches_row_wise_writer(fork, tmp_path, 
         assert forks == []
 
 
+def test_full_size_comparison_matches_row_wise_writer(tmp_path, monkeypatch):
+    """At T = 2000, L = 32 each fast table holds 64000 rows: many full fast
+    chunks through the reused buffers, then a short last one. The forked
+    writer and this process (``_thread_count`` reads 2) write the bytes of
+    the row-wise writer."""
+    config = SimConfig().with_overrides(T=2000.0, L=32, seed=1234)
+    forks = _counting_fork(monkeypatch)
+    result, _ = runner.run_to_csv(config, str(tmp_path / "forked"), compare=True)
+    rows = max(1, _tables._FAST_CHUNK_VALUES // 8)
+    assert result.proposed.trace.x.size > 16 * rows and result.proposed.trace.x.size % rows
+    oracles.reference_write_comparison_csv(result, str(tmp_path / "old"))
+    monkeypatch.setattr(_tables, "_thread_count", lambda: 2)
+    runner.run_to_csv(config, str(tmp_path / "here"), compare=True)
+    assert forks == [1]
+    names = sorted(os.listdir(tmp_path / "old"))
+    for where in ("forked", "here"):
+        assert sorted(os.listdir(tmp_path / where)) == names
+        for name in names:
+            assert (tmp_path / where / name).read_bytes() == (tmp_path / "old" / name).read_bytes(), name
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc/self/stat")
 def test_thread_count_sees_other_threads():
     """This process runs one OS thread (BLAS is pinned), so runs fork; a second thread counts."""
@@ -609,18 +630,10 @@ def test_thread_count_sees_other_threads():
     assert not thread.is_alive()
 
 
-@pytest.mark.parametrize("overrides,progress,stops", [
-    (dict(T=60.0, mu=2.0, divergence_cutoff=5.0), 11, (60, 44)),  # on a progress edge
-    (dict(T=60.0, mu=2.0, divergence_cutoff=5.0), 5, (60, 44)),   # inside a progress chunk
-    (dict(T=40.0, mu=5.0, divergence_cutoff=5.0), 3, (22, 24)),   # both, in different chunks
-    (dict(T=20.0, divergence_cutoff=1e-9), 4, (1, 1)),            # both in period 0
-])
-def test_streamed_tables_match_row_wise_writer(overrides, progress, stops, tmp_path, monkeypatch):
-    """A forked writer streams the fast tables to the bytes of the row-wise
-    writer wherever an arm stops (``stops``: each arm's periods), with small
-    progress and CSV chunks."""
+def _assert_streamed_writes(tmp_path, monkeypatch, overrides, progress, stops, fast_chunk):
     monkeypatch.setattr(_tables._FastWriter, "every", progress)
     monkeypatch.setattr(_tables, "_CHUNK_VALUES", 50)
+    monkeypatch.setattr(_tables, "_FAST_CHUNK_VALUES", fast_chunk)
     forks = _counting_fork(monkeypatch)
     config = SimConfig().with_overrides(**overrides)
     result = _assert_streamed_tables_match(tmp_path / "cmp", config)
@@ -631,6 +644,33 @@ def test_streamed_tables_match_row_wise_writer(overrides, progress, stops, tmp_p
     assert forks == [1, 1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("overrides,progress,stops", [
+    (dict(T=60.0, mu=2.0, divergence_cutoff=5.0), 11, (60, 44)),  # on a progress edge
+    (dict(T=60.0, mu=2.0, divergence_cutoff=5.0), 5, (60, 44)),   # inside a progress chunk
+    (dict(T=40.0, mu=5.0, divergence_cutoff=5.0), 3, (22, 24)),   # both, in different chunks
+    (dict(T=20.0, divergence_cutoff=1e-9), 4, (1, 1)),            # both in period 0
+])
+def test_streamed_tables_match_row_wise_writer(overrides, progress, stops, tmp_path, monkeypatch):
+    """A forked writer streams the fast tables to the bytes of the row-wise
+    writer wherever an arm stops (``stops``: each arm's periods), with small
+    progress and CSV chunks."""
+    _assert_streamed_writes(tmp_path, monkeypatch, overrides, progress, stops, 50)
+
+
+@pytest.mark.parametrize("fast_chunk", [400, 104])
+def test_streamed_chunks_meet_progress_messages(fast_chunk, tmp_path, monkeypatch):
+    """Fast-table chunks larger and smaller than a progress message keep the bytes.
+
+    Progress every 5 periods brings 40 rows a message (L = 8). A chunk of
+    400 values holds 50 rows of the comparison (66 of the single run), more
+    than a message brings, so each message is one short chunk; one of 104
+    values holds 13 rows (17), so each message spans four chunks (three):
+    all but the last end inside its rows, and the last is short.
+    """
+    _assert_streamed_writes(tmp_path, monkeypatch, dict(T=60.0, mu=2.0, divergence_cutoff=5.0),
+                            5, (60, 44), fast_chunk)
 
 
 def test_comparison_writer_reports_a_killed_child(tmp_path, monkeypatch):
@@ -664,15 +704,18 @@ def test_library_writers_never_fork(tmp_path, monkeypatch, default_config):
 def test_special_values_inside_long_tables(tmp_path, monkeypatch, chunk):
     """-0.0, +-inf, nan, 5e-324 and the largest double keep their bytes inside long tables.
 
-    At 400 periods fast.csv and taps.csv span several chunks of the default
-    ``_CHUNK_VALUES``, so the array formatter meets the special values among
-    ordinary ones; at 7 values a chunk every row is a chunk of its own.
+    At 400 periods taps.csv spans several chunks of the default
+    ``_CHUNK_VALUES`` and fast.csv two of the default ``_FAST_CHUNK_VALUES``,
+    so the array formatter meets the special values among ordinary ones; at
+    7 values a chunk every row is a chunk of its own.
     """
     if chunk is not None:
         monkeypatch.setattr(_tables, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(_tables, "_FAST_CHUNK_VALUES", chunk)
     diverged = run_single(short_config(divergence_cutoff=1e-9))
     special = _special_run(diverged, n=400)
     assert special.trace.x.size * 6 > 3 * _tables._CHUNK_VALUES or chunk == 7
+    assert special.trace.x.size * 6 > _tables._FAST_CHUNK_VALUES
     _assert_same_bytes(tmp_path / "run", _write_run, oracles.reference_write_run_csv, special)
     _assert_same_bytes(
         tmp_path / "cmp", _write_comparison, oracles.reference_write_comparison_csv,
@@ -688,6 +731,7 @@ def test_special_values_inside_long_tables(tmp_path, monkeypatch, chunk):
 def test_csv_writer_streams_long_tables(tmp_path, monkeypatch):
     """Tables longer than one chunk come out whole and in order."""
     monkeypatch.setattr(_tables, "_CHUNK_VALUES", 7)
+    monkeypatch.setattr(_tables, "_FAST_CHUNK_VALUES", 7)
     _assert_streamed_tables_match(tmp_path, short_config(), compare=False)
 
 
