@@ -242,9 +242,11 @@ class SimConfig:
         if dampings is None:
             dampings = (self.zeta,) * len(gains)
         try:
-            return from_second_order_bank(gains, dampings, frequencies, poles)
+            plant = from_second_order_bank(gains, dampings, frequencies, poles)
+            plant.validate_plant()  # rounding can leave a lightly damped pole on the axis
         except (PlantSpecificationError, ValueError) as exc:
             raise ConfigError(prefix, str(exc)) from None
+        return plant
 
     @property
     def n_steps(self) -> int:

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._tables import _FastWriter, _write_columns
 from .adaptive import LmsConditionReport, _condition_maxima, _report_at
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .lifting import ExogenousRecord, HybridLoop, SimTrace
 from .statespace import freq_response_grid
 
@@ -116,7 +116,10 @@ class SweepResult:
 def _setup(config: SimConfig) -> tuple[HybridLoop, ExogenousRecord]:
     """The loop of one configuration and its exogenous record, shared by its arms."""
     machine = HybridLoop(config.secondary(), config.primary(), config.make_generator(), config.h, config.L)
-    return machine, machine.exogenous(config.n_steps)
+    try:
+        return machine, machine.exogenous(config.n_steps)
+    except (MemoryError, ValueError) as exc:  # numpy's, for a record past the address space
+        raise ConfigError("sim.T", f"cannot hold {config.T / config.h:.6g} periods: {exc}") from None
 
 
 def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleRunResult:
@@ -292,11 +295,7 @@ def _pair(proposed: SingleRunResult, conventional: SingleRunResult) -> Compariso
 def _step_ok(result: SingleRunResult) -> bool:
     # A diverged run is direct evidence the realized step size was outside
     # the usable range, whatever the a-priori check said.
-    if result.diverged:
-        return False
-    if result.lms_report is None:
-        return True
-    return result.lms_report.step_ok
+    return not result.diverged and (result.lms_report is None or result.lms_report.step_ok)
 
 
 def run_mu_sweep(config: SimConfig, mu_values=None) -> SweepResult:

@@ -414,6 +414,34 @@ def test_bad_flag_value_exits_two_naming_its_key(command, flag, key, small_confi
     assert err.startswith(f"configuration error: {key}: ")
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_marginal_plant_exits_two_naming_it(command, tmp_path, capsys):
+    """A damping that rounds a pole onto the imaginary axis fails the config, for every command."""
+    config = tmp_path / "marginal.cfg"
+    config.write_text("plant.zeta = 1e-300\n")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    if command == "check":
+        argv += ["--trace", str(tmp_path / "missing.csv")]
+    assert _run_cli(argv, capsys) == (2, "", "configuration error: plant.f: plant is unstable:"
+                                            " pole with nonnegative real part\n")
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+@pytest.mark.parametrize("line,periods", [("sim.T = 1e15", "1e+15"), ("sim.h = 1e-300", "1e+302")])
+def test_horizon_past_the_address_space_exits_two(command, line, periods, tmp_path, capsys, monkeypatch):
+    """A record too long for the address space fails at once, naming sim.T,
+    before the output directory or a fast-table writer is made."""
+    config = tmp_path / "long.cfg"
+    config.write_text(line + "\n")
+    writers = []
+    monkeypatch.setattr("ancsim.runner._FastWriter", lambda *args: writers.append(args))
+    code, out, err = _run_cli([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"configuration error: sim.T: cannot hold {periods} periods: ")
+    assert not os.path.exists(tmp_path / "o") and not writers
+
+
 @pytest.mark.parametrize("command,mu", [("run", "0.1"), ("compare", "0.1"),
                                         ("sweep", "0.05,0.1"), ("bode", "0.1")])
 def test_flags_equal_the_keys_they_set(command, mu, tmp_path, capsys):

@@ -118,6 +118,7 @@ def test_unknown_key_rejected():
         ("adapt.mu = inf", "adapt.mu"),
         ("adapt.mu_list = 0.1, nan", "adapt.mu_list"),
         ("plant.zeta = inf", "plant.zeta"),
+        ("plant.zeta = 1e-300", "plant.f"),
         ("noise.amplitudes = 0.5, nan, 2.0, 2.0", "noise.amplitudes"),
         ("noise.frequencies = 1.0, 2.6, nan, 4.8", "noise.frequencies"),
         ("noise.decay_rates = nan, 0.01, 0.01, 0.01", "noise.decay_rates"),
