@@ -162,7 +162,11 @@ def _shared_empty(shape) -> np.ndarray:
     import mmap  # loaded on first use: only run and compare need it
 
     count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * count), np.float64, count).reshape(shape)
+    try:
+        buf = mmap.mmap(-1, 8 * count)
+    except OSError as exc:  # ENOMEM, as numpy's own allocations raise it
+        raise MemoryError(f"cannot map {8 * count} bytes: {exc}") from None
+    return np.frombuffer(buf, np.float64, count).reshape(shape)
 
 
 def _thread_count() -> int:
@@ -178,15 +182,15 @@ def _thread_count() -> int:
 class _FastWriter:
     """The fast.csv tables of a run's arms, written while the arm loop runs.
 
-    ``start`` allocates the loop's w and e histories in shared memory and
-    forks one process that reads them; ``progress``, due every ``every``
-    periods, sends it the period count and each arm row's ``n_completed``,
-    from which it writes every final row; ``close`` ends the stream and
-    reaps it, or, for a run that failed, stops it and removes its tables.
-    Where ``os.fork`` is missing or fails, or other OS threads run (a fork
-    copies none of them, and Python 3.12+ warns), nothing forks and
-    ``close`` writes the tables in this process. Either way each file holds
-    the rows final at the last ``progress``.
+    ``start`` allocates the loop's w and e histories in shared memory, makes
+    the tables' directory and forks one process that reads them;
+    ``progress``, due every ``every`` periods, sends it the period count and
+    each arm row's ``n_completed``, from which it writes every final row;
+    ``close`` ends the stream and reaps it, or, for a run that failed, stops
+    it and removes its tables. Where ``os.fork`` is missing or fails, or
+    other OS threads run (a fork copies none of them, and Python 3.12+
+    warns), nothing forks and ``close`` writes the tables in this process.
+    Either way each file holds the rows final at the last ``progress``.
     """
 
     every = 64
@@ -198,6 +202,7 @@ class _FastWriter:
     def start(self, shape: tuple[int, ...], rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The w and e histories of ``shape`` (arm rows, periods, L, ...); arm a is row ``rows[a]``."""
         self.w, self.e = _shared_empty((2, *shape))
+        os.makedirs(os.path.dirname(self.paths[0]), exist_ok=True)
         self.rows, self.counts = rows, [0] * len(rows)
         if hasattr(os, "fork") and _thread_count() == 1:
             self._fork()

@@ -122,22 +122,24 @@ class WienerProblem:
 _CHUNK_PERIODS = 128
 
 
+def _lag_windows(rows: np.ndarray, n_taps: int) -> np.ndarray:
+    """Read-only windows (N, n_taps, ...) of the N ``rows``: window n holds
+    rows n, n-1, ..., n-n_taps+1, zero before the record, as contiguous rows."""
+    source = np.concatenate([rows[::-1], np.zeros((n_taps - 1,) + rows.shape[1:])])
+    return np.moveaxis(np.lib.stride_tricks.sliding_window_view(source, n_taps, 0), -1, 1)[::-1]
+
+
 def _lagged_chunks(U: np.ndarray, n_taps: int):
     """Yield ``(start, V)``, ``V[n - start, :, k] = U[n - k]``, zero before U.
 
-    Each ``V`` is a contiguous (periods, L, n_taps) stack of at most
-    _CHUNK_PERIODS periods: batched products on it equal per-period ones bit
-    for bit (an einsum or a strided view does not), and chunks keep the
-    temporaries small.
+    Each ``V`` is a contiguous copy of the (periods, L, n_taps) lag windows
+    of at most _CHUNK_PERIODS periods: batched products on it equal
+    per-period ones bit for bit (an einsum or a strided view does not). Each
+    chunk windows only the rows it reads, so the temporaries stay small.
     """
-    n_steps, L = U.shape
-    for start in range(0, n_steps, _CHUNK_PERIODS):
-        stop = min(start + _CHUNK_PERIODS, n_steps)
-        V = np.zeros((stop - start, L, n_taps))
-        for k in range(min(n_taps, stop)):
-            lo = max(start, k)
-            V[lo - start:, :, k] = U[lo - k:stop - k]
-        yield start, V
+    for start in range(0, len(U), _CHUNK_PERIODS):
+        lo, stop = max(start - n_taps + 1, 0), start + _CHUNK_PERIODS
+        yield start, _lag_windows(U[lo:stop], n_taps)[start - lo:].transpose(0, 2, 1).copy()
 
 
 def build_wiener(

@@ -144,7 +144,9 @@ def _cmd_check(args) -> int:
     if not cfg.mu > 0.0:
         raise ConfigError("adapt.mu", f"check needs a positive step size, got {cfg.mu}")
     blocks = runner.load_u_blocks(args.trace)
-    report = check_lms_conditions(blocks, cfg.mu, cfg.n_taps, cfg.h, cfg.eps_threshold)
+    # the trace and every setting are valid here, so a failure to allocate is the taps'
+    with runner._sized_by("filter.taps", f"{cfg.n_taps} taps"):
+        report = check_lms_conditions(blocks, cfg.mu, cfg.n_taps, cfg.h, cfg.eps_threshold)
     print(f"trace: {report.n_intervals} periods, {blocks.shape[1]} cells, taps = {report.n_taps}")
     if report.degenerate:
         print("note: trace carries no regressor energy; conditions hold vacuously")

@@ -279,44 +279,29 @@ class HybridLoop:
             arr.flags.writeable = False
         return ExogenousRecord(x_d=x_d, x=x, d=d, u=u, u_blocks=u_blocks)
 
-    def step(self, zeta_F, taps, xd_hist, y_d=None, w_fast=None,
-             zeta_next=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, zeta_F, taps, xd_hist, y_d, w_fast,
+             zeta_next) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance the anti-noise path of a stack of arms over one period.
 
-        ``zeta_F`` (A, n) holds each arm's secondary-path state and ``taps``
-        (A, n_taps) its FIR taps; the arms share the reference delay line
-        ``xd_hist`` (n_taps,), newest sample first. Returns the next states,
-        the filter outputs ``y_d`` (A,) and the anti-noise at the L cell left
-        endpoints (A, L), written into the ``zeta_next``, ``y_d`` and
-        ``w_fast`` arrays when given. Every product is a stacked ``matmul``,
-        which makes the same BLAS call per arm as a single-arm product would.
-
-        The arm loop passes every array with the trailing unit axis that
-        ``matmul`` reads: ``zeta_F`` and ``zeta_next`` (A, n, 1), ``taps``
-        (A, 1, n_taps), ``xd_hist`` (n_taps, 1), ``y_d`` (A, 1, 1) and
-        ``w_fast`` (A, L, 1), all three outputs given. That form is taken as
-        it is, unchecked: the loop fixes every shape once, before its first
-        period.
+        Every array carries the trailing unit axis that ``matmul`` reads:
+        ``zeta_F`` (A, n, 1) holds each arm's secondary-path state and
+        ``taps`` (A, 1, n_taps) its FIR taps; the arms share the reference
+        delay line ``xd_hist`` (n_taps, 1), newest sample first. The next
+        states (A, n, 1), the filter outputs (A, 1, 1) and the anti-noise at
+        the L cell left endpoints (A, L, 1) are written into ``zeta_next``,
+        ``y_d`` and ``w_fast``, which are returned as ``(zeta_next, y_d,
+        w_fast)``. Every product is a stacked ``matmul``, which makes the
+        same BLAS call per arm as a single-arm product would. A delay line
+        whose length is not the tap count fails in ``matmul`` with a
+        ``ValueError``; shapes are otherwise taken unchecked, as the arm loop
+        fixes them once, before its first period.
         """
-        library = zeta_F.ndim == 2
-        if library:
-            taps = np.asarray(taps, dtype=float)
-            if taps.shape[1:] != xd_hist.shape:
-                raise DimensionError(
-                    f"taps shape {taps.shape} does not match delay line length {xd_hist.size}"
-                )
-            A = taps.shape[0]
-            out = (np.empty(zeta_F.shape) if zeta_next is None else zeta_next,
-                   np.empty(A) if y_d is None else y_d,
-                   np.empty((A, self.L)) if w_fast is None else w_fast)
-            zeta_F, taps, xd_hist = zeta_F[:, :, None], taps[:, None, :], xd_hist[:, None]
-            zeta_next, y_d, w_fast = out[0][:, :, None], out[1][:, None, None], out[2][:, :, None]
         np.matmul(taps, xd_hist, out=y_d)
         np.matmul(self._f_rows, zeta_F, out=w_fast)
         w_fast[:, 1:] += self._f_gains * y_d
         np.matmul(self.lift.Ah, zeta_F, out=zeta_next)
         zeta_next += self._Bh * y_d
-        return out if library else (zeta_next, y_d, w_fast)
+        return zeta_next, y_d, w_fast
 
 
 @dataclass(frozen=True)
@@ -352,28 +337,19 @@ class SimTrace:
     def t_fast(self) -> np.ndarray:
         return FastSampler(self.h, self.L).instants(self.n_steps)
 
-    def norm(self, name: str, t_end: float | None = None) -> float:
-        """Truncated L2 norm of one fast signal ('x', 'd', 'w', 'e' or 'u')."""
-        sig = getattr(self, name)
-        return l2_norm(sig, self.dt, t_end)
+    def norm(self, name: str) -> float:
+        """L2 norm of one fast signal ('x', 'd', 'w', 'e' or 'u')."""
+        return l2_norm(getattr(self, name), self.dt)
 
 
-def l2_norm(samples, dt: float, t_end: float | None = None) -> float:
-    """L2 norm of a held fast-sampled signal, sqrt(dt * sum of squares).
-
-    ``t_end`` truncates the record; non-finite samples propagate to an
-    infinite norm (divergent runs report +inf).
-    """
+def l2_norm(samples, dt: float) -> float:
+    """L2 norm of a held fast-sampled signal, sqrt(dt * sum of squares); a
+    non-finite sample gives an infinite norm (divergent runs report +inf)."""
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("cannot take the norm of an empty trace")
     if not dt > 0.0:
         raise ValueError(f"sample spacing must be positive, got {dt}")
-    if t_end is not None:
-        if t_end <= 0.0:
-            raise ValueError(f"truncation time must be positive, got {t_end}")
-        count = min(arr.size, int(round(t_end / dt)))
-        arr = arr[:max(count, 1)]
     if not np.all(np.isfinite(arr)):
         return float("inf")
     # squares of samples this large overflow the dot product

@@ -32,6 +32,7 @@ loop instead (see ``_FastWriter``).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -39,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._tables import _FastWriter, _write_columns
-from .adaptive import LmsConditionReport, _condition_maxima, _report_at
+from .adaptive import LmsConditionReport, _condition_maxima, _lag_windows, _report_at
 from .config import ConfigError, SimConfig
 from .lifting import ExogenousRecord, HybridLoop, SimTrace
 from .statespace import freq_response_grid
@@ -113,13 +114,23 @@ class SweepResult:
     widening: float
 
 
+@contextlib.contextmanager
+def _sized_by(key: str, what: str):
+    """Raise numpy's failure to allocate arrays sized by ``key`` (a MemoryError,
+    or a ValueError past the address space) as a ConfigError naming ``key``."""
+    try:
+        yield
+    except (ConfigError, np.linalg.LinAlgError):
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(key, f"cannot hold {what}: {exc}") from None
+
+
 def _setup(config: SimConfig) -> tuple[HybridLoop, ExogenousRecord]:
     """The loop of one configuration and its exogenous record, shared by its arms."""
     machine = HybridLoop(config.secondary(), config.primary(), config.make_generator(), config.h, config.L)
-    try:
+    with _sized_by("sim.T", f"{config.T / config.h:.6g} periods"):
         return machine, machine.exogenous(config.n_steps)
-    except (MemoryError, ValueError) as exc:  # numpy's, for a record past the address space
-        raise ConfigError("sim.T", f"cannot hold {config.T / config.h:.6g} periods: {exc}") from None
 
 
 def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleRunResult:
@@ -132,13 +143,6 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
     sum, which is exact because the traced cell integrals are.
     """
     return _run_arms(config, *_setup(config), [(config.mu, algorithm_cells)])[0]
-
-
-def _lag_windows(rows: np.ndarray, n_taps: int) -> np.ndarray:
-    """Read-only windows (N, n_taps, ...) of the N ``rows``: window n holds
-    rows n, n-1, ..., n-n_taps+1, zero before the record, as contiguous rows."""
-    source = np.concatenate([rows[::-1], np.zeros((n_taps - 1,) + rows.shape[1:])])
-    return np.moveaxis(np.lib.stride_tricks.sliding_window_view(source, n_taps, 0), -1, 1)[::-1]
 
 
 def _folds(group: np.ndarray, u_lags: dict, L: int, prod: np.ndarray) -> list:
@@ -171,12 +175,6 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
         if mu_a < 0.0:
             raise ValueError(f"step size must be nonnegative, got {mu_a}")
         cells.append(L_alg)
-    # stride 1 passes the blocks through: a one-term sum would print -0.0 as 0
-    u_alg = {b: record.u_blocks if b == L else record.u_blocks.reshape(N, b, L // b).sum(axis=2)
-             for b in sorted(set(cells))}
-    u_lags = {b: _lag_windows(u, n_taps) for b, u in u_alg.items()}
-    xd_lags = _lag_windows(record.x_d[:, None], n_taps)
-
     # rows sorted by blocking, so each blocking is one slice of the arm axis
     order = sorted(range(len(arms)), key=cells.__getitem__)
     group = np.array([cells[a] for a in order])
@@ -184,14 +182,22 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     # one comparison rejects nan, inf and the cutoff alike, even for an infinite cutoff
     A, cutoff = len(arms), min(config.divergence_cutoff, sys.float_info.max)
     # Every array a period touches carries the trailing unit axis that
-    # ``matmul`` reads, so the shapes ``step`` takes are fixed here, once.
+    # ``matmul`` reads, so the shapes ``step`` takes are fixed here, once, and
+    # a failure to allocate them names its key before any table is begun.
     # Row n of the taps and direction histories enters period n: row 0 is
     # zero and row N final.
-    alpha_hist, delta_hist = np.zeros((A, N + 1, 1, n_taps)), np.zeros((A, N + 1, 1, n_taps))
-    y_d = np.empty((A, N, 1, 1))
-    shape, d = (A, N, L, 1), record.d[:, :, None]
-    w, e = (stream.start(shape, [order.index(a) for a in range(A)]) if stream is not None
-            else np.empty((2, *shape)))
+    with _sized_by("sim.T", f"{N} periods of {A} arms"):
+        # stride 1 passes the blocks through: a one-term sum would print -0.0 as 0
+        u_alg = {b: record.u_blocks if b == L else record.u_blocks.reshape(N, b, L // b).sum(axis=2)
+                 for b in sorted(set(cells))}
+        with _sized_by("filter.taps", f"{n_taps} taps"):  # the only set-up arrays sized by the taps alone
+            u_lags = {b: _lag_windows(u, n_taps) for b, u in u_alg.items()}
+            xd_lags = _lag_windows(record.x_d[:, None], n_taps)
+        alpha_hist, delta_hist = np.zeros((A, N + 1, 1, n_taps)), np.zeros((A, N + 1, 1, n_taps))
+        y_d = np.empty((A, N, 1, 1))
+        shape, d = (A, N, L, 1), record.d[:, :, None]
+        w, e = (stream.start(shape, [order.index(a) for a in range(A)]) if stream is not None
+                else np.empty((2, *shape)))
     zeta, spare = np.zeros((2, A, machine.secondary.nstates, 1))
     prod = np.empty((A, 1, n_taps))
     n_completed, diverged = np.full(A, N), np.zeros(A, dtype=bool)
@@ -235,7 +241,8 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     for r, a in enumerate(order):
         if arms[a][0] > 0.0 and n_updates[r] > 0:
             reads.setdefault(cells[a], []).append(int(n_updates[r]))
-    maxima = {b: _condition_maxima(u_alg[b], n_taps, h, ns) for b, ns in reads.items()}
+    with _sized_by("filter.taps", f"{n_taps} taps"):  # the Gram matrices, (n_taps, n_taps) each
+        maxima = {b: _condition_maxima(u_alg[b], n_taps, h, ns) for b, ns in reads.items()}
     results, d_norms = [], {}  # arms that stop together share the disturbance's norm
     for a, (mu_a, _) in enumerate(arms):
         r, b = order.index(a), cells[a]
@@ -344,18 +351,19 @@ def run_mu_sweep(config: SimConfig, mu_values=None) -> SweepResult:
     )
 
 
-def emit_bode(config: SimConfig, n_points: int = 400):
-    """Magnitude/phase table for both plants on a log frequency grid.
+_BODE_POINTS = 400
 
-    The grid gets one exact row at the Nyquist frequency pi / h, flagged in
-    the ``at_nyquist`` column. Returns (omegas, columns dict).
-    """
+
+def emit_bode(config: SimConfig) -> dict:
+    """Magnitude/phase columns of both plants by name, the frequencies first: a
+    log grid of ``_BODE_POINTS`` frequencies plus one exact row at the Nyquist
+    frequency pi / h, flagged in the ``at_nyquist`` column."""
     nyq = np.pi / config.h
-    om = np.geomspace(nyq * 1e-2, nyq * 1e2, n_points)
+    om = np.geomspace(nyq * 1e-2, nyq * 1e2, _BODE_POINTS)
     om = np.unique(np.concatenate([om, [nyq]]))
     sec = freq_response_grid(config.secondary(), om)[:, 0, 0]
     pri = freq_response_grid(config.primary(), om)[:, 0, 0]
-    cols = {
+    return {
         "omega_rad_s": om,
         "secondary_mag": np.abs(sec),
         "secondary_phase_rad": np.unwrap(np.angle(sec)),
@@ -363,7 +371,6 @@ def emit_bode(config: SimConfig, n_points: int = 400):
         "primary_phase_rad": np.unwrap(np.angle(pri)),
         "at_nyquist": (om == nyq).astype(float),
     }
-    return om, cols
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +454,11 @@ def run_to_csv(config: SimConfig, out_dir: str, compare: bool = False):
     comparison.csv) and returns ``(result, paths)``. A forked process
     writes each arm's fast.csv while the arms run (see ``_FastWriter``);
     this one writes every other table. A writer failure is raised as
-    ``OSError`` naming the file after the other tables are written.
+    ``OSError`` naming the file after the other tables are written. The
+    directory is made only once every array of the arm loop is held.
     """
     prefixes = ("proposed_", "conventional_") if compare else ("",)
     machine, record = _setup(config)
-    os.makedirs(out_dir, exist_ok=True)
     fast = [os.path.join(out_dir, prefix + "fast.csv") for prefix in prefixes]
     writer = _FastWriter(fast, config.h, record)
     results = None
@@ -497,9 +504,9 @@ def write_sweep_csv(result: SweepResult, out_dir: str) -> list[str]:
     return [rows_path, summary_path]
 
 
-def write_bode_csv(config: SimConfig, out_dir: str, n_points: int = 400) -> str:
+def write_bode_csv(config: SimConfig, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    _, cols = emit_bode(config, n_points)
+    cols = emit_bode(config)
     path = os.path.join(out_dir, "bode.csv")
     _write_columns(path, list(cols.keys()), list(cols.values()))
     return path
@@ -508,8 +515,8 @@ def write_bode_csv(config: SimConfig, out_dir: str, n_points: int = 400) -> str:
 def load_u_blocks(path: str) -> np.ndarray:
     """Read back a u_blocks.csv table (inverse of ``run_to_csv``'s writer).
 
-    The header must be ``n,u_0,...,u_{k-1}`` with k >= 1, and every row must
-    hold 1 + k numbers; anything else raises ``ValueError`` naming the file.
+    The header must be ``n,u_0,...,u_{k-1}`` with k >= 1 and every row hold
+    1 + k finite numbers; anything else raises ``ValueError`` naming the file.
     """
     with open(path, encoding="utf-8") as fh:
         header, *rows = fh.read().splitlines() or [""]
@@ -526,4 +533,6 @@ def load_u_blocks(path: str) -> np.ndarray:
         raise ValueError(width if ragged else f"{path}: {exc}") from None
     if data.shape[1] != len(names):
         raise ValueError(width)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: expected finite numbers")
     return data[:, 1:]

@@ -27,7 +27,8 @@ iteration through the single-arm :func:`reference_loop_step` and
 of the record per lag pair and :func:`reference_check_lms_conditions` builds the Gram increment
 of each period in a Python loop; :func:`reference_condition_series`
 decomposes every running Gram matrix and every increment of a record, so
-one pair of series serves each truncation;
+one pair of series serves each truncation, on the lag stack that
+:func:`reference_lagged_chunks` fills one lag at a time;
 :func:`reference_wiener_solve` solves the
 quadratic problem by Cholesky factorization plus one refinement step; the
 ``reference_write_*`` functions write every CSV table row by row through a
@@ -48,7 +49,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
-from ancsim.adaptive import LmsConditionReport, WienerProblem, _lagged_chunks, check_lms_conditions
+from ancsim.adaptive import _CHUNK_PERIODS, LmsConditionReport, WienerProblem, check_lms_conditions
 from ancsim.lifting import LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator, HeldWaveform
@@ -272,6 +273,19 @@ def reference_check_lms_conditions(u_blocks, mu, n_taps, h, eps_threshold=0.5) -
     )
 
 
+def reference_lagged_chunks(U: np.ndarray, n_taps: int):
+    """``(start, V)`` with ``V[n - start, :, k] = U[n - k]``, zero before U, in
+    the package's chunks of periods, filled one lag at a time."""
+    n_steps, L = U.shape
+    for start in range(0, n_steps, _CHUNK_PERIODS):
+        stop = min(start + _CHUNK_PERIODS, n_steps)
+        V = np.zeros((stop - start, L, n_taps))
+        for k in range(min(n_taps, stop)):
+            lo = max(start, k)
+            V[lo - start:, :, k] = U[lo - k:stop - k]
+        yield start, V
+
+
 def reference_condition_series(U: np.ndarray, n_taps: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """lambda_max(Phi[n]) and the prefix maxima of the increment lambda_max.
 
@@ -286,7 +300,7 @@ def reference_condition_series(U: np.ndarray, n_taps: int, h: float) -> tuple[np
     # Phi[n] grows by the PSD increment (L/h) V_n^T V_n each period; the
     # in-place cumsum turns a chunk's increments into its running sums.
     Phi = np.zeros((n_taps, n_taps))
-    for start, V in _lagged_chunks(U, n_taps):
+    for start, V in reference_lagged_chunks(U, n_taps):
         stop = start + V.shape[0]
         running = (L / h) * (V.transpose(0, 2, 1) @ V)
         inc[start + 1:stop + 1] = np.linalg.eigvalsh(running)[:, -1]
@@ -1059,10 +1073,10 @@ def reference_write_sweep_csv(result, out_dir: str) -> list[str]:
     return [rows_path, summary_path]
 
 
-def reference_write_bode_csv(config, out_dir: str, n_points: int = 400) -> str:
+def reference_write_bode_csv(config, out_dir: str) -> str:
     """The table of ``ancsim.write_bode_csv``, written by ``write_csv_rows``."""
     os.makedirs(out_dir, exist_ok=True)
-    _, cols = emit_bode(config, n_points)
+    cols = emit_bode(config)
     path = os.path.join(out_dir, "bode.csv")
     write_csv_rows(path, list(cols.keys()), zip(*cols.values()))
     return path

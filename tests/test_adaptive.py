@@ -23,7 +23,7 @@ from ancsim import (
     sd_run,
     wiener_solve,
 )
-from ancsim.adaptive import _condition_maxima
+from ancsim.adaptive import _condition_maxima, _lag_windows, _lagged_chunks
 from ancsim.config import SimConfig
 from ancsim.tolerances import TOL
 
@@ -469,6 +469,26 @@ def test_checker_matches_per_period_loop(n_steps, L, n_taps):
     for mu, h in ((0.1, 1.0), (2.5, 0.3)):
         got = check_lms_conditions(u, mu=mu, n_taps=n_taps, h=h)
         assert got == oracles.reference_check_lms_conditions(u, mu, n_taps, h)
+
+
+@pytest.mark.parametrize("n_steps, L, n_taps", [
+    (0, 8, 4), (0, 1, 1), (5, 8, 8), (127, 1, 300), (128, 1, 8), (128, 8, 8), (128, 32, 8),
+    (129, 32, 1), (300, 1, 4), (300, 8, 8), (300, 32, 8), (300, 8, 200), ("x_d", 1, 8),
+])
+def test_lagged_chunks_equal_per_lag_stack(n_steps, L, n_taps):
+    """The package's chunks are the oracle's per-lag stack bit for bit, as
+    contiguous arrays, and stacked they are the arm loop's lag windows;
+    ``x_d`` is the reference delay line's (N, 1) form."""
+    rng = np.random.default_rng(7 * L + n_taps)
+    u = rng.normal(size=300)[:, None] if n_steps == "x_d" else rng.normal(size=(n_steps, L))
+    u[:1, :1] = -0.0  # the copies keep the sign of zero
+    got, want = list(_lagged_chunks(u, n_taps)), list(oracles.reference_lagged_chunks(u, n_taps))
+    assert [s for s, _ in got] == [s for s, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g.flags.c_contiguous and g.shape == w.shape and g.tobytes() == w.tobytes()
+    if len(u):
+        windows = _lag_windows(u, n_taps)
+        assert np.concatenate([g for _, g in got]).tobytes() == windows.transpose(0, 2, 1).tobytes()
 
 
 @pytest.mark.parametrize("n_steps, L, n_taps", [r for r in GRAM_RECORDS if r[0] > 0])

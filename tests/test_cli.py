@@ -8,6 +8,8 @@ for ``compare`` no process-pool module and neither ``decimal`` nor
 ``fractions``.
 """
 
+import errno
+import mmap
 import os
 import subprocess
 import sys
@@ -308,6 +310,14 @@ class TestCheckCommand:
             fields = Path(trace).read_text().split("\n", 1)[0].count(",") + 1
             assert err == f"error: {trace}: expected {fields} fields on every row, as in the header\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_trace_exits_two_naming_file(self, value, small_config, tmp_path, capsys):
+        """A trace is read as finite numbers, so the checker sees no other."""
+        trace = tmp_path / "u_blocks.csv"
+        trace.write_text(f"n,u_0,u_1\n0,1,2\n1,{value},3\n")
+        code, out, err = _run_cli(["check", "--config", small_config, "--trace", str(trace)], capsys)
+        assert (code, out, err) == (2, "", f"error: {trace}: expected finite numbers\n")
+
     def test_all_zero_trace_holds_vacuously(self, small_config, tmp_path, capsys):
         trace = tmp_path / "u_blocks.csv"
         trace.write_text("n,u_0,u_1\n" + "".join(f"{n},0,0\n" for n in range(10)))
@@ -440,6 +450,76 @@ def test_horizon_past_the_address_space_exits_two(command, line, periods, tmp_pa
     assert (code, out) == (2, "")
     assert err.startswith(f"configuration error: sim.T: cannot hold {periods} periods: ")
     assert not os.path.exists(tmp_path / "o") and not writers
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "check"])
+def test_tap_count_past_the_address_space_exits_two(command, tmp_path, capsys, monkeypatch):
+    """2^40 taps cannot be held: the lag windows (the checker's Gram matrix
+    for check) fail at once, naming filter.taps, before the output directory
+    is made or the fast-table writer starts."""
+    config = tmp_path / "taps.cfg"
+    config.write_text("filter.taps = 1099511627776\nsim.T = 10\n")
+    trace = tmp_path / "u_blocks.csv"
+    trace.write_text("n,u_0,u_1\n0,1,2\n1,2,3\n")
+
+    def start(*args):
+        raise AssertionError("the fast-table writer started")
+
+    monkeypatch.setattr("ancsim._tables._FastWriter.start", start)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    code, out, err = _run_cli(argv + ["--trace", str(trace)] * (command == "check"), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: filter.taps: cannot hold 1099511627776 taps: ")
+    assert not os.path.exists(tmp_path / "o")
+
+
+RLIMIT_SCRIPT = """\
+import resource, sys
+import ancsim.cli
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(ancsim.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the address space from /proc")
+@pytest.mark.parametrize("command,text,error", [
+    # the record fits, the 40 arms' histories (about 530 MB) do not
+    ("sweep", "sim.T = 50000\n", "sim.T: cannot hold 50000 periods of 40 arms: "),
+    # the arm loop fits, the checker's (10, 5000, 5000) Gram stack (1.9 GB) does not
+    ("run", "sim.T = 10\nfilter.taps = 5000\n", "filter.taps: cannot hold 5000 taps: "),
+], ids=["sweep-histories", "run-gram"])
+def test_arrays_past_the_address_limit_exit_two(command, text, error, tmp_path):
+    """In a child whose address space is limited to 160 MB past what
+    importing the package took, arrays that do not fit exit 2 naming the key
+    that sized them, and no table is left behind."""
+    config = tmp_path / "big.cfg"
+    config.write_text(text)
+    src = os.path.dirname(os.path.dirname(ancsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = [str(160 << 20), command, "--config", str(config), "--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-c", RLIMIT_SCRIPT, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("configuration error: " + error)
+    assert not os.path.exists(tmp_path / "o") or not os.listdir(tmp_path / "o")
+
+
+def test_shared_histories_past_memory_exit_two(tmp_path, capsys, monkeypatch):
+    """A shared mapping for the streamed w and e histories that the system
+    refuses is a horizon too long to hold: exit 2 naming sim.T, no directory."""
+
+    def refuse(*args):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    code, out, err = _run_cli(["compare", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: sim.T: cannot hold 10 periods of 2 arms: cannot map ")
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("command,mu", [("run", "0.1"), ("compare", "0.1"),

@@ -254,13 +254,23 @@ def delay_line(x_d, n: int, n_taps: int) -> np.ndarray:
     return np.array([x_d[n - k] if n >= k else 0.0 for k in range(n_taps)])
 
 
+def step(loop, zeta, taps, xd_hist):
+    """``loop.step`` on (A, n) states, (A, n_taps) taps and an (n_taps,) delay
+    line, in the trailing-unit-axis form it takes; returns the next states
+    (A, n), the filter outputs (A,) and the anti-noise (A, L)."""
+    taps = np.asarray(taps, dtype=float)
+    out = np.empty(zeta.shape + (1,)), np.empty((len(taps), 1, 1)), np.empty((len(taps), loop.L, 1))
+    loop.step(zeta[:, :, None], taps[:, None, :], xd_hist[:, None], out[1], out[2], out[0])
+    return out[0][:, :, 0], out[1][:, 0, 0], out[2][:, :, 0]
+
+
 def test_open_loop_error_equals_disturbance():
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=4)
     record = loop.exogenous(6)
     zeta = np.zeros((2, sec.nstates))
     for n in range(6):
-        zeta, y_d, w_fast = loop.step(zeta, np.zeros((2, 3)), delay_line(record.x_d, n, 3))
+        zeta, y_d, w_fast = step(loop, zeta, np.zeros((2, 3)), delay_line(record.x_d, n, 3))
         assert np.all(y_d == 0.0)
         assert np.all(w_fast == 0.0) and w_fast.shape == (2, 4)
         assert np.allclose(record.d[n] - w_fast, record.d[n], atol=0.0)
@@ -304,7 +314,7 @@ def test_silent_generator_keeps_everything_zero():
     record = loop.exogenous(4)
     zeta = np.zeros((1, sec.nstates))
     for n in range(4):
-        zeta, _, w_fast = loop.step(zeta, np.array([[0.4, -0.2]]), delay_line(record.x_d, n, 2))
+        zeta, _, w_fast = step(loop, zeta, np.array([[0.4, -0.2]]), delay_line(record.x_d, n, 2))
         assert record.x_d[n] == 0.0
         assert np.all(record.d[n] - w_fast == 0.0)
     assert not np.any(record.u_blocks) and not np.any(record.u)
@@ -324,7 +334,7 @@ def test_identity_paths_cancel_with_unit_tap():
     taps = np.array([[1.0, 0.0]])
     worst = 0.0
     for n in range(n_steps):
-        zeta, _, w_fast = loop.step(zeta, taps, delay_line(record.x_d, n, 2))
+        zeta, _, w_fast = step(loop, zeta, taps, delay_line(record.x_d, n, 2))
         worst = max(worst, float(np.abs(record.d[n] - w_fast).max()))
     assert worst < 1e-10
 
@@ -357,7 +367,7 @@ def test_step_matches_per_cell_reference(kind, L):
     fields = {}
     for n in range(n_periods):
         taps = rng.normal(scale=0.5, size=(2, n_taps))
-        zeta, y_d, w_fast = loop.step(zeta, taps, delay_line(record.x_d, n, n_taps))
+        zeta, y_d, w_fast = step(loop, zeta, taps, delay_line(record.x_d, n, n_taps))
         for arm in range(2):
             want[arm], ref = oracles.reference_step(loop, want[arm], taps[arm])
             pairs = [
@@ -416,31 +426,32 @@ def test_generator_type_checked():
 
 
 def test_step_buffers_give_identical_bits():
-    """``step`` returns the same bits whether it allocates its outputs, writes
-    caller buffers, or takes the arm loop's matmul-ready (trailing unit axis)
-    arrays; given buffers are the arrays it returns."""
+    """``step`` writes the buffers it is given and returns them as (next
+    states, filter outputs, anti-noise); a stack of arms gets the bits of
+    each arm stepped alone."""
     rng = np.random.default_rng(21)
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=8)
     A, n, n_taps = 3, sec.nstates, 5
-    zeta, taps, xd = rng.normal(size=(A, n)), rng.normal(size=(A, n_taps)), rng.normal(size=n_taps)
-    want = loop.step(zeta, taps, xd)
-    assert [a.shape for a in want] == [(A, n), (A,), (A, 8)]
-    out = np.empty((A, n)), np.empty(A), np.empty((A, 8))
+    zeta, taps, xd = rng.normal(size=(A, n, 1)), rng.normal(size=(A, 1, n_taps)), rng.normal(size=(n_taps, 1))
+    out = np.empty((A, n, 1)), np.empty((A, 1, 1)), np.empty((A, 8, 1))
     got = loop.step(zeta, taps, xd, out[1], out[2], out[0])
     assert all(g is o for g, o in zip(got, out))
-    ready = np.empty((A, n, 1)), np.empty((A, 1, 1)), np.empty((A, 8, 1))
-    loop.step(zeta[:, :, None], taps[:, None, :], xd[:, None], ready[1], ready[2], ready[0])
-    for w, g, r in zip(want, got, ready):
-        assert w.tobytes() == g.tobytes() == r.tobytes()
+    for arm in range(A):
+        alone = np.empty((1, n, 1)), np.empty((1, 1, 1)), np.empty((1, 8, 1))
+        loop.step(zeta[arm:arm + 1], taps[arm:arm + 1], xd, alone[1], alone[2], alone[0])
+        for g, a in zip(got, alone):
+            assert g[arm].tobytes() == a[0].tobytes()
 
 
 def test_taps_length_checked():
+    """A delay line whose length is not the tap count fails in ``matmul``."""
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=2)
-    for taps in (np.zeros((1, 2)), np.zeros(3), [0.0, 0.0, 0.0], [[0.0, 0.0]]):
-        with pytest.raises(DimensionError):
-            loop.step(np.zeros((1, sec.nstates)), taps, np.zeros(3))
+    for n_taps in (2, 4):
+        out = np.empty((1, sec.nstates, 1)), np.empty((1, 1, 1)), np.empty((1, 2, 1))
+        with pytest.raises(ValueError):
+            loop.step(out[0].copy(), np.zeros((1, 1, n_taps)), np.zeros((3, 1)), out[1], out[2], out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -451,19 +462,11 @@ def test_l2_norm_constant_signal():
     assert abs(l2_norm(np.ones(8), 0.5) - 2.0) < 1e-15
 
 
-def test_l2_norm_truncation():
-    vals = np.ones(8)
-    assert abs(l2_norm(vals, 0.5, t_end=2.0) - np.sqrt(2.0)) < 1e-15
-    assert abs(l2_norm(vals, 0.5, t_end=100.0) - 2.0) < 1e-15
-
-
 def test_l2_norm_edge_cases():
     with pytest.raises(ValueError):
         l2_norm(np.array([]), 0.1)
     with pytest.raises(ValueError):
         l2_norm(np.ones(3), 0.0)
-    with pytest.raises(ValueError):
-        l2_norm(np.ones(3), 0.1, t_end=-1.0)
     assert l2_norm(np.array([1.0, np.nan]), 0.1) == np.inf
     assert l2_norm(np.array([1e200, 1e200]), 0.1) == np.inf
     # each square is finite, the sum of squares passes 1e300

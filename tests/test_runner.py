@@ -443,13 +443,15 @@ def test_sweep_csv(tmp_path):
 
 
 def test_bode_table(tmp_path, default_config):
-    om, cols = emit_bode(default_config, n_points=200)
+    cols = emit_bode(default_config)
+    om = cols["omega_rad_s"]
     nyq = np.pi / default_config.h
+    assert list(cols)[0] == "omega_rad_s" and len(om) == 401
     assert np.any(om == nyq)
     assert cols["at_nyquist"].sum() == 1.0
-    path = write_bode_csv(default_config, str(tmp_path), n_points=200)
+    path = write_bode_csv(default_config, str(tmp_path))
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape[1] == 6
+    assert data.shape == (401, 6)
     # secondary path resonances sit near the configured frequencies
     mag = cols["secondary_mag"]
     for w0 in (1.0, 2.0, 3.0, 4.0):
@@ -697,7 +699,7 @@ def test_library_writers_never_fork(tmp_path, monkeypatch, default_config):
     monkeypatch.setattr(os, "fork", no_fork)
     sweep = run_mu_sweep(short_config(T=6.0), mu_values=[0.1])
     assert len(write_sweep_csv(sweep, str(tmp_path / "sweep"))) == 2
-    assert os.path.isfile(write_bode_csv(default_config, str(tmp_path / "bode"), n_points=8))
+    assert os.path.isfile(write_bode_csv(default_config, str(tmp_path / "bode")))
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
