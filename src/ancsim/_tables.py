@@ -185,9 +185,10 @@ class _FastWriter:
     ``start`` allocates the loop's w and e histories in shared memory, makes
     the tables' directory and forks one process that reads them;
     ``progress``, due every ``every`` periods, sends it the period count and
-    each arm row's ``n_completed``, from which it writes every final row;
+    each arm's ``n_completed``, from which it writes every final row;
     ``close`` ends the stream and reaps it, or, for a run that failed, stops
-    it and removes its tables. Where ``os.fork`` is missing or fails, or
+    it and removes its tables, and the directory if ``start`` made it and
+    nothing else is in it. Where ``os.fork`` is missing or fails, or
     other OS threads run (a fork copies none of them, and Python 3.12+
     warns), nothing forks and ``close`` writes the tables in this process.
     Either way each file holds the rows final at the last ``progress``.
@@ -197,13 +198,14 @@ class _FastWriter:
 
     def __init__(self, paths: list[str], h: float, record: ExogenousRecord) -> None:
         self.paths, self.h, self.record = paths, h, record
-        self.pid = self.counts = None
+        self.pid = self.counts = self.made = None
 
-    def start(self, shape: tuple[int, ...], rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The w and e histories of ``shape`` (arm rows, periods, L, ...); arm a is row ``rows[a]``."""
+    def start(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The w and e histories of ``shape`` (arms, periods, L, ...), arm a's in row a."""
         self.w, self.e = _shared_empty((2, *shape))
-        os.makedirs(os.path.dirname(self.paths[0]), exist_ok=True)
-        self.rows, self.counts = rows, [0] * len(rows)
+        directory = os.path.dirname(self.paths[0])
+        self.made = None if os.path.isdir(directory) else directory
+        os.makedirs(directory, exist_ok=True)
         if hasattr(os, "fork") and _thread_count() == 1:
             self._fork()
         return self.w, self.e
@@ -234,7 +236,7 @@ class _FastWriter:
         self.pid, self._progress, self._report = pid, progress_w, report_r
 
     def progress(self, periods: int, n_completed: np.ndarray) -> None:
-        """Periods done so far and ``n_completed`` of every row of the arm axis."""
+        """Periods done so far and ``n_completed`` of every arm."""
         if self.pid is None:
             self.counts = self._final_rows(periods, n_completed.tolist())
             return
@@ -246,36 +248,40 @@ class _FastWriter:
     def close(self, abort: bool = False) -> str:
         """End the stream and reap the writer, or write here; returns the failures' text.
 
-        With ``abort`` (the arms did not finish) nothing is written here, and a
-        forked writer is killed and the tables it began are removed.
+        With ``abort`` (the arms did not finish) nothing is written here, a
+        forked writer is killed and the tables it began are removed, and the
+        directory ``start`` made is removed if nothing else is in it.
         """
         if self.pid is None:
-            if abort or self.counts is None:
-                return ""
-            return "; ".join(map(str, self._write([self.counts])))
-        os.close(self._progress)
-        if abort:
-            import signal
+            if not abort:
+                return "" if self.counts is None else "; ".join(map(str, self._write([self.counts])))
+        else:
+            os.close(self._progress)
+            if abort:
+                import signal
 
-            os.kill(self.pid, signal.SIGKILL)
-        with os.fdopen(self._report, "rb") as pipe:
-            failure = pipe.read().decode("utf-8", "replace")
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if abort:
+                os.kill(self.pid, signal.SIGKILL)
+            with os.fdopen(self._report, "rb") as pipe:
+                failure = pipe.read().decode("utf-8", "replace")
+            status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            if not abort:
+                return failure or (f"fast table writer exited with code {status}" if status else "")
             for path in self.paths:
                 with contextlib.suppress(OSError):
                     os.remove(path)
-            return ""
-        return failure or (f"fast table writer exited with code {status}" if status else "")
+        if self.made is not None:
+            with contextlib.suppress(OSError):  # not empty: something else was written there
+                os.rmdir(self.made)
+        return ""
 
     def _final_rows(self, periods: int, n_completed: list[int]) -> list[int]:
         L = self.record.x.shape[1]
-        return [min(periods, n_completed[r]) * L for r in self.rows]
+        return [min(periods, k) * L for k in n_completed]
 
     def _messages(self, fd: int):
         """Final row counts of each arm, one per progress message, until the pipe closes."""
-        size = 8 * (1 + len(self.rows))
+        size = 8 * (1 + len(self.paths))
         with os.fdopen(fd, "rb") as pipe:
             while len(msg := pipe.read(size)) == size:
                 periods, *n_completed = np.frombuffer(msg, np.int64).tolist()
@@ -285,5 +291,4 @@ class _FastWriter:
         rec, N, L = self.record, *self.record.x.shape
         return _write_fast(self.paths, FastSampler(self.h, L).instants(N),
                            rec.x.reshape(-1), rec.d.reshape(-1), rec.u.reshape(-1),
-                           [self.w[r].reshape(-1) for r in self.rows],
-                           [self.e[r].reshape(-1) for r in self.rows], ready)
+                           self.w.reshape(len(self.w), -1), self.e.reshape(len(self.e), -1), ready)

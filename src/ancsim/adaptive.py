@@ -302,7 +302,8 @@ def check_lms_conditions(
     increments: (1) a uniform norm bound, (2) whether the step size lies
     inside (0, 2 / max eigenvalue), (3) whether the per-period change of
     mu Phi[n] stays below ``eps_threshold``. A record with no regressor
-    energy is flagged degenerate (conditions hold vacuously).
+    energy is flagged degenerate (conditions hold vacuously). A record whose
+    Gram matrix overflows raises ``numpy.linalg.LinAlgError`` (a ValueError).
     """
     U = np.asarray(u_blocks, dtype=float)
     if U.ndim != 2:
@@ -315,7 +316,12 @@ def check_lms_conditions(
         raise ValueError(f"period must be positive, got {h}")
     if not mu > 0.0:
         raise ValueError(f"step size must be positive, got {mu}")
-    return _report_at(_condition_maxima(U, n_taps, h, [len(U)])[len(U)], len(U), n_taps, mu, eps_threshold)
+    try:
+        with np.errstate(over="raise"):
+            maxima = _condition_maxima(U, n_taps, h, [len(U)])[len(U)]
+    except FloatingPointError:  # a LinAlgError, which callers tell from a failure to allocate Phi
+        raise np.linalg.LinAlgError("the Gram matrix overflows") from None
+    return _report_at(maxima, len(U), n_taps, mu, eps_threshold)
 
 
 def _condition_maxima(U: np.ndarray, n_taps: int, h: float, reads) -> dict:
@@ -343,7 +349,8 @@ def _condition_maxima(U: np.ndarray, n_taps: int, h: float, reads) -> dict:
         running = V.transpose(0, 2, 1) @ V
         running *= L / h  # the bits of (L / h) * (V^T V), without a second stack
         rows = running.reshape(len(V), 1, -1)
-        bound = np.sqrt((rows @ rows.transpose(0, 2, 1)).ravel() + floor) * (1.0 + margin)
+        with np.errstate(over="ignore"):  # past the largest double a bound rules nothing out
+            bound = np.sqrt((rows @ rows.transpose(0, 2, 1)).ravel() + floor) * (1.0 + margin)
         bound = np.where(rows.any(axis=2).ravel(), bound, -1.0).tolist()  # zero: no new maximum
         hits = [n for n in reads if start < n <= start + len(V)]
         lo = 0

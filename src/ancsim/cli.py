@@ -17,6 +17,8 @@ import argparse
 import sys
 import time
 
+from numpy.linalg import LinAlgError
+
 from . import runner
 from .adaptive import check_lms_conditions
 from .config import ConfigError, SimConfig, read_config
@@ -145,8 +147,11 @@ def _cmd_check(args) -> int:
         raise ConfigError("adapt.mu", f"check needs a positive step size, got {cfg.mu}")
     blocks = runner.load_u_blocks(args.trace)
     # the trace and every setting are valid here, so a failure to allocate is the taps'
-    with runner._sized_by("filter.taps", f"{cfg.n_taps} taps"):
-        report = check_lms_conditions(blocks, cfg.mu, cfg.n_taps, cfg.h, cfg.eps_threshold)
+    try:
+        with runner._sized_by("filter.taps", f"{cfg.n_taps} taps"):
+            report = check_lms_conditions(blocks, cfg.mu, cfg.n_taps, cfg.h, cfg.eps_threshold)
+    except LinAlgError as exc:  # the trace's numbers: its Gram matrix overflows or has no eigenvalues
+        raise ValueError(f"{args.trace}: {exc}") from None
     print(f"trace: {report.n_intervals} periods, {blocks.shape[1]} cells, taps = {report.n_taps}")
     if report.degenerate:
         print("note: trace carries no regressor energy; conditions hold vacuously")

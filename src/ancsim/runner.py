@@ -14,8 +14,9 @@ computed once. One arm loop runs them all: the arms sit on a leading arm
 axis whose only per-arm state is the taps, the update direction and the
 secondary-path state; the delay line and the regressor history are lag
 windows of the shared record. Each period steps the anti-noise path of every
-arm at once and folds the update once per blocking, with stacked products
-that equal the single-arm ones bit for bit. A diverged arm leaves the axis.
+arm at once and folds the update once per run of arms with one blocking,
+with stacked products that equal the single-arm ones bit for bit. A diverged
+arm stays on the axis, frozen and unread, until every arm has diverged.
 The convergence reports of a blocking's arms come from one checker call
 that reads the running Gram matrix at each arm's last update.
 CSV files contain no timestamps and format floats with %.17g, so equal
@@ -145,26 +146,19 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
     return _run_arms(config, *_setup(config), [(config.mu, algorithm_cells)])[0]
 
 
-def _folds(group: np.ndarray, u_lags: dict, L: int, prod: np.ndarray) -> list:
-    """(regressor windows, rows of the arm axis, cell stride, those rows of the
-    (A, 1, n_taps) ``prod`` as columns) of each blocking with live arms."""
-    edges = np.searchsorted(group, [*u_lags, L + 1]).tolist()
-    return [(u_lag, slice(lo, hi), L // b, prod[lo:hi].reshape(hi - lo, -1, 1))
-            for (b, u_lag), lo, hi in zip(u_lags.items(), edges, edges[1:]) if lo < hi]
-
-
 def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
               arms, stream: _FastWriter | None = None) -> list[SingleRunResult]:
     """Adaptive arms ``(mu, algorithm_cells)`` on a shared loop, stepped together.
 
-    Row r of the arm axis is arm ``order[r]``; its taps, direction and
-    secondary-path state are the only per-arm state. The delay line and the
-    regressor history of each blocking are lag windows of the record. Each
-    period steps the anti-noise path once for all arms and folds the update
-    once per blocking; an arm whose error leaves the cutoff drops off the
-    axis and is not computed further. Results come back in ``arms`` order.
-    With a ``stream``, the w and e histories are the stream's, and it learns
-    after every ``stream.every`` periods which rows are final.
+    Row a of the arm axis is arm a; its taps, direction and secondary-path
+    state are the only per-arm state. The delay line and the regressor
+    history of each blocking are lag windows of the record. Each period steps
+    the anti-noise path once for all arms and folds the update once per run
+    of consecutive arms with one blocking. A diverged arm stays on the axis
+    with a nan step size: all it computes later is quiet nans, which raise no
+    floating-point warning and are never read. The loop stops once every arm
+    has diverged. With a ``stream``, the w and e histories are the stream's,
+    and it learns after every ``stream.every`` periods which rows are final.
     """
     L, N, n_taps, h = config.L, config.n_steps, config.n_taps, config.h
     cells = []
@@ -175,10 +169,7 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
         if mu_a < 0.0:
             raise ValueError(f"step size must be nonnegative, got {mu_a}")
         cells.append(L_alg)
-    # rows sorted by blocking, so each blocking is one slice of the arm axis
-    order = sorted(range(len(arms)), key=cells.__getitem__)
-    group = np.array([cells[a] for a in order])
-    mu = np.array([float(arms[a][0]) for a in order])[:, None, None]
+    mu = np.array([float(mu_a) for mu_a, _ in arms])[:, None, None]
     # one comparison rejects nan, inf and the cutoff alike, even for an infinite cutoff
     A, cutoff = len(arms), min(config.divergence_cutoff, sys.float_info.max)
     # Every array a period touches carries the trailing unit axis that
@@ -189,67 +180,57 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     with _sized_by("sim.T", f"{N} periods of {A} arms"):
         # stride 1 passes the blocks through: a one-term sum would print -0.0 as 0
         u_alg = {b: record.u_blocks if b == L else record.u_blocks.reshape(N, b, L // b).sum(axis=2)
-                 for b in sorted(set(cells))}
+                 for b in set(cells)}
         with _sized_by("filter.taps", f"{n_taps} taps"):  # the only set-up arrays sized by the taps alone
             u_lags = {b: _lag_windows(u, n_taps) for b, u in u_alg.items()}
             xd_lags = _lag_windows(record.x_d[:, None], n_taps)
         alpha_hist, delta_hist = np.zeros((A, N + 1, 1, n_taps)), np.zeros((A, N + 1, 1, n_taps))
         y_d = np.empty((A, N, 1, 1))
         shape, d = (A, N, L, 1), record.d[:, :, None]
-        w, e = (stream.start(shape, [order.index(a) for a in range(A)]) if stream is not None
-                else np.empty((2, *shape)))
+        w, e = stream.start(shape) if stream is not None else np.empty((2, *shape))
     zeta, spare = np.zeros((2, A, machine.secondary.nstates, 1))
     prod = np.empty((A, 1, n_taps))
     n_completed, diverged = np.full(A, N), np.zeros(A, dtype=bool)
-    live, at = np.arange(A), None  # rows on the axis; ``at`` indexes them once some have left
-    folds = _folds(group, u_lags, L, prod)
+    # per run of arms with one blocking: windows, rows, cell stride, its rows of ``prod`` as columns
+    edges = [0, *(np.flatnonzero(np.diff(cells)) + 1).tolist(), A]
+    folds = [(u_lags[cells[lo]], slice(lo, hi), L // cells[lo], prod[lo:hi].reshape(hi - lo, -1, 1))
+             for lo, hi in zip(edges, edges[1:])]
     taps, delta = alpha_hist[:, 0], delta_hist[:, 0]
 
     for n in range(N):
         alpha, direction = taps, delta
-        if at is None:  # every arm live: the period writes its history rows in place
-            taps, delta = alpha_hist[:, n + 1], delta_hist[:, n + 1]
-            y_n, w_n, e_n = y_d[:, n], w[:, n], e[:, n]
+        taps, delta = alpha_hist[:, n + 1], delta_hist[:, n + 1]
+        y_n, w_n, e_n = y_d[:, n], w[:, n], e[:, n]
         # period n runs under the update committed with the direction through
         # t = n h; its error is folded into the direction after the step
         np.add(alpha, mu * direction, out=taps)
         zeta, spare = machine.step(zeta, taps, xd_lags[n], y_n, w_n, spare)[0], zeta
         np.subtract(d[n], w_n, out=e_n)
-        if at is not None:  # the live rows are buffers: scatter them into the histories
-            alpha_hist[at, n + 1], y_d[at, n], w[at, n], e[at, n] = taps, y_n, w_n, e_n
         if not abs(e_n).max() <= cutoff:
-            ok = abs(e_n).max(axis=(1, 2)) <= cutoff
-            out = live[~ok]
-            n_completed[out], diverged[out] = n + 1, True
-            live, group, mu, zeta, spare, taps, delta, y_n, w_n, e_n, prod = (
-                a[ok] for a in (live, group, mu, zeta, spare, taps, direction, y_n, w_n, e_n, prod))
-            if not live.size:
+            out = ~diverged & ~(abs(e_n).max(axis=(1, 2)) <= cutoff)
+            n_completed[out], diverged[out], mu[out] = n + 1, True, np.nan
+            if diverged.all():
                 break
-            direction, at = delta, live
-            folds = _folds(group, u_lags, L, prod)
-        for u_lag, arm_rows, stride, prod_rows in folds:
-            np.matmul(u_lag[n], e_n[arm_rows, ::stride], out=prod_rows)
+        for u_lag, rows, stride, prod_rows in folds:
+            np.matmul(u_lag[n], e_n[rows, ::stride], out=prod_rows)
         np.add(direction, prod, out=delta)
-        if at is not None:
-            delta_hist[at, n + 1] = delta
         if stream is not None and (n + 1) % stream.every == 0:
             stream.progress(n + 1, n_completed)
     if stream is not None:
         stream.progress(N, n_completed)
     u_lags = xd_lags = folds = u_lag = None  # the lag windows are spent
     n_updates, reads = n_completed - diverged, {}  # the diverging period made no update
-    for r, a in enumerate(order):
-        if arms[a][0] > 0.0 and n_updates[r] > 0:
-            reads.setdefault(cells[a], []).append(int(n_updates[r]))
+    for a, (mu_a, _) in enumerate(arms):
+        if mu_a > 0.0 and n_updates[a] > 0:
+            reads.setdefault(cells[a], []).append(int(n_updates[a]))
     with _sized_by("filter.taps", f"{n_taps} taps"):  # the Gram matrices, (n_taps, n_taps) each
         maxima = {b: _condition_maxima(u_alg[b], n_taps, h, ns) for b, ns in reads.items()}
     results, d_norms = [], {}  # arms that stop together share the disturbance's norm
     for a, (mu_a, _) in enumerate(arms):
-        r, b = order.index(a), cells[a]
-        k, n_up = int(n_completed[r]), int(n_updates[r])
+        b, k, n_up = cells[a], int(n_completed[a]), int(n_updates[a])
         fast = {name: arr[:k].reshape(-1) for name, arr in
-                dict(x=record.x, d=record.d, w=w[r], e=e[r], u=record.u).items()}
-        trace = SimTrace(h=h, L=L, x_d=record.x_d[:k], y_d=y_d[r, :k, 0, 0],
+                dict(x=record.x, d=record.d, w=w[a], e=e[a], u=record.u).items()}
+        trace = SimTrace(h=h, L=L, x_d=record.x_d[:k], y_d=y_d[a, :k, 0, 0],
                          u_blocks=record.u_blocks[:k], **fast)
         if k not in d_norms:
             d_norms[k] = trace.norm("d")
@@ -257,17 +238,17 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
                   if mu_a > 0.0 and n_up > 0 else None)
         results.append(SingleRunResult(
             trace=trace,
-            alpha_hist=alpha_hist[r, 1:k + 1, 0],
-            delta_hist=delta_hist[r, :k, 0],
-            final_alpha=alpha_hist[r, n_up, 0],
-            final_delta=delta_hist[r, n_up, 0],
+            alpha_hist=alpha_hist[a, 1:k + 1, 0],
+            delta_hist=delta_hist[a, :k, 0],
+            final_alpha=alpha_hist[a, n_up, 0],
+            final_delta=delta_hist[a, n_up, 0],
             u_alg_blocks=u_alg[b][:n_up],
             algorithm_cells=b,
             mu=mu_a,
-            error_norm=float("inf") if diverged[r] else trace.norm("e"),
+            error_norm=float("inf") if diverged[a] else trace.norm("e"),
             d_norm=d_norms[k],
             w_norm=trace.norm("w"),
-            diverged=bool(diverged[r]),
+            diverged=bool(diverged[a]),
             n_completed=k,
             lms_report=report,
         ))
@@ -289,9 +270,9 @@ def run_comparison(config: SimConfig) -> ComparisonResult:
 
 def _comparisons(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
                  mus) -> list[ComparisonResult]:
-    """Both arms at every step size in ``mus``, all on one arm axis."""
-    results = _run_arms(config, machine, record, [(mu, cells) for mu in mus for cells in (None, 1)])
-    return [_pair(p, c) for p, c in zip(results[0::2], results[1::2])]
+    """Both arms at every step size in ``mus`` on one arm axis, each blocking's arms together."""
+    results = _run_arms(config, machine, record, [(mu, cells) for cells in (None, 1) for mu in mus])
+    return [_pair(p, c) for p, c in zip(results[:len(mus)], results[len(mus):])]
 
 
 def _pair(proposed: SingleRunResult, conventional: SingleRunResult) -> ComparisonResult:

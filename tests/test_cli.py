@@ -318,6 +318,22 @@ class TestCheckCommand:
         code, out, err = _run_cli(["check", "--config", small_config, "--trace", str(trace)], capsys)
         assert (code, out, err) == (2, "", f"error: {trace}: expected finite numbers\n")
 
+    @pytest.mark.parametrize("value", ["1e150", "1e200"])
+    def test_trace_near_overflow(self, value, small_config, tmp_path, capsys):
+        """A trace whose Gram matrix overflows exits 2 naming the file, and one
+        whose Gram matrix (not the checker's bound on it) stays finite is read
+        as before; neither warns."""
+        trace = tmp_path / "u_blocks.csv"
+        trace.write_text(f"n,u_0,u_1\n0,{value},{value}\n1,{value},{value}\n")
+        code, out, err = _run_cli(["check", "--config", small_config, "--trace", str(trace)], capsys)
+        if value == "1e200":
+            assert (code, out, err) == (2, "", f"error: {trace}: the Gram matrix overflows\n")
+            with pytest.raises(ValueError, match="^the Gram matrix overflows$"):
+                ancsim.check_lms_conditions(np.full((2, 2), 1e200), 0.1, 8, 1.0)
+        else:
+            assert (code, err) == (1, "")
+            assert "conditions: bounded=pass (gamma = 1.04721e+301)" in out
+
     def test_all_zero_trace_holds_vacuously(self, small_config, tmp_path, capsys):
         trace = tmp_path / "u_blocks.csv"
         trace.write_text("n,u_0,u_1\n" + "".join(f"{n},0,0\n" for n in range(10)))
@@ -520,6 +536,29 @@ def test_shared_histories_past_memory_exit_two(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("configuration error: sim.T: cannot hold 10 periods of 2 arms: cannot map ")
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_late_failure_removes_the_directory_it_made(command, forked, tmp_path, capsys, monkeypatch):
+    """A run that fails after the fast-table writer started removes the
+    output directory it made, and leaves one that existed before."""
+
+    def refuse(*args):
+        raise MemoryError("no room for the Gram matrices")
+
+    monkeypatch.setattr("ancsim.runner._condition_maxima", refuse)
+    if not forked:
+        monkeypatch.setattr("ancsim._tables._thread_count", lambda: 2)
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CONFIG)
+    (tmp_path / "old").mkdir()
+    for name in ("new", "old"):
+        code, out, err = _run_cli([command, "--config", str(config), "--out", str(tmp_path / name)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("configuration error: filter.taps: cannot hold 8 taps: no room")
+    assert sorted(os.listdir(tmp_path)) == ["old", "small.cfg"]
+    assert os.listdir(tmp_path / "old") == []
 
 
 @pytest.mark.parametrize("command,mu", [("run", "0.1"), ("compare", "0.1"),

@@ -310,6 +310,37 @@ def test_arm_loop_matches_single_arm_reference(tmp_path):
     assert seen == {"stable", "mid-run", "first"}
 
 
+def test_sweep_folds_each_blocking_once_per_period(monkeypatch):
+    """The default sweep's 20 step sizes reach the arm loop as two runs of
+    arms with one blocking, so each period folds the update in 2 products,
+    not one per arm."""
+    arm_lists, products = [], []
+    real = runner._run_arms
+
+    def recording(config, machine, record, arms, stream=None):
+        arm_lists.append(list(arms))
+        return real(config, machine, record, arms, stream)
+
+    class CountingNumpy:  # runner's numpy: its only matmul is the fold
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, *args, **kwargs):
+            products.append(args[0].shape)
+            return np.matmul(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_run_arms", recording)
+    monkeypatch.setattr(runner, "np", CountingNumpy())
+    config = SimConfig()
+    sweep = run_mu_sweep(config)
+    [arms] = arm_lists
+    assert len(config.mu_list) == 20 and len(arms) == 40
+    assert arms == [(mu, cells) for cells in (None, 1) for mu in config.mu_list]
+    assert not any(row.diverged_proposed or row.diverged_conventional for row in sweep.rows)
+    assert len(products) == 2 * config.n_steps
+    assert set(products) == {(config.n_taps, config.L), (config.n_taps, 1)}  # the two blockings' windows
+
+
 def test_sweep_reads_every_arm_of_a_blocking_in_one_call(monkeypatch):
     """One maxima call per blocking serves arms that diverge in one chunk, in
     different chunks and right after their first update; mu = 0 arms read
