@@ -120,6 +120,9 @@ class WienerProblem:
 
 
 _CHUNK_PERIODS = 128
+# Values (8 bytes each) of the checker's lag windows and running sums per
+# chunk: 128 periods at the benchmark's sizes, 11 at 300 taps, one at 1000.
+_CHECK_CHUNK_VALUES = 1 << 20
 
 
 def _lag_windows(rows: np.ndarray, n_taps: int) -> np.ndarray:
@@ -129,16 +132,16 @@ def _lag_windows(rows: np.ndarray, n_taps: int) -> np.ndarray:
     return np.moveaxis(np.lib.stride_tricks.sliding_window_view(source, n_taps, 0), -1, 1)[::-1]
 
 
-def _lagged_chunks(U: np.ndarray, n_taps: int):
+def _lagged_chunks(U: np.ndarray, n_taps: int, periods: int = _CHUNK_PERIODS):
     """Yield ``(start, V)``, ``V[n - start, :, k] = U[n - k]``, zero before U.
 
     Each ``V`` is a contiguous copy of the (periods, L, n_taps) lag windows
-    of at most _CHUNK_PERIODS periods: batched products on it equal
-    per-period ones bit for bit (an einsum or a strided view does not). Each
-    chunk windows only the rows it reads, so the temporaries stay small.
+    of at most ``periods`` periods: batched products on it equal per-period
+    ones bit for bit (an einsum or a strided view does not). Each chunk
+    windows only the rows it reads, so the temporaries stay small.
     """
-    for start in range(0, len(U), _CHUNK_PERIODS):
-        lo, stop = max(start - n_taps + 1, 0), start + _CHUNK_PERIODS
+    for start in range(0, len(U), periods):
+        lo, stop = max(start - n_taps + 1, 0), start + periods
         yield start, _lag_windows(U[lo:stop], n_taps)[start - lo:].transpose(0, 2, 1).copy()
 
 
@@ -240,7 +243,7 @@ def sd_run(
     last always included), shape (n_records, n_taps). ``mu = 0`` freezes the
     iterates; negative step sizes are rejected.
     """
-    alpha = np.asarray(alpha0, dtype=float).reshape(-1).copy()
+    alpha = np.asarray(alpha0, dtype=float).reshape(-1)
     if alpha.size != problem.n_taps:
         raise DimensionError(
             f"alpha0 length {alpha.size} does not match problem size {problem.n_taps}"
@@ -251,12 +254,19 @@ def sd_run(
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    out = [alpha.copy()]
+    # each step writes into its record row, or into ``spare`` between records
+    out = np.empty((1 + -(-n_steps // record_every), alpha.size))
+    out[0], alpha, row = alpha, out[0], 1
+    spare, step = np.empty(alpha.size), np.empty(alpha.size)
     for k in range(1, n_steps + 1):
-        alpha += mu * (problem.beta - problem.Phi @ alpha)
+        np.matmul(problem.Phi, alpha, out=step)
+        np.subtract(problem.beta, step, out=step)
+        np.multiply(mu, step, out=step)
         if k % record_every == 0 or k == n_steps:
-            out.append(alpha.copy())
-    return np.asarray(out)
+            alpha, row = np.add(alpha, step, out=out[row]), row + 1
+        else:
+            alpha = np.add(alpha, step, out=spare)
+    return out
 
 
 @dataclass(frozen=True)
@@ -316,11 +326,7 @@ def check_lms_conditions(
         raise ValueError(f"period must be positive, got {h}")
     if not mu > 0.0:
         raise ValueError(f"step size must be positive, got {mu}")
-    try:
-        with np.errstate(over="raise"):
-            maxima = _condition_maxima(U, n_taps, h, [len(U)])[len(U)]
-    except FloatingPointError:  # a LinAlgError, which callers tell from a failure to allocate Phi
-        raise np.linalg.LinAlgError("the Gram matrix overflows") from None
+    maxima = _condition_maxima(U, n_taps, h, [len(U)])[len(U)]
     return _report_at(maxima, len(U), n_taps, mu, eps_threshold)
 
 
@@ -338,34 +344,43 @@ def _condition_maxima(U: np.ndarray, n_taps: int, h: float, reads) -> dict:
     (k^2 eps) and the asymmetry of the triangles (2 L eps of the top
     diagonal entry each); k^2 smallest normal doubles under the root cover
     underflowed squares. Nonzero increments are decomposed, largest bound
-    first, while a bound reaches the largest value found.
+    first, while a bound reaches the largest value found. A chunk holds at
+    most ``_CHECK_CHUNK_VALUES`` values of windows and running sums (the
+    sums are the same whatever the chunk: cumsum adds in period order). A
+    Gram matrix that overflows raises ``numpy.linalg.LinAlgError``, which
+    callers tell from a failure to allocate it.
     """
     reads = sorted(set(reads))
     U = U[:reads[-1]]  # later periods change nothing before the last read
     L, eps = U.shape[1], np.finfo(float).eps
     margin, floor = 4 * n_taps**2 * (L + 2) * eps, n_taps**2 * np.finfo(float).tiny
+    periods = max(1, min(_CHUNK_PERIODS, _CHECK_CHUNK_VALUES // (n_taps * (n_taps + L))))
     Phi, inc, lam_at, inc_at = np.zeros((n_taps, n_taps)), 0.0, {0: 0.0}, {0: 0.0}
-    for start, V in _lagged_chunks(U, n_taps):
-        running = V.transpose(0, 2, 1) @ V
-        running *= L / h  # the bits of (L / h) * (V^T V), without a second stack
-        rows = running.reshape(len(V), 1, -1)
-        with np.errstate(over="ignore"):  # past the largest double a bound rules nothing out
-            bound = np.sqrt((rows @ rows.transpose(0, 2, 1)).ravel() + floor) * (1.0 + margin)
-        bound = np.where(rows.any(axis=2).ravel(), bound, -1.0).tolist()  # zero: no new maximum
-        hits = [n for n in reads if start < n <= start + len(V)]
-        lo = 0
-        for hi in [n - start for n in hits] + [len(V)]:
-            for m in sorted(range(lo, hi), key=bound.__getitem__, reverse=True):
-                if bound[m] < inc:
-                    break
-                inc = max(inc, float(np.linalg.eigvalsh(running[m])[-1]))
-            inc_at[start + hi], lo = inc, hi
-        running[0] += Phi
-        np.cumsum(running, axis=0, out=running)
-        Phi = running[-1]
-        if hits:
-            tops = np.linalg.eigvalsh(running[[n - start - 1 for n in hits]])[:, -1]
-            lam_at.update(zip(hits, tops.tolist()))
+    try:
+        with np.errstate(over="raise"):
+            for start, V in _lagged_chunks(U, n_taps, periods):
+                running = V.transpose(0, 2, 1) @ V
+                running *= L / h  # the bits of (L / h) * (V^T V), without a second stack
+                rows = running.reshape(len(V), 1, -1)
+                with np.errstate(over="ignore"):  # past the largest double a bound rules nothing out
+                    bound = np.sqrt((rows @ rows.transpose(0, 2, 1)).ravel() + floor) * (1.0 + margin)
+                bound = np.where(rows.any(axis=2).ravel(), bound, -1.0).tolist()  # zero: no new maximum
+                hits = [n for n in reads if start < n <= start + len(V)]
+                lo = 0
+                for hi in [n - start for n in hits] + [len(V)]:
+                    for m in sorted(range(lo, hi), key=bound.__getitem__, reverse=True):
+                        if bound[m] < inc:
+                            break
+                        inc = max(inc, float(np.linalg.eigvalsh(running[m])[-1]))
+                    inc_at[start + hi], lo = inc, hi
+                running[0] += Phi
+                np.cumsum(running, axis=0, out=running)
+                Phi = running[-1]
+                if hits:
+                    tops = np.linalg.eigvalsh(running[[n - start - 1 for n in hits]])[:, -1]
+                    lam_at.update(zip(hits, tops.tolist()))
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("the Gram matrix overflows") from None
     return {n: (lam_at[n], inc_at[n]) for n in reads}
 
 

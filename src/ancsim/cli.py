@@ -8,7 +8,8 @@ output directory; summaries and wall time go to stdout only.
 
 Each common flag sets one config key on top of the config file (``--mu``
 sets ``adapt.mu``, or ``adapt.mu_list`` for ``sweep``), and the config is
-built once; a bad value exits 2 naming its key.
+built once; a bad value exits 2 naming its key. A subcommand loads the
+modules it runs (``runner``, ``adaptive``) once its config is valid.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import time
 
 from numpy.linalg import LinAlgError
 
-from . import runner
-from .adaptive import check_lms_conditions
 from .config import ConfigError, SimConfig, read_config
 
 __all__ = ["main"]
@@ -88,6 +87,7 @@ def _print_conditions(report) -> None:
 
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
+    from . import runner
     t0 = time.perf_counter()
     result, paths = runner.run_to_csv(cfg, cfg.out_dir)
     wall = time.perf_counter() - t0
@@ -104,6 +104,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _build_config(args)
+    from . import runner
     t0 = time.perf_counter()
     result, paths = runner.run_to_csv(cfg, cfg.out_dir, compare=True)
     wall = time.perf_counter() - t0
@@ -119,6 +120,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
+    from . import runner
     t0 = time.perf_counter()
     result = runner.run_mu_sweep(cfg)
     paths = runner.write_sweep_csv(result, cfg.out_dir)
@@ -136,6 +138,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bode(args) -> int:
     cfg = _build_config(args)
+    from . import runner
     path = runner.write_bode_csv(cfg, cfg.out_dir)
     print(f"wrote {path}")
     return 0
@@ -145,6 +148,8 @@ def _cmd_check(args) -> int:
     cfg = _build_config(args)
     if not cfg.mu > 0.0:
         raise ConfigError("adapt.mu", f"check needs a positive step size, got {cfg.mu}")
+    from . import runner
+    from .adaptive import check_lms_conditions
     blocks = runner.load_u_blocks(args.trace)
     # the trace and every setting are valid here, so a failure to allocate is the taps'
     try:

@@ -267,8 +267,9 @@ class SimConfig:
     def make_generator(self):
         """Noise source: recorded waveform when given, else the sinusoid bank.
 
-        Unset phases are drawn once from a generator seeded with sim.seed,
-        so runs with equal configs produce identical signals.
+        Unset phases are drawn once from numpy's default generator seeded
+        with sim.seed, reproduced in ``ancsim._pcg64`` (no ``numpy.random``
+        import), so runs with equal configs produce identical signals.
         """
         if self.waveform_path is not None:
             try:
@@ -287,8 +288,9 @@ class SimConfig:
                 )
             return HeldWaveform(values=values, dt=self.dt)
         if self.noise_phases is None:
-            rng = np.random.default_rng(self.seed)
-            phases = rng.uniform(0.0, 2.0 * np.pi, len(self.noise_amplitudes))
+            from . import _pcg64
+
+            phases = _pcg64.uniform(self.seed, 0.0, 2.0 * np.pi, len(self.noise_amplitudes))
         else:
             phases = np.asarray(self.noise_phases, dtype=float)
         return AutonomousGenerator.damped_sinusoids(

@@ -72,8 +72,7 @@ class FastSampler:
         return np.arange(n_periods * self.L) * self.dt
 
 
-@dataclass(frozen=True)
-class LiftedDiscretization:
+class LiftedDiscretization(NamedTuple):
     """Exact blocked discretization of one hold-driven plant.
 
     ``Ah`` (nu, nu) and ``Bh`` (nu,) advance the state over one period;
@@ -150,8 +149,7 @@ def discretize_lifted(sys: ContinuousStateSpace, h: float, L: int) -> LiftedDisc
     return _lift(sys, sampler.h, sampler.L)[0]
 
 
-@dataclass(frozen=True)
-class ExogenousRecord:
+class ExogenousRecord(NamedTuple):
     """Tap-independent signals of one loop configuration (read-only arrays).
 
     ``x_d`` (N,) holds the held reference sample of each period; ``x``,

@@ -154,11 +154,13 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     state are the only per-arm state. The delay line and the regressor
     history of each blocking are lag windows of the record. Each period steps
     the anti-noise path once for all arms and folds the update once per run
-    of consecutive arms with one blocking. A diverged arm stays on the axis
-    with a nan step size: all it computes later is quiet nans, which raise no
-    floating-point warning and are never read. The loop stops once every arm
-    has diverged. With a ``stream``, the w and e histories are the stream's,
-    and it learns after every ``stream.every`` periods which rows are final.
+    of consecutive arms with one blocking. The cutoff also diverges an arm
+    whose error the direction could not fold without overflow. A diverged
+    arm stays on the axis with a nan step size and a nan state: all it
+    computes later is quiet nans, which raise no floating-point warning and
+    are never read. The loop stops once every arm has diverged. With a
+    ``stream``, the w and e histories are the stream's, and it learns after
+    every ``stream.every`` periods which rows are final.
     """
     L, N, n_taps, h = config.L, config.n_steps, config.n_taps, config.h
     cells = []
@@ -170,8 +172,15 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
             raise ValueError(f"step size must be nonnegative, got {mu_a}")
         cells.append(L_alg)
     mu = np.array([float(mu_a) for mu_a, _ in arms])[:, None, None]
-    # one comparison rejects nan, inf and the cutoff alike, even for an infinite cutoff
+    # One comparison rejects nan, inf and the cutoff alike, even for an
+    # infinite cutoff, and an error the direction cannot fold without
+    # overflow: a fold adds at most L u_top |e| per tap (each algorithm cell
+    # sums its traced cells), so N folds of errors within the bound stay
+    # under half the largest double, which leaves room for their rounding.
     A, cutoff = len(arms), min(config.divergence_cutoff, sys.float_info.max)
+    u_top = float(np.abs(record.u_blocks).max())
+    if u_top > 0.0:
+        cutoff = min(cutoff, sys.float_info.max / (2.0 * N * L) / u_top)
     # Every array a period touches carries the trailing unit axis that
     # ``matmul`` reads, so the shapes ``step`` takes are fixed here, once, and
     # a failure to allocate them names its key before any table is begun.
@@ -211,6 +220,11 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
             n_completed[out], diverged[out], mu[out] = n + 1, True, np.nan
             if diverged.all():
                 break
+            if out.any():
+                # their error may be past what a fold holds: it folds as 0, into a
+                # direction never read, and from their nan state on all is quiet nans
+                zeta[out] = np.nan
+                e_n = np.where(out[:, None, None], 0.0, e_n)
         for u_lag, rows, stride, prod_rows in folds:
             np.matmul(u_lag[n], e_n[rows, ::stride], out=prod_rows)
         np.add(direction, prod, out=delta)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -349,8 +350,7 @@ def expm(M) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class VanLoanResult:
+class VanLoanResult(NamedTuple):
     """Exponential and integral blocks of one plant over the horizon ``t``.
 
     * ``Phi``:    exp(A t), shape (nu, nu)

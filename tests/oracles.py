@@ -30,7 +30,8 @@ decomposes every running Gram matrix and every increment of a record, so
 one pair of series serves each truncation, on the lag stack that
 :func:`reference_lagged_chunks` fills one lag at a time;
 :func:`reference_wiener_solve` solves the
-quadratic problem by Cholesky factorization plus one refinement step; the
+quadratic problem by Cholesky factorization plus one refinement step;
+:func:`reference_sd_run` appends a copy of each recorded descent iterate; the
 ``reference_write_*`` functions write every CSV table row by row through a
 per-value formatter;
 :func:`dtft` evaluates a record's transform by Horner's rule and
@@ -226,6 +227,20 @@ def reference_wiener_solve(problem: WienerProblem) -> np.ndarray:
     alpha = scipy.linalg.cho_solve(factor, problem.beta)
     residual = problem.beta - problem.Phi @ alpha
     return alpha + scipy.linalg.cho_solve(factor, residual)
+
+
+def reference_sd_run(problem: WienerProblem, alpha0, mu: float, n_steps: int, record_every: int = 1) -> np.ndarray:
+    """``ancsim.sd_run`` as a list of iterate copies, one appended per record.
+
+    Inputs are assumed valid.
+    """
+    alpha = np.asarray(alpha0, dtype=float).reshape(-1).copy()
+    out = [alpha.copy()]
+    for k in range(1, n_steps + 1):
+        alpha += mu * (problem.beta - problem.Phi @ alpha)
+        if k % record_every == 0 or k == n_steps:
+            out.append(alpha.copy())
+    return np.asarray(out)
 
 
 def reference_check_lms_conditions(u_blocks, mu, n_taps, h, eps_threshold=0.5) -> LmsConditionReport:

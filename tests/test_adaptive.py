@@ -12,6 +12,7 @@ from ancsim import (
     FirFilter,
     SingularGramError,
     WienerProblem,
+    adaptive,
     build_wiener,
     check_lms_conditions,
     discretize_lifted,
@@ -299,6 +300,20 @@ def test_sd_recording_and_validation():
         sd_run(problem, np.zeros(problem.n_taps), mu=0.1, n_steps=5, record_every=0)
     with pytest.raises(DimensionError):
         sd_run(problem, np.zeros(2), mu=0.1, n_steps=5)
+
+
+@pytest.mark.parametrize("n_steps, record_every", [(0, 1), (0, 7), (1, 1), (50, 1), (49, 7), (56, 7), (3, 7)])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 40.0])
+def test_sd_iterates_equal_list_loop(n_steps, record_every, mu):
+    """The preallocated iterates are the appended copies bit for bit: every
+    record spacing, no steps, a last step off the spacing, and a diverging mu."""
+    problem, _ = spd_problem(seed=19, n=6, eigs=(3.0, 1.0, 0.6, 0.25, 0.1, 0.01))
+    alpha0 = np.linspace(-1.0, 1.0, problem.n_taps)
+    got = sd_run(problem, alpha0, mu, n_steps, record_every)
+    want = oracles.reference_sd_run(problem, alpha0, mu, n_steps, record_every)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(alpha0, np.linspace(-1.0, 1.0, problem.n_taps))  # the start is not written
 
 
 # ---------------------------------------------------------------------------
@@ -614,3 +629,35 @@ def test_checker_memory_stays_at_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 512 << 10
+
+
+@pytest.mark.parametrize("values", [1, 200, 1000, 5000])
+def test_condition_maxima_keep_their_bits_in_smaller_chunks(values, monkeypatch):
+    """A smaller value budget shrinks the checker's chunks, down to one period,
+    and every read keeps its bits: cumsum adds in period order whatever the chunk."""
+    rng = np.random.default_rng(23)
+    spike = rng.normal(size=(300, 3))
+    spike[170] *= 1e6
+    records = [(rng.normal(size=(300, 3)), 8, 1.0), (spike, 8, 0.5), (_decaying_broadband(400, 4), 5, 0.3)]
+    want = [_condition_maxima(u, n_taps, h, range(len(u) + 1)) for u, n_taps, h in records]
+    sizes = []
+    real = adaptive._lagged_chunks
+    monkeypatch.setattr(adaptive, "_CHECK_CHUNK_VALUES", values)
+    monkeypatch.setattr(adaptive, "_lagged_chunks", lambda *args: sizes.append(args[2]) or real(*args))
+    for (u, n_taps, h), w in zip(records, want):
+        assert _condition_maxima(u, n_taps, h, range(len(u) + 1)) == w
+    assert sizes == [max(1, values // (n_taps * (n_taps + u.shape[1]))) for u, n_taps, _ in records]
+
+
+def test_checker_memory_is_bounded_at_many_taps():
+    """At 300 taps one period's running sum is 720 KB: 11 periods a chunk keep
+    the peak under 20 MiB, where 60 periods in one chunk took 42 MiB."""
+    u = _decaying_broadband(60, 4)
+    tracemalloc.start()
+    try:
+        report = check_lms_conditions(u, mu=1e-4, n_taps=300, h=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == oracles.reference_check_lms_conditions(u, 1e-4, 300, 1.0)
+    assert peak <= 20 << 20

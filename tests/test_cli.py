@@ -561,6 +561,40 @@ def test_late_failure_removes_the_directory_it_made(command, forked, tmp_path, c
     assert os.listdir(tmp_path / "old") == []
 
 
+HUGE_NOISE = "run.divergence_cutoff = inf\nsim.T = 20\nnoise.amplitudes = {0}, {0}, {0}, {0}\n"
+
+
+def _strict_cli(tmp_path, command, config_text):
+    """Run ``python -W error -m ancsim COMMAND`` on ``config_text``: any warning is an error."""
+    config = tmp_path / "huge.cfg"
+    config.write_text(config_text)
+    src = os.path.dirname(os.path.dirname(ancsim.__file__))
+    argv = [sys.executable, "-W", "error", "-m", "ancsim", command, "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    return subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_overflowing_fold_diverges_without_warnings(command, tmp_path):
+    """Noise so loud that folding its first error would overflow the direction
+    diverges every arm in its first period, without a warning."""
+    proc = _strict_cli(tmp_path, command, HUGE_NOISE.format("1e200"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if command == "run":
+        assert "run: 1 periods" in proc.stdout and "diverged = yes" in proc.stdout
+        assert "conditions: not evaluated" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_overflowing_gram_matrix_exits_two_without_warnings(command, tmp_path):
+    """A near-silent disturbance keeps the error small while the regressor's
+    Gram matrix overflows: the read raises the checker's error, exit 2."""
+    text = HUGE_NOISE.format("1e160") + "plant.p.gains = 1e-200, 1e-200, 1e-200, 1e-200\n"
+    proc = _strict_cli(tmp_path, command, text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: the Gram matrix overflows\n")
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("command,mu", [("run", "0.1"), ("compare", "0.1"),
                                         ("sweep", "0.05,0.1"), ("bode", "0.1")])
 def test_flags_equal_the_keys_they_set(command, mu, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ancsim.config
-from ancsim import AutonomousGenerator, HeldWaveform, from_second_order_bank
+from ancsim import AutonomousGenerator, HeldWaveform, _pcg64, from_second_order_bank
 from ancsim.config import ConfigError, SimConfig, parse_config_text, read_config
 
 
@@ -180,6 +180,29 @@ def test_generator_phases_seeded_and_reproducible():
     assert np.all(a.x0 == b.x0)
     c = SimConfig().with_overrides(seed=99).make_generator()
     assert not np.all(a.x0 == c.x0)
+
+
+SEEDS_PAST_WORDS = [2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 3, 10**30, 2**128 + 5, 10**40]
+
+
+def test_default_phases_are_numpy_default_rng_draws():
+    """The in-package draw is ``default_rng(seed).uniform(0, 2 pi, k)`` bit for
+    bit: every seed below 3000 and seeds of two to five 32-bit words (past the
+    four-word pool), for one to eight phases."""
+    for seed in [*range(3000), *SEEDS_PAST_WORDS]:
+        for k in range(1, 9):
+            want = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, k)
+            assert np.array(_pcg64.uniform(seed, 0.0, 2.0 * np.pi, k)).tobytes() == want.tobytes(), (seed, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1234, 10**30])
+def test_generator_phases_equal_numpy_draws(seed):
+    config = SimConfig().with_overrides(seed=seed)
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, len(config.noise_amplitudes))
+    want = AutonomousGenerator.damped_sinusoids(config.noise_amplitudes, config.noise_frequencies,
+                                                config.noise_decay_rates, phases)
+    got = config.make_generator()
+    assert got.x0.tobytes() == want.x0.tobytes() and got.A.tobytes() == want.A.tobytes()
 
 
 def test_generator_explicit_phases():

@@ -58,9 +58,10 @@ def test_unknown_name_raises_attribute_error_naming_it():
         exec("from ancsim import no_such_name", {})
 
 
-def fresh_ancsim_modules(code):
-    """Run ``code`` in a fresh interpreter; return the sorted list of ancsim modules it loaded."""
-    script = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'ancsim'))\n"
+def fresh_ancsim_modules(code, also=()):
+    """Run ``code`` in a fresh interpreter; return the sorted list of ancsim modules
+    it loaded, and of the modules named in ``also``."""
+    script = code + f"\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'ancsim' or m in {set(also)}))\n"
     src = os.path.dirname(os.path.dirname(ancsim.__file__))
     proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
@@ -74,17 +75,28 @@ LOOP = ["ancsim", "ancsim.config", "ancsim.lifting", "ancsim.signals", "ancsim.s
     ("from ancsim import SimConfig, HybridLoop, discretize_lifted\n"
      "config = SimConfig()\n"
      "HybridLoop(config.secondary(), config.primary(), config.make_generator(), config.h, config.L)\n"
-     "discretize_lifted(config.secondary(), config.h, 1)", []),
+     "discretize_lifted(config.secondary(), config.h, 1)", ["_pcg64"]),
     ("from ancsim import TOL", ["tolerances"]),
     ("from ancsim import adaptive", ["adaptive", "tolerances"]),
     ("import ancsim\nancsim.runner", ["_tables", "adaptive", "runner", "tolerances"]),
-    ("from ancsim import cli", ["_tables", "adaptive", "cli", "runner", "tolerances"]),
+    ("from ancsim import cli", ["cli"]),
+    ("from ancsim import cli\ncli.main(['run', '--seed', 'x'])", ["cli"]),
     ("from ancsim import spectral_bound", ["adaptive", "spectrum", "tolerances"]),
-], ids=["loop", "TOL", "adaptive", "runner", "cli", "spectral_bound"])
+], ids=["loop", "TOL", "adaptive", "runner", "cli", "cli-rejected", "spectral_bound"])
 def test_modules_load_on_first_use(code, lazy):
     """``import ancsim`` loads the modules that build a configuration and its
     loop; any other module loads with its first name or as a submodule, alone."""
     assert fresh_ancsim_modules(code) == str(sorted(LOOP + [f"ancsim.{m}" for m in lazy]))
+
+
+def test_default_loop_leaves_numpy_random_unloaded():
+    """The default noise phases are drawn in-package (``ancsim._pcg64``), so
+    building the default loop imports no ``numpy.random``."""
+    code = ("from ancsim import SimConfig, HybridLoop\n"
+            "config = SimConfig()\n"
+            "HybridLoop(config.secondary(), config.primary(), config.make_generator(), config.h, config.L)")
+    assert "numpy.random" not in fresh_ancsim_modules(code, also=["numpy.random"])
+    assert "numpy.random" in fresh_ancsim_modules("import numpy.random", also=["numpy.random"])
 
 
 def test_removed_names_are_gone():

@@ -3,6 +3,7 @@
 import dataclasses
 import filecmp
 import os
+import sys
 import signal
 import threading
 from dataclasses import replace
@@ -308,6 +309,25 @@ def test_arm_loop_matches_single_arm_reference(tmp_path):
                 assert result.lms_report is None
             assert 1 <= k <= N
     assert seen == {"stable", "mid-run", "first"}
+
+
+def test_arm_whose_fold_would_overflow_diverges_quietly():
+    """With no cutoff, an arm diverges where folding its error into the
+    direction could overflow; the arms beside it run on, each equal to its
+    run alone, with no floating-point exception anywhere in the loop."""
+    config = short_config(L=8, n_taps=8, divergence_cutoff=float("inf"),
+                          noise_amplitudes=(1e100,) * 4, f_gains=(1e50,) * 4)
+    arms = [(mu, cells) for cells in (None, 1) for mu in (1e-300, 1e-200)]
+    machine, record = runner._setup(config)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = runner._run_arms(config, machine, record, arms)
+        alone = [runner._run_arms(config, machine, record, [arm])[0] for arm in arms]
+    assert [(r.diverged, r.n_completed) for r in got] == [(False, 20), (True, 2), (False, 20), (True, 3)]
+    bound = sys.float_info.max / (2.0 * config.n_steps * config.L) / np.abs(record.u_blocks).max()
+    for result, solo in zip(got, alone):
+        _assert_identical(result, solo)
+        top = np.abs(result.trace.e.reshape(result.n_completed, -1)).max(axis=1)
+        assert (top[:-1] <= bound).all() and result.diverged == (top[-1] > bound)
 
 
 def test_sweep_folds_each_blocking_once_per_period(monkeypatch):
