@@ -5,11 +5,9 @@ transform factors as F(jw) H0(jw) Xd(e^{jwh}) with H0 the hold response.
 Folding the squared magnitude over all aliases of the sampling frequency
 gives a 2 pi / h periodic energy density S(w). Its peak bounds every
 eigenvalue any realized Gram matrix can have, which turns into the usable
-step-size range (0, 2 / sup S) for descent on the quadratic problem. The
-plant and the record are real and the alias window is symmetric, so S is
-even: ``spectral_bound`` evaluates the nonnegative half of its grid, from
-one FFT of the record and one modal decomposition of the secondary path, and
-mirrors the rest. The module
+step-size range (0, 2 / sup S) for descent on the quadratic problem.
+``spectral_bound`` folds every alias at once through the lifted secondary
+path's period Gramian (Yamamoto & Khargonekar, IEEE TAC 1996). The module
 also checks the Gram/spectrum consistency: Gram entries are inverse
 transforms of S over one period of frequencies.
 """
@@ -25,27 +23,16 @@ from .statespace import (
     ContinuousStateSpace,
     DimensionError,
     PlantSpecificationError,
-    freq_response_grid,
+    _SOLVE_CHUNK_BYTES,
+    period_gramian,
 )
 
 __all__ = [
     "SpectralBound",
     "ParsevalReport",
-    "zoh_frequency_response",
-    "u_spectrum",
     "spectral_bound",
     "parseval_check",
 ]
-
-
-def zoh_frequency_response(omegas, h: float) -> np.ndarray:
-    """Frequency response of the zero-order hold, (1 - e^{-jwh}) / (jw).
-
-    Evaluated in product form so w = 0 gives exactly h. Zeros fall at the
-    nonzero multiples of the sampling frequency 2 pi / h.
-    """
-    om = np.asarray(omegas, dtype=float)
-    return h * np.exp(-0.5j * om * h) * np.sinc(om * h / (2.0 * np.pi))
 
 
 def _half_grid_transform(samples, grid_size: int) -> np.ndarray:
@@ -76,29 +63,6 @@ def _half_grid_transform(samples, grid_size: int) -> np.ndarray:
     return np.fft.fft(y)[:grid_size - grid_size // 2]
 
 
-def u_spectrum(
-    secondary: ContinuousStateSpace,
-    xd_spectrum,
-    omegas,
-    h: float,
-) -> np.ndarray:
-    """Continuous-time transform of the regressor at the given frequencies.
-
-    ``xd_spectrum`` is the value of the reference sequence transform at the
-    same frequencies (scalar or array broadcastable against ``omegas``).
-    """
-    if not secondary.is_siso:
-        raise DimensionError("regressor spectrum expects a SISO secondary path")
-    om = np.asarray(omegas, dtype=float).ravel()
-    resp = freq_response_grid(secondary, om)[:, 0, 0]
-    return resp * zoh_frequency_response(om, h) * np.asarray(xd_spectrum)
-
-
-# Frequencies per stacked alias chunk: its complex temporaries stay at 112 KiB,
-# under the 128 KiB above which glibc serves each one with a fresh mmap.
-_ALIAS_CHUNK_VALUES = 7168
-
-
 @dataclass(frozen=True)
 class SpectralBound:
     """Aliased energy density of the regressor over one frequency period.
@@ -114,66 +78,70 @@ class SpectralBound:
     peak: float
     mu_limit: float
     h: float
-    n_alias: int
 
     @property
     def spacing(self) -> float:
         return float(self.omegas[1] - self.omegas[0])
 
 
-def spectral_bound(
-    secondary: ContinuousStateSpace,
-    xd_samples,
-    h: float,
-    grid_size: int = 4096,
-    n_alias: int = 64,
-) -> SpectralBound:
+def spectral_bound(secondary: ContinuousStateSpace, xd_samples, h: float,
+                   grid_size: int = 4096) -> SpectralBound:
     """Evaluate the aliased energy density on a frequency grid.
 
-    S(w) = (1/h) |Xd(e^{jwh})|^2 * sum_k |F(j w_k)|^2 |H0(j w_k)|^2 with
-    w_k = w + 2 pi k / h and the alias sum truncated at ``n_alias``. Requires
-    a strictly proper SISO secondary path (a feedthrough term would make the
-    alias sum diverge). S is even, so only the grid points with w >= 0 are
-    evaluated and the rest are their mirror images. On those points the
-    record transform Xd is one FFT of the record folded onto the grid. Every
-    alias has sin(w_k h / 2) = +-sin(w h / 2), so the hold factor
-    |H0(j w_k)|^2 = 4 sin^2(w h / 2) / w_k^2 takes one sine per grid point
-    (h^2 at w_k = 0). The aliases go through ``freq_response_grid`` a few at
-    a time as one stacked frequency vector of at most ``_ALIAS_CHUNK_VALUES``
-    values, on the one modal decomposition cached on ``secondary``.
+    S(w) = (1/h) |Xd(e^{jwh})|^2 * sum_k |F(j w_k) H0(j w_k)|^2 over every
+    alias w_k = w + 2 pi k / h. The alias sum is h times the period energy of
+    the steady response to the held tone z^n, z = e^{jwh}, which starts each
+    period from xi = [(zI - Phi)^{-1} Gamma; 1]: S = |Xd|^2 xi* W xi, with W
+    and [[Phi, Gamma], [0, 1]] from ``period_gramian``. Requires a strictly
+    proper SISO path. S is even: the grid points w >= 0, where Xd is one FFT
+    of the folded record, are mirrored. On the path's cached modal form
+    A = V diag(lam) V^-1 the solve is a division by z - e^{lam h}; without
+    one (repeated poles) it is a stacked solve, in grid chunks of at most
+    ``_SOLVE_CHUNK_BYTES`` a temporary. An overflowing S is rejected.
     """
     if not secondary.is_siso:
         raise DimensionError("spectral bound expects a SISO secondary path")
     if not secondary.is_strictly_proper:
-        raise PlantSpecificationError(
-            "spectral bound requires a strictly proper secondary path"
-        )
+        raise PlantSpecificationError("spectral bound requires a strictly proper secondary path")
     if not h > 0.0:
         raise ValueError(f"period must be positive, got {h}")
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    if n_alias < 0:
-        raise ValueError("n_alias must be nonnegative")
 
-    spacing = 2.0 * np.pi / h / grid_size
-    om = -np.pi / h + (np.arange(grid_size) + 0.5) * spacing
+    om = -np.pi / h + (np.arange(grid_size) + 0.5) * (2.0 * np.pi / h / grid_size)
     half = om[grid_size // 2:]
-    xd = _half_grid_transform(xd_samples, grid_size)
 
-    four_sin2 = 4.0 * np.sin(0.5 * h * half) ** 2
-    shifts = 2.0 * np.pi * np.arange(-n_alias, n_alias + 1) / h
-    width = min(half.size, _ALIAS_CHUNK_VALUES)
-    rows = _ALIAS_CHUNK_VALUES // width
-    folded = np.zeros(half.size)
-    for lo in range(0, half.size, width):
-        cols = slice(lo, lo + width)
-        for k0 in range(0, shifts.size, rows):
-            w = half[cols] + shifts[k0:k0 + rows, None]
-            f = freq_response_grid(secondary, w.ravel())[:, 0, 0].reshape(w.shape)
-            w2 = w * w
-            hold = np.divide(four_sin2[cols], w2, out=np.full(w.shape, h * h), where=w2 != 0.0)
-            folded[cols] += ((f.real ** 2 + f.imag ** 2) * hold).sum(axis=0)
-    half_values = (xd.real ** 2 + xd.imag ** 2) / h * folded
+    n = secondary.nstates
+    period, W = period_gramian(secondary, h)
+    phi, gamma = period[:n, :n], period[:n, n:]
+    modal = secondary._modal if n else None
+    T = np.eye(n + 1, dtype=complex)  # xi = T [q; 1]
+    if modal is not None:
+        lam, _, V = modal
+        T[:n, :n] = V
+        poles, coef = np.exp(lam * h), np.linalg.solve(V, gamma[:, 0])
+    # xi* W xi as a real form in the interleaved parts of [q; 1]: no complex product
+    form = np.einsum("ia,ij,jb->ab", T.conj(), W, T)
+    form = np.kron(form.real, np.eye(2)) + np.kron(form.imag, [[0.0, -1.0], [1.0, 0.0]])
+    step = max(1, _SOLVE_CHUNK_BYTES // (16 * (n + 1) * (1 if modal is not None else n + 1)))
+    z = np.exp(1j * h * half)[:, None]
+    q1 = np.ones((min(step, half.size), n + 1), dtype=complex)
+    energy = np.empty(half.size)
+    for lo in range(0, half.size, step):
+        zc = z[lo:lo + step]
+        q = q1[:zc.size, :n]
+        if modal is None:
+            shifted = zc[:, :, None] * np.eye(n) - phi
+            q[:] = np.linalg.solve(shifted, np.broadcast_to(gamma, (zc.size, n, 1)))[:, :, 0]
+        else:
+            np.divide(coef, zc - poles, out=q)
+        parts = q1[:zc.size].view(float)
+        energy[lo:lo + step] = np.einsum("gi,gi->g", parts @ form, parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xd = _half_grid_transform(xd_samples, grid_size)
+        half_values = (xd.real ** 2 + xd.imag ** 2) * energy
+    if not np.all(np.isfinite(half_values)):
+        raise ValueError("the record's energy density overflows")
     values = np.concatenate([half_values[::-1][:grid_size // 2], half_values])
 
     peak = float(values.max())
@@ -184,7 +152,6 @@ def spectral_bound(
         peak=peak,
         mu_limit=mu_limit,
         h=float(h),
-        n_alias=int(n_alias),
     )
 
 

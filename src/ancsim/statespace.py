@@ -10,8 +10,9 @@ over a horizon t:
 
 ``vanloan`` reads all four off a single exponential of one block-triangular
 augmented matrix, so the discretization layer never touches a quadrature
-routine. The matrix exponential itself is a scaling-and-squaring Pade
-evaluation of the single degree 13.
+routine. ``period_gramian`` reads the output energy over one period of a
+held input the same way. The matrix exponential itself is a
+scaling-and-squaring Pade evaluation of the single degree 13.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "PlantSpecificationError",
     "expm",
     "vanloan",
+    "period_gramian",
     "series",
     "parallel",
     "from_second_order_bank",
@@ -119,8 +121,8 @@ class ContinuousStateSpace:
         return np.linalg.eigvals(self.A)
 
     @functools.cached_property
-    def _modal(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Eigenvalues of A and the residue of each mode, or None.
+    def _modal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Eigenvalues of A, the residue of each mode and the eigenvectors V, or None.
 
         Residue k is the outer product of column k of C V with row k of
         V^-1 B, shape (n, p, m). None when the eigenvector matrix V is not
@@ -133,8 +135,8 @@ class ContinuousStateSpace:
         CV = self.C @ V
         VB = np.linalg.solve(V, self.B)
         residues = CV.T[:, :, None] * VB[:, None, :]
-        lam.flags.writeable = residues.flags.writeable = False
-        return lam, residues
+        lam.flags.writeable = residues.flags.writeable = V.flags.writeable = False
+        return lam, residues, V
 
     @property
     def is_stable(self) -> bool:
@@ -276,7 +278,7 @@ def freq_response_grid(sys: ContinuousStateSpace, omegas) -> np.ndarray:
 
     modal = sys._modal
     if modal is not None:
-        lam, residues = modal
+        lam, residues, _ = modal
         jw = (1j * om)[:, None, None]
         # mode by mode, in place: a grid x modes temporary would need a fresh
         # mmap per call, and one per mode costs three allocations a mode
@@ -395,3 +397,31 @@ def vanloan(sys: ContinuousStateSpace, t: float) -> VanLoanResult:
         Theta=sys.C @ K @ sys.B,
         t=float(t),
     )
+
+
+def period_gramian(sys: ContinuousStateSpace, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Period map and output Gramian under a held input, from one exponential.
+
+    With the held input as m more states, Abar = [[A, B], [0, 0]] and
+    Cbar = [C, D]. Returns exp(Abar t) = [[exp(A t), Gamma(t)], [0, I]] and
+    W = int_0^t exp(Abar' s) Cbar' Cbar exp(Abar s) ds, the output energy
+    [x; u]* W [x; u] over [0, t). Van Loan's [[-Abar', Cbar' Cbar], [0, Abar]]
+    has exponential blocks (1,2) = exp(-Abar' t) W and (2,2) = exp(Abar t).
+    Block (1,1) would swamp W at large |A| t, so the exponential is taken
+    over t / 2^s, with |Abar t / 2^s|_1 <= 1, and W doubled back s times:
+    W(2 tau) = W(tau) + exp(Abar' tau) W(tau) exp(Abar tau).
+    """
+    if not t > 0.0:
+        raise ValueError(f"integration horizon must be positive, got {t}")
+    k = sys.nstates + sys.ninputs
+    Abar = np.vstack([np.hstack([sys.A, sys.B]), np.zeros((sys.ninputs, k))])
+    Cbar = np.hstack([sys.C, sys.D])
+    norm = np.linalg.norm(Abar, 1) * t
+    halvings = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
+    M = np.block([[-Abar.T, Cbar.T @ Cbar], [np.zeros((k, k)), Abar]])
+    E = expm(M * (t / 2.0 ** halvings))
+    step, W = E[k:, k:], E[k:, k:].T @ E[:k, k:]
+    for _ in range(halvings):
+        W = W + step.T @ W @ step
+        step = step @ step
+    return step, W

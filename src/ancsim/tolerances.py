@@ -36,7 +36,7 @@ class Tolerances:
     sd_convergence: float = 1e-6        # steepest-descent terminal distance to optimum
 
     # spectral layer
-    alias_truncation: float = 1e-6      # effect of doubling the alias sum (relative)
+    alias_truncation: float = 1e-6      # gap of the 32-alias sum to the exact (relative)
     parseval: float = 1e-2              # Gram entry vs spectrum integral (relative)
 
 

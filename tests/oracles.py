@@ -37,7 +37,10 @@ per-value formatter;
 :func:`dtft` evaluates a record's transform by Horner's rule and
 :func:`dtft_dense` as one dense matrix product; and
 :func:`reference_spectral_bound` folds the aliased energy density over the
-whole grid, with the Horner transform and one ``u_spectrum`` per alias term.
+whole grid, with the Horner transform and one :func:`u_spectrum` per alias
+term, truncated at ``n_alias`` aliases on each side. The package sums every
+alias at once from a period Gramian; :func:`held_tone_energy` integrates the
+same period energy by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from ancsim.adaptive import _CHUNK_PERIODS, LmsConditionReport, WienerProblem, c
 from ancsim.lifting import LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator, HeldWaveform
-from ancsim.spectrum import SpectralBound, u_spectrum
-from ancsim.statespace import DimensionError, PlantSpecificationError, vanloan
+from ancsim.spectrum import SpectralBound
+from ancsim.statespace import DimensionError, PlantSpecificationError, freq_response_grid, vanloan
 
 
 def expm_ref(m: np.ndarray) -> np.ndarray:
@@ -474,12 +477,37 @@ def dtft_dense(samples, omegas, h: float) -> np.ndarray:
     return np.exp(-1j * np.outer(om, np.arange(x.size) * h)) @ x
 
 
+def zoh_frequency_response(omegas, h: float) -> np.ndarray:
+    """Frequency response of the zero-order hold, (1 - e^{-jwh}) / (jw).
+
+    Evaluated in product form so w = 0 gives exactly h. Zeros fall at the
+    nonzero multiples of the sampling frequency 2 pi / h.
+    """
+    om = np.asarray(omegas, dtype=float)
+    return h * np.exp(-0.5j * om * h) * np.sinc(om * h / (2.0 * np.pi))
+
+
+def u_spectrum(secondary, xd_spectrum, omegas, h: float) -> np.ndarray:
+    """Continuous-time transform of the regressor at the given frequencies.
+
+    ``xd_spectrum`` is the value of the reference sequence transform at the
+    same frequencies (scalar or array broadcastable against ``omegas``).
+    """
+    if not secondary.is_siso:
+        raise DimensionError("regressor spectrum expects a SISO secondary path")
+    om = np.asarray(omegas, dtype=float).ravel()
+    resp = freq_response_grid(secondary, om)[:, 0, 0]
+    return resp * zoh_frequency_response(om, h) * np.asarray(xd_spectrum)
+
+
 def reference_spectral_bound(
     secondary, xd_samples, h: float, grid_size: int = 4096, n_alias: int = 64
 ) -> SpectralBound:
     """Aliased energy density on the whole grid, one ``u_spectrum`` per alias.
 
-    The record transform is the Horner-rule :func:`dtft` at every grid point.
+    The alias sum is truncated at ``n_alias`` aliases on each side of the
+    base band, so it approaches the package's exact sum from below. The
+    record transform is the Horner-rule :func:`dtft` at every grid point.
     """
     if not secondary.is_strictly_proper:
         raise PlantSpecificationError(
@@ -503,14 +531,34 @@ def reference_spectral_bound(
 
     peak = float(values.max())
     mu_limit = float("inf") if peak == 0.0 else 2.0 / peak
-    return SpectralBound(
-        omegas=om,
-        values=values,
-        peak=peak,
-        mu_limit=mu_limit,
-        h=float(h),
-        n_alias=int(n_alias),
-    )
+    return SpectralBound(omegas=om, values=values, peak=peak, mu_limit=mu_limit, h=float(h))
+
+
+def held_tone_energy(sys, omega: float, h: float) -> float:
+    """Energy over one period of the steady response to the held tone e^{jwnh}.
+
+    The state at each period start is v = (zI - Phi)^{-1} Gamma, z = e^{jwh};
+    within the period the output is C (e^{A t} v + Gamma(t)), integrated in
+    squared modulus over [0, h) by adaptive quadrature. Phi, Gamma(t) and
+    e^{A t} come from SciPy exponentials of [[A, B], [0, 0]] t.
+    """
+    n = sys.nstates
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = sys.A
+    aug[:n, n:] = sys.B
+
+    def maps(t):
+        e = expm_ref(aug * t)
+        return e[:n, :n], e[:n, n]
+
+    phi, gamma = maps(h)
+    v = np.linalg.solve(np.exp(1j * omega * h) * np.eye(n) - phi, gamma)
+
+    def integrand(t):
+        e_t, gamma_t = maps(t)
+        return float(np.abs(sys.C[0] @ (e_t @ v + gamma_t)) ** 2)
+
+    return quad(integrand, 0.0, h, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 def held_output_fine(sys, x_held, h, refine):

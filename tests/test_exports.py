@@ -25,6 +25,8 @@ REMOVED = (
     "write_comparison_csv",
     "fh_step",
     "freq_response",
+    "u_spectrum",
+    "zoh_frequency_response",
 )
 
 

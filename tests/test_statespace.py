@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
 import oracles
 from ancsim import (
@@ -12,6 +13,7 @@ from ancsim import (
     freq_response_grid,
     from_second_order_bank,
     parallel,
+    period_gramian,
     series,
     vanloan,
 )
@@ -356,3 +358,57 @@ def test_vanloan_rejects_bad_horizon():
         vanloan(lag(), 0.0)
     with pytest.raises(ValueError):
         vanloan(lag(), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# period Gramian
+
+
+@pytest.mark.parametrize("pole", [1.0, 50.0, 700.0])
+def test_period_gramian_lag_closed_form(pole):
+    """A first-order lag in closed form, also where exp(pole t) would swamp
+    an unhalved Van Loan exponential (50, 700): 1e-12 relative, entrywise."""
+    t = 1.0
+    period, W = period_gramian(lag(pole), t)
+    # the output from state x under held u is x e^{-ps} + u (1 - e^{-ps}) / p
+    e1 = -np.expm1(-pole * t) / pole
+    e2 = -np.expm1(-2.0 * pole * t) / (2.0 * pole)
+    cross = (e1 - e2) / pole
+    want = np.array([[e2, cross], [cross, (t - 2.0 * e1 + e2) / pole ** 2]])
+    assert np.all(np.abs(W - want) <= 1e-12 * np.abs(want))
+    want_period = np.array([[np.exp(-pole * t), e1], [0.0, 1.0]])
+    assert np.all(np.abs(period - want_period) <= 1e-12 * np.abs(want_period))
+
+
+@pytest.mark.parametrize("seed,t", [(31, 0.3), (32, 1.0), (33, 0.75)])
+def test_period_gramian_matches_quadrature(seed, t):
+    rng = np.random.default_rng(seed)
+    sys = oracles_plant(rng)
+    period, W = period_gramian(sys, t)
+    n = sys.nstates
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n], aug[:n, n:] = sys.A, sys.B
+    cbar = np.append(sys.C[0], 0.0)
+
+    def outer(s):
+        row = cbar @ oracles.expm_ref(aug * s)
+        return np.outer(row, row)
+
+    want = quad_vec(outer, 0.0, t, epsabs=1e-12, epsrel=1e-12)[0]
+    assert np.abs(W - want).max() < TOL.vanloan_quadrature
+    vl = vanloan(sys, t)
+    assert np.abs(period[:n, :n] - vl.Phi).max() < 1e-13
+    assert np.abs(period[:n, n:] - vl.Gamma).max() < 1e-13
+    assert np.abs(period[n:] - np.append(np.zeros(n), 1.0)).max() < 1e-13
+
+
+def test_period_gramian_of_static_gain():
+    """No states: a held u through the gain g has energy g^2 t u^2."""
+    period, W = period_gramian(static_gain(2.0), 0.5)
+    assert abs(period[0, 0] - 1.0) < 1e-15
+    assert abs(W[0, 0] - 2.0) < 1e-15
+
+
+def test_period_gramian_rejects_bad_horizon():
+    with pytest.raises(ValueError):
+        period_gramian(lag(), 0.0)
