@@ -5,7 +5,7 @@ integrals of the secondary path's response to the reference):
 
 * the quadratic design problem (Gram matrix + cross vector) whose minimizer
   is the optimal FIR filter over an infinite horizon,
-* offline steepest descent on that quadratic.
+* offline steepest descent on it, in closed form over the Gram eigenmodes.
 
 The online update itself (one tap commit per period, a cumulative descent
 direction fed by fast error samples against lagged regressor integrals) is
@@ -25,6 +25,7 @@ Gram matrix from one lag stack of the record, processed in chunks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,32 +241,44 @@ def sd_run(
     """Steepest descent alpha <- alpha + mu (beta - Phi alpha).
 
     Returns the recorded iterates (every ``record_every`` steps, first and
-    last always included), shape (n_records, n_taps). ``mu = 0`` freezes the
-    iterates; negative step sizes are rejected.
+    last always included), shape (n_records, n_taps); row 0 is ``alpha0``.
+    ``mu = 0`` freezes them; a negative or non-finite ``mu`` is rejected.
+    Each record is evaluated in closed form over the eigenmodes (lam, v) of
+    Phi, within ``TOL.sd_closed_form`` of the recursion: alpha_k = alpha0 +
+    sum_v v (r^k - 1) (v . alpha0 - v . beta / lam), r = 1 - mu lam, where
+    r^k - 1 is expm1(k log1p(-mu lam)) if r > 0, a power if r <= 0, and the
+    term is k mu v (v . beta) if n_steps mu |lam| < eps / 2. Under a local
+    ``np.errstate``, rows past the float range are inf or nan, unwarned.
     """
     alpha = np.asarray(alpha0, dtype=float).reshape(-1)
+    n_steps, record_every = operator.index(n_steps), operator.index(record_every)
     if alpha.size != problem.n_taps:
         raise DimensionError(
             f"alpha0 length {alpha.size} does not match problem size {problem.n_taps}"
         )
-    if mu < 0.0:
-        raise ValueError(f"step size must be nonnegative, got {mu}")
+    if not 0.0 <= mu < np.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
     if n_steps < 0:
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    # each step writes into its record row, or into ``spare`` between records
-    out = np.empty((1 + -(-n_steps // record_every), alpha.size))
-    out[0], alpha, row = alpha, out[0], 1
-    spare, step = np.empty(alpha.size), np.empty(alpha.size)
-    for k in range(1, n_steps + 1):
-        np.matmul(problem.Phi, alpha, out=step)
-        np.subtract(problem.beta, step, out=step)
-        np.multiply(mu, step, out=step)
-        if k % record_every == 0 or k == n_steps:
-            alpha, row = np.add(alpha, step, out=out[row]), row + 1
-        else:
-            alpha = np.add(alpha, step, out=spare)
+    out = np.tile(alpha, (1 + -(-n_steps // record_every), 1))
+    if mu == 0.0:
+        return out
+    lam, V = np.linalg.eigh(problem.Phi)
+    x, b = mu * lam, mu * (V.T @ problem.beta)  # x ascending, as eigh sorts: r > 0 on [:p]
+    p, flat = int((x < 1.0).sum()), n_steps * abs(x) < 2.0**-53  # flat: the sum of r^j rounds to k
+    ramp = np.arange(1.0, 65.0)[None] * record_every  # 64 records a chunk
+    growth = np.ones((alpha.size + 1, ramp.size))  # r^k - 1 per mode (k if flat), then ones
+    with np.errstate(all="ignore"):
+        gain = np.where(flat, b, V.T @ alpha - b / np.where(flat, 1.0, x))
+        weights, t = np.vstack([gain[:, None] * V.T, alpha]), growth[:-1]
+        rate, r = np.log1p(-x[:p, None]), 1.0 - x[p:, None]
+        for i in range(1, len(out), ramp.size):
+            rows, k = out[i:i + ramp.size], np.minimum(ramp + (i - 1) * record_every, n_steps)
+            np.expm1(np.matmul(rate, k, out=t[:p]), out=t[:p])  # k log r by matmul: no ufunc buffers
+            t[p:], t[flat] = r**k - 1.0, k
+            np.matmul(growth[:, :len(rows)].T, weights, out=rows)
     return out
 
 

@@ -31,7 +31,11 @@ one pair of series serves each truncation, on the lag stack that
 :func:`reference_lagged_chunks` fills one lag at a time;
 :func:`reference_wiener_solve` solves the
 quadratic problem by Cholesky factorization plus one refinement step;
-:func:`reference_sd_run` appends a copy of each recorded descent iterate; the
+:func:`reference_sd_run` is the sequential descent recursion, one step per
+Python iteration, that the package's closed form over the eigenmodes is
+checked against (at ``TOL.sd_closed_form``), and :func:`exact_sd_run` the
+same recursion in rational arithmetic, each recorded iterate rounded once to
+a double; the
 ``reference_write_*`` functions write every CSV table row by row through a
 per-value formatter;
 :func:`dtft` evaluates a record's transform by Horner's rule and
@@ -48,6 +52,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -233,7 +238,7 @@ def reference_wiener_solve(problem: WienerProblem) -> np.ndarray:
 
 
 def reference_sd_run(problem: WienerProblem, alpha0, mu: float, n_steps: int, record_every: int = 1) -> np.ndarray:
-    """``ancsim.sd_run`` as a list of iterate copies, one appended per record.
+    """``ancsim.sd_run`` as the sequential recursion, one copy appended per record.
 
     Inputs are assumed valid.
     """
@@ -244,6 +249,25 @@ def reference_sd_run(problem: WienerProblem, alpha0, mu: float, n_steps: int, re
         if k % record_every == 0 or k == n_steps:
             out.append(alpha.copy())
     return np.asarray(out)
+
+
+def exact_sd_run(problem: WienerProblem, alpha0, mu: float, n_steps: int, record_every: int = 1) -> np.ndarray:
+    """``reference_sd_run`` in exact rational arithmetic on the float inputs.
+
+    Each recorded iterate is rounded once to the nearest double. Meant for a
+    few taps and a few dozen steps: the denominators grow with every step.
+    """
+    Phi = [[Fraction(float(v)) for v in row] for row in problem.Phi]
+    beta = [Fraction(float(v)) for v in problem.beta]
+    alpha = [Fraction(float(v)) for v in np.asarray(alpha0, dtype=float).reshape(-1)]
+    step = Fraction(float(mu))
+    out = [[float(v) for v in alpha]]
+    for k in range(1, n_steps + 1):
+        residual = [b - sum(p * a for p, a in zip(row, alpha)) for row, b in zip(Phi, beta)]
+        alpha = [a + step * g for a, g in zip(alpha, residual)]
+        if k % record_every == 0 or k == n_steps:
+            out.append([float(v) for v in alpha])
+    return np.array(out)
 
 
 def reference_check_lms_conditions(u_blocks, mu, n_taps, h, eps_threshold=0.5) -> LmsConditionReport:

@@ -1,6 +1,7 @@
 """Quadratic problem assembly, direct solve, descent, and the online update."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -294,26 +295,98 @@ def test_sd_recording_and_validation():
     assert hist.shape == (4, problem.n_taps)
     full = sd_run(problem, np.zeros(problem.n_taps), mu=0.1, n_steps=10)
     assert np.allclose(hist[-1], full[-1], atol=0.0)
-    with pytest.raises(ValueError):
-        sd_run(problem, np.zeros(problem.n_taps), mu=-0.1, n_steps=5)
+    for mu in (-0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="mu"):
+            sd_run(problem, np.zeros(problem.n_taps), mu=mu, n_steps=5)
     with pytest.raises(ValueError):
         sd_run(problem, np.zeros(problem.n_taps), mu=0.1, n_steps=5, record_every=0)
+    with pytest.raises(TypeError):
+        sd_run(problem, np.zeros(problem.n_taps), mu=0.1, n_steps=2.5)
+    with pytest.raises(TypeError):
+        sd_run(problem, np.zeros(problem.n_taps), mu=0.1, n_steps=5, record_every=2.0)
     with pytest.raises(DimensionError):
         sd_run(problem, np.zeros(2), mu=0.1, n_steps=5)
+    assert sd_run(problem, np.zeros(problem.n_taps), 0.1, np.int64(10), np.int32(4)).shape == hist.shape
+
+
+def assert_rows_within(got, want, tol):
+    """Each row of ``got`` within ``tol`` of its row of ``want``, relative to
+    that row's largest absolute value."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want).max(axis=1) <= tol * np.abs(want).max(axis=1))
 
 
 @pytest.mark.parametrize("n_steps, record_every", [(0, 1), (0, 7), (1, 1), (50, 1), (49, 7), (56, 7), (3, 7)])
 @pytest.mark.parametrize("mu", [0.0, 0.3, 40.0])
 def test_sd_iterates_equal_list_loop(n_steps, record_every, mu):
-    """The preallocated iterates are the appended copies bit for bit: every
-    record spacing, no steps, a last step off the spacing, and a diverging mu."""
+    """The closed-form iterates against the sequential recursion: shape, dtype,
+    row 0 and every row of a mu = 0 run byte for byte, the other rows within
+    ``TOL.sd_closed_form``; every record spacing, no steps, a last step off
+    the record spacing, and a diverging mu."""
     problem, _ = spd_problem(seed=19, n=6, eigs=(3.0, 1.0, 0.6, 0.25, 0.1, 0.01))
     alpha0 = np.linspace(-1.0, 1.0, problem.n_taps)
     got = sd_run(problem, alpha0, mu, n_steps, record_every)
     want = oracles.reference_sd_run(problem, alpha0, mu, n_steps, record_every)
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    assert got[0].tobytes() == alpha0.tobytes()
+    if mu == 0.0:
+        assert got.tobytes() == np.tile(alpha0, (len(got), 1)).tobytes()
+    assert_rows_within(got, want, TOL.sd_closed_form)
     assert np.array_equal(alpha0, np.linspace(-1.0, 1.0, problem.n_taps))  # the start is not written
+
+
+# Four taps whose Gram matrix has the eigenvectors of a 4 x 4 Hadamard matrix:
+# Phi = H diag(eigs) H^T is exact in floating point for dyadic eigenvalues.
+_HADAMARD = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], float)
+_BETA = np.array([0.3, -0.7, 0.45, 0.9])
+_ALPHA0 = np.array([0.2, 0.1, -0.4, 0.6])
+
+SD_EXACT_CASES = {
+    # name: (eigenvalues, diagonal Phi, beta, alpha0, mu, n_steps, record_every)
+    "singular": ((1.0, 0.5, 0.25, 0.0), False, _BETA, _ALPHA0, 0.5, 60, 1),
+    "singular-exact-zero": ((1.0, 0.5, 0.25, 0.0), True, _BETA, _ALPHA0, 0.5, 60, 1),
+    "negative-at-psd-slack": ((1.0, 0.5, 0.25, -TOL.psd_slack), True, _BETA, _ALPHA0, 0.9, 60, 1),
+    "oscillating": ((1.0, 0.5, 0.25, 0.125), False, _BETA, _ALPHA0, 1.5, 60, 1),
+    "diverging": ((1.0, 0.5, 0.25, 0.125), False, _BETA, _ALPHA0, 2.5, 60, 1),
+    "slow-1e-9": ((1.0, 0.5, 0.25, 1e-9), False, _HADAMARD[:, 3], np.zeros(4), 1.0, 60, 1),
+    "off-spacing": ((1.0, 0.5, 0.25, 0.125), False, _BETA, _ALPHA0, 0.7, 59, 7),
+    "no-steps": ((1.0, 0.5, 0.25, 0.125), False, _BETA, _ALPHA0, 0.7, 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(SD_EXACT_CASES))
+def test_sd_closed_form_and_recursion_match_exact_iterates(case):
+    """The closed form and the sequential recursion each lie within
+    ``TOL.sd_closed_form`` of the exactly rounded iterates: a singular Gram
+    matrix (as decomposed, and with an exact zero eigenvalue), an eigenvalue
+    at the accepted PSD slack, 1 < mu lam < 2, mu lam > 2, mu lam ~ 1e-9 with
+    only that mode excited, a last step off the record spacing, no steps."""
+    eigs, diagonal, beta, alpha0, mu, n_steps, record_every = SD_EXACT_CASES[case]
+    phi = np.diag(eigs) if diagonal else _HADAMARD @ np.diag(eigs) @ _HADAMARD.T
+    problem = WienerProblem(Phi=phi, beta=beta, horizon=1.0)
+    lam = np.linalg.eigvalsh(problem.Phi)
+    if case == "singular-exact-zero":
+        assert 0.0 in lam
+    exact = oracles.exact_sd_run(problem, alpha0, mu, n_steps, record_every)
+    got = sd_run(problem, alpha0, mu, n_steps, record_every)
+    assert got[0].tobytes() == exact[0].tobytes()
+    assert_rows_within(got, exact, TOL.sd_closed_form)
+    assert_rows_within(oracles.reference_sd_run(problem, alpha0, mu, n_steps, record_every), exact, TOL.sd_closed_form)
+
+
+def test_sd_diverging_rows_turn_nonfinite_without_warnings():
+    """Past the float range the rows are inf or nan, and nothing warns; the
+    rows before it follow the recursion."""
+    problem, _ = spd_problem(seed=19, n=6, eigs=(3.0, 1.0, 0.6, 0.25, 0.1, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = sd_run(problem, np.zeros(6), mu=40.0, n_steps=200)
+    finite = np.isfinite(hist).all(axis=1)
+    n_finite = int(finite.sum())
+    assert 0 < n_finite < len(hist) and finite[:n_finite].all()
+    assert not np.isfinite(hist[-1]).any()
+    want = oracles.reference_sd_run(problem, np.zeros(6), 40.0, n_finite - 1)
+    assert_rows_within(hist[:n_finite], want, TOL.sd_closed_form)
 
 
 # ---------------------------------------------------------------------------
