@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .lifting import ExogenousRecord, FastSampler
+from .lifting import ExogenousRecord
 
 
 # Values per chunk that ``_write_columns`` formats, in the main process: a
@@ -289,6 +289,6 @@ class _FastWriter:
 
     def _write(self, ready) -> list[OSError]:
         rec, N, L = self.record, *self.record.x.shape
-        return _write_fast(self.paths, FastSampler(self.h, L).instants(N),
+        return _write_fast(self.paths, np.arange(N * L) * (self.h / L),
                            rec.x.reshape(-1), rec.d.reshape(-1), rec.u.reshape(-1),
                            self.w.reshape(len(self.w), -1), self.e.reshape(len(self.e), -1), ready)

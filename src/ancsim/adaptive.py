@@ -177,8 +177,8 @@ def build_wiener(
     D = D.reshape(n_steps, L)
     if n_taps < 1:
         raise ValueError("need at least one tap")
-    if not h > 0.0:
-        raise ValueError(f"period must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"period h must be positive and finite, got {h}")
     if abs(horizon - n_steps * h) > 1e-9 * max(h, horizon):
         raise ValueError(
             f"horizon {horizon} is not the record length: {n_steps} periods of {h}"
@@ -335,8 +335,8 @@ def check_lms_conditions(
         raise ValueError("u_blocks contains non-finite entries")
     if n_taps < 1:
         raise ValueError("need at least one tap")
-    if not h > 0.0:
-        raise ValueError(f"period must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"period h must be positive and finite, got {h}")
     if not mu > 0.0:
         raise ValueError(f"step size must be positive, got {mu}")
     maxima = _condition_maxima(U, n_taps, h, [len(U)])[len(U)]

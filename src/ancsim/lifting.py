@@ -8,27 +8,29 @@ With the period split into L cells of width h/L::
     eta[n+1] = Ah eta[n] + Bh x[n]
     U[n]     = Ch eta[n] + Dh x[n]          (U[n][l] = int over cell l of u)
 
-``Ah = exp(A h)`` and ``Bh`` is the held-input integral. Every within-period
-map comes from one Van Loan exponential at the cell width: with the one-cell
-blocks Phi, Gamma, Lambda, Theta, row l of ``Ch`` is ``Lambda Phi^l`` and
-``Dh[l]`` is ``Theta + sum_{k<l} Lambda Phi^k Gamma``, so every entry is
-exact up to the matrix exponential and no integral is differenced.
+``discretize_lifted`` builds this recursion and the plant's cell maps as one
+``LiftedDiscretization``. ``Ah = exp(A h)`` and ``Bh`` is the held-input
+integral. Every within-period map comes from one Van Loan exponential at the
+cell width: with the one-cell blocks Phi, Gamma, Lambda, Theta, row l of
+``Ch`` is ``Lambda Phi^l`` and ``Dh[l]`` is ``Theta + sum_{k<l} Lambda Phi^k
+Gamma``, so every entry is exact up to the matrix exponential and no
+integral is differenced. The point samples at the cell left endpoints come
+from the same propagator: rows ``C Phi^l`` and input maps ``C Phi^k Gamma``.
 
-``HybridLoop`` assembles these pieces into a closed loop: a noise source, a
-primary path, and a secondary path driven by a sampled FIR filter. The loop
-is feedforward, so it splits at the taps: the reference, the disturbance and
-the regressor (the secondary dynamics driven by the held reference) form an
-exogenous half computed once per configuration, and only the anti-noise path
-is stepped under the taps, for a whole stack of arms (one row of taps and of
-secondary-path state per arm) in one call. The point samples at the cell
-left endpoints come from the same one-cell propagator (rows ``C Phi^l`` and
-input maps ``C Phi^k Gamma``), so one period is a handful of matrix-vector
-products with no loop over the cells. No numerical ODE integration happens
-anywhere in this module.
+``HybridLoop`` composes these lifted plants into a closed loop: a noise
+source, a primary path, and a secondary path driven by a sampled FIR filter.
+The loop is feedforward, so it splits at the taps: the reference, the
+disturbance and the regressor (the secondary dynamics driven by the held
+reference) form an exogenous half computed once per configuration, and only
+the anti-noise path is stepped under the taps, for a whole stack of arms
+(one row of taps and of secondary-path state per arm) in one call. One
+period is a handful of matrix-vector products with no loop over the cells.
+No numerical ODE integration happens anywhere in this module.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +41,6 @@ from .statespace import ContinuousStateSpace, DimensionError, expm, series, vanl
 
 __all__ = [
     "LiftedDiscretization",
-    "FastSampler",
     "HybridLoop",
     "ExogenousRecord",
     "SimTrace",
@@ -48,35 +49,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FastSampler:
-    """Uniform fast grid: L cells per period h, instants t = n h + l h/L."""
-
-    h: float
-    L: int
-
-    def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise ValueError(f"period must be positive, got {self.h}")
-        if int(self.L) != self.L or self.L < 1:
-            raise ValueError(f"cells per period must be a positive integer, got {self.L}")
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "L", int(self.L))
-
-    @property
-    def dt(self) -> float:
-        return self.h / self.L
-
-    def instants(self, n_periods: int) -> np.ndarray:
-        """Left endpoints of every cell over ``n_periods`` periods."""
-        return np.arange(n_periods * self.L) * self.dt
-
-
 class LiftedDiscretization(NamedTuple):
-    """Exact blocked discretization of one hold-driven plant.
+    """Exact blocked discretization of one hold-driven plant, L cells per period h.
 
-    ``Ah`` (nu, nu) and ``Bh`` (nu,) advance the state over one period;
-    ``Ch`` (L, nu) and ``Dh`` (L,) produce the per-cell output integrals.
+    ``Ah`` (n, n) and ``Bh`` (n,) advance the state over one period; ``Ch``
+    (L, n) and ``Dh`` (L,) produce the per-cell output integrals. The cell
+    maps act on the period-start state and, in column i, on an input held
+    over cell i: ``sample_rows`` (L, n), ``C Phi^l``, gives the output at the
+    left endpoint of cell l; ``sample_input`` (L, L) holds ``C Phi^(l-1-i)
+    Gamma`` below the diagonal and 0 elsewhere; ``state_input`` (n, L),
+    ``Phi^(L-1-i) Gamma``, is the effect on the next period's state.
     """
 
     Ah: np.ndarray
@@ -85,6 +67,9 @@ class LiftedDiscretization(NamedTuple):
     Dh: np.ndarray
     h: float
     L: int
+    sample_rows: np.ndarray
+    sample_input: np.ndarray
+    state_input: np.ndarray
 
     @property
     def nstates(self) -> int:
@@ -100,20 +85,27 @@ def _output_rows(rows: np.ndarray, phi: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-class _CellMaps(NamedTuple):
-    """Within-period maps of one plant: rows act on the period-start state, and
-    entry (l, i) of an input map is the effect of the input held over cell i."""
+def discretize_lifted(sys: ContinuousStateSpace, h: float, L: int) -> LiftedDiscretization:
+    """Blocked discretization and cell maps of a strictly proper SISO plant.
 
-    sample_rows: np.ndarray     # (L, n): C Phi^l, output at the left endpoint of cell l
-    integral_rows: np.ndarray   # (L, n): Lambda Phi^l, output integral over cell l
-    sample_input: np.ndarray    # (L, L): C Phi^(l-1-i) Gamma below the diagonal
-    integral_input: np.ndarray  # (L, L): Theta on the diagonal, Lambda Phi^(l-1-i) Gamma below
-    state_input: np.ndarray     # (n, L): Phi^(L-1-i) Gamma, effect on the next period's state
-
-
-def _cell_maps(sys: ContinuousStateSpace, dt: float, L: int) -> _CellMaps:
-    """Every within-period map of ``sys`` from one Van Loan exponential at ``dt``."""
-    cell = vanloan(sys, dt)
+    Every within-period map comes from one Van Loan exponential at the cell
+    width h/L (no cumulative integral is differenced); refining L and summing
+    adjacent rows reproduces the coarse rows to within
+    ``TOL.block_refinement``. The period map is a second one at h, as
+    Phi^L loses digits.
+    """
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"period h must be positive and finite, got {h}")
+    if not 1 <= L < np.inf or int(L) != L:
+        raise ValueError(f"cells per period L must be a positive integer, got {L}")
+    h, L = float(h), int(L)
+    if not sys.is_siso:
+        raise DimensionError("lifted discretization expects a SISO plant")
+    if not sys.is_strictly_proper:
+        raise DimensionError("lifted discretization expects a strictly proper plant")
+    if sys.nstates == 0:
+        raise DimensionError("lifted discretization expects a dynamic plant")
+    cell, period = vanloan(sys, h / L), vanloan(sys, h)
     rows = _output_rows(np.vstack([sys.C, cell.Lambda]), cell.Phi, L)
     # entry k of each sequence is the sample and the integral input map at lag l - i = k
     seqs = np.hstack([[[0.0], cell.Theta[0]], rows @ cell.Gamma[:, 0]])
@@ -122,31 +114,9 @@ def _cell_maps(sys: ContinuousStateSpace, dt: float, L: int) -> _CellMaps:
         inputs[:, l, :l + 1] = seqs[:, l::-1]
     # column i is Phi^(L-1-i) Gamma, built as the rows Gamma^T (Phi^T)^k
     state_input = _output_rows(cell.Gamma.T, cell.Phi.T, L)[0, ::-1].T
-    return _CellMaps(rows[0], rows[1], inputs[0], inputs[1], state_input)
-
-
-def _lift(sys: ContinuousStateSpace, h: float, L: int) -> tuple[LiftedDiscretization, _CellMaps]:
-    """Lifted blocks and cell maps of ``sys``; the period map is exp(A h), as Phi^L loses digits."""
-    cells, period = _cell_maps(sys, h / L, L), vanloan(sys, h)
-    return LiftedDiscretization(Ah=period.Phi, Bh=period.Gamma[:, 0], Ch=cells.integral_rows,
-                                Dh=cells.integral_input.sum(axis=1), h=h, L=L), cells
-
-
-def discretize_lifted(sys: ContinuousStateSpace, h: float, L: int) -> LiftedDiscretization:
-    """Blocked discretization of a strictly proper SISO plant.
-
-    Rows ``Ch``/``Dh`` come from the one-cell propagator (no cumulative
-    integral is differenced); refining L and summing adjacent rows
-    reproduces the coarse rows to within ``TOL.block_refinement``.
-    """
-    sampler = FastSampler(h, L)  # validates h and L
-    if not sys.is_siso:
-        raise DimensionError("lifted discretization expects a SISO plant")
-    if not sys.is_strictly_proper:
-        raise DimensionError("lifted discretization expects a strictly proper plant")
-    if sys.nstates == 0:
-        raise DimensionError("lifted discretization expects a dynamic plant")
-    return _lift(sys, sampler.h, sampler.L)[0]
+    return LiftedDiscretization(Ah=period.Phi, Bh=period.Gamma[:, 0], Ch=rows[1],
+                                Dh=inputs[1].sum(axis=1), h=h, L=L, sample_rows=rows[0],
+                                sample_input=inputs[0], state_input=state_input)
 
 
 class ExogenousRecord(NamedTuple):
@@ -174,21 +144,21 @@ class HybridLoop:
     of a stack of arms by one period. Every arm run on one configuration
     shares one exogenous record and differs only in its rows of the stack.
 
-    Every within-period map comes from one exponential per plant at the cell
-    width (``_cell_maps``), and every period-to-period state map from one at
-    the period, so a build runs four exponentials whatever L is. The
-    secondary path gives the lifted blocks ``lift``, the sample rows
-    ``c_f Phi_f^l`` and the gains of a period-held input on cells 1 .. L-1,
-    which map the period-start state and the held input to the L cell
-    samples of the anti-noise (input y_d) and of the regressor (input x_d).
+    The secondary path is lifted once by ``discretize_lifted`` (``lift``),
+    which runs two exponentials, so a build runs four whatever L is. Its
+    sample rows and the gains of a period-held input on cells 1 .. L-1 (the
+    row sums of its sample input map) take the period-start state and the
+    held input to the L cell samples of the anti-noise (input y_d) and of the
+    regressor (input x_d).
 
     The noise source is wired in one of two ways. An autonomous generator is
     propagated jointly with the primary path (the cascade is again
     autonomous): rows of the one-cell exponential take the joint state to
     x_fast and d_fast, and the one-period exponential gives the next joint
-    state. A held waveform drives the primary path cell by cell: its sample
-    rows and (L, L) input map give d_fast, and the one-period exponential
-    with the (n_p, L) state input map gives the next primary state.
+    state. A held waveform drives the primary path cell by cell, through the
+    primary path's own lifting: its sample rows and (L, L) sample input map
+    give d_fast, and its period map with the (n_p, L) state input map gives
+    the next primary state.
     """
 
     def __init__(
@@ -201,41 +171,38 @@ class HybridLoop:
     ) -> None:
         secondary.validate_plant("secondary path")
         primary.validate_plant("primary path")
-        self.sampler = FastSampler(h, L)
-        self.h = self.sampler.h
-        self.L = L = self.sampler.L
+        self.lift = lift = discretize_lifted(secondary, h, L)
+        self.h, self.L = h, L = lift.h, lift.L
         self.secondary = secondary
         self.primary = primary
         self.generator = generator
-        self.lift, cells = _lift(secondary, self.h, L)
-        self._f_rows = cells.sample_rows
+        self._f_rows = lift.sample_rows
         # gain of a period-held input on each cell; 0 on cell 0, which it does not reach
-        held_gains = cells.sample_input.sum(axis=1)
+        held_gains = lift.sample_input.sum(axis=1)
         # as columns, the gains of y_d on cells 1 .. L-1 and on the next state
-        self._f_gains, self._Bh = held_gains[1:, None], self.lift.Bh[:, None]
+        self._f_gains, self._Bh = held_gains[1:, None], lift.Bh[:, None]
         # one period of the regressor: [eta, x_d] -> [u, u_blocks, next eta]
-        self._u_period = np.block([[self._f_rows, held_gains[:, None]],
-                                   [self.lift.Ch, self.lift.Dh[:, None]],
-                                   [self.lift.Ah, self.lift.Bh[:, None]]])
+        self._u_period = np.block([[lift.sample_rows, held_gains[:, None]],
+                                   [lift.Ch, lift.Dh[:, None]],
+                                   [lift.Ah, lift.Bh[:, None]]])
 
+        dt = h / L
         if isinstance(generator, AutonomousGenerator):
             ng = generator.nstates
             joint = series(ContinuousStateSpace(generator.A, np.zeros(ng), generator.C), primary)
             picks = np.vstack([np.append(generator.C, np.zeros(primary.nstates)), joint.C])
             # one period of the joint state: z -> [x_fast, d_fast, next z]
-            self._z_period = np.vstack([*_output_rows(picks, expm(joint.A * self.sampler.dt), L),
-                                        expm(joint.A * self.h)])
+            self._z_period = np.vstack([*_output_rows(picks, expm(joint.A * dt), L),
+                                        expm(joint.A * h)])
             self._held = None
         elif isinstance(generator, HeldWaveform):
-            if abs(generator.dt - self.sampler.dt) > 1e-12 * self.sampler.dt:
-                raise ValueError(
-                    f"held waveform cell width {generator.dt} does not match h/L = {self.sampler.dt}"
-                )
+            if abs(generator.dt - dt) > 1e-12 * dt:
+                raise ValueError(f"held waveform cell width {generator.dt} does not match h/L = {dt}")
             self._held = generator
-            p_lift, p_cells = _lift(primary, self.h, L)
+            p = discretize_lifted(primary, h, L)
             # one period of the primary path: [z, the L cell inputs] -> [d_fast, next z]
-            self._z_period = np.block([[p_cells.sample_rows, p_cells.sample_input],
-                                       [p_lift.Ah, p_cells.state_input]])
+            self._z_period = np.block([[p.sample_rows, p.sample_input],
+                                       [p.Ah, p.state_input]])
         else:
             raise TypeError(
                 "generator must be an AutonomousGenerator or a HeldWaveform, "
@@ -250,6 +217,9 @@ class HybridLoop:
         product) period by period. The arrays are read-only: every arm run
         on this loop shares them.
         """
+        n_steps = operator.index(n_steps)
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
         L, held = self.L, self._held
         if held is not None and n_steps * L > len(held):
             n = len(held) // L
@@ -333,7 +303,7 @@ class SimTrace:
 
     @property
     def t_fast(self) -> np.ndarray:
-        return FastSampler(self.h, self.L).instants(self.n_steps)
+        return np.arange(self.n_steps * self.L) * self.dt
 
     def norm(self, name: str) -> float:
         """L2 norm of one fast signal ('x', 'd', 'w', 'e' or 'u')."""

@@ -103,8 +103,8 @@ def spectral_bound(secondary: ContinuousStateSpace, xd_samples, h: float,
         raise DimensionError("spectral bound expects a SISO secondary path")
     if not secondary.is_strictly_proper:
         raise PlantSpecificationError("spectral bound requires a strictly proper secondary path")
-    if not h > 0.0:
-        raise ValueError(f"period must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"period h must be positive and finite, got {h}")
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
 

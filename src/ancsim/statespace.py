@@ -380,8 +380,8 @@ def vanloan(sys: ContinuousStateSpace, t: float) -> VanLoanResult:
     """
     if sys.nstates == 0:
         raise DimensionError("integral blocks require at least one state")
-    if not t > 0.0:
-        raise ValueError(f"integration horizon must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"integration horizon t must be positive and finite, got {t}")
     nu = sys.nstates
     M = np.zeros((3 * nu, 3 * nu))
     M[:nu, :nu] = sys.A
@@ -411,8 +411,8 @@ def period_gramian(sys: ContinuousStateSpace, t: float) -> tuple[np.ndarray, np.
     over t / 2^s, with |Abar t / 2^s|_1 <= 1, and W doubled back s times:
     W(2 tau) = W(tau) + exp(Abar' tau) W(tau) exp(Abar tau).
     """
-    if not t > 0.0:
-        raise ValueError(f"integration horizon must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"integration horizon t must be positive and finite, got {t}")
     k = sys.nstates + sys.ninputs
     Abar = np.vstack([np.hstack([sys.A, sys.B]), np.zeros((sys.ninputs, k))])
     Cbar = np.hstack([sys.C, sys.D])

@@ -17,7 +17,9 @@ linear solve; the package steps and evaluates whole stacks instead.
 
 The other references are earlier, slower forms of package code, kept to
 check the rewrites that replaced them: :func:`reference_discretize_lifted`
-differences cumulative integrals from one ``vanloan`` per cell endpoint;
+differences cumulative integrals from one ``vanloan`` per cell endpoint, and
+:func:`reference_cell_maps` takes each cell map from its own SciPy
+exponential where the package multiplies one one-cell propagator;
 :func:`reference_step` walks the cells of a period one by one on SciPy
 propagators, advancing the exogenous and the anti-noise half of the loop
 together;
@@ -459,11 +461,33 @@ def freq_response(sys, omega: float) -> np.ndarray:
     return sys.C @ np.linalg.solve(shifted, sys.B) + sys.D
 
 
+def reference_cell_maps(sys, h: float, L: int):
+    """Sample rows, sample input map and state input map of a lifted plant.
+
+    From SciPy alone: one exponential e^{A k dt} per lag k = 0 .. L-1 (no
+    power of a one-cell propagator) and Gamma(dt) from the zero-order-hold
+    block, dt = h / L. Row l of the sample rows is C e^{A l dt}; entry (l, i)
+    of the sample input map is C e^{A (l-1-i) dt} Gamma(dt) for i < l and 0
+    otherwise; column i of the state input map is e^{A (L-1-i) dt} Gamma(dt).
+    """
+    dt = h / L
+    props = np.array([expm_ref(sys.A * (k * dt)) for k in range(L)])
+    gamma = zoh_discretize_ref(sys.A, sys.B, dt)[1][:, 0]
+    responses = props @ gamma                       # (L, n): e^{A k dt} Gamma
+    sample_rows = sys.C[0] @ props                  # (L, n)
+    lagged = np.append(responses @ sys.C[0], 0.0)   # entry k: C e^{A k dt} Gamma, then 0
+    lags = np.arange(L)[:, None] - 1 - np.arange(L)[None, :]
+    sample_input = lagged[np.where(lags >= 0, lags, L)]
+    state_input = responses[::-1].T
+    return sample_rows, sample_input, state_input
+
+
 def reference_discretize_lifted(sys, h: float, L: int):
     """Lifted blocks from cumulative Van Loan integrals at every cell endpoint.
 
     Runs ``vanloan`` at each endpoint l h / L and differences the cumulative
-    output integrals, L exponentials where the package uses two.
+    output integrals, L exponentials where the package uses two; the cell
+    maps are :func:`reference_cell_maps`.
     """
     nu = sys.nstates
     Ch = np.empty((L, nu))
@@ -475,7 +499,10 @@ def reference_discretize_lifted(sys, h: float, L: int):
         Ch[l - 1] = vl.Lambda[0] - lam_prev
         Dh[l - 1] = vl.Theta[0, 0] - theta_prev
         lam_prev, theta_prev = vl.Lambda[0], vl.Theta[0, 0]
-    return LiftedDiscretization(Ah=vl.Phi, Bh=vl.Gamma[:, 0], Ch=Ch, Dh=Dh, h=h, L=L)
+    sample_rows, sample_input, state_input = reference_cell_maps(sys, h, L)
+    return LiftedDiscretization(Ah=vl.Phi, Bh=vl.Gamma[:, 0], Ch=Ch, Dh=Dh, h=h, L=L,
+                                sample_rows=sample_rows, sample_input=sample_input,
+                                state_input=state_input)
 
 
 def dtft(samples, omegas, h: float) -> np.ndarray:

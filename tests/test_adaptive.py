@@ -137,6 +137,9 @@ def test_build_wiener_shape_checks():
         build_wiener(u_blocks, d_fast, 4, 59.0, 1.0, 4)
     with pytest.raises(ValueError):
         build_wiener(u_blocks, d_fast, 0, 60.0, 1.0, 4)
+    for h in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="period h"):
+            build_wiener(u_blocks, d_fast, 4, 60.0, h, 4)
 
 
 def test_blocked_assembly_approximates_continuous_integrals():
@@ -541,6 +544,10 @@ def test_checker_input_validation():
         check_lms_conditions(np.array([[np.nan]]), mu=0.1, n_taps=1, h=1.0)
     with pytest.raises(ValueError):
         check_lms_conditions(np.array([[1.0]]), mu=0.0, n_taps=1, h=1.0)
+    # a record with energy: an infinite period once read as a degenerate one
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="period h"):
+            check_lms_conditions(np.ones((8, 4)), mu=0.1, n_taps=4, h=h)
 
 
 GRAM_RECORDS = [

@@ -27,6 +27,7 @@ REMOVED = (
     "freq_response",
     "u_spectrum",
     "zoh_frequency_response",
+    "FastSampler",
 )
 
 

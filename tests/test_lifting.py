@@ -15,9 +15,9 @@ from ancsim import (
     AutonomousGenerator,
     ContinuousStateSpace,
     DimensionError,
-    FastSampler,
     HeldWaveform,
     HybridLoop,
+    SimTrace,
     discretize_lifted,
     l2_norm,
     vanloan,
@@ -32,23 +32,6 @@ def lag(pole=1.0):
 
 def integrator():
     return ContinuousStateSpace(A=[[0.0]], B=[[1.0]], C=[[1.0]])
-
-
-# ---------------------------------------------------------------------------
-# sampler
-
-
-def test_fast_sampler_grid():
-    s = FastSampler(2.0, 4)
-    assert s.dt == 0.5
-    assert np.allclose(s.instants(2), np.arange(8) * 0.5)
-
-
-def test_fast_sampler_validation():
-    with pytest.raises(ValueError):
-        FastSampler(0.0, 4)
-    with pytest.raises(ValueError):
-        FastSampler(1.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +95,50 @@ def test_discretize_matches_per_endpoint_reference(L):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape, name
             assert np.abs(a - b).max() <= TOL.block_refinement * L * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("L", [1, 3, 8, 32])
+def test_cell_maps_match_scipy_reference(L):
+    """Sample rows, sample input map and state input map equal the oracle's,
+    built from one SciPy exponential per lag, at TOL.block_refinement * L
+    relative to each map's largest entry."""
+    rng = np.random.default_rng(900 + L)
+    for _ in range(20):
+        sys = random_stable_siso(rng, max_states=8)
+        h = float(rng.uniform(0.3, 1.5))
+        got = discretize_lifted(sys, h, L)
+        want = oracles.reference_cell_maps(sys, h, L)
+        for name, b in zip(("sample_rows", "sample_input", "state_input"), want):
+            a = getattr(got, name)
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= TOL.block_refinement * L * np.abs(b).max(), name
+        assert not got.sample_input[np.triu_indices(L)].any()
+
+
+@pytest.mark.parametrize("h, L", [(0.0, 4), (-1.0, 4), (np.nan, 4), (np.inf, 4),
+                                  (1.0, 0), (1.0, 4.5), (1.0, np.nan), (1.0, np.inf)])
+def test_period_and_cells_rejected(h, L):
+    """A period that is not positive and finite, or a cell count that is not a
+    positive integer, raises one ValueError naming it, without a warning."""
+    sec, pri, gen = bench_small()
+    name = "period h" if L == 4 else "cells per period L"
+    with pytest.raises(ValueError, match=name):
+        discretize_lifted(sec, h, L)
+    with pytest.raises(ValueError, match=name):
+        HybridLoop(sec, pri, gen, h=h, L=L)
+
+
+def test_whole_float_cell_count_accepted():
+    sec, pri, gen = bench_small()
+    loop = HybridLoop(sec, pri, gen, h=2, L=4.0)
+    assert loop.L == 4 and type(loop.L) is int and type(loop.h) is float
+    lift = discretize_lifted(sec, 2, 4.0)
+    assert lift.L == 4 and type(lift.L) is int and type(lift.h) is float
+    record = loop.exogenous(2)
+    trace = SimTrace(h=loop.h, L=loop.L, x_d=record.x_d, y_d=np.zeros(2), x=record.x.ravel(),
+                     d=record.d.ravel(), w=np.zeros(8), e=record.d.ravel(), u=record.u.ravel(),
+                     u_blocks=record.u_blocks)
+    assert trace.t_fast.tobytes() == (np.arange(8) * 0.5).tobytes()
 
 
 def _count_expm(monkeypatch) -> list:
@@ -401,6 +428,16 @@ def test_exogenous_record_is_read_only():
         assert arr.shape[0] == 3 and arr.shape[1:] in ((), (4,)), name
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_exogenous_rejects_bad_period_count():
+    sec, pri, gen = bench_small()
+    loop = HybridLoop(sec, pri, gen, h=1.0, L=4)
+    with pytest.raises(ValueError, match="n_steps"):
+        loop.exogenous(-1)
+    with pytest.raises(TypeError):
+        loop.exogenous(2.5)
+    assert loop.exogenous(np.int64(0)).x.shape == (0, 4)
 
 
 def test_held_waveform_must_match_fast_grid():

@@ -226,8 +226,9 @@ def test_bound_input_validation():
     mimo = ContinuousStateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2))
     with pytest.raises(DimensionError):
         spectral_bound(mimo, [1.0], h=1.0)
-    with pytest.raises(ValueError):
-        spectral_bound(lag(), [1.0], h=0.0)
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="period h"):
+            spectral_bound(lag(), [1.0], h=h)
     with pytest.raises(ValueError):
         spectral_bound(lag(), [1.0], h=1.0, grid_size=1)
 

@@ -358,6 +358,9 @@ def test_vanloan_rejects_bad_horizon():
         vanloan(lag(), 0.0)
     with pytest.raises(ValueError):
         vanloan(lag(), -1.0)
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizon t"):
+            vanloan(lag(), t)
 
 
 # ---------------------------------------------------------------------------
@@ -410,5 +413,6 @@ def test_period_gramian_of_static_gain():
 
 
 def test_period_gramian_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        period_gramian(lag(), 0.0)
+    for t in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizon t"):
+            period_gramian(lag(), t)
