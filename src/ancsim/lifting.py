@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .signals import AutonomousGenerator, HeldWaveform
-from .statespace import ContinuousStateSpace, DimensionError, expm, series, vanloan
+from .statespace import ContinuousStateSpace, expm, series, vanloan
 
 __all__ = [
     "LiftedDiscretization",
@@ -99,12 +99,6 @@ def discretize_lifted(sys: ContinuousStateSpace, h: float, L: int) -> LiftedDisc
     if not 1 <= L < np.inf or int(L) != L:
         raise ValueError(f"cells per period L must be a positive integer, got {L}")
     h, L = float(h), int(L)
-    if not sys.is_siso:
-        raise DimensionError("lifted discretization expects a SISO plant")
-    if not sys.is_strictly_proper:
-        raise DimensionError("lifted discretization expects a strictly proper plant")
-    if sys.nstates == 0:
-        raise DimensionError("lifted discretization expects a dynamic plant")
     cell, period = vanloan(sys, h / L), vanloan(sys, h)
     rows = _output_rows(np.vstack([sys.C, cell.Lambda]), cell.Phi, L)
     # entry k of each sequence is the sample and the integral input map at lag l - i = k
@@ -316,8 +310,8 @@ def l2_norm(samples, dt: float) -> float:
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("cannot take the norm of an empty trace")
-    if not dt > 0.0:
-        raise ValueError(f"sample spacing must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"sample spacing must be positive and finite, got {dt}")
     if not np.all(np.isfinite(arr)):
         return float("inf")
     # squares of samples this large overflow the dot product

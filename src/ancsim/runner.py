@@ -129,7 +129,9 @@ def _sized_by(key: str, what: str):
 
 def _setup(config: SimConfig) -> tuple[HybridLoop, ExogenousRecord]:
     """The loop of one configuration and its exogenous record, shared by its arms."""
-    machine = HybridLoop(config.secondary(), config.primary(), config.make_generator(), config.h, config.L)
+    generator = config.make_generator()
+    with _sized_by("sim.L", f"{config.L} cells per period"):  # the cell maps are (L, n) and (L, L)
+        machine = HybridLoop(config.secondary(), config.primary(), generator, config.h, config.L)
     with _sized_by("sim.T", f"{config.T / config.h:.6g} periods"):
         return machine, machine.exogenous(config.n_steps)
 
@@ -356,8 +358,8 @@ def emit_bode(config: SimConfig) -> dict:
     nyq = np.pi / config.h
     om = np.geomspace(nyq * 1e-2, nyq * 1e2, _BODE_POINTS)
     om = np.unique(np.concatenate([om, [nyq]]))
-    sec = freq_response_grid(config.secondary(), om)[:, 0, 0]
-    pri = freq_response_grid(config.primary(), om)[:, 0, 0]
+    sec = freq_response_grid(config.secondary(), om)
+    pri = freq_response_grid(config.primary(), om)
     return {
         "omega_rad_s": om,
         "secondary_mag": np.abs(sec),

@@ -96,8 +96,8 @@ class HeldWaveform:
             raise ValueError("held waveform needs at least one sample")
         if not np.all(np.isfinite(vals)):
             raise ValueError("held waveform contains non-finite samples")
-        if not self.dt > 0.0:
-            raise ValueError(f"cell width must be positive, got {self.dt}")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"cell width must be positive and finite, got {self.dt}")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import WienerProblem
-from .statespace import (
-    ContinuousStateSpace,
-    DimensionError,
-    PlantSpecificationError,
-    _SOLVE_CHUNK_BYTES,
-    period_gramian,
-)
+from .statespace import ContinuousStateSpace, _SOLVE_CHUNK_BYTES, period_gramian
 
 __all__ = [
     "SpectralBound",
@@ -92,17 +86,12 @@ def spectral_bound(secondary: ContinuousStateSpace, xd_samples, h: float,
     alias w_k = w + 2 pi k / h. The alias sum is h times the period energy of
     the steady response to the held tone z^n, z = e^{jwh}, which starts each
     period from xi = [(zI - Phi)^{-1} Gamma; 1]: S = |Xd|^2 xi* W xi, with W
-    and [[Phi, Gamma], [0, 1]] from ``period_gramian``. Requires a strictly
-    proper SISO path. S is even: the grid points w >= 0, where Xd is one FFT
-    of the folded record, are mirrored. On the path's cached modal form
+    and [[Phi, Gamma], [0, 1]] from ``period_gramian``. S is even: the grid
+    points w >= 0, where Xd is one FFT of the folded record, are mirrored. On the path's cached modal form
     A = V diag(lam) V^-1 the solve is a division by z - e^{lam h}; without
     one (repeated poles) it is a stacked solve, in grid chunks of at most
     ``_SOLVE_CHUNK_BYTES`` a temporary. An overflowing S is rejected.
     """
-    if not secondary.is_siso:
-        raise DimensionError("spectral bound expects a SISO secondary path")
-    if not secondary.is_strictly_proper:
-        raise PlantSpecificationError("spectral bound requires a strictly proper secondary path")
     if not 0.0 < h < np.inf:
         raise ValueError(f"period h must be positive and finite, got {h}")
     if grid_size < 2:
@@ -114,7 +103,7 @@ def spectral_bound(secondary: ContinuousStateSpace, xd_samples, h: float,
     n = secondary.nstates
     period, W = period_gramian(secondary, h)
     phi, gamma = period[:n, :n], period[:n, n:]
-    modal = secondary._modal if n else None
+    modal = secondary._modal
     T = np.eye(n + 1, dtype=complex)  # xi = T [q; 1]
     if modal is not None:
         lam, _, V = modal

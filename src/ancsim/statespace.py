@@ -1,7 +1,9 @@
 """Continuous-time LTI state-space algebra and matrix-exponential integrals.
 
-Everything downstream reduces to four integral families of a plant (A, B, C)
-over a horizon t:
+A plant is a ``ContinuousStateSpace``: one input, one output, no feedthrough
+and at least one state, checked once when it is built, so no function here
+checks a plant's shape again. Everything downstream reduces to four
+integral families of a plant (A, B, C) over a horizon t:
 
 * ``Phi(t)    = exp(A t)``
 * ``Gamma(t)  = int_0^t exp(A s) B ds``
@@ -43,7 +45,7 @@ class DimensionError(ValueError):
 
 
 class PlantSpecificationError(ValueError):
-    """Plant specification violates stability or properness requirements."""
+    """Plant specification is empty, out of range or unstable."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -54,87 +56,69 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContinuousStateSpace:
-    """Real state-space model ``dx/dt = A x + B u``, ``y = C x + D u``.
+    """Strictly proper SISO plant ``dx/dt = A x + B u``, ``y = C x``, n >= 1 states.
 
-    Matrices are stored as read-only float64 arrays. One-dimensional ``B``
-    and ``C`` are promoted to a column and a row respectively. ``D`` may be
-    omitted and defaults to zeros. A model with zero states (pure gain) is
-    allowed so composition helpers have an identity element.
+    The type holds exactly the plants the loop can use, and checks that once,
+    here: A must be (n, n) with n >= 1, B (n, 1) and C (1, n), after a
+    one-dimensional B or C is promoted to a column or a row. Any other shape
+    raises ``DimensionError``, a non-finite entry ``ValueError``; there is no
+    feedthrough term. Matrices are stored as read-only float64 arrays; B and
+    C stay two-dimensional, so every product with them is a BLAS matrix product.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        if A.shape[0] != A.shape[1]:
-            raise DimensionError(f"A must be square, got shape {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+            raise DimensionError(f"A must be square with at least one state, got shape {A.shape}")
         nu = A.shape[0]
 
         B = np.asarray(self.B, dtype=float)
         if B.ndim == 1:
             B = B.reshape(-1, 1)
-        if B.ndim != 2 or B.shape[0] != nu:
-            raise DimensionError(f"B must have {nu} rows, got shape {B.shape}")
+        if B.shape != (nu, 1):
+            raise DimensionError(f"B must have shape {(nu, 1)} (one input), got {B.shape}")
 
         C = np.asarray(self.C, dtype=float)
         if C.ndim == 1:
             C = C.reshape(1, -1)
-        if C.ndim != 2 or C.shape[1] != nu:
-            raise DimensionError(f"C must have {nu} columns, got shape {C.shape}")
+        if C.shape != (1, nu):
+            raise DimensionError(f"C must have shape {(1, nu)} (one output), got {C.shape}")
 
-        m, p = B.shape[1], C.shape[0]
-        if self.D is None:
-            D = np.zeros((p, m))
-        else:
-            D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        if D.shape != (p, m):
-            raise DimensionError(f"D must have shape {(p, m)}, got {D.shape}")
-
-        for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if mat.size and not np.all(np.isfinite(mat)):
+        for name, mat in (("A", A), ("B", B), ("C", C)):
+            if not np.all(np.isfinite(mat)):
                 raise ValueError(f"{name} contains non-finite entries")
 
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "B", _freeze(B))
         object.__setattr__(self, "C", _freeze(C))
-        object.__setattr__(self, "D", _freeze(D))
 
     @property
     def nstates(self) -> int:
         return self.A.shape[0]
 
     @property
-    def ninputs(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def noutputs(self) -> int:
-        return self.C.shape[0]
-
-    @property
     def poles(self) -> np.ndarray:
-        if self.nstates == 0:
-            return np.zeros(0, dtype=complex)
         return np.linalg.eigvals(self.A)
 
     @functools.cached_property
     def _modal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Eigenvalues of A, the residue of each mode and the eigenvectors V, or None.
 
-        Residue k is the outer product of column k of C V with row k of
-        V^-1 B, shape (n, p, m). None when the eigenvector matrix V is not
-        finite or has cond(V) >= 1e9. A, B and C are frozen, so the cache
-        cannot go stale; its arrays are read-only too.
+        Residue k is entry k of C V times entry k of V^-1 B, shape (n,). None
+        when the eigenvector matrix V is not finite or has cond(V) >= 1e9. A,
+        B and C are frozen, so the cache cannot go stale; its arrays are
+        read-only too.
         """
         lam, V = np.linalg.eig(self.A)
         if not (np.all(np.isfinite(V)) and np.linalg.cond(V) < 1e9):
             return None
         CV = self.C @ V
         VB = np.linalg.solve(V, self.B)
-        residues = CV.T[:, :, None] * VB[:, None, :]
+        residues = CV[0] * VB[:, 0]
         lam.flags.writeable = residues.flags.writeable = V.flags.writeable = False
         return lam, residues, V
 
@@ -143,26 +127,8 @@ class ContinuousStateSpace:
         """True when every pole has a strictly negative real part."""
         return bool(np.all(self.poles.real < 0.0))
 
-    @property
-    def is_siso(self) -> bool:
-        return self.ninputs == 1 and self.noutputs == 1
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return not np.any(self.D)
-
     def validate_plant(self, name: str = "plant") -> None:
-        """Require the shape every plant entering the loop must have.
-
-        Loop plants are SISO, strictly proper (no feedthrough, so sampled
-        interconnections are well posed) and exponentially stable.
-        """
-        if not self.is_siso:
-            raise PlantSpecificationError(
-                f"{name} must be SISO, got {self.ninputs} inputs / {self.noutputs} outputs"
-            )
-        if not self.is_strictly_proper:
-            raise PlantSpecificationError(f"{name} must be strictly proper (D = 0)")
+        """Require exponential stability, naming the plant ``name`` if it fails."""
         if not self.is_stable:
             raise PlantSpecificationError(
                 f"{name} is unstable: pole with nonnegative real part"
@@ -171,34 +137,25 @@ class ContinuousStateSpace:
 
 def series(first: ContinuousStateSpace, second: ContinuousStateSpace) -> ContinuousStateSpace:
     """Cascade: the signal passes through ``first``, then ``second``."""
-    if second.ninputs != first.noutputs:
-        raise DimensionError(
-            f"cannot cascade: first has {first.noutputs} outputs, "
-            f"second expects {second.ninputs} inputs"
-        )
     n1, n2 = first.nstates, second.nstates
     A = np.zeros((n1 + n2, n1 + n2))
     A[:n1, :n1] = first.A
     A[n1:, n1:] = second.A
     A[n1:, :n1] = second.B @ first.C
-    B = np.vstack([first.B, second.B @ first.D])
-    C = np.hstack([second.D @ first.C, second.C])
-    D = second.D @ first.D
-    return ContinuousStateSpace(A, B, C, D)
+    B = np.vstack([first.B, np.zeros((n2, 1))])
+    C = np.hstack([np.zeros((1, n1)), second.C])
+    return ContinuousStateSpace(A, B, C)
 
 
 def parallel(first: ContinuousStateSpace, second: ContinuousStateSpace) -> ContinuousStateSpace:
-    """Sum of two systems sharing input and output dimensions."""
-    if first.ninputs != second.ninputs or first.noutputs != second.noutputs:
-        raise DimensionError("parallel systems must share input and output dimensions")
+    """Sum of two systems driven by one input."""
     n1, n2 = first.nstates, second.nstates
     A = np.zeros((n1 + n2, n1 + n2))
     A[:n1, :n1] = first.A
     A[n1:, n1:] = second.A
     B = np.vstack([first.B, second.B])
     C = np.hstack([first.C, second.C])
-    D = first.D + second.D
-    return ContinuousStateSpace(A, B, C, D)
+    return ContinuousStateSpace(A, B, C)
 
 
 def from_second_order_bank(
@@ -263,7 +220,7 @@ _SOLVE_CHUNK_BYTES = 1 << 16
 
 
 def freq_response_grid(sys: ContinuousStateSpace, omegas) -> np.ndarray:
-    """Transfer matrices on a frequency grid, shape (n, p, m).
+    """Transfer function C (jw I - A)^-1 B on a frequency grid, shape (n,).
 
     Sums the modal form when A diagonalizes well. That form comes from one
     eigendecomposition per system, cached on it, so repeated grids on one
@@ -272,36 +229,30 @@ def freq_response_grid(sys: ContinuousStateSpace, omegas) -> np.ndarray:
     stacked ``np.linalg.solve`` per chunk of frequencies.
     """
     om = np.asarray(omegas, dtype=float).ravel()
-    p, m = sys.noutputs, sys.ninputs
-    if sys.nstates == 0:
-        return np.broadcast_to(sys.D, (om.size, p, m)).astype(complex).copy()
-
     modal = sys._modal
     if modal is not None:
         lam, residues, _ = modal
-        jw = (1j * om)[:, None, None]
+        jw = 1j * om
         # mode by mode, in place: a grid x modes temporary would need a fresh
         # mmap per call, and one per mode costs three allocations a mode
-        resp = np.zeros((om.size, p, m), dtype=complex)
-        term = np.empty((om.size, 1, 1), dtype=complex)
-        scaled = term if p == m == 1 else np.empty_like(resp)
+        resp = np.zeros(om.size, dtype=complex)
+        term = np.empty(om.size, dtype=complex)
         for k in range(lam.size):
             np.subtract(jw, lam[k], out=term)
             np.divide(1.0, term, out=term)
-            np.multiply(term, residues[k], out=scaled)
-            resp += scaled
-        resp += sys.D
+            term *= residues[k]
+            resp += term
         return resp
 
     nu = sys.nstates
     ident = np.eye(nu)
-    chunk = max(1, _SOLVE_CHUNK_BYTES // (16 * max(nu, p) * max(nu, m)))
-    out = np.empty((om.size, p, m), dtype=complex)
+    chunk = max(1, _SOLVE_CHUNK_BYTES // (16 * nu * nu))
+    out = np.empty(om.size, dtype=complex)
     for start in range(0, om.size, chunk):
         w = om[start:start + chunk]
         shifted = np.multiply.outer(1j * w, ident) - sys.A
-        X = np.linalg.solve(shifted, np.broadcast_to(sys.B, (w.size, nu, m)))
-        out[start:start + chunk] = sys.C @ X + sys.D
+        X = np.linalg.solve(shifted, np.broadcast_to(sys.B, (w.size, nu, 1)))
+        out[start:start + chunk] = (sys.C @ X)[:, 0, 0]
     return out
 
 
@@ -356,9 +307,9 @@ class VanLoanResult(NamedTuple):
     """Exponential and integral blocks of one plant over the horizon ``t``.
 
     * ``Phi``:    exp(A t), shape (nu, nu)
-    * ``Gamma``:  int_0^t exp(A s) B ds, shape (nu, m)
-    * ``Lambda``: int_0^t C exp(A s) ds, shape (p, nu)
-    * ``Theta``:  int_0^t int_0^s C exp(A r) B dr ds, shape (p, m)
+    * ``Gamma``:  int_0^t exp(A s) B ds, shape (nu, 1)
+    * ``Lambda``: int_0^t C exp(A s) ds, shape (1, nu)
+    * ``Theta``:  int_0^t int_0^s C exp(A r) B dr ds, shape (1, 1)
 
     All blocks vanish in the limit t -> 0 except Phi -> I.
     """
@@ -378,8 +329,6 @@ def vanloan(sys: ContinuousStateSpace, t: float) -> VanLoanResult:
     (1,3) = int_0^t (t - s) exp(As) ds; the second integral equals the
     iterated integral in ``Theta`` after swapping the order of integration.
     """
-    if sys.nstates == 0:
-        raise DimensionError("integral blocks require at least one state")
     if not 0.0 < t < np.inf:
         raise ValueError(f"integration horizon t must be positive and finite, got {t}")
     nu = sys.nstates
@@ -402,8 +351,8 @@ def vanloan(sys: ContinuousStateSpace, t: float) -> VanLoanResult:
 def period_gramian(sys: ContinuousStateSpace, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Period map and output Gramian under a held input, from one exponential.
 
-    With the held input as m more states, Abar = [[A, B], [0, 0]] and
-    Cbar = [C, D]. Returns exp(Abar t) = [[exp(A t), Gamma(t)], [0, I]] and
+    With the held input as one more state, Abar = [[A, B], [0, 0]] and
+    Cbar = [C, 0]. Returns exp(Abar t) = [[exp(A t), Gamma(t)], [0, I]] and
     W = int_0^t exp(Abar' s) Cbar' Cbar exp(Abar s) ds, the output energy
     [x; u]* W [x; u] over [0, t). Van Loan's [[-Abar', Cbar' Cbar], [0, Abar]]
     has exponential blocks (1,2) = exp(-Abar' t) W and (2,2) = exp(Abar t).
@@ -413,9 +362,9 @@ def period_gramian(sys: ContinuousStateSpace, t: float) -> tuple[np.ndarray, np.
     """
     if not 0.0 < t < np.inf:
         raise ValueError(f"integration horizon t must be positive and finite, got {t}")
-    k = sys.nstates + sys.ninputs
-    Abar = np.vstack([np.hstack([sys.A, sys.B]), np.zeros((sys.ninputs, k))])
-    Cbar = np.hstack([sys.C, sys.D])
+    k = sys.nstates + 1
+    Abar = np.vstack([np.hstack([sys.A, sys.B]), np.zeros((1, k))])
+    Cbar = np.hstack([sys.C, np.zeros((1, 1))])
     norm = np.linalg.norm(Abar, 1) * t
     halvings = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
     M = np.block([[-Abar.T, Cbar.T @ Cbar], [np.zeros((k, k)), Abar]])

@@ -12,7 +12,7 @@ loop, coded from SciPy exponentials alone; at one cell per period the
 package's blocked loop must reproduce it.
 
 :func:`fh_step` advances a lifted plant one period, and
-:func:`freq_response` evaluates a transfer matrix at one frequency by one
+:func:`freq_response` evaluates a transfer function at one frequency by one
 linear solve; the package steps and evaluates whole stacks instead.
 
 The other references are earlier, slower forms of package code, kept to
@@ -65,7 +65,7 @@ from ancsim.lifting import LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator, HeldWaveform
 from ancsim.spectrum import SpectralBound
-from ancsim.statespace import DimensionError, PlantSpecificationError, freq_response_grid, vanloan
+from ancsim.statespace import DimensionError, freq_response_grid, vanloan
 
 
 def expm_ref(m: np.ndarray) -> np.ndarray:
@@ -453,12 +453,10 @@ def fh_step(lift: LiftedDiscretization, eta: np.ndarray, x_d: float):
     return lift.Ah @ eta + lift.Bh * x_d, lift.Ch @ eta + lift.Dh * x_d
 
 
-def freq_response(sys, omega: float) -> np.ndarray:
-    """Transfer matrix ``C (jw I - A)^-1 B + D`` at one real frequency, by one solve."""
-    if sys.nstates == 0:
-        return sys.D.astype(complex)
+def freq_response(sys, omega: float) -> complex:
+    """Transfer function ``C (jw I - A)^-1 B`` at one real frequency, by one solve."""
     shifted = 1j * omega * np.eye(sys.nstates) - sys.A
-    return sys.C @ np.linalg.solve(shifted, sys.B) + sys.D
+    return complex((sys.C @ np.linalg.solve(shifted, sys.B))[0, 0])
 
 
 def reference_cell_maps(sys, h: float, L: int):
@@ -544,10 +542,8 @@ def u_spectrum(secondary, xd_spectrum, omegas, h: float) -> np.ndarray:
     ``xd_spectrum`` is the value of the reference sequence transform at the
     same frequencies (scalar or array broadcastable against ``omegas``).
     """
-    if not secondary.is_siso:
-        raise DimensionError("regressor spectrum expects a SISO secondary path")
     om = np.asarray(omegas, dtype=float).ravel()
-    resp = freq_response_grid(secondary, om)[:, 0, 0]
+    resp = freq_response_grid(secondary, om)
     return resp * zoh_frequency_response(om, h) * np.asarray(xd_spectrum)
 
 
@@ -560,10 +556,6 @@ def reference_spectral_bound(
     base band, so it approaches the package's exact sum from below. The
     record transform is the Horner-rule :func:`dtft` at every grid point.
     """
-    if not secondary.is_strictly_proper:
-        raise PlantSpecificationError(
-            "spectral bound requires a strictly proper secondary path"
-        )
     if not h > 0.0:
         raise ValueError(f"period must be positive, got {h}")
     if grid_size < 2:

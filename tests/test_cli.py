@@ -468,6 +468,18 @@ def test_horizon_past_the_address_space_exits_two(command, line, periods, tmp_pa
     assert not os.path.exists(tmp_path / "o") and not writers
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_cell_count_past_memory_exits_two(command, tmp_path, capsys, monkeypatch):
+    """A cell count whose cell maps cannot be held fails at once, naming sim.L,
+    before the output directory or a fast-table writer is made."""
+    writers = []
+    monkeypatch.setattr("ancsim.runner._FastWriter", lambda *args: writers.append(args))
+    code, out, err = _run_cli([command, "--L", "1000000000000", "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: sim.L: cannot hold ")
+    assert not os.path.exists(tmp_path / "o") and not writers
+
+
 @pytest.mark.parametrize("command", ["run", "compare", "sweep", "check"])
 def test_tap_count_past_the_address_space_exits_two(command, tmp_path, capsys, monkeypatch):
     """2^40 taps cannot be held: the lag windows (the checker's Gram matrix

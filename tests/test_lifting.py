@@ -184,13 +184,14 @@ def test_state_matrix_spectrum_maps_poles():
 
 
 def test_discretize_rejects_bad_plants():
-    with pytest.raises(DimensionError):
+    """A plant with feedthrough or two inputs never reaches the lifting: the
+    plant type refuses it when it is built."""
+    with pytest.raises(TypeError):
         discretize_lifted(
             ContinuousStateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]]), 1.0, 2
         )
-    mimo = ContinuousStateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2))
     with pytest.raises(DimensionError):
-        discretize_lifted(mimo, 1.0, 2)
+        discretize_lifted(ContinuousStateSpace(A=-np.eye(2), B=np.eye(2), C=[[1.0, 0.0]]), 1.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +505,10 @@ def test_l2_norm_edge_cases():
         l2_norm(np.array([]), 0.1)
     with pytest.raises(ValueError):
         l2_norm(np.ones(3), 0.0)
+    for dt in (np.inf, np.nan):
+        for samples in (np.zeros(3), np.ones(3)):
+            with pytest.raises(ValueError, match="sample spacing"):
+                l2_norm(samples, dt)
     assert l2_norm(np.array([1.0, np.nan]), 0.1) == np.inf
     assert l2_norm(np.array([1e200, 1e200]), 0.1) == np.inf
     # each square is finite, the sum of squares passes 1e300
@@ -544,6 +549,9 @@ def test_generator_sample_grid_matches_closed_form():
 def test_held_waveform_validation():
     with pytest.raises(ValueError):
         HeldWaveform(values=np.zeros(4), dt=0.0)
+    for dt in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="cell width"):
+            HeldWaveform(values=np.zeros(4), dt=dt)
     with pytest.raises(ValueError):
         HeldWaveform(values=np.array([1.0, np.inf]), dt=0.1)
     with pytest.raises(ValueError):

@@ -24,18 +24,6 @@ def lag(pole=1.0):
     return ContinuousStateSpace(A=[[-pole]], B=[[1.0]], C=[[1.0]])
 
 
-def static_gain(gain: float, size: int = 1) -> ContinuousStateSpace:
-    """Zero-state model y = gain * u; identity element for ``series``."""
-    return ContinuousStateSpace(
-        np.zeros((0, 0)), np.zeros((0, size)), np.zeros((size, 0)), gain * np.eye(size)
-    )
-
-
-def scaled(sys: ContinuousStateSpace, gain: float) -> ContinuousStateSpace:
-    """Output scaled by a real constant."""
-    return ContinuousStateSpace(sys.A, sys.B, gain * sys.C, gain * sys.D)
-
-
 # ---------------------------------------------------------------------------
 # container
 
@@ -44,9 +32,7 @@ def test_shapes_normalized():
     sys = ContinuousStateSpace(A=[[-1.0]], B=[1.0], C=[2.0])
     assert sys.B.shape == (1, 1)
     assert sys.C.shape == (1, 1)
-    assert sys.D.shape == (1, 1)
-    assert sys.D[0, 0] == 0.0
-    assert sys.nstates == 1 and sys.ninputs == 1 and sys.noutputs == 1
+    assert sys.nstates == 1
 
 
 def test_arrays_read_only():
@@ -56,12 +42,21 @@ def test_arrays_read_only():
 
 
 def test_dimension_mismatch_rejected():
+    """Only SISO plants with at least one state and no feedthrough can be built."""
     with pytest.raises(DimensionError):
         ContinuousStateSpace(A=[[-1.0, 0.0]], B=[[1.0]], C=[[1.0]])
     with pytest.raises(DimensionError):
         ContinuousStateSpace(A=[[-1.0]], B=[[1.0], [0.0]], C=[[1.0]])
     with pytest.raises(DimensionError):
         ContinuousStateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0, 0.0]])
+    with pytest.raises(DimensionError, match="one input"):
+        ContinuousStateSpace(A=-np.eye(2), B=np.ones((2, 2)), C=[[1.0, 0.0]])
+    with pytest.raises(DimensionError, match="one output"):
+        ContinuousStateSpace(A=-np.eye(2), B=[[1.0], [0.0]], C=np.ones((2, 2)))
+    with pytest.raises(DimensionError, match="at least one state"):
+        ContinuousStateSpace(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)))
+    with pytest.raises(TypeError):
+        ContinuousStateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
 
 
 def test_nonfinite_rejected():
@@ -75,21 +70,12 @@ def test_poles_and_stability():
     assert sys.is_stable
     integ = ContinuousStateSpace(A=[[0.0]], B=[[1.0]], C=[[1.0]])
     assert not integ.is_stable
-    assert sys.is_siso and sys.is_strictly_proper
-    direct = ContinuousStateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[2.0]])
-    assert not direct.is_strictly_proper
 
 
 def test_validate_plant_raises():
     unstable = ContinuousStateSpace(A=[[0.3]], B=[[1.0]], C=[[1.0]])
-    with pytest.raises(PlantSpecificationError):
+    with pytest.raises(PlantSpecificationError, match="demo is unstable"):
         unstable.validate_plant("demo")
-    feedthrough = ContinuousStateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
-    with pytest.raises(PlantSpecificationError):
-        feedthrough.validate_plant("demo")
-    mimo = ContinuousStateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2))
-    with pytest.raises(PlantSpecificationError):
-        mimo.validate_plant("demo")
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +89,8 @@ def test_series_is_response_product():
     both = series(s1, s2)
     assert both.nstates == s1.nstates + s2.nstates
     for w in (0.0, 0.37, 2.9):
-        want = oracles.freq_response(s2, w)[0, 0] * oracles.freq_response(s1, w)[0, 0]
-        got = oracles.freq_response(both, w)[0, 0]
+        want = oracles.freq_response(s2, w) * oracles.freq_response(s1, w)
+        got = oracles.freq_response(both, w)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
@@ -114,25 +100,9 @@ def test_parallel_is_response_sum():
     s2 = oracles_plant(rng)
     both = parallel(s1, s2)
     for w in (0.0, 1.3):
-        want = oracles.freq_response(s1, w)[0, 0] + oracles.freq_response(s2, w)[0, 0]
-        got = oracles.freq_response(both, w)[0, 0]
+        want = oracles.freq_response(s1, w) + oracles.freq_response(s2, w)
+        got = oracles.freq_response(both, w)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-
-
-def test_static_gain_and_scaling():
-    sys = lag(2.0)
-    unity = series(sys, static_gain(1.0))
-    tripled = scaled(sys, 3.0)
-    for w in (0.0, 0.8):
-        base = oracles.freq_response(sys, w)[0, 0]
-        assert abs(oracles.freq_response(unity, w)[0, 0] - base) < 1e-12
-        assert abs(oracles.freq_response(tripled, w)[0, 0] - 3.0 * base) < 1e-12
-
-
-def test_series_dimension_mismatch():
-    mimo = ContinuousStateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2))
-    with pytest.raises(DimensionError):
-        series(lag(), mimo)
 
 
 def oracles_plant(rng):
@@ -147,26 +117,20 @@ def oracles_plant(rng):
 
 def test_freq_response_lag_closed_form():
     sys = lag(1.0)
-    assert abs(oracles.freq_response(sys, 0.0)[0, 0] - 1.0) < 1e-14
-    r = oracles.freq_response(sys, 1.0)[0, 0]
+    assert abs(oracles.freq_response(sys, 0.0) - 1.0) < 1e-14
+    r = oracles.freq_response(sys, 1.0)
     assert abs(abs(r) - 1.0 / np.sqrt(2.0)) < 1e-14
     assert abs(np.angle(r) + np.pi / 4.0) < 1e-14
 
 
 def test_freq_response_grid_matches_pointwise():
     rng = np.random.default_rng(13)
-    siso = oracles_plant(rng)
-    n = siso.nstates
-    mimo = ContinuousStateSpace(
-        A=siso.A, B=rng.normal(size=(n, 2)), C=rng.normal(size=(3, n)), D=rng.normal(size=(3, 2))
-    )
+    sys = oracles_plant(rng)
     omegas = np.linspace(0.0, 6.0, 25)
-    for sys in (siso, mimo):
-        grid = freq_response_grid(sys, omegas)
-        assert grid.shape == (omegas.size, sys.noutputs, sys.ninputs)
-        for i, w in enumerate(omegas):
-            single = oracles.freq_response(sys, w)
-            assert np.allclose(grid[i], single, rtol=1e-9, atol=1e-12)
+    grid = freq_response_grid(sys, omegas)
+    assert grid.shape == omegas.shape
+    for i, w in enumerate(omegas):
+        assert np.allclose(grid[i], oracles.freq_response(sys, w), rtol=1e-9, atol=1e-12)
 
 
 def test_freq_response_grid_fallback_matches_pointwise(default_config):
@@ -174,9 +138,8 @@ def test_freq_response_grid_fallback_matches_pointwise(default_config):
     critically_damped = default_config.with_overrides(zeta=1.0).secondary()
     jordan = ContinuousStateSpace(
         A=[[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
-        B=[[0.0, 1.0], [0.5, 0.0], [1.0, -2.0]],
-        C=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 1.0]],
-        D=[[0.0, 0.1], [0.2, 0.0], [0.0, 0.0]],
+        B=[[0.5], [-1.0], [2.0]],
+        C=[[1.0, 0.3, -0.7]],
     )
     omegas = np.linspace(-12.0, 12.0, 2049)
     for sys in (critically_damped, jordan):
@@ -197,7 +160,7 @@ def test_first_order_chain_only():
     for w in (0.0, 1.0, 2.0, 3.7):
         denom = -(w**2) + 2j * 0.5 * 2.0 * w + 4.0
         want = 1.0 * 4.0 / denom
-        got = oracles.freq_response(sys, w)[0, 0]
+        got = oracles.freq_response(sys, w)
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -206,7 +169,7 @@ def test_lag_chain_then_bank():
     for w in (0.0, 0.9, 3.0):
         sec = 2.0 * 9.0 / (-(w**2) + 2j * 0.1 * 3.0 * w + 9.0)
         want = sec / (1j * w + 1.5)
-        got = oracles.freq_response(sys, w)[0, 0]
+        got = oracles.freq_response(sys, w)
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -231,8 +194,8 @@ def test_benchmark_plants_structure(default_config):
     sec.validate_plant("secondary")
     pri.validate_plant("primary")
     # static gains follow from the section sums and lag chains
-    f0 = oracles.freq_response(sec, 0.0)[0, 0]
-    p0 = oracles.freq_response(pri, 0.0)[0, 0]
+    f0 = oracles.freq_response(sec, 0.0)
+    p0 = oracles.freq_response(pri, 0.0)
     assert abs(f0 - 0.2 / 1.1) < 1e-12
     assert abs(p0 - 4 * 0.078 / (1.2 * 1.3)) < 1e-12
 
@@ -240,7 +203,7 @@ def test_benchmark_plants_structure(default_config):
 def test_benchmark_secondary_peaks(default_config):
     sec = default_config.secondary()
     omegas = np.linspace(0.3, 5.0, 2000)
-    mag = np.abs(freq_response_grid(sec, omegas)[:, 0, 0])
+    mag = np.abs(freq_response_grid(sec, omegas))
     local_max = [
         omegas[i]
         for i in range(1, len(omegas) - 1)
@@ -403,13 +366,6 @@ def test_period_gramian_matches_quadrature(seed, t):
     assert np.abs(period[:n, :n] - vl.Phi).max() < 1e-13
     assert np.abs(period[:n, n:] - vl.Gamma).max() < 1e-13
     assert np.abs(period[n:] - np.append(np.zeros(n), 1.0)).max() < 1e-13
-
-
-def test_period_gramian_of_static_gain():
-    """No states: a held u through the gain g has energy g^2 t u^2."""
-    period, W = period_gramian(static_gain(2.0), 0.5)
-    assert abs(period[0, 0] - 1.0) < 1e-15
-    assert abs(W[0, 0] - 2.0) < 1e-15
 
 
 def test_period_gramian_rejects_bad_horizon():
