@@ -1,7 +1,8 @@
 """CSV tables: every value as CPython's %.17g, and the fast tables streamed
 from a forked writer while the arms run.
 
-``_write_columns`` writes any table of equal-length columns. ``_write_fast``
+``_write_columns`` writes any table of equal-length columns, and
+``load_u_blocks`` reads a u_blocks.csv table back. ``_write_fast``
 writes the fast.csv tables of one or more arms of one record, formatting
 their shared columns once. ``_FastWriter`` runs it in a forked process fed
 by the arm loop's progress, or in this process where forking is unsafe.
@@ -97,6 +98,32 @@ def _write_columns(path: str, header: list[str], columns) -> None:
                 chunk[:, j] = enc[start:stop].astype("S32").view(np.uint64).reshape(-1, 4)
             _separate(chunk)
             fh.write(chunk.tobytes().translate(None, b"\0"))
+
+
+def load_u_blocks(path: str) -> np.ndarray:
+    """Read back a u_blocks.csv table (inverse of ``run_to_csv``'s writer).
+
+    The header must be ``n,u_0,...,u_{k-1}`` with k >= 1 and every row hold
+    1 + k finite numbers; anything else raises ``ValueError`` naming the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines() or [""]
+    names = header.split(",")
+    if len(names) < 2 or names != ["n"] + [f"u_{l}" for l in range(len(names) - 1)]:
+        raise ValueError(f"{path}: expected a u_blocks.csv header 'n,u_0,...', got {header[:60]!r}")
+    if not any(row.strip() for row in rows):
+        raise ValueError(f"{path}: no periods recorded")
+    width = f"{path}: expected {len(names)} fields on every row, as in the header"
+    try:
+        data = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:  # a field that is no number, or rows of unequal width
+        ragged = any(row.count(",") != len(names) - 1 for row in rows if row.strip())
+        raise ValueError(width if ragged else f"{path}: {exc}") from None
+    if data.shape[1] != len(names):
+        raise ValueError(width)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: expected finite numbers")
+    return data[:, 1:]
 
 
 def _write_fast(paths, t, x, d, u, ws, es, ready) -> list[OSError]:

@@ -25,6 +25,12 @@ reference) form an exogenous half computed once per configuration, and only
 the anti-noise path is stepped under the taps, for a whole stack of arms
 (one row of taps and of secondary-path state per arm) in one call. One
 period is a handful of matrix-vector products with no loop over the cells.
+The exogenous half is itself one lifted system over periods, with a fixed
+period map M on the joint state of source, primary path and regressor, so
+its record over K periods is one product with the stacked maps [I; M; ...;
+M^(K-1)] (for a held waveform plus the block-Toeplitz of M^j B on the
+waveform; Chen & Francis, Optimal Sampled-Data Control Systems, 1995): the
+record is computed K periods a product.
 No numerical ODE integration happens anywhere in this module.
 """
 
@@ -47,6 +53,12 @@ __all__ = [
     "discretize_lifted",
     "l2_norm",
 ]
+
+
+# The most doubles in the maps of one chunk of ``HybridLoop.exogenous``
+# (128 KiB), so that no temporary of its pass is larger unless one period's
+# maps alone are. On held_check (L = 8) that is 8 periods a chunk.
+_MAP_VALUES = 16384
 
 
 class LiftedDiscretization(NamedTuple):
@@ -152,7 +164,9 @@ class HybridLoop:
     state. A held waveform drives the primary path cell by cell, through the
     primary path's own lifting: its sample rows and (L, L) sample input map
     give d_fast, and its period map with the (n_p, L) state input map gives
-    the next primary state.
+    the next primary state. ``exogenous`` composes these period maps and the
+    regressor's into the maps of a chunk of periods, which it builds on each
+    call, so a loop's build does not pay for them.
     """
 
     def __init__(
@@ -173,8 +187,8 @@ class HybridLoop:
         self._f_rows = lift.sample_rows
         # gain of a period-held input on each cell; 0 on cell 0, which it does not reach
         held_gains = lift.sample_input.sum(axis=1)
-        # as columns, the gains of y_d on cells 1 .. L-1 and on the next state
-        self._f_gains, self._Bh = held_gains[1:, None], lift.Bh[:, None]
+        # one column: the gains of y_d on cells 1 .. L-1, then on the next state
+        self._gains = np.concatenate([held_gains[1:], lift.Bh])[:, None]
         # one period of the regressor: [eta, x_d] -> [u, u_blocks, next eta]
         self._u_period = np.block([[lift.sample_rows, held_gains[:, None]],
                                    [lift.Ch, lift.Dh[:, None]],
@@ -206,10 +220,19 @@ class HybridLoop:
     def exogenous(self, n_steps: int) -> ExogenousRecord:
         """Reference, disturbance and regressor over ``n_steps`` periods.
 
-        Starts from rest (generator at its initial state, plants at zero) and
-        applies each plant's period map (outputs and next state from one
-        product) period by period. The arrays are read-only: every arm run
-        on this loop shares them.
+        Starts from rest (generator at its initial state, plants at zero).
+        The source, the primary path and the regressor form one lifted
+        system whose joint state s = [z, eta] (source and primary state,
+        regressor state) advances as s' = M s, plus B x for a held waveform
+        (x the period's L cell values). So the record of a chunk of K
+        periods is one product of the maps of ``_chunk_maps`` (the stacked
+        powers of M, and for a held waveform the block-Toeplitz of M^j B)
+        with [s, x_0 .. x_{K-1}], written straight into the record's arrays,
+        and one more product gives the state K periods on. The arrays are
+        read-only: every arm run on this loop shares them. A held record's
+        ``x`` is a view of the waveform's values. The period-by-period
+        pass it replaces, kept as the suite's ``reference_exogenous``,
+        rounds differently: the two agree to ``TOL.exogenous_blocked``.
         """
         n_steps = operator.index(n_steps)
         if n_steps < 0:
@@ -218,28 +241,65 @@ class HybridLoop:
         if held is not None and n_steps * L > len(held):
             n = len(held) // L
             raise ValueError(f"held waveform exhausted: period {n} needs samples up to {(n + 1) * L}")
-        x_d = np.empty(n_steps)
-        x, d, u, u_blocks = (np.empty((n_steps, L)) for _ in range(4))
-        z = np.zeros(self.primary.nstates)
+        maps, advance = self._chunk_maps(n_steps)
+        (n_out, rows, width), ns = maps.shape, len(advance)
+        K = rows // L
+        m = (width - ns) // K  # inputs a period: L for a held waveform, else none
+        out = np.empty((n_out, n_steps, L))
+        v, v_next = np.zeros((2, width))
         if held is None:
-            z = np.concatenate([self.generator.x0, z])
-        eta_x = np.zeros(self.secondary.nstates + 1)  # [eta, x_d] of the current period
-
-        for n in range(n_steps):
-            if held is None:
-                out = self._z_period @ z
-                x[n], d[n], z = out[:L], out[L:2 * L], out[2 * L:]
-            else:
-                x[n] = held.values[n * L:(n + 1) * L]
-                out = self._z_period @ np.concatenate([z, x[n]])
-                d[n], z = out[:L], out[L:]
-            eta_x[-1] = x_d[n] = x[n, 0]
-            out = self._u_period @ eta_x
-            u[n], u_blocks[n], eta_x[:-1] = out[:L], out[L:2 * L], out[2 * L:]
-
+            v[:self.generator.nstates] = self.generator.x0
+        for n0 in range(0, n_steps, K):
+            k = min(K, n_steps - n0)
+            if held is not None:
+                v[ns:ns + k * L] = held.values[n0 * L:(n0 + k) * L]
+            np.matmul(maps[:, :k * L, :ns + k * m], v[:ns + k * m],
+                      out=out[:, n0:n0 + k].reshape(n_out, k * L))
+            if n0 + K < n_steps:
+                np.matmul(advance, v, out=v_next[:ns])
+                v, v_next = v_next, v
+        if held is None:
+            x, d, u, u_blocks = out
+        else:  # a view of the waveform's own read-only values
+            x = held.values[:n_steps * L].reshape(n_steps, L)
+            d, u, u_blocks = out
+        x_d = x[:, 0].copy()
         for arr in (x_d, x, d, u, u_blocks):
             arr.flags.writeable = False
         return ExogenousRecord(x_d=x_d, x=x, d=d, u=u, u_blocks=u_blocks)
+
+    def _chunk_maps(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Maps of K periods from v = [z, eta, x_0 .. x_{K-1}] (no x for a generator).
+
+        K is the most periods, at least 1 and at most ``n_steps`` where that
+        is more, whose maps hold at most ``_MAP_VALUES`` doubles. The period
+        maps run on the columns of the identity in place of a state:
+        ``maps`` (n_out, K L, len(v)) gives the record's rows of the K
+        periods (x, d, u, u_blocks; no x for a held waveform) and
+        ``advance`` (len(z) + len(eta), len(v)) the joint state K periods on.
+        """
+        L, held = self.L, self._held
+        m = 0 if held is None else L
+        nz, ne = self._z_period.shape[1] - m, self._u_period.shape[1] - 1
+        n_out = 4 if held is None else 3
+        K = 1
+        while K < n_steps and n_out * (K + 1) * L * (nz + ne + (K + 1) * m) <= _MAP_VALUES:
+            K += 1
+        width = nz + ne + K * m
+        z, eta = np.vsplit(np.eye(nz + ne, width), [nz])
+        maps = np.empty((n_out, K, L, width))
+        for i in range(K):
+            if held is None:
+                out = self._z_period @ z
+                x, maps[1, i], z = out[:L], out[L:2 * L], out[2 * L:]
+                maps[0, i] = x
+            else:
+                x = np.eye(L, width, nz + ne + i * L)
+                out = self._z_period @ np.vstack([z, x])
+                maps[0, i], z = out[:L], out[L:]
+            out = self._u_period @ np.vstack([eta, x[:1]])
+            maps[-2, i], maps[-1, i], eta = out[:L], out[L:2 * L], out[2 * L:]
+        return maps.reshape(n_out, K * L, width), np.vstack([z, eta])
 
     def step(self, zeta_F, taps, xd_hist, y_d, w_fast,
              zeta_next) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,9 +320,10 @@ class HybridLoop:
         """
         np.matmul(taps, xd_hist, out=y_d)
         np.matmul(self._f_rows, zeta_F, out=w_fast)
-        w_fast[:, 1:] += self._f_gains * y_d
         np.matmul(self.lift.Ah, zeta_F, out=zeta_next)
-        zeta_next += self._Bh * y_d
+        fed, cells = self._gains * y_d, w_fast[:, 1:]
+        np.add(cells, fed[:, :self.L - 1], out=cells)
+        zeta_next += fed[:, self.L - 1:]
         return zeta_next, y_d, w_fast
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._tables import _FastWriter, _write_columns
+from ._tables import _FastWriter, _write_columns, load_u_blocks
 from .adaptive import LmsConditionReport, _condition_maxima, _lag_windows, _report_at
 from .config import ConfigError, SimConfig
 from .lifting import ExogenousRecord, HybridLoop, SimTrace
@@ -160,9 +160,15 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     whose error the direction could not fold without overflow. A diverged
     arm stays on the axis with a nan step size and a nan state: all it
     computes later is quiet nans, which raise no floating-point warning and
-    are never read. The loop stops once every arm has diverged. With a
-    ``stream``, the w and e histories are the stream's, and it learns after
-    every ``stream.every`` periods which rows are final.
+    are never read. The loop stops once every arm has diverged. The periods
+    run in blocks of ``_FastWriter.every``: a first pass steps a block
+    without the cutoff test, recording the floating-point conditions the
+    caller's error state does not ignore, and one reduction then tests the
+    block's errors. A block that crossed the cutoff or raised a condition
+    runs again from its start, tested every period under the caller's error
+    state, so values, warnings and errors are those of a test in every
+    period. With a ``stream``, the w and e histories are the stream's, and
+    it learns after every block which rows are final.
     """
     L, N, n_taps, h = config.L, config.n_steps, config.n_taps, config.h
     cells = []
@@ -206,32 +212,53 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     edges = [0, *(np.flatnonzero(np.diff(cells)) + 1).tolist(), A]
     folds = [(u_lags[cells[lo]], slice(lo, hi), L // cells[lo], prod[lo:hi].reshape(hi - lo, -1, 1))
              for lo, hi in zip(edges, edges[1:])]
-    taps, delta = alpha_hist[:, 0], delta_hist[:, 0]
+    # period-major views: row n of each is period n of every arm
+    taps_p, delta_p, y_p, w_p, e_p = (a.swapaxes(0, 1) for a in (alpha_hist, delta_hist, y_d, w, e))
+    # the first pass over a block records the floating-point conditions the caller does not ignore
+    raised = []
+    modes = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    every, stopped = _FastWriter.every, False
 
-    for n in range(N):
-        alpha, direction = taps, delta
-        taps, delta = alpha_hist[:, n + 1], delta_hist[:, n + 1]
-        y_n, w_n, e_n = y_d[:, n], w[:, n], e[:, n]
-        # period n runs under the update committed with the direction through
-        # t = n h; its error is folded into the direction after the step
-        np.add(alpha, mu * direction, out=taps)
-        zeta, spare = machine.step(zeta, taps, xd_lags[n], y_n, w_n, spare)[0], zeta
-        np.subtract(d[n], w_n, out=e_n)
-        if not abs(e_n).max() <= cutoff:
-            out = ~diverged & ~(abs(e_n).max(axis=(1, 2)) <= cutoff)
-            n_completed[out], diverged[out], mu[out] = n + 1, True, np.nan
-            if diverged.all():
+    for n0 in range(0, N, every):
+        stop, start = min(n0 + every, N), zeta.copy()
+        for exact in (False, True):
+            alpha, direction = taps_p[n0], delta_p[n0]
+            raised.clear()
+            with contextlib.nullcontext() if exact else np.errstate(
+                    call=lambda kind, flag: raised.append(kind), **modes):
+                for n, taps, delta, xd_n, d_n, y_n, w_n, e_n in zip(
+                        range(n0, stop), taps_p[n0 + 1:stop + 1], delta_p[n0 + 1:stop + 1],
+                        *(a[n0:stop] for a in (xd_lags, d, y_p, w_p, e_p))):
+                    # period n runs under the update committed with the direction through
+                    # t = n h; its error is folded into the direction after the step
+                    np.add(alpha, mu * direction, out=taps)
+                    zeta, spare = machine.step(zeta, taps, xd_n, y_n, w_n, spare)[0], zeta
+                    np.subtract(d_n, w_n, out=e_n)
+                    if exact and not abs(e_n).max() <= cutoff:
+                        out = ~diverged & ~(abs(e_n).max(axis=(1, 2)) <= cutoff)
+                        n_completed[out], diverged[out], mu[out] = n + 1, True, np.nan
+                        if stopped := diverged.all():
+                            break
+                        if out.any():
+                            # their error may be past what a fold holds: it folds as 0, into a
+                            # direction never read, and from their nan state on all is quiet nans
+                            zeta[out] = np.nan
+                            e_n = np.where(out[:, None, None], 0.0, e_n)
+                    for u_lag, rows, stride, prod_rows in folds:
+                        np.matmul(u_lag[n], e_n[rows, ::stride], out=prod_rows)
+                    np.add(direction, prod, out=delta)
+                    alpha, direction = taps, delta
+            # one test of the block's errors of the arms still running: a block
+            # that crossed the cutoff or raised a condition runs again, checked
+            # period by period under the caller's error state
+            if exact or not raised and abs(e_p[n0:stop]).max(
+                    where=~diverged[:, None, None], initial=0.0) <= cutoff:
                 break
-            if out.any():
-                # their error may be past what a fold holds: it folds as 0, into a
-                # direction never read, and from their nan state on all is quiet nans
-                zeta[out] = np.nan
-                e_n = np.where(out[:, None, None], 0.0, e_n)
-        for u_lag, rows, stride, prod_rows in folds:
-            np.matmul(u_lag[n], e_n[rows, ::stride], out=prod_rows)
-        np.add(direction, prod, out=delta)
-        if stream is not None and (n + 1) % stream.every == 0:
-            stream.progress(n + 1, n_completed)
+            zeta[...] = start
+        if stopped:
+            break
+        if stream is not None and stop % every == 0:
+            stream.progress(stop, n_completed)
     if stream is not None:
         stream.progress(N, n_completed)
     u_lags = xd_lags = folds = u_lag = None  # the lag windows are spent
@@ -507,29 +534,3 @@ def write_bode_csv(config: SimConfig, out_dir: str) -> str:
     path = os.path.join(out_dir, "bode.csv")
     _write_columns(path, list(cols.keys()), list(cols.values()))
     return path
-
-
-def load_u_blocks(path: str) -> np.ndarray:
-    """Read back a u_blocks.csv table (inverse of ``run_to_csv``'s writer).
-
-    The header must be ``n,u_0,...,u_{k-1}`` with k >= 1 and every row hold
-    1 + k finite numbers; anything else raises ``ValueError`` naming the file.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header, *rows = fh.read().splitlines() or [""]
-    names = header.split(",")
-    if len(names) < 2 or names != ["n"] + [f"u_{l}" for l in range(len(names) - 1)]:
-        raise ValueError(f"{path}: expected a u_blocks.csv header 'n,u_0,...', got {header[:60]!r}")
-    if not any(row.strip() for row in rows):
-        raise ValueError(f"{path}: no periods recorded")
-    width = f"{path}: expected {len(names)} fields on every row, as in the header"
-    try:
-        data = np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:  # a field that is no number, or rows of unequal width
-        ragged = any(row.count(",") != len(names) - 1 for row in rows if row.strip())
-        raise ValueError(width if ragged else f"{path}: {exc}") from None
-    if data.shape[1] != len(names):
-        raise ValueError(width)
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: expected finite numbers")
-    return data[:, 1:]

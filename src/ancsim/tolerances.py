@@ -23,6 +23,8 @@ class Tolerances:
     block_refinement: float = 1e-12     # sum of refined block rows vs coarse rows
     telescoping: float = 1e-10          # row sums vs one-period integrals
     linearity: float = 1e-12            # superposition of lifted responses
+    exogenous_blocked: float = 1e-13    # chunked exogenous record vs period by period, per array (measured
+                                        # <= 4.2e-14 for undamped sources over 2000 periods, else <= 2.6e-15)
 
     # adaptive layer
     matrix_symmetry: float = 1e-10      # accepted asymmetry of Gram matrices (relative)

@@ -22,7 +22,9 @@ differences cumulative integrals from one ``vanloan`` per cell endpoint, and
 exponential where the package multiplies one one-cell propagator;
 :func:`reference_step` walks the cells of a period one by one on SciPy
 propagators, advancing the exogenous and the anti-noise half of the loop
-together;
+together; :func:`reference_exogenous` computes the exogenous record one
+period per Python iteration, where the package computes a chunk of periods
+per product;
 :func:`reference_run_arm` runs one adaptive arm a period per Python
 iteration through the single-arm :func:`reference_loop_step` and
 :func:`sdfx_lms_step`; :func:`reference_build_wiener` sums one delayed copy
@@ -61,7 +63,7 @@ import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
 from ancsim.adaptive import _CHUNK_PERIODS, LmsConditionReport, WienerProblem, check_lms_conditions
-from ancsim.lifting import LiftedDiscretization, SimTrace
+from ancsim.lifting import ExogenousRecord, LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator, HeldWaveform
 from ancsim.spectrum import SpectralBound
@@ -771,6 +773,30 @@ def reference_step(loop, state: ReferenceLoopState, taps) -> tuple[ReferenceLoop
     return new_state, record
 
 
+def reference_exogenous(loop, n_steps: int) -> ExogenousRecord:
+    """``loop``'s exogenous record one period per Python iteration, each plant's
+    period map (outputs and next state) applied to its state in one product."""
+    L, held = loop.L, loop._held
+    x_d = np.empty(n_steps)
+    x, d, u, u_blocks = (np.empty((n_steps, L)) for _ in range(4))
+    z = np.zeros(loop.primary.nstates)
+    if held is None:
+        z = np.concatenate([loop.generator.x0, z])
+    eta_x = np.zeros(loop.secondary.nstates + 1)  # [eta, x_d] of the current period
+    for n in range(n_steps):
+        if held is None:
+            out = loop._z_period @ z
+            x[n], d[n], z = out[:L], out[L:2 * L], out[2 * L:]
+        else:
+            x[n] = held.values[n * L:(n + 1) * L]
+            out = loop._z_period @ np.concatenate([z, x[n]])
+            d[n], z = out[:L], out[L:]
+        eta_x[-1] = x_d[n] = x[n, 0]
+        out = loop._u_period @ eta_x
+        u[n], u_blocks[n], eta_x[:-1] = out[:L], out[L:2 * L], out[2 * L:]
+    return ExogenousRecord(x_d=x_d, x=x, d=d, u=u, u_blocks=u_blocks)
+
+
 @dataclass(frozen=True)
 class HybridLoopState:
     """Tap-dependent state of one arm of the loop at a period boundary."""
@@ -799,9 +825,10 @@ def reference_loop_step(loop, state: HybridLoopState, taps, x_d: float) -> tuple
     y_d = float(taps @ xd_hist)
 
     w_fast = loop._f_rows @ state.zeta_F
-    w_fast[1:] += loop._f_gains[:, 0] * y_d
+    gains = loop._gains[:, 0]  # on cells 1 .. L-1, then on the next state
+    w_fast[1:] += gains[:loop.L - 1] * y_d
     new_state = HybridLoopState(
-        zeta_F=loop.lift.Ah @ state.zeta_F + loop.lift.Bh * y_d,
+        zeta_F=loop.lift.Ah @ state.zeta_F + gains[loop.L - 1:] * y_d,
         xd_hist=xd_hist,
         n=state.n + 1,
     )

@@ -420,6 +420,39 @@ def test_step_matches_per_cell_reference(kind, L):
         assert float(np.abs(a - b).max()) <= TOL.baseline_match * scale, name
 
 
+@pytest.mark.parametrize("kind", ["autonomous", "undamped", "held"])
+@pytest.mark.parametrize("L", [1, 2, 8, 32])
+def test_exogenous_matches_period_by_period_reference(kind, L):
+    """The record, computed K periods a product, equals the period-by-period
+    pass within ``TOL.exogenous_blocked`` of each array's largest entry, over
+    0, 1, K - 1, K, K + 1 and 2000 periods; an undamped source runs the
+    longest without decay. ``x_d`` is ``x[:, 0]`` and a held record's ``x``
+    the waveform, bit for bit."""
+    h, rng = 0.7, np.random.default_rng(2000 + 7 * L + len(kind))
+    sec, pri = random_stable_siso(rng, max_states=6), random_stable_siso(rng, max_states=6)
+    if kind == "undamped":
+        source = AutonomousGenerator.damped_sinusoids(
+            amplitudes=rng.uniform(0.2, 2.0, 3), frequencies=rng.uniform(0.2, 3.0, 3),
+            decay_rates=np.zeros(3), phases=rng.uniform(0.0, 2.0 * np.pi, 3))
+    else:
+        source = _random_source(rng, kind, h, L, 4000)
+    loop = HybridLoop(sec, pri, source, h=h, L=L)
+    K = loop._chunk_maps(10**6)[0].shape[1] // L
+    assert K > 1
+    horizons = [0, 1, K - 1, K, K + 1, 2000]
+    want = oracles.reference_exogenous(loop, max(horizons))
+    for n_steps in horizons:
+        got = loop.exogenous(n_steps)
+        for name in got._fields:
+            a, b = getattr(got, name), getattr(want, name)[:n_steps]
+            assert a.shape == b.shape, (n_steps, name)
+            if n_steps:
+                assert np.abs(a - b).max() <= TOL.exogenous_blocked * np.abs(b).max(), (n_steps, name)
+        assert np.array_equal(got.x_d, got.x[:, 0])
+        if kind == "held":
+            assert np.array_equal(got.x.ravel(), source.values[:n_steps * L])
+
+
 def test_exogenous_record_is_read_only():
     sec, pri, gen = bench_small()
     record = HybridLoop(sec, pri, gen, h=1.0, L=4).exogenous(3)

@@ -16,6 +16,7 @@ import oracles
 from ancsim import _tables, adaptive, runner
 from ancsim import (
     ComparisonResult,
+    HybridLoop,
     SimTrace,
     SweepRow,
     check_lms_conditions,
@@ -291,24 +292,109 @@ def _arm_cases(tmp_path):
     ]
 
 
+def _assert_arms_match_reference(config, arms) -> list:
+    """Run ``arms`` on one loop; each equals the single-arm loop, field by field."""
+    machine, record = runner._setup(config)
+    got = runner._run_arms(config, machine, record, arms)
+    for (mu, cells), result in zip(arms, got):
+        want = oracles.reference_run_arm(replace(config, mu=mu), machine, record, cells)
+        _assert_identical(result, want)
+        assert result.lms_report == want.lms_report
+        for name in ("alpha_hist", "delta_hist", "final_alpha", "final_delta", "u_alg_blocks"):
+            assert np.array_equal(getattr(result, name), getattr(want, name)), name
+    return got
+
+
 def test_arm_loop_matches_single_arm_reference(tmp_path):
     """Every arm of one batched run equals the single-arm loop, field by field."""
     seen = set()
     for config, arms in _arm_cases(tmp_path):
-        machine, record = runner._setup(config)
-        got = runner._run_arms(config, machine, record, arms)
-        for (mu, cells), result in zip(arms, got):
-            want = oracles.reference_run_arm(replace(config, mu=mu), machine, record, cells)
-            _assert_identical(result, want)
-            assert result.lms_report == want.lms_report
-            for name in ("alpha_hist", "delta_hist", "final_alpha", "final_delta", "u_alg_blocks"):
-                assert np.array_equal(getattr(result, name), getattr(want, name)), name
+        for result in _assert_arms_match_reference(config, arms):
             k, N = result.n_completed, config.n_steps
             seen.add("stable" if not result.diverged else "first" if k == 1 else "mid-run")
             if result.diverged and k == 1:
                 assert result.lms_report is None
             assert 1 <= k <= N
     assert seen == {"stable", "mid-run", "first"}
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_arm_loop_matches_reference_in_blocks_of(every, tmp_path, monkeypatch):
+    """The arm loop tests the cutoff once per block of ``_FastWriter.every``
+    periods and reruns a block that crossed it period by period: in blocks
+    shorter than the default 64 every arm of every case still equals the
+    single-arm loop."""
+    monkeypatch.setattr(_tables._FastWriter, "every", every)
+    for config, arms in _arm_cases(tmp_path):
+        _assert_arms_match_reference(config, arms)
+
+
+@pytest.mark.parametrize("every, spike, where", [
+    (1, 5, "first and last"),
+    (3, 9, "first"),
+    (3, 11, "last"),
+    (3, 150, "short last block"),
+    (64, 64, "first"),
+    (64, 127, "last"),
+    (64, 140, "short last block"),
+])
+def test_divergence_at_block_edges(every, spike, where, tmp_path, monkeypatch):
+    """A spike in a held waveform diverges every running arm in period
+    ``spike`` of 151: a block's first or last period, or one of a short last
+    block, in a block that starts after an arm with a huge step size
+    diverged. Every arm equals the single-arm loop, field by field."""
+    monkeypatch.setattr(_tables._FastWriter, "every", every)
+    N, L = 151, 4
+    start = spike - spike % every
+    assert where == ("short last block" if start + every > N else
+                     {(True, True): "first and last", (True, False): "first",
+                      (False, True): "last"}.get((spike == start, spike == start + every - 1)))
+    wave = np.random.default_rng(11).standard_normal(N * L)
+    wave[spike * L] = 1e8
+    np.savetxt(tmp_path / "wave.txt", wave, fmt="%.17g")
+    config = SimConfig().with_overrides(T=float(N), L=L, n_taps=4, divergence_cutoff=1e4,
+                                        waveform_path=str(tmp_path / "wave.txt"))
+    got = _assert_arms_match_reference(config, [(1e6, None), (0.0, None), (0.01, 1), (0.05, 2)])
+    assert all(result.diverged for result in got)
+    assert (got[0].n_completed - 1) // every < start // every
+    assert [result.n_completed for result in got[1:]] == [spike + 1] * 3
+
+
+def test_blocks_without_crossing_step_once(monkeypatch):
+    """A default run that crosses no cutoff steps each period once: no block
+    runs twice. The caller's floating-point error state is left as it was."""
+    calls = []
+    real = HybridLoop.step
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(HybridLoop, "step", counting)
+    before = np.geterr(), np.geterrcall()
+    result = run_single(SimConfig())
+    assert (np.geterr(), np.geterrcall()) == before
+    assert not result.diverged and len(calls) == SimConfig().n_steps == 100
+
+
+def test_floating_point_conditions_reach_the_caller():
+    """A condition the caller's error state does not ignore (here underflow,
+    which numpy ignores by default) is recorded by the first pass over a
+    block, which then reruns under the caller's state: ``raise`` stops the
+    loop with ``FloatingPointError`` and ``warn`` warns, with the numbers of
+    a run that ignores it."""
+    config = short_config(mu=1e-306)
+    machine, record = runner._setup(config)
+    arms = [(config.mu, None)]
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            runner._run_arms(config, machine, record, arms)
+        assert np.geterr()["under"] == "raise"
+    with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
+        [warned] = runner._run_arms(config, machine, record, arms)
+    [quiet] = runner._run_arms(config, machine, record, arms)
+    assert not quiet.diverged
+    _assert_identical(warned, quiet)
 
 
 def test_arm_whose_fold_would_overflow_diverges_quietly():
