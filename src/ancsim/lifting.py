@@ -1,4 +1,4 @@
-"""Lifted discretization of hold-driven plants and exact hybrid-loop stepping.
+"""Lifted discretization of hold-driven plants and the exact hybrid loop's period maps.
 
 A strictly proper SISO plant driven through a zero-order hold at period h is
 equivalent, between samples, to a finite-dimensional recursion whose output
@@ -22,11 +22,19 @@ source, a primary path, and a secondary path driven by a sampled FIR filter.
 The loop is feedforward, so it splits at the taps: the reference, the
 disturbance and the regressor (the secondary dynamics driven by the held
 reference) form an exogenous half computed once per configuration, and only
-the anti-noise path is stepped under the taps, for a whole stack of arms
-(one row of taps and of secondary-path state per arm) in one call. One
-period is a handful of matrix-vector products with no loop over the cells.
-The exogenous half is itself one lifted system over periods, with a fixed
-period map M on the joint state of source, primary path and regressor, so
+the anti-noise path runs under the taps. Lifted, one period of it is a
+finite-dimensional map: from an arm's period-start secondary state zeta and
+held filter output y, the cell samples of the anti-noise are F zeta + g y
+and the next state Ah zeta + Bh y, and the update's fold V (d - F zeta -
+g y) of the period's error with its lag window V is linear in the same two.
+``arm_maps`` writes these per-period maps, [y; zeta; 1] -> [next zeta; 1;
+fold], for a chunk of periods in two stacked products, so the arm loop
+advances an arm's state and folds its error in one matrix-vector product a
+period with no loop over the cells, and ``anti_noise`` gives the cell
+samples of a whole chunk afterwards (Chen & Francis, Optimal Sampled-Data
+Control Systems, 1995, on lifted periodic systems). The exogenous half is
+itself one lifted system over periods, with a fixed period map M on the
+joint state of source, primary path and regressor, so
 its record over K periods is one product with the stacked maps [I; M; ...;
 M^(K-1)] (for a held waveform plus the block-Toeplitz of M^j B on the
 waveform; Chen & Francis, Optimal Sampled-Data Control Systems, 1995): the
@@ -146,9 +154,11 @@ class HybridLoop:
     """Precomputed propagators and cell-output maps for one loop configuration.
 
     ``exogenous`` runs the tap-independent half (noise source, primary path,
-    regressor) over the whole horizon; ``step`` advances the anti-noise path
-    of a stack of arms by one period. Every arm run on one configuration
-    shares one exogenous record and differs only in its rows of the stack.
+    regressor) over the whole horizon; ``arm_maps`` gives the per-period maps
+    of the anti-noise path and the update's fold, and ``anti_noise`` the cell
+    samples of the anti-noise and the error, for arms in any stack. Every arm
+    run on one configuration shares one exogenous record and differs only in
+    its state.
 
     The secondary path is lifted once by ``discretize_lifted`` (``lift``),
     which runs two exponentials, so a build runs four whatever L is. Its
@@ -189,6 +199,12 @@ class HybridLoop:
         held_gains = lift.sample_input.sum(axis=1)
         # one column: the gains of y_d on cells 1 .. L-1, then on the next state
         self._gains = np.concatenate([held_gains[1:], lift.Bh])[:, None]
+        n = lift.nstates
+        # the rows every period map of ``arm_maps`` shares: [y, zeta, 1] -> [next zeta, 1]
+        self._state_rows = np.block([[lift.Bh[:, None], lift.Ah, np.zeros((n, 1))],
+                                     [np.zeros((1, n + 1)), np.ones((1, 1))]])
+        # [y, zeta] -> minus the anti-noise on each cell
+        self._cell_rows = -np.hstack([held_gains[:, None], lift.sample_rows])
         # one period of the regressor: [eta, x_d] -> [u, u_blocks, next eta]
         self._u_period = np.block([[lift.sample_rows, held_gains[:, None]],
                                    [lift.Ch, lift.Dh[:, None]],
@@ -301,30 +317,52 @@ class HybridLoop:
             maps[-2, i], maps[-1, i], eta = out[:L], out[L:2 * L], out[2 * L:]
         return maps.reshape(n_out, K * L, width), np.vstack([z, eta])
 
-    def step(self, zeta_F, taps, xd_hist, y_d, w_fast,
-             zeta_next) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance the anti-noise path of a stack of arms over one period.
+    def arm_maps(self, windows, d, start, out) -> np.ndarray:
+        """Per-period maps of the anti-noise path and the update's fold, for one blocking.
 
-        Every array carries the trailing unit axis that ``matmul`` reads:
-        ``zeta_F`` (A, n, 1) holds each arm's secondary-path state and
-        ``taps`` (A, 1, n_taps) its FIR taps; the arms share the reference
-        delay line ``xd_hist`` (n_taps, 1), newest sample first. The next
-        states (A, n, 1), the filter outputs (A, 1, 1) and the anti-noise at
-        the L cell left endpoints (A, L, 1) are written into ``zeta_next``,
-        ``y_d`` and ``w_fast``, which are returned as ``(zeta_next, y_d,
-        w_fast)``. Every product is a stacked ``matmul``, which makes the
-        same BLAS call per arm as a single-arm product would. A delay line
-        whose length is not the tap count fails in ``matmul`` with a
-        ``ValueError``; shapes are otherwise taken unchecked, as the arm loop
-        fixes them once, before its first period.
+        ``windows`` (N, n_taps, b) are the lag windows of a blocking of b
+        algorithm cells, ``d`` (N, L) the disturbance, both a row a period.
+        The maps of the K = ``len(out)`` periods from ``start`` on are
+        written to ``out``: map k, ``out[k]`` of shape (n + 1 + n_taps, n + 2),
+        takes an arm's v = [y; zeta; 1] (its held filter output and its
+        period-start secondary state) to [Ah zeta + Bh y; 1; V (d - F zeta -
+        g y)]: the next state, and the fold of the period's error samples on
+        the blocking's cells (the first of every L / b) with the lag window V,
+        as V d - (V F) zeta - (V g) y. F and g are the sample rows and the
+        held gains. All K maps come from two stacked products; ``out`` is
+        returned. The arm loop sizes K so that the maps, K (n + 1 + n_taps)
+        (n + 2) doubles, stay within ``_MAP_VALUES``. An entry that
+        overflows does so quietly: V d can overflow only where d passes 2 N
+        times the arm loop's cutoff, so an arm reads it after its error
+        crossed the cutoff, from a nan v, or while its anti-noise cancels
+        such a disturbance to within the cutoff, when its fold is not finite
+        and it diverges a period late. V F and V g overflow only for a
+        regressor near the largest double.
         """
-        np.matmul(taps, xd_hist, out=y_d)
-        np.matmul(self._f_rows, zeta_F, out=w_fast)
-        np.matmul(self.lift.Ah, zeta_F, out=zeta_next)
-        fed, cells = self._gains * y_d, w_fast[:, 1:]
-        np.add(cells, fed[:, :self.L - 1], out=cells)
-        zeta_next += fed[:, self.L - 1:]
-        return zeta_next, y_d, w_fast
+        n, stride, periods = self.lift.nstates, self.L // windows.shape[2], slice(start, start + len(out))
+        out[:, :n + 1] = self._state_rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(windows[periods], self._cell_rows[::stride], out=out[:, n + 1:, :n + 1])
+            np.matmul(windows[periods], d[periods, ::stride, None], out=out[:, n + 1:, n + 1:])
+        return out
+
+    def anti_noise(self, v, d, y, w, e) -> np.ndarray:
+        """Filter output, anti-noise and error at the cell left endpoints of arm states.
+
+        ``v`` (..., m, 1) holds each arm's [y; zeta; ...] as ``arm_maps``
+        reads it. Its held filter output is copied into ``y`` (..., 1, 1),
+        the anti-noise w = F zeta + g y at the L cell left endpoints (the
+        held output reaches cells 1 .. L-1 only) is written into ``w`` and
+        the error e = d - w into ``e``, both (..., L, 1), with ``d``
+        broadcast against them. ``e`` holds g y on the way, so no temporary
+        is made; it is returned.
+        """
+        n, cells = self.lift.nstates, slice(1, self.L)
+        y[...] = v[..., :1, :]
+        np.matmul(self._f_rows, v[..., 1:n + 1, :], out=w)
+        np.multiply(self._gains[:self.L - 1], v[..., :1, :], out=e[..., cells, :])
+        np.add(w[..., cells, :], e[..., cells, :], out=w[..., cells, :])
+        return np.subtract(d, w, out=e)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,13 @@ discretization, the reference, the disturbance and the regressor are
 computed once. One arm loop runs them all: the arms sit on a leading arm
 axis whose only per-arm state is the taps, the update direction and the
 secondary-path state; the delay line and the regressor history are lag
-windows of the shared record. Each period steps the anti-noise path of every
-arm at once and folds the update once per run of arms with one blocking,
-with stacked products that equal the single-arm ones bit for bit. A diverged
-arm stays on the axis, frozen and unread, until every arm has diverged.
+windows of the shared record. Each period forms the filter outputs of every
+arm in one product, then advances every arm's secondary-path state and folds
+its error into the update in one product of that period's lifted map per run
+of arms with one blocking (``HybridLoop.arm_maps``); the anti-noise and the
+error of a chunk of periods follow in a few batched products. Every stacked
+product gives each arm the bits it gets alone. A diverged arm stays on the
+axis, frozen and unread, until every arm has diverged.
 The convergence reports of a blocking's arms come from one checker call
 that reads the running Gram matrix at each arm's last update.
 CSV files contain no timestamps and format floats with %.17g, so equal
@@ -43,7 +46,7 @@ import numpy as np
 from ._tables import _FastWriter, _write_columns, load_u_blocks
 from .adaptive import LmsConditionReport, _condition_maxima, _lag_windows, _report_at
 from .config import ConfigError, SimConfig
-from .lifting import ExogenousRecord, HybridLoop, SimTrace
+from .lifting import _MAP_VALUES, ExogenousRecord, HybridLoop, SimTrace
 from .statespace import freq_response_grid
 
 __all__ = [
@@ -154,21 +157,28 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
 
     Row a of the arm axis is arm a; its taps, direction and secondary-path
     state are the only per-arm state. The delay line and the regressor
-    history of each blocking are lag windows of the record. Each period steps
-    the anti-noise path once for all arms and folds the update once per run
-    of consecutive arms with one blocking. The cutoff also diverges an arm
-    whose error the direction could not fold without overflow. A diverged
-    arm stays on the axis with a nan step size and a nan state: all it
-    computes later is quiet nans, which raise no floating-point warning and
-    are never read. The loop stops once every arm has diverged. The periods
-    run in blocks of ``_FastWriter.every``: a first pass steps a block
-    without the cutoff test, recording the floating-point conditions the
-    caller's error state does not ignore, and one reduction then tests the
-    block's errors. A block that crossed the cutoff or raised a condition
-    runs again from its start, tested every period under the caller's error
-    state, so values, warnings and errors are those of a test in every
-    period. With a ``stream``, the w and e histories are the stream's, and
-    it learns after every block which rows are final.
+    history of each blocking are lag windows of the record. The periods run
+    in chunks of K, for which the lifted maps of each run of consecutive
+    arms with one blocking are built in bulk; an arm's state over the chunk
+    is its [y; zeta; 1; Delta] a period. Each period commits the taps, forms
+    the filter outputs y in one product, takes [y; zeta; 1] to the next zeta
+    and the fold Delta in one product of the period's map per run, and adds
+    Delta to the direction. The anti-noise and the errors of the chunk then
+    follow in a few batched products. The cutoff also diverges an arm whose
+    error the direction could not fold without overflow. A diverged arm
+    stays on the axis with a nan step size and a nan state: all it computes
+    later is quiet nans, which raise no floating-point warning and are never
+    read. The loop stops once every arm has diverged. The periods run in
+    blocks of ``_FastWriter.every``: a first pass runs a block without the
+    cutoff test, recording the floating-point conditions the caller's error
+    state does not ignore, and one reduction then tests the block's errors.
+    A block that crossed the cutoff or raised a condition runs again from
+    its start under the caller's error state, with the same period body and
+    arithmetic, but with each period's errors formed, by the same products
+    on its rows, before its map and tested; a crossing arm's state is then
+    nan before the map reads it. So values, warnings and errors are those of
+    a test in every period. With a ``stream``, the w and e histories are the
+    stream's, and it learns after every block which rows are final.
     """
     L, N, n_taps, h = config.L, config.n_steps, config.n_taps, config.h
     cells = []
@@ -189,9 +199,16 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     u_top = float(np.abs(record.u_blocks).max())
     if u_top > 0.0:
         cutoff = min(cutoff, sys.float_info.max / (2.0 * N * L) / u_top)
+    n_completed, diverged = np.full(A, N), np.zeros(A, dtype=bool)
+    every, stopped, n_s = _FastWriter.every, False, machine.secondary.nstates
+    # Row i of the arm states v holds each arm's [y; zeta; 1; Delta] in period c0 + i of a chunk
+    # of K periods: that period's map takes [y; zeta; 1] of row i to the rest of row i + 1, Delta
+    # being its fold. The maps of one blocking and the states stay within _MAP_VALUES doubles each.
+    K = max(1, min(every, _MAP_VALUES // (max(A, n_s + 2) * (n_s + 2 + n_taps)) - 1))
+    edges = [0, *(np.flatnonzero(np.diff(cells)) + 1).tolist(), A]
     # Every array a period touches carries the trailing unit axis that
-    # ``matmul`` reads, so the shapes ``step`` takes are fixed here, once, and
-    # a failure to allocate them names its key before any table is begun.
+    # ``matmul`` reads, so its shapes are fixed here, once, and a failure to
+    # allocate them names its key before any table is begun.
     # Row n of the taps and direction histories enters period n: row 0 is
     # zero and row N final.
     with _sized_by("sim.T", f"{N} periods of {A} arms"):
@@ -199,69 +216,78 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
         u_alg = {b: record.u_blocks if b == L else record.u_blocks.reshape(N, b, L // b).sum(axis=2)
                  for b in set(cells)}
         with _sized_by("filter.taps", f"{n_taps} taps"):  # the only set-up arrays sized by the taps alone
-            u_lags = {b: _lag_windows(u, n_taps) for b, u in u_alg.items()}
             xd_lags = _lag_windows(record.x_d[:, None], n_taps)
-        alpha_hist, delta_hist = np.zeros((A, N + 1, 1, n_taps)), np.zeros((A, N + 1, 1, n_taps))
+            # per run of arms with one blocking: its lag windows, its maps and its arms
+            groups = [(_lag_windows(u_alg[cells[lo]], n_taps), np.empty((K, n_s + 1 + n_taps, n_s + 2)),
+                       slice(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+            v = np.zeros((K + 1, A, n_s + 2 + n_taps, 1))
+            v[0, :, n_s + 1] = 1.0
+        alpha_hist, delta_hist = np.zeros((2, A, N + 1, 1, n_taps))
         y_d = np.empty((A, N, 1, 1))
-        shape, d = (A, N, L, 1), record.d[:, :, None]
+        shape, d = (A, N, L, 1), record.d[:, None, :, None]
         w, e = stream.start(shape) if stream is not None else np.empty((2, *shape))
-    zeta, spare = np.zeros((2, A, machine.secondary.nstates, 1))
-    prod = np.empty((A, 1, n_taps))
-    n_completed, diverged = np.full(A, N), np.zeros(A, dtype=bool)
-    # per run of arms with one blocking: windows, rows, cell stride, its rows of ``prod`` as columns
-    edges = [0, *(np.flatnonzero(np.diff(cells)) + 1).tolist(), A]
-    folds = [(u_lags[cells[lo]], slice(lo, hi), L // cells[lo], prod[lo:hi].reshape(hi - lo, -1, 1))
-             for lo, hi in zip(edges, edges[1:])]
+    # per period of a chunk: its filter outputs, its map products and its folds
+    rows = [(v[i, :, :1], [(maps[i], v[i, run, :n_s + 2], v[i + 1, run, 1:]) for _, maps, run in groups],
+             v[i + 1, :, n_s + 2:].swapaxes(1, 2)) for i in range(K)]
     # period-major views: row n of each is period n of every arm
     taps_p, delta_p, y_p, w_p, e_p = (a.swapaxes(0, 1) for a in (alpha_hist, delta_hist, y_d, w, e))
+
+    def outputs(lo, hi):  # the filter outputs, anti-noise and errors of periods lo .. hi-1 of the chunk
+        return machine.anti_noise(v[lo - c0:hi - c0], d[lo:hi], y_p[lo:hi], w_p[lo:hi], e_p[lo:hi])
+
     # the first pass over a block records the floating-point conditions the caller does not ignore
     raised = []
     modes = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
-    every, stopped = _FastWriter.every, False
 
     for n0 in range(0, N, every):
-        stop, start = min(n0 + every, N), zeta.copy()
+        stop, start = min(n0 + every, N), v[0].copy()
         for exact in (False, True):
             alpha, direction = taps_p[n0], delta_p[n0]
             raised.clear()
             with contextlib.nullcontext() if exact else np.errstate(
                     call=lambda kind, flag: raised.append(kind), **modes):
-                for n, taps, delta, xd_n, d_n, y_n, w_n, e_n in zip(
-                        range(n0, stop), taps_p[n0 + 1:stop + 1], delta_p[n0 + 1:stop + 1],
-                        *(a[n0:stop] for a in (xd_lags, d, y_p, w_p, e_p))):
-                    # period n runs under the update committed with the direction through
-                    # t = n h; its error is folded into the direction after the step
-                    np.add(alpha, mu * direction, out=taps)
-                    zeta, spare = machine.step(zeta, taps, xd_n, y_n, w_n, spare)[0], zeta
-                    np.subtract(d_n, w_n, out=e_n)
-                    if exact and not abs(e_n).max() <= cutoff:
-                        out = ~diverged & ~(abs(e_n).max(axis=(1, 2)) <= cutoff)
-                        n_completed[out], diverged[out], mu[out] = n + 1, True, np.nan
-                        if stopped := diverged.all():
-                            break
-                        if out.any():
-                            # their error may be past what a fold holds: it folds as 0, into a
-                            # direction never read, and from their nan state on all is quiet nans
-                            zeta[out] = np.nan
-                            e_n = np.where(out[:, None, None], 0.0, e_n)
-                    for u_lag, rows, stride, prod_rows in folds:
-                        np.matmul(u_lag[n], e_n[rows, ::stride], out=prod_rows)
-                    np.add(direction, prod, out=delta)
-                    alpha, direction = taps, delta
+                for c0 in range(n0, stop, K):
+                    k = min(K, stop - c0)
+                    for windows, maps, _ in groups:
+                        machine.arm_maps(windows, record.d, c0, maps[:k])
+                    for n, taps, delta, xd_n, (y_n, products, fold) in zip(
+                            range(c0, c0 + k), taps_p[c0 + 1:], delta_p[c0 + 1:], xd_lags[c0:], rows):
+                        # period n runs under the update committed with the direction through
+                        # t = n h; its error is folded into the direction by its map
+                        np.add(alpha, mu * direction, out=taps)
+                        np.matmul(taps, xd_n, out=y_n)
+                        if exact and not abs(e_n := outputs(n, n + 1)[0]).max() <= cutoff:
+                            out = ~diverged & ~(abs(e_n).max(axis=(1, 2)) <= cutoff)
+                            n_completed[out], diverged[out], mu[out] = n + 1, True, np.nan
+                            if stopped := diverged.all():
+                                break
+                            # their error may be past what a fold holds: from a nan state
+                            # all they compute is quiet nans, never read
+                            v[n - c0, out] = np.nan
+                        for maps, v_n, v_next in products:
+                            np.matmul(maps, v_n, out=v_next)
+                        np.add(direction, fold, out=delta)
+                        alpha, direction = taps, delta
+                    if stopped:
+                        break
+                    if not exact:
+                        outputs(c0, c0 + k)
+                    v[0] = v[k]
             # one test of the block's errors of the arms still running: a block
             # that crossed the cutoff or raised a condition runs again, checked
             # period by period under the caller's error state
             if exact or not raised and abs(e_p[n0:stop]).max(
                     where=~diverged[:, None, None], initial=0.0) <= cutoff:
                 break
-            zeta[...] = start
+            v[0] = start
         if stopped:
             break
         if stream is not None and stop % every == 0:
             stream.progress(stop, n_completed)
     if stream is not None:
         stream.progress(N, n_completed)
-    u_lags = xd_lags = folds = u_lag = None  # the lag windows are spent
+    # the lag windows, the maps and the arm states are spent
+    xd_lags = xd_n = windows = groups = maps = rows = products = v = v_n = v_next = y_n = fold = None
     n_updates, reads = n_completed - diverged, {}  # the diverging period made no update
     for a, (mu_a, _) in enumerate(arms):
         if mu_a > 0.0 and n_updates[a] > 0:

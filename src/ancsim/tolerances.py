@@ -25,6 +25,9 @@ class Tolerances:
     linearity: float = 1e-12            # superposition of lifted responses
     exogenous_blocked: float = 1e-13    # chunked exogenous record vs period by period, per array (measured
                                         # <= 4.2e-14 for undamped sources over 2000 periods, else <= 2.6e-15)
+    arm_maps: float = 1e-13             # arm loop through per-period maps vs the single-arm loop, per array
+                                        # relative to its largest finite entry (measured <= 1.8e-15 for
+                                        # stable arms, <= 5.4e-15 for diverging ones, <= 3.8e-16 per map)
 
     # adaptive layer
     matrix_symmetry: float = 1e-10      # accepted asymmetry of Gram matrices (relative)

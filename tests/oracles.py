@@ -27,7 +27,8 @@ period per Python iteration, where the package computes a chunk of periods
 per product;
 :func:`reference_run_arm` runs one adaptive arm a period per Python
 iteration through the single-arm :func:`reference_loop_step` and
-:func:`sdfx_lms_step`; :func:`reference_build_wiener` sums one delayed copy
+:func:`sdfx_lms_step`, in the arithmetic the arm loop had before its
+per-period maps (the next state as A zeta + b y, the fold as V e); :func:`reference_build_wiener` sums one delayed copy
 of the record per lag pair and :func:`reference_check_lms_conditions` builds the Gram increment
 of each period in a Python loop; :func:`reference_condition_series`
 decomposes every running Gram matrix and every increment of a record, so
@@ -813,7 +814,7 @@ def initial_arm_state(loop, n_taps: int) -> HybridLoopState:
 
 
 def reference_loop_step(loop, state: HybridLoopState, taps, x_d: float) -> tuple[HybridLoopState, float, np.ndarray]:
-    """One arm's anti-noise path over one period (single-arm ``HybridLoop.step``)."""
+    """One arm's anti-noise path over one period: filter output, anti-noise and next state."""
     taps = np.asarray(taps, dtype=float).reshape(-1)
     if taps.size != state.xd_hist.size:
         raise DimensionError(

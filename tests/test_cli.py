@@ -146,19 +146,16 @@ def test_no_writer_outlives_the_command(command, case, small_config, tmp_path, c
     if case == "blocked":
         (out_dir / fast).mkdir(parents=True)
     elif case == "raised":
-        steps, step = [], ancsim.lifting.HybridLoop.step
 
-        def failing_step(self, *args):
-            steps.append(1)
-            if len(steps) == 3:
-                # let the writer open its tables first: the failed run must remove them
-                deadline = time.monotonic() + 10
-                while not (out_dir / fast).exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                raise ValueError("step failed")
-            return step(self, *args)
+        def failing_maps(self, *args):
+            # let the writer open its tables first: the failed run must remove them
+            deadline = time.monotonic() + 10
+            while not (out_dir / fast).exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert (out_dir / fast).exists()
+            raise ValueError("step failed")
 
-        monkeypatch.setattr(ancsim.lifting.HybridLoop, "step", failing_step)
+        monkeypatch.setattr(ancsim.lifting.HybridLoop, "arm_maps", failing_maps)
     code, _, err = _run_cli([command, "--config", small_config, "--out", str(out_dir)], capsys)
     assert forks == [1]
     if case == "success":

@@ -1,4 +1,4 @@
-"""Blocked discretization and the hybrid closed-loop stepper."""
+"""Blocked discretization, the hybrid loop's exogenous record and its per-period arm maps."""
 
 import os
 import subprocess
@@ -22,7 +22,7 @@ from ancsim import (
     l2_norm,
     vanloan,
 )
-from ancsim import lifting, statespace
+from ancsim import adaptive, lifting, statespace
 from ancsim.tolerances import TOL
 
 
@@ -283,13 +283,19 @@ def delay_line(x_d, n: int, n_taps: int) -> np.ndarray:
 
 
 def step(loop, zeta, taps, xd_hist):
-    """``loop.step`` on (A, n) states, (A, n_taps) taps and an (n_taps,) delay
-    line, in the trailing-unit-axis form it takes; returns the next states
-    (A, n), the filter outputs (A,) and the anti-noise (A, L)."""
-    taps = np.asarray(taps, dtype=float)
-    out = np.empty(zeta.shape + (1,)), np.empty((len(taps), 1, 1)), np.empty((len(taps), loop.L, 1))
-    loop.step(zeta[:, :, None], taps[:, None, :], xd_hist[:, None], out[1], out[2], out[0])
-    return out[0][:, :, 0], out[1][:, 0, 0], out[2][:, :, 0]
+    """One period of the anti-noise path as the arm loop runs it, for (A, n)
+    states, (A, n_taps) taps and an (n_taps,) delay line: the filter outputs
+    from the stacked tap product, the next states from the state rows of an
+    ``arm_maps`` map and the anti-noise from ``anti_noise``. Returns the next
+    states (A, n), the filter outputs (A,) and the anti-noise (A, L)."""
+    A, n = zeta.shape
+    v = np.zeros((A, n + 2, 1))
+    np.matmul(np.asarray(taps, dtype=float)[:, None, :], xd_hist[:, None], out=v[:, :1])
+    v[:, 1:n + 1, 0], v[:, n + 1] = zeta, 1.0
+    maps = loop.arm_maps(np.zeros((1, 1, loop.L)), np.zeros((1, loop.L)), 0, np.empty((1, n + 2, n + 2)))
+    y, w, e = np.empty((A, 1, 1)), np.empty((A, loop.L, 1)), np.empty((A, loop.L, 1))
+    loop.anti_noise(v, 0.0, y, w, e)
+    return (maps[0] @ v)[:, :n, 0], y[:, 0, 0], w[:, :, 0]
 
 
 def test_open_loop_error_equals_disturbance():
@@ -496,33 +502,57 @@ def test_generator_type_checked():
         HybridLoop(sec, pri, np.zeros(8), h=1.0, L=4)
 
 
-def test_step_buffers_give_identical_bits():
-    """``step`` writes the buffers it is given and returns them as (next
-    states, filter outputs, anti-noise); a stack of arms gets the bits of
-    each arm stepped alone."""
+@pytest.mark.parametrize("kind", ["autonomous", "held"])
+@pytest.mark.parametrize("L, cells", [(1, 1), (2, 2), (8, 8), (8, 2), (8, 1), (32, 4)])
+def test_arm_maps_match_reference_loop_step(kind, L, cells):
+    """Map n of ``arm_maps`` takes an arm's [y; zeta; 1] to [next zeta; 1;
+    V (d - w)]: the next state and the anti-noise w of ``reference_loop_step``
+    (one arm's period as the loop ran it before the maps), and the fold of
+    the error on the blocking's cells with the period's lag window V. Each
+    part is within ``TOL.arm_maps`` of its largest entry over 40 periods,
+    built as two chunks; a chunk's maps do not depend on where it starts."""
+    n_periods, n_taps, h = 40, 5, 0.7
+    rng = np.random.default_rng(2000 + 7 * L + cells + (kind == "held"))
+    sec = random_stable_siso(rng, max_states=6)
+    pri = random_stable_siso(rng, max_states=6)
+    loop = HybridLoop(sec, pri, _random_source(rng, kind, h, L, n_periods), h=h, L=L)
+    record = loop.exogenous(n_periods)
+    windows = adaptive._lag_windows(record.u_blocks.reshape(n_periods, cells, L // cells).sum(axis=2), n_taps)
+    n = sec.nstates
+    maps = np.concatenate([loop.arm_maps(windows, record.d, start, np.empty((k, n + 1 + n_taps, n + 2)))
+                           for start, k in ((0, 17), (17, 23))])
+    assert maps.shape == (n_periods, n + 1 + n_taps, n + 2)
+    assert maps[5:9].tobytes() == loop.arm_maps(windows, record.d, 5, np.empty((4, *maps.shape[1:]))).tobytes()
+    state = oracles.initial_arm_state(loop, n_taps)
+    got, want = [], []
+    for p in range(n_periods):
+        zeta = state.zeta_F
+        state, y_d, w_fast = oracles.reference_loop_step(loop, state, rng.normal(size=n_taps), record.x_d[p])
+        got.append(maps[p] @ np.concatenate([[y_d], zeta, [1.0]]))
+        want.append(np.concatenate([state.zeta_F, [1.0], windows[p] @ (record.d[p] - w_fast)[::L // cells]]))
+    got, want = np.array(got), np.array(want)
+    for part in (slice(0, n), slice(n, n + 1), slice(n + 1, None)):
+        scale = np.abs(want[:, part]).max()
+        assert scale > 0.0
+        assert np.abs(got[:, part] - want[:, part]).max() <= TOL.arm_maps * scale
+
+
+def test_anti_noise_of_stacked_arms_equals_each_arm_alone():
+    """``anti_noise`` on a stack of arm states, with any leading axes, gives
+    each arm the bits it gets alone: filter output, anti-noise and error."""
     rng = np.random.default_rng(21)
     sec, pri, gen = bench_small()
     loop = HybridLoop(sec, pri, gen, h=1.0, L=8)
-    A, n, n_taps = 3, sec.nstates, 5
-    zeta, taps, xd = rng.normal(size=(A, n, 1)), rng.normal(size=(A, 1, n_taps)), rng.normal(size=(n_taps, 1))
-    out = np.empty((A, n, 1)), np.empty((A, 1, 1)), np.empty((A, 8, 1))
-    got = loop.step(zeta, taps, xd, out[1], out[2], out[0])
-    assert all(g is o for g, o in zip(got, out))
-    for arm in range(A):
-        alone = np.empty((1, n, 1)), np.empty((1, 1, 1)), np.empty((1, 8, 1))
-        loop.step(zeta[arm:arm + 1], taps[arm:arm + 1], xd, alone[1], alone[2], alone[0])
-        for g, a in zip(got, alone):
-            assert g[arm].tobytes() == a[0].tobytes()
-
-
-def test_taps_length_checked():
-    """A delay line whose length is not the tap count fails in ``matmul``."""
-    sec, pri, gen = bench_small()
-    loop = HybridLoop(sec, pri, gen, h=1.0, L=2)
-    for n_taps in (2, 4):
-        out = np.empty((1, sec.nstates, 1)), np.empty((1, 1, 1)), np.empty((1, 2, 1))
-        with pytest.raises(ValueError):
-            loop.step(out[0].copy(), np.zeros((1, 1, n_taps)), np.zeros((3, 1)), out[1], out[2], out[0])
+    v, d = rng.normal(size=(3, 4, sec.nstates + 6, 1)), rng.normal(size=(3, 1, 8, 1))
+    out = np.empty((3, 4, 1, 1)), np.empty((3, 4, 8, 1)), np.empty((3, 4, 8, 1))
+    assert loop.anti_noise(v, d, *out) is out[2]
+    assert np.array_equal(out[2], d - out[1])
+    for p in range(3):
+        for arm in range(4):
+            alone = np.empty((1, 1)), np.empty((8, 1)), np.empty((8, 1))
+            loop.anti_noise(v[p, arm], d[p, 0], *alone)
+            for g, a in zip(out, alone):
+                assert g[p, arm].tobytes() == a.tobytes()
 
 
 # ---------------------------------------------------------------------------
