@@ -1,11 +1,15 @@
-"""CSV tables: every value as CPython's %.17g, and the fast tables streamed
-from a forked writer while the arms run.
+"""CSV tables: every value as CPython's %.17g, the fast tables streamed from
+a forked writer while the arms run, and the period tables shared with it.
 
 ``_write_columns`` writes any table of equal-length columns, and
-``load_u_blocks`` reads a u_blocks.csv table back. ``_write_fast``
-writes the fast.csv tables of one or more arms of one record, formatting
-their shared columns once. ``_FastWriter`` runs it in a forked process fed
-by the arm loop's progress, or in this process where forking is unsafe.
+``load_u_blocks`` reads a u_blocks.csv table back. ``_period_columns``
+lays out an arm's period tables (discrete.csv, taps.csv, u_blocks.csv).
+``_write_fast`` writes the fast.csv tables of one or more arms of one
+record, formatting their shared columns once. ``_FastWriter`` runs it in a
+forked process fed by the arm loop's progress, or in this process where
+forking is unsafe; either process then writes whichever period table is
+next. Every run table goes through ``_write_columns`` or ``_write_fast``,
+so its bytes do not depend on the process that wrote it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 
 import numpy as np
 
+from .config import ConfigError
 from .lifting import ExogenousRecord
 
 
@@ -36,6 +41,18 @@ _FAST_CHUNK_VALUES = 8192
 # cost, about 0.15 ms a call, exceeds CPython's per-value cost below about
 # 150-200 values (a 20-row sweep table has 140).
 _KERNEL_MIN_VALUES = 256
+
+
+@contextlib.contextmanager
+def _sized_by(key: str, what: str):
+    """Raise numpy's failure to allocate arrays sized by ``key`` (a MemoryError,
+    or a ValueError past the address space) as a ConfigError naming ``key``."""
+    try:
+        yield
+    except (ConfigError, np.linalg.LinAlgError):
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(key, f"cannot hold {what}: {exc}") from None
 
 
 def _format_values(values: np.ndarray, fields: np.ndarray) -> None:
@@ -126,6 +143,37 @@ def load_u_blocks(path: str) -> np.ndarray:
     return data[:, 1:]
 
 
+_PERIOD_TABLES = ("discrete.csv", "taps.csv", "u_blocks.csv")
+
+
+def _period_columns(name: str, h: float, x_d, y_d, taps, delta, u_alg):
+    """Header and columns of one arm's period table ``name``, row n for period n.
+
+    discrete.csv holds the reference x_d and the held output y_d, taps.csv
+    the taps in effect and the direction entering each period, and
+    u_blocks.csv the regressor blocks the algorithm read, one row per
+    update.
+    """
+    if name == "discrete.csv":
+        n = np.arange(len(x_d))
+        return ["n", "t", "x_d", "y_d"], [n, n * h, x_d, y_d]
+    if name == "taps.csv":
+        n_taps = taps.shape[1] if taps.size else 0
+        header = ["n"] + [f"alpha_{k}" for k in range(n_taps)] + [f"delta_{k}" for k in range(n_taps)]
+        return header, [np.arange(len(taps)), *taps.T, *delta.T]
+    return ["n"] + [f"u_{l}" for l in range(u_alg.shape[1])], [np.arange(len(u_alg)), *u_alg.T]
+
+
+def _histories(arms: int, periods: int, L: int, n_taps: int, zeros=np.zeros) -> list[np.ndarray]:
+    """The arm loop's w and e (arms, periods, L, 1), taps and direction
+    (arms, periods + 1, 1, n_taps) and y_d (arms, periods, 1, 1) histories,
+    zero, as views of one buffer of ``zeros(count)`` values."""
+    shapes = [(arms, periods, L, 1)] * 2 + [(arms, periods + 1, 1, n_taps)] * 2 + [(arms, periods, 1, 1)]
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(zeros(sum(sizes)), np.cumsum(sizes[:-1]))
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
 def _write_fast(paths, t, x, d, u, ws, es, ready) -> list[OSError]:
     """Write each arm's fast.csv (columns t, x, d, w, e, u) as its rows become final.
 
@@ -183,17 +231,16 @@ def _write_fast(paths, t, x, d, u, ws, es, ready) -> list[OSError]:
     return errors
 
 
-def _shared_empty(shape) -> np.ndarray:
-    """An uninitialized float64 array in a shared anonymous mapping, which a
+def _shared_zeros(count: int) -> np.ndarray:
+    """``count`` zero float64 values in a shared anonymous mapping, which a
     forked process sees the parent's writes to."""
     import mmap  # loaded on first use: only run and compare need it
 
-    count = math.prod(shape)
     try:
-        buf = mmap.mmap(-1, 8 * count)
+        buf = mmap.mmap(-1, 8 * count)  # anonymous mappings start zero-filled
     except OSError as exc:  # ENOMEM, as numpy's own allocations raise it
         raise MemoryError(f"cannot map {8 * count} bytes: {exc}") from None
-    return np.frombuffer(buf, np.float64, count).reshape(shape)
+    return np.frombuffer(buf, np.float64, count)
 
 
 def _thread_count() -> int:
@@ -207,35 +254,53 @@ def _thread_count() -> int:
 
 
 class _FastWriter:
-    """The fast.csv tables of a run's arms, written while the arm loop runs.
+    """The tables of a run's arms: fast.csv written while the arm loop runs,
+    the period tables by whichever process is free once it has.
 
-    ``start`` allocates the loop's w and e histories in shared memory, makes
-    the tables' directory and forks one process that reads them;
-    ``progress``, due every ``every`` periods, sends it the period count and
-    each arm's ``n_completed``, from which it writes every final row;
-    ``close`` ends the stream and reaps it, or, for a run that failed, stops
-    it and removes its tables, and the directory if ``start`` made it and
-    nothing else is in it. Where ``os.fork`` is missing or fails, or
-    other OS threads run (a fork copies none of them, and Python 3.12+
-    warns), nothing forks and ``close`` writes the tables in this process.
-    Either way each file holds the rows final at the last ``progress``.
+    ``start`` allocates the loop's histories (see ``_histories``) in one
+    shared mapping, queues the arms' period tables in a pipe, one byte each
+    and the largest (rows x columns) first, makes the tables' directory and
+    forks one process that reads the histories. ``progress``, due every
+    ``every`` periods, sends it the period count and each arm's
+    ``n_completed`` and ``diverged``; it writes every final fast.csv row.
+    After the final message, the one at N periods, it claims period tables
+    from the pipe until none is left, as this process does in ``claim``
+    once the arms' results exist, so each table is written once, by one of
+    the two. ``close`` ends the stream and reaps it, or, for a run that
+    failed, stops it and removes every table either process may have begun,
+    and the directory if ``start`` made it and nothing else is in it. Where
+    ``os.fork`` is missing or fails, or other OS threads run (a fork copies
+    none of them, and Python 3.12+ warns), nothing forks: ``claim`` writes
+    every period table and ``close`` the fast tables in this process.
+    Either way each fast.csv holds the rows final at the last ``progress``.
     """
 
     every = 64
 
-    def __init__(self, paths: list[str], h: float, record: ExogenousRecord) -> None:
-        self.paths, self.h, self.record = paths, h, record
-        self.pid = self.counts = self.made = None
+    def __init__(self, out_dir: str, prefixes, h: float, record: ExogenousRecord) -> None:
+        self.out_dir, self.h, self.record = out_dir, h, record
+        self.paths = [os.path.join(out_dir, prefix + "fast.csv") for prefix in prefixes]
+        self.tables = [os.path.join(out_dir, prefix + name) for prefix in prefixes for name in _PERIOD_TABLES]
+        self.pid = self.counts = self.made = self.final = self._jobs = None
+        self.errors = []
 
-    def start(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The w and e histories of ``shape`` (arms, periods, L, ...), arm a's in row a."""
-        self.w, self.e = _shared_empty((2, *shape))
-        directory = os.path.dirname(self.paths[0])
-        self.made = None if os.path.isdir(directory) else directory
-        os.makedirs(directory, exist_ok=True)
+    def start(self, n_taps: int, u_alg: list[np.ndarray]) -> list[np.ndarray]:
+        """The w, e, taps, direction and y_d histories, arm a's in row a;
+        ``u_alg[a]`` holds arm a's regressor blocks, one row per period."""
+        N, L = self.record.x.shape
+        histories = _histories(len(self.paths), N, L, n_taps, _shared_zeros)
+        self.w, self.e, self.taps, self.delta, self.y_d = histories
+        self.u_alg = u_alg
+        columns = [width for blocks in u_alg for width in (4, 1 + 2 * n_taps, 1 + blocks.shape[1])]
+        jobs_r, jobs_w = os.pipe()
+        self._jobs = jobs_r
+        os.write(jobs_w, bytes(sorted(range(len(columns)), key=lambda j: -columns[j])))
+        os.close(jobs_w)
+        self.made = None if os.path.isdir(self.out_dir) else self.out_dir
+        os.makedirs(self.out_dir, exist_ok=True)
         if hasattr(os, "fork") and _thread_count() == 1:
             self._fork()
-        return self.w, self.e
+        return histories
 
     def _fork(self) -> None:
         progress_r, progress_w = os.pipe()
@@ -250,10 +315,12 @@ class _FastWriter:
             try:
                 os.close(progress_w)
                 os.close(report_r)
-                errors = self._write(self._messages(progress_r))
-                if errors:
-                    os.write(report_w, "; ".join(map(str, errors)).encode("utf-8", "replace"))
-                os._exit(1 if errors else 0)
+                self.errors += self._write(self._messages(progress_r))
+                if self.final is not None:
+                    self.claim()
+                if self.errors:
+                    os.write(report_w, "; ".join(map(str, self.errors)).encode("utf-8", "replace"))
+                os._exit(1 if self.errors else 0)
             except BaseException as exc:
                 os.write(report_w, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
             finally:
@@ -262,26 +329,53 @@ class _FastWriter:
         os.close(report_w)
         self.pid, self._progress, self._report = pid, progress_w, report_r
 
-    def progress(self, periods: int, n_completed: np.ndarray) -> None:
-        """Periods done so far and ``n_completed`` of every arm."""
+    def progress(self, periods: int, n_completed: np.ndarray, diverged: np.ndarray) -> None:
+        """Periods done so far and ``n_completed`` and ``diverged`` of every arm;
+        the message at N periods is the final one."""
+        if periods == len(self.record.x):
+            self.final = n_completed.tolist(), diverged.tolist()
         if self.pid is None:
             self.counts = self._final_rows(periods, n_completed.tolist())
             return
         try:
-            os.write(self._progress, np.append(periods, n_completed).astype(np.int64).tobytes())
+            os.write(self._progress, np.concatenate([[periods], n_completed, diverged]).astype(np.int64).tobytes())
         except OSError:
             pass  # the writer has exited; close() reports why
 
+    def _claims(self):
+        """Period tables that no process has claimed yet, one byte of the
+        job pipe each, until the pipe is empty."""
+        while job := os.read(self._jobs, 1):
+            yield job[0]
+
+    def claim(self) -> None:
+        """Write every period table still unclaimed; the error of a table that
+        fails to write is kept in ``errors`` and the next one is claimed."""
+        n_completed, diverged = self.final
+        for j in self._claims():
+            a, table = divmod(j, len(_PERIOD_TABLES))
+            k, n_up = n_completed[a], n_completed[a] - diverged[a]  # the diverging period made no update
+            columns = _period_columns(_PERIOD_TABLES[table], self.h, self.record.x_d[:k], self.y_d[a, :k, 0, 0],
+                                      self.taps[a, 1:k + 1, 0], self.delta[a, :k, 0], self.u_alg[a][:n_up])
+            try:
+                _write_columns(self.tables[j], *columns)
+            except OSError as exc:
+                self.errors.append(exc)
+
     def close(self, abort: bool = False) -> str:
-        """End the stream and reap the writer, or write here; returns the failures' text.
+        """End the stream and reap the writer, or write here; returns the
+        failures' text, this process's first.
 
         With ``abort`` (the arms did not finish) nothing is written here, a
-        forked writer is killed and the tables it began are removed, and the
-        directory ``start`` made is removed if nothing else is in it.
+        forked writer is killed and the tables it may have begun are
+        removed, and the directory ``start`` made is removed if nothing else
+        is in it.
         """
+        if self._jobs is not None:
+            os.close(self._jobs)
         if self.pid is None:
-            if not abort:
-                return "" if self.counts is None else "; ".join(map(str, self._write([self.counts])))
+            if not abort and self.counts is not None:
+                self.errors += self._write([self.counts])
         else:
             os.close(self._progress)
             if abort:
@@ -292,11 +386,15 @@ class _FastWriter:
                 failure = pipe.read().decode("utf-8", "replace")
             status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
             self.pid = None
-            if not abort:
-                return failure or (f"fast table writer exited with code {status}" if status else "")
-            for path in self.paths:
-                with contextlib.suppress(OSError):
-                    os.remove(path)
+            if failure or status:
+                self.errors.append(failure or f"fast table writer exited with code {status}")
+            if abort:
+                # period tables are claimed only after the final progress message
+                for path in self.paths + self.tables * (self.final is not None):
+                    with contextlib.suppress(OSError):
+                        os.remove(path)
+        if not abort:
+            return "; ".join(map(str, self.errors))
         if self.made is not None:
             with contextlib.suppress(OSError):  # not empty: something else was written there
                 os.rmdir(self.made)
@@ -307,12 +405,16 @@ class _FastWriter:
         return [min(periods, k) * L for k in n_completed]
 
     def _messages(self, fd: int):
-        """Final row counts of each arm, one per progress message, until the pipe closes."""
-        size = 8 * (1 + len(self.paths))
+        """Final row counts of each arm, one per progress message, through the final one."""
+        arms = len(self.paths)
+        size = 8 * (1 + 2 * arms)
         with os.fdopen(fd, "rb") as pipe:
             while len(msg := pipe.read(size)) == size:
-                periods, *n_completed = np.frombuffer(msg, np.int64).tolist()
-                yield self._final_rows(periods, n_completed)
+                periods, *counts = np.frombuffer(msg, np.int64).tolist()
+                yield self._final_rows(periods, counts[:arms])
+                if periods == len(self.record.x):
+                    self.final = counts[:arms], counts[arms:]  # n_completed, diverged
+                    return
 
     def _write(self, ready) -> list[OSError]:
         rec, N, L = self.record, *self.record.x.shape

@@ -9,7 +9,8 @@ output directory; summaries and wall time go to stdout only.
 Each common flag sets one config key on top of the config file (``--mu``
 sets ``adapt.mu``, or ``adapt.mu_list`` for ``sweep``), and the config is
 built once; a bad value exits 2 naming its key. A subcommand loads the
-modules it runs (``runner``, ``adaptive``) once its config is valid.
+modules it runs (``runner``, or ``_tables`` and ``adaptive`` for
+``check``) once its config is valid.
 """
 
 from __future__ import annotations
@@ -148,12 +149,12 @@ def _cmd_check(args) -> int:
     cfg = _build_config(args)
     if not cfg.mu > 0.0:
         raise ConfigError("adapt.mu", f"check needs a positive step size, got {cfg.mu}")
-    from . import runner
+    from ._tables import _sized_by, load_u_blocks
     from .adaptive import check_lms_conditions
-    blocks = runner.load_u_blocks(args.trace)
+    blocks = load_u_blocks(args.trace)
     # the trace and every setting are valid here, so a failure to allocate is the taps'
     try:
-        with runner._sized_by("filter.taps", f"{cfg.n_taps} taps"):
+        with _sized_by("filter.taps", f"{cfg.n_taps} taps"):
             report = check_lms_conditions(blocks, cfg.mu, cfg.n_taps, cfg.h, cfg.eps_threshold)
     except LinAlgError as exc:  # the trace's numbers: its Gram matrix overflows or has no eigenvalues
         raise ValueError(f"{args.trace}: {exc}") from None

@@ -27,11 +27,13 @@ configs give equal bytes; long tables are formatted by the array kernel of
 ``ancsim._g17``, with CPython's bytes. ``run_to_csv`` (the ``run`` and
 ``compare`` commands, the one writer of their tables) forks one writer right
 after the exogenous record is built: it streams every fast.csv from the arm
-loop's shared w and e histories while the arms run, and this process writes
-every other table. Where forking is missing, fails, or would copy a process
-with other OS threads (BLAS workers; the command pins BLAS to one thread,
-see ``ancsim/__init__.py``), this process writes the fast tables after the
-loop instead (see ``_FastWriter``).
+loop's shared w and e histories while the arms run. After the loop it and
+this process share the period tables (discrete.csv, taps.csv, u_blocks.csv,
+laid out in ``ancsim._tables``), whichever is free taking the next, and
+this process writes the report and comparison tables. Where forking is
+missing, fails, or would copy a process with other OS threads (BLAS
+workers; the command pins BLAS to one thread, see ``ancsim/__init__.py``),
+this process writes every table after the loop instead (see ``_FastWriter``).
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._tables import _FastWriter, _write_columns, load_u_blocks
+from ._tables import _PERIOD_TABLES, _FastWriter, _histories, _sized_by, _write_columns, load_u_blocks
 from .adaptive import LmsConditionReport, _condition_maxima, _lag_windows, _report_at
-from .config import ConfigError, SimConfig
+from .config import SimConfig
 from .lifting import _MAP_VALUES, ExogenousRecord, HybridLoop, SimTrace
 from .statespace import freq_response_grid
 
@@ -118,18 +120,6 @@ class SweepResult:
     widening: float
 
 
-@contextlib.contextmanager
-def _sized_by(key: str, what: str):
-    """Raise numpy's failure to allocate arrays sized by ``key`` (a MemoryError,
-    or a ValueError past the address space) as a ConfigError naming ``key``."""
-    try:
-        yield
-    except (ConfigError, np.linalg.LinAlgError):
-        raise
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(key, f"cannot hold {what}: {exc}") from None
-
-
 def _setup(config: SimConfig) -> tuple[HybridLoop, ExogenousRecord]:
     """The loop of one configuration and its exogenous record, shared by its arms."""
     generator = config.make_generator()
@@ -177,8 +167,9 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     arithmetic, but with each period's errors formed, by the same products
     on its rows, before its map and tested; a crossing arm's state is then
     nan before the map reads it. So values, warnings and errors are those of
-    a test in every period. With a ``stream``, the w and e histories are the
-    stream's, and it learns after every block which rows are final.
+    a test in every period. With a ``stream``, the histories are the
+    stream's, and it learns after every block which rows are final; the
+    message at N periods, sent once, is the last.
     """
     L, N, n_taps, h = config.L, config.n_steps, config.n_taps, config.h
     cells = []
@@ -209,8 +200,6 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     # Every array a period touches carries the trailing unit axis that
     # ``matmul`` reads, so its shapes are fixed here, once, and a failure to
     # allocate them names its key before any table is begun.
-    # Row n of the taps and direction histories enters period n: row 0 is
-    # zero and row N final.
     with _sized_by("sim.T", f"{N} periods of {A} arms"):
         # stride 1 passes the blocks through: a one-term sum would print -0.0 as 0
         u_alg = {b: record.u_blocks if b == L else record.u_blocks.reshape(N, b, L // b).sum(axis=2)
@@ -222,10 +211,10 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
                        slice(lo, hi)) for lo, hi in zip(edges, edges[1:])]
             v = np.zeros((K + 1, A, n_s + 2 + n_taps, 1))
             v[0, :, n_s + 1] = 1.0
-        alpha_hist, delta_hist = np.zeros((2, A, N + 1, 1, n_taps))
-        y_d = np.empty((A, N, 1, 1))
-        shape, d = (A, N, L, 1), record.d[:, None, :, None]
-        w, e = stream.start(shape) if stream is not None else np.empty((2, *shape))
+        # row n of the taps and direction histories enters period n: row 0 is zero and row N final
+        w, e, alpha_hist, delta_hist, y_d = (_histories(A, N, L, n_taps) if stream is None
+                                             else stream.start(n_taps, [u_alg[b] for b in cells]))
+    d = record.d[:, None, :, None]
     # per period of a chunk: its filter outputs, its map products and its folds
     rows = [(v[i, :, :1], [(maps[i], v[i, run, :n_s + 2], v[i + 1, run, 1:]) for _, maps, run in groups],
              v[i + 1, :, n_s + 2:].swapaxes(1, 2)) for i in range(K)]
@@ -282,10 +271,10 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
             v[0] = start
         if stopped:
             break
-        if stream is not None and stop % every == 0:
-            stream.progress(stop, n_completed)
+        if stream is not None and stop < N:
+            stream.progress(stop, n_completed, diverged)
     if stream is not None:
-        stream.progress(N, n_completed)
+        stream.progress(N, n_completed, diverged)
     # the lag windows, the maps and the arm states are spent
     xd_lags = xd_n = windows = groups = maps = rows = products = v = v_n = v_next = y_n = fold = None
     n_updates, reads = n_completed - diverged, {}  # the diverging period made no update
@@ -427,35 +416,7 @@ def emit_bode(config: SimConfig) -> dict:
 # CSV output
 
 
-def _write_period_tables(result: SingleRunResult, out_dir: str, prefix: str) -> list[str]:
-    """Write discrete/taps/u_blocks/report tables of one arm; returns the paths."""
-    tr = result.trace
-    paths = []
-
-    def p(name: str) -> str:
-        path = os.path.join(out_dir, prefix + name)
-        paths.append(path)
-        return path
-
-    n_idx = np.arange(tr.n_steps)
-    _write_columns(
-        p("discrete.csv"),
-        ["n", "t", "x_d", "y_d"],
-        [n_idx, n_idx * tr.h, tr.x_d, tr.y_d],
-    )
-    n_taps = result.alpha_hist.shape[1] if result.alpha_hist.size else 0
-    header = ["n"] + [f"alpha_{k}" for k in range(n_taps)] + [f"delta_{k}" for k in range(n_taps)]
-    _write_columns(
-        p("taps.csv"),
-        header,
-        [np.arange(result.alpha_hist.shape[0]), *result.alpha_hist.T, *result.delta_hist.T],
-    )
-    _write_columns(
-        p("u_blocks.csv"),
-        ["n"] + [f"u_{l}" for l in range(result.algorithm_cells)],
-        [np.arange(result.u_alg_blocks.shape[0]), *result.u_alg_blocks.T],
-    )
-
+def _write_report(result: SingleRunResult, path: str) -> None:
     rep = result.lms_report
     items = [
         ("mu", result.mu),
@@ -477,8 +438,7 @@ def _write_period_tables(result: SingleRunResult, out_dir: str, prefix: str) -> 
             ("cond_step", rep.step_ok),
             ("cond_slow", rep.slow_ok),
         ]
-    _write_columns(p("report.csv"), ["key", "value"], zip(*items))
-    return paths
+    _write_columns(path, ["key", "value"], zip(*items))
 
 
 def _write_ratio_table(result: ComparisonResult, out_dir: str) -> str:
@@ -503,21 +463,23 @@ def run_to_csv(config: SimConfig, out_dir: str, compare: bool = False):
     (prefixed ``proposed_`` and ``conventional_`` when ``compare``, plus
     comparison.csv) and returns ``(result, paths)``. A forked process
     writes each arm's fast.csv while the arms run (see ``_FastWriter``);
-    this one writes every other table. A writer failure is raised as
+    it and this one then share the period tables, and this one writes the
+    report and comparison tables. A table that fails is raised as
     ``OSError`` naming the file after the other tables are written. The
     directory is made only once every array of the arm loop is held.
     """
     prefixes = ("proposed_", "conventional_") if compare else ("",)
     machine, record = _setup(config)
-    fast = [os.path.join(out_dir, prefix + "fast.csv") for prefix in prefixes]
-    writer = _FastWriter(fast, config.h, record)
+    writer = _FastWriter(out_dir, prefixes, config.h, record)
     results = None
     try:
         arms = [(config.mu, None), (config.mu, 1)][:len(prefixes)]
         results = _run_arms(config, machine, record, arms, writer)
+        writer.claim()
         paths = []
-        for res, prefix, path in zip(results, prefixes, fast):
-            paths += [path] + _write_period_tables(res, out_dir, prefix)
+        for res, prefix in zip(results, prefixes):
+            paths += [os.path.join(out_dir, prefix + name) for name in ("fast.csv", *_PERIOD_TABLES, "report.csv")]
+            _write_report(res, paths[-1])
         result = results[0]
         if compare:
             result = _pair(*results)

@@ -34,7 +34,6 @@ __all__ = [
     "vanloan",
     "period_gramian",
     "series",
-    "parallel",
     "from_second_order_bank",
     "freq_response_grid",
 ]
@@ -147,17 +146,6 @@ def series(first: ContinuousStateSpace, second: ContinuousStateSpace) -> Continu
     return ContinuousStateSpace(A, B, C)
 
 
-def parallel(first: ContinuousStateSpace, second: ContinuousStateSpace) -> ContinuousStateSpace:
-    """Sum of two systems driven by one input."""
-    n1, n2 = first.nstates, second.nstates
-    A = np.zeros((n1 + n2, n1 + n2))
-    A[:n1, :n1] = first.A
-    A[n1:, n1:] = second.A
-    B = np.vstack([first.B, second.B])
-    C = np.hstack([first.C, second.C])
-    return ContinuousStateSpace(A, B, C)
-
-
 def from_second_order_bank(
     gains,
     dampings,
@@ -170,10 +158,11 @@ def from_second_order_bank(
 
         H(s) = prod_i 1/(s + p_i) * sum_k g_k w_k^2 / (s^2 + 2 z_k w_k s + w_k^2)
 
-    Each resonant section is realized in controllable canonical form, the
-    sections are summed in parallel, and the result is cascaded behind the
-    chain of first-order lags (given order). An empty bank (no sections)
-    leaves just the lag chain; an empty pole list leaves just the bank.
+    Each resonant section is realized in controllable canonical form, its
+    blocks placed on the diagonal of one bank that sums the sections, and
+    the bank is cascaded behind the chain of first-order lags (given
+    order). An empty bank (no sections) leaves just the lag chain; an empty
+    pole list leaves just the bank.
     """
     gains = np.atleast_1d(np.asarray(gains, dtype=float))
     dampings = np.atleast_1d(np.asarray(dampings, dtype=float))
@@ -200,14 +189,16 @@ def from_second_order_bank(
         sys = lag if sys is None else series(sys, lag)
 
     if gains.size:
-        bank: ContinuousStateSpace | None = None
-        for g, z, w in zip(gains, dampings, frequencies):
-            section = ContinuousStateSpace(
-                [[0.0, 1.0], [-w * w, -2.0 * z * w]],
-                [[0.0], [1.0]],
-                [[g * w * w, 0.0]],
-            )
-            bank = section if bank is None else parallel(bank, section)
+        # section k holds states 2k, 2k + 1: A block [[0, 1], [-w^2, -2 z w]], B [0; 1], C [g w^2, 0]
+        n = 2 * gains.size
+        x, v = np.arange(0, n, 2), np.arange(1, n, 2)
+        A, B, C = np.zeros((n, n)), np.zeros((n, 1)), np.zeros((1, n))
+        A[x, v] = 1.0
+        A[v, x] = -frequencies * frequencies
+        A[v, v] = -2.0 * dampings * frequencies
+        B[v, 0] = 1.0
+        C[0, x] = gains * frequencies * frequencies
+        bank = ContinuousStateSpace(A, B, C)
         sys = bank if sys is None else series(sys, bank)
 
     assert sys is not None

@@ -686,8 +686,9 @@ def test_command_runs_blas_on_one_thread(entry, small_config, tmp_path):
     assert proc.stdout.splitlines()[-1] == expected
 
 
-def cold_cli_modules(tmp_path, command, packages, config_text="sim.T = 6\nsim.L = 2\n"):
-    """Run ``anc-sim COMMAND`` on a tiny config in a fresh process.
+def cold_cli_modules(tmp_path, command, packages, config_text="sim.T = 6\nsim.L = 2\n", extra=()):
+    """Run ``anc-sim COMMAND`` on a tiny config in a fresh process, ``extra``
+    appended to its arguments.
 
     Returns the last stdout line: the exit code and the sorted loaded
     modules that are one of ``packages`` or inside one.
@@ -704,7 +705,7 @@ def cold_cli_modules(tmp_path, command, packages, config_text="sim.T = 6\nsim.L 
     )
     src = os.path.dirname(os.path.dirname(ancsim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    argv = [",".join(packages), command, "--config", str(config), "--out", str(tmp_path / "out")]
+    argv = [",".join(packages), command, "--config", str(config), "--out", str(tmp_path / "out"), *extra]
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
                           text=True, check=True)
     return proc.stdout.splitlines()[-1]
@@ -713,6 +714,16 @@ def cold_cli_modules(tmp_path, command, packages, config_text="sim.T = 6\nsim.L 
 def test_cold_run_imports_no_scipy(tmp_path):
     """A fresh process that imports ancsim and runs the CLI never loads scipy."""
     assert cold_cli_modules(tmp_path, "run", ["scipy"]) == "0 []"
+
+
+def test_cold_check_loads_no_runner(tmp_path):
+    """A fresh ``check`` reads its trace and sizes its arrays through the table
+    module: ``ancsim.runner`` never loads."""
+    trace = tmp_path / "u_blocks.csv"
+    trace.write_text("n,u_0,u_1\n0,1,2\n1,2,3\n")
+    line = cold_cli_modules(tmp_path, "check", ["ancsim.runner", "ancsim._tables", "ancsim.adaptive"],
+                            extra=["--trace", str(trace)])
+    assert line == "1 ['ancsim._tables', 'ancsim.adaptive']"  # a two-period trace fails the conditions
 
 
 def test_cold_run_loads_no_fft_or_polynomial(tmp_path):

@@ -28,6 +28,7 @@ REMOVED = (
     "u_spectrum",
     "zoh_frequency_response",
     "FastSampler",
+    "parallel",
 )
 
 

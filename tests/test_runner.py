@@ -2,10 +2,12 @@
 
 import dataclasses
 import filecmp
+import itertools
 import os
 import sys
 import signal
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +32,7 @@ from ancsim import (
     write_bode_csv,
     write_sweep_csv,
 )
-from ancsim.config import SimConfig
+from ancsim.config import ConfigError, SimConfig
 from ancsim.tolerances import TOL
 
 
@@ -593,11 +595,17 @@ def test_shared_trace_arrays_are_read_only():
 
 
 def _write_run(result, out_dir, prefix=""):
-    """A result's run tables, written as ``run_to_csv`` writes them in this process."""
+    """A result's run tables, written by the functions ``run_to_csv`` writes them with."""
     os.makedirs(out_dir, exist_ok=True)
-    tr, path = result.trace, os.path.join(out_dir, prefix + "fast.csv")
-    assert not _tables._write_fast([path], tr.t_fast, tr.x, tr.d, tr.u, [tr.w], [tr.e], [[tr.t_fast.size]])
-    return [path] + runner._write_period_tables(result, out_dir, prefix)
+    tr = result.trace
+    paths = [os.path.join(out_dir, prefix + name)
+             for name in ("fast.csv", *_tables._PERIOD_TABLES, "report.csv")]
+    assert not _tables._write_fast(paths[:1], tr.t_fast, tr.x, tr.d, tr.u, [tr.w], [tr.e], [[tr.t_fast.size]])
+    for name, path in zip(_tables._PERIOD_TABLES, paths[1:]):
+        _tables._write_columns(path, *_tables._period_columns(
+            name, tr.h, tr.x_d, tr.y_d, result.alpha_hist, result.delta_hist, result.u_alg_blocks))
+    runner._write_report(result, paths[-1])
+    return paths
 
 
 def _write_comparison(result, out_dir):
@@ -909,6 +917,141 @@ def test_comparison_writer_reports_a_killed_child(tmp_path, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert (tmp_path / "comparison.csv").is_file()
+
+
+def test_final_progress_message_is_sent_once(tmp_path, monkeypatch):
+    """At N = 128, a multiple of the progress interval 64, the writer hears
+    of 64 periods and then once of 128, the final message."""
+    messages = []
+    progress = _tables._FastWriter.progress
+
+    def counting(self, periods, *args):
+        messages.append(periods)
+        return progress(self, periods, *args)
+
+    monkeypatch.setattr(_tables._FastWriter, "progress", counting)
+    runner.run_to_csv(short_config(T=128.0), str(tmp_path))
+    assert messages == [64, 128]
+
+
+DIVERGING = dict(T=60.0, mu=2.0, divergence_cutoff=5.0)
+
+
+def _writer_claims_first(monkeypatch, writer_takes=None):
+    """The forked writer claims ``writer_takes`` period tables (every one for
+    None) before this process claims any; returns the list of this
+    process's claims."""
+    parent, claims, mine = os.getpid(), _tables._FastWriter._claims, []
+
+    def held(self):
+        if os.getpid() != parent:
+            yield from itertools.islice(claims(self), writer_takes)
+            return
+        os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
+        for job in claims(self):
+            mine.append(job)
+            yield job
+
+    monkeypatch.setattr(_tables._FastWriter, "_claims", held)
+    return mine
+
+
+@pytest.mark.parametrize("split", ["writer", "main", "shared"])
+def test_period_tables_from_either_writer_match_row_wise_writer(split, tmp_path, monkeypatch):
+    """Each period table has the row-wise writer's bytes whichever process
+    writes it: the forked writer takes every one, the main process takes
+    every one (nothing forks), or the writer takes the largest and the main
+    process the rest. The conventional arm of the comparison diverges."""
+    forks = _counting_fork(monkeypatch)
+    if split == "main":
+        monkeypatch.setattr(_tables, "_thread_count", lambda: 2)
+    else:
+        mine = _writer_claims_first(monkeypatch, None if split == "writer" else 1)
+    config = short_config(**DIVERGING)
+    result = _assert_streamed_tables_match(tmp_path / "cmp", config)
+    assert result.conventional.diverged and not result.proposed.diverged
+    if split != "main":
+        # job 3a + t is table t (discrete, taps, u_blocks) of arm a, claimed by
+        # columns: the taps tables (9 each), proposed_u_blocks.csv (5), the
+        # discrete tables (4 each), conventional_u_blocks.csv (2)
+        assert mine == ([] if split == "writer" else [4, 2, 0, 3, 5])
+        mine.clear()
+    _assert_streamed_tables_match(tmp_path / "run", config, compare=False)
+    if split != "main":
+        assert mine == ([] if split == "writer" else [2, 0])
+    assert forks == ([] if split == "main" else [1, 1])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("writer_state", ["written", "begun"])
+def test_writer_abort_after_the_loop_leaves_no_table(writer_state, tmp_path, monkeypatch):
+    """A run that fails after its arm loop, once the forked writer has
+    written every period table or while it is inside one, leaves no table
+    and removes the directory it made. Until the arms' results exist only
+    the writer can have begun a table."""
+    parent, write = os.getpid(), _tables._write_columns
+    out = tmp_path / "out"
+    table = out / "proposed_taps.csv"  # the first claimed
+    if writer_state == "written":
+        mine = _writer_claims_first(monkeypatch)
+    else:
+        def stuck(path, header, columns):
+            if os.getpid() != parent:
+                with open(path, "wb") as fh:
+                    fh.write(b"n")
+                time.sleep(60)  # killed long before
+            return write(path, header, columns)
+
+        monkeypatch.setattr(_tables, "_write_columns", stuck)
+    writers = []
+    start = _tables._FastWriter.start
+    monkeypatch.setattr(_tables._FastWriter, "start", lambda self, *args: writers.append(self) or start(self, *args))
+
+    def failing(*args):
+        if writer_state == "written":
+            os.waitid(os.P_PID, writers[0].pid, os.WEXITED | os.WNOWAIT)
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                prefix + name for prefix in ("proposed_", "conventional_")
+                for name in ("fast.csv", *_tables._PERIOD_TABLES))
+        else:
+            deadline = time.monotonic() + 10
+            while not (table.exists() and table.read_bytes() == b"n") and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert table.read_bytes() == b"n"  # begun, not finished
+        raise MemoryError("no room for the Gram matrices")
+
+    monkeypatch.setattr(runner, "_condition_maxima", failing)
+    with pytest.raises(ConfigError, match="no room"):
+        runner.run_to_csv(short_config(**DIVERGING), str(out), compare=True)
+    assert not out.exists()
+    if writer_state == "written":
+        assert mine == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("where", ["writer", "main"])
+def test_writer_failing_period_table_fails_the_run_naming_it(where, tmp_path, monkeypatch):
+    """A period table that cannot be created (a directory is at its path)
+    fails the run with ``OSError`` naming it, from the forked writer and
+    from the main process, after every other table is written."""
+    if where == "main":
+        monkeypatch.setattr(_tables, "_thread_count", lambda: 2)
+    else:
+        _writer_claims_first(monkeypatch)
+    config = short_config(**DIVERGING)
+    out = tmp_path / "out"
+    (out / "taps.csv").mkdir(parents=True)
+    with pytest.raises(OSError, match="taps.csv") as failure:
+        runner.run_to_csv(config, str(out))
+    assert "fast" not in str(failure.value)
+    reference = tmp_path / "old"
+    oracles.reference_write_run_csv(run_single(config), str(reference))
+    for name in ("fast.csv", "discrete.csv", "u_blocks.csv", "report.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_library_writers_never_fork(tmp_path, monkeypatch, default_config):

@@ -12,7 +12,6 @@ from ancsim import (
     expm,
     freq_response_grid,
     from_second_order_bank,
-    parallel,
     period_gramian,
     series,
     vanloan,
@@ -94,17 +93,6 @@ def test_series_is_response_product():
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
-def test_parallel_is_response_sum():
-    rng = np.random.default_rng(12)
-    s1 = oracles_plant(rng)
-    s2 = oracles_plant(rng)
-    both = parallel(s1, s2)
-    for w in (0.0, 1.3):
-        want = oracles.freq_response(s1, w) + oracles.freq_response(s2, w)
-        got = oracles.freq_response(both, w)
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-
-
 def oracles_plant(rng):
     from conftest import random_stable_siso
 
@@ -171,6 +159,25 @@ def test_lag_chain_then_bank():
         want = sec / (1j * w + 1.5)
         got = oracles.freq_response(sys, w)
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_bank_places_each_section_on_the_diagonal():
+    """The bank is the sections' blocks placed on one diagonal, also behind a
+    lag chain: placement, so every entry keeps the bits of the section's own
+    arithmetic."""
+    g, z, w = np.array([0.3, -1.7, 2.0]), np.array([0.05, 0.7, 1.3]), np.array([0.9, 3.1, 40.0])
+    bank = from_second_order_bank(g, z, w)
+    for k in range(3):
+        block = slice(2 * k, 2 * k + 2)
+        want = np.array([[0.0, 1.0], [-w[k] * w[k], -2.0 * z[k] * w[k]]])
+        assert bank.A[block, block].tobytes() == want.tobytes()
+        assert bank.B[block, 0].tolist() == [0.0, 1.0]
+        assert bank.C[0, block].tobytes() == np.array([g[k] * w[k] * w[k], 0.0]).tobytes()
+    assert np.count_nonzero(bank.A) == 9
+    chained = from_second_order_bank(g, z, w, first_order_poles=(1.5, 0.5))
+    assert chained.A[2:, 2:].tobytes() == bank.A.tobytes()
+    assert chained.C[0, 2:].tobytes() == bank.C[0].tobytes()
+    assert chained.B[:, 0].tolist() == [1.0] + [0.0] * 7
 
 
 def test_bank_builder_validation():
