@@ -1,27 +1,16 @@
 """Adaptive layers on top of the lifted discretization.
 
-Two levels share the blocked regressor record ``U[n]`` (exact per-cell
-integrals of the secondary path's response to the reference):
-
-* the quadratic design problem (Gram matrix + cross vector) whose minimizer
-  is the optimal FIR filter over an infinite horizon,
-* offline steepest descent on it, in closed form over the Gram eigenmodes.
-
-The online update itself (one tap commit per period, a cumulative descent
-direction fed by fast error samples against lagged regressor integrals) is
-the arm loop of ``runner``, stacked over every arm of a configuration.
-
-A separate checker verifies the three conditions under which the online
-update is a slowly-varying perturbation of steepest descent: uniformly
-bounded Gram matrices, step size inside the stability range, and small
-per-period Gram increments, from the top eigenvalue of the running Gram
-matrix (its positive semidefinite growth makes it the largest so far) and
-the largest top eigenvalue of its increments: one call reads them at any set
-of truncations (the runner's, per blocking: every arm's last update),
-decomposing one running Gram matrix per truncation and the increments a
-norm bound cannot rule out. The design problem and the checker build the
-Gram matrix from one lag stack of the record, processed in chunks.
-"""
+The blocked regressor record ``U[n]`` (exact per-cell integrals of the
+secondary path's response to the reference) defines a quadratic design
+problem (Gram matrix + cross vector) whose minimizer is the optimal FIR
+filter; ``sd_run`` descends it in closed form over the Gram eigenmodes. The
+online update is the arm loop of ``runner``. A checker verifies the three
+conditions under which that update is a slowly-varying perturbation of
+steepest descent (bounded Gram matrices, a step inside the stability range,
+small per-period Gram increments) at any set of truncations, decomposing one
+running Gram matrix per truncation and the increments a norm bound cannot
+rule out. Every Gram matrix is gathered from the lag products
+(L/h) U[m] . U[m-d] and their running sums over periods."""
 
 from __future__ import annotations
 
@@ -120,10 +109,8 @@ class WienerProblem:
         return self.beta.size
 
 
-_CHUNK_PERIODS = 128
-# Values (8 bytes each) of the checker's lag windows and running sums per
-# chunk: 128 periods at the benchmark's sizes, 11 at 300 taps, one at 1000.
-_CHECK_CHUNK_VALUES = 1 << 20
+# Values of each lag-sum array of a chunk: 32 KiB, 504 periods at 8 taps, at least n_taps.
+_GRAM_VALUES = 1 << 12
 
 
 def _lag_windows(rows: np.ndarray, n_taps: int) -> np.ndarray:
@@ -133,27 +120,45 @@ def _lag_windows(rows: np.ndarray, n_taps: int) -> np.ndarray:
     return np.moveaxis(np.lib.stride_tricks.sliding_window_view(source, n_taps, 0), -1, 1)[::-1]
 
 
-def _lagged_chunks(U: np.ndarray, n_taps: int, periods: int = _CHUNK_PERIODS):
-    """Yield ``(start, V)``, ``V[n - start, :, k] = U[n - k]``, zero before U.
+def _lag_sums(U: np.ndarray, n_taps: int, h: float):
+    """Yield ``(start, G, C)`` for chunks of periods of the record ``U``.
 
-    Each ``V`` is a contiguous copy of the (periods, L, n_taps) lag windows
-    of at most ``periods`` periods: batched products on it equal per-period
-    ones bit for bit (an einsum or a strided view does not). Each chunk
-    windows only the rows it reads, so the temporaries stay small.
-    """
-    for start in range(0, len(U), periods):
-        lo, stop = max(start - n_taps + 1, 0), start + periods
-        yield start, _lag_windows(U[lo:stop], n_taps)[start - lo:].transpose(0, 2, 1).copy()
+    Rows k + i (k = ``n_taps``) hold period m = start + i, rows 0 .. k-1 the
+    k periods before: G[m, d] = (L/h) U[m] . U[m-d], d < k (zero before the
+    record), and C[m] = sum of G[m'] over m' <= m, so that the increment of
+    period m is M_m[j, j+d] = G[m-j, d] and the running Gram matrix
+    Phi[n][j, j+d] = C[n-1-j, d] (``_toeplitz``). One product per period, sums
+    in period order: no bit depends on the chunk size. A chunk's buffers are
+    reused once the next is drawn."""
+    k, (N, L) = n_taps, U.shape
+    periods = max(k, _GRAM_VALUES // k - k)
+    G, C = np.zeros((k + min(periods, N), k)), np.zeros((k + min(periods, N), k))
+    for start in range(0, N, periods):
+        if start:  # the last k periods of the full chunk before
+            G[:k], C[:k] = G[-k:], C[-k:]
+        stop = min(start + periods, N)
+        rows = stop - start
+        # the window of period m is rows m-k+1 .. m of the record, zero before it
+        source = U[start - k + 1:stop] if start else np.concatenate([np.zeros((k - 1, L)), U[:stop]])
+        windows = np.lib.stride_tricks.sliding_window_view(source, k, 0).swapaxes(1, 2)
+        np.matmul(windows, U[start:stop, :, None], out=G[k:k + rows, ::-1, None])
+        G[k:k + rows] *= L / h
+        C[k:k + rows] = G[k:k + rows]
+        np.cumsum(C[k - 1:k + rows], axis=0, out=C[k - 1:k + rows])
+        yield start, G[:k + rows], C[:k + rows]
 
 
-def build_wiener(
-    u_blocks,
-    d_fast,
-    n_taps: int,
-    horizon: float,
-    h: float,
-    L: int,
-) -> WienerProblem:
+def _toeplitz(X: np.ndarray, rows) -> np.ndarray:
+    """Symmetric (len(rows), k, k) matrices S[i, j, j+d] = S[i, j+d, j] = X[rows[i] - j, d]
+    of a C-contiguous X, in one gather."""
+    k = X.shape[1]
+    a = np.arange(k)
+    # entry (a, b) sits |a - b| - k min(a, b) values past row rows[i]'s start
+    at = np.abs(a - a[:, None]) - k * np.minimum(a, a[:, None])
+    return X.reshape(-1)[k * np.asarray(rows)[:, None, None] + at]
+
+
+def build_wiener(u_blocks, d_fast, n_taps: int, horizon: float, h: float, L: int) -> WienerProblem:
     """Assemble the quadratic problem from one recorded run.
 
     ``u_blocks`` is the (n_steps, L) record of exact per-cell regressor
@@ -171,25 +176,22 @@ def build_wiener(
         raise DimensionError(f"u_blocks has {U.shape[1]} cells per row, expected L = {L}")
     D = np.asarray(d_fast, dtype=float).reshape(-1)
     if D.size != n_steps * L:
-        raise DimensionError(
-            f"d_fast has {D.size} samples, expected n_steps * L = {n_steps * L}"
-        )
+        raise DimensionError(f"d_fast has {D.size} samples, expected n_steps * L = {n_steps * L}")
     D = D.reshape(n_steps, L)
     if n_taps < 1:
         raise ValueError("need at least one tap")
     if not 0.0 < h < np.inf:
         raise ValueError(f"period h must be positive and finite, got {h}")
     if abs(horizon - n_steps * h) > 1e-9 * max(h, horizon):
-        raise ValueError(
-            f"horizon {horizon} is not the record length: {n_steps} periods of {h}"
-        )
+        raise ValueError(f"horizon {horizon} is not the record length: {n_steps} periods of {h}")
 
-    Phi = np.zeros((n_taps, n_taps))
-    beta = np.zeros(n_taps)
-    for start, V in _lagged_chunks(U, n_taps):
-        Vf = V.reshape(-1, n_taps)
-        Phi += (L / h) * (Vf.T @ Vf)
-        beta += Vf.T @ D[start:start + V.shape[0]].reshape(-1)
+    C = np.zeros((n_taps, n_taps))
+    for _, _, C in _lag_sums(U, n_taps, h):
+        pass
+    Phi = _toeplitz(C, [len(C) - 1])[0]
+    # beta[k] = sum over n of U[n - k] . D[n]: one dot product of the flat records per lag
+    u, d = U.reshape(-1), D.reshape(-1)
+    beta = np.array([u[:max(n_steps - k, 0) * L] @ d[k * L:] for k in range(n_taps)])
     d_energy = (h / L) * float(np.sum(D * D))
     return WienerProblem(Phi=Phi, beta=beta, horizon=horizon, d_energy=d_energy)
 
@@ -310,22 +312,15 @@ class LmsConditionReport:
         return self.bounded_ok and self.step_ok and self.slow_ok
 
 
-def check_lms_conditions(
-    u_blocks,
-    mu: float,
-    n_taps: int,
-    h: float,
-    eps_threshold: float = 0.5,
-) -> LmsConditionReport:
+def check_lms_conditions(u_blocks, mu: float, n_taps: int, h: float,
+                         eps_threshold: float = 0.5) -> LmsConditionReport:
     """Evaluate the three convergence conditions on a recorded run.
 
-    Builds the running Gram matrices Phi[n] from the lag stack of the
-    blocked regressor record, one chunk of periods at a time, and reports,
-    from the top eigenvalue of the final Phi and the largest one of its
-    increments: (1) a uniform norm bound, (2) whether the step size lies
-    inside (0, 2 / max eigenvalue), (3) whether the per-period change of
-    mu Phi[n] stays below ``eps_threshold``. A record with no regressor
-    energy is flagged degenerate (conditions hold vacuously). A record whose
+    From the top eigenvalues of the final running Gram matrix and of its
+    largest per-period increment: (1) a uniform norm bound, (2) whether the
+    step size lies inside (0, 2 / max eigenvalue), (3) whether the change of
+    mu Phi[n] per period stays below ``eps_threshold``. A record with no
+    regressor energy is degenerate (the conditions hold vacuously); one whose
     Gram matrix overflows raises ``numpy.linalg.LinAlgError`` (a ValueError).
     """
     U = np.asarray(u_blocks, dtype=float)
@@ -343,54 +338,55 @@ def check_lms_conditions(
     return _report_at(maxima, len(U), n_taps, mu, eps_threshold)
 
 
+def _increment_bounds(G: np.ndarray) -> np.ndarray:
+    """Upper bounds on ``eigvalsh``'s top eigenvalue of the increments of the
+    rows k = ``G.shape[1]`` on of a ``_lag_sums`` chunk; -1 for a zero one.
+
+    M_m is exactly symmetric, so lambda(M_m) <= ||M_m||_F, whose square is the
+    sum over j < k of R[m-j, k-1-j], R[p, e] the sum over d <= e of c_d (G[p, d]^2
+    + t), c_0 = 1, c_d = 2 (two entries per lag) and t the smallest normal double
+    if G[p, d] != 0 (covering a square that underflows), else 0. Each term
+    passes at most 2 k roundings and all are nonnegative, so nothing cancels:
+    their rounding, the root's and ``eigvalsh``'s (k^2 eps) stay under the
+    margin 2 (k + 1)^2 eps; an overflow gives inf.
+    """
+    k = G.shape[1]
+    with np.errstate(over="ignore"):
+        R = G * G
+        np.add(R, np.finfo(float).tiny, out=R, where=G != 0.0)
+        R[:, 1:] *= 2.0
+        np.cumsum(R, axis=1, out=R)
+        # row i: R[k + i - j, k - 1 - j] over j, the diagonal of a window of k rows
+        norm2 = np.diagonal(np.lib.stride_tricks.sliding_window_view(R[1:], k, 0), 0, 1, 2).sum(axis=1)
+        return np.where(norm2 > 0.0, np.sqrt(norm2) * (1.0 + 2 * (k + 1) ** 2 * np.finfo(float).eps), -1.0)
+
+
 def _condition_maxima(U: np.ndarray, n_taps: int, h: float, reads) -> dict:
     """``{n: (lambda_max(Phi[n]), increment lambda_max)}`` over the first n periods, for n in ``reads``.
 
-    The top eigenvalue (``eigvalsh``) of the running Gram matrix Phi[n] and
-    the largest one of its increments M_m = (L/h) V_m^T V_m, m <= n (0 at
-    n = 0), bit for bit: every truncation builds the same matrices by the
-    same chunked products and in-place cumsum. The increments are positive
-    semidefinite, so lambda(Phi[n]) is already the largest over m <= n
-    (Weyl's inequality, up to rounding), and each read decomposes Phi[n]
-    alone. With k = n_taps and eps the machine epsilon, lambda(M_m) <=
-    ||M_m||_F (1 + 4 k^2 (L + 2) eps), the margin covering ``eigvalsh``
-    (k^2 eps) and the asymmetry of the triangles (2 L eps of the top
-    diagonal entry each); k^2 smallest normal doubles under the root cover
-    underflowed squares. Nonzero increments are decomposed, largest bound
-    first, while a bound reaches the largest value found. A chunk holds at
-    most ``_CHECK_CHUNK_VALUES`` values of windows and running sums (the
-    sums are the same whatever the chunk: cumsum adds in period order). A
-    Gram matrix that overflows raises ``numpy.linalg.LinAlgError``, which
-    callers tell from a failure to allocate it.
-    """
+    ``eigvalsh``'s top eigenvalue of Phi[n], the largest over m <= n by
+    Weyl's inequality up to rounding, and the largest one of the increments
+    M_m, m < n (0 at n = 0): nonzero ones are decomposed, largest bound
+    (``_increment_bounds``) first, while a bound reaches the largest value
+    found. A Gram matrix that overflows raises ``numpy.linalg.LinAlgError``,
+    which callers tell from a failure to allocate it."""
     reads = sorted(set(reads))
     U = U[:reads[-1]]  # later periods change nothing before the last read
-    L, eps = U.shape[1], np.finfo(float).eps
-    margin, floor = 4 * n_taps**2 * (L + 2) * eps, n_taps**2 * np.finfo(float).tiny
-    periods = max(1, min(_CHUNK_PERIODS, _CHECK_CHUNK_VALUES // (n_taps * (n_taps + L))))
-    Phi, inc, lam_at, inc_at = np.zeros((n_taps, n_taps)), 0.0, {0: 0.0}, {0: 0.0}
+    k, inc, lam_at, inc_at = n_taps, 0.0, {0: 0.0}, {0: 0.0}
     try:
         with np.errstate(over="raise"):
-            for start, V in _lagged_chunks(U, n_taps, periods):
-                running = V.transpose(0, 2, 1) @ V
-                running *= L / h  # the bits of (L / h) * (V^T V), without a second stack
-                rows = running.reshape(len(V), 1, -1)
-                with np.errstate(over="ignore"):  # past the largest double a bound rules nothing out
-                    bound = np.sqrt((rows @ rows.transpose(0, 2, 1)).ravel() + floor) * (1.0 + margin)
-                bound = np.where(rows.any(axis=2).ravel(), bound, -1.0).tolist()  # zero: no new maximum
-                hits = [n for n in reads if start < n <= start + len(V)]
-                lo = 0
-                for hi in [n - start for n in hits] + [len(V)]:
-                    for m in sorted(range(lo, hi), key=bound.__getitem__, reverse=True):
+            for start, G, C in _lag_sums(U, k, h):
+                rows, bound = len(G) - k, _increment_bounds(G)
+                hits = [n for n in reads if start < n <= start + rows]
+                cuts = [n - start for n in hits]
+                for lo, hi in zip([0] + cuts, cuts + [rows]):
+                    for m in (lo + np.argsort(-bound[lo:hi], kind="stable")).tolist():
                         if bound[m] < inc:
                             break
-                        inc = max(inc, float(np.linalg.eigvalsh(running[m])[-1]))
-                    inc_at[start + hi], lo = inc, hi
-                running[0] += Phi
-                np.cumsum(running, axis=0, out=running)
-                Phi = running[-1]
+                        inc = max(inc, float(np.linalg.eigvalsh(_toeplitz(G, [k + m]))[0, -1]))
+                    inc_at[start + hi] = inc
                 if hits:
-                    tops = np.linalg.eigvalsh(running[[n - start - 1 for n in hits]])[:, -1]
+                    tops = np.linalg.eigvalsh(_toeplitz(C, [k + n - start - 1 for n in hits]))[:, -1]
                     lam_at.update(zip(hits, tops.tolist()))
     except FloatingPointError:
         raise np.linalg.LinAlgError("the Gram matrix overflows") from None

@@ -194,9 +194,9 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     every, stopped, n_s = _FastWriter.every, False, machine.secondary.nstates
     # Row i of the arm states v holds each arm's [y; zeta; 1; Delta] in period c0 + i of a chunk
     # of K periods: that period's map takes [y; zeta; 1] of row i to the rest of row i + 1, Delta
-    # being its fold. The maps of one blocking and the states stay within _MAP_VALUES doubles each.
-    K = max(1, min(every, _MAP_VALUES // (max(A, n_s + 2) * (n_s + 2 + n_taps)) - 1))
+    # being its fold. The maps of all blockings together and the states stay within _MAP_VALUES each.
     edges = [0, *(np.flatnonzero(np.diff(cells)) + 1).tolist(), A]
+    K = max(1, min(every, _MAP_VALUES // (max(A, (len(edges) - 1) * (n_s + 2)) * (n_s + 2 + n_taps)) - 1))
     # Every array a period touches carries the trailing unit axis that
     # ``matmul`` reads, so its shapes are fixed here, once, and a failure to
     # allocate them names its key before any table is begun.
@@ -281,7 +281,7 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     for a, (mu_a, _) in enumerate(arms):
         if mu_a > 0.0 and n_updates[a] > 0:
             reads.setdefault(cells[a], []).append(int(n_updates[a]))
-    with _sized_by("filter.taps", f"{n_taps} taps"):  # the Gram matrices, (n_taps, n_taps) each
+    with _sized_by("filter.taps", f"{n_taps} taps"):  # the lag sums and the (n_taps, n_taps) Gram matrices
         maxima = {b: _condition_maxima(u_alg[b], n_taps, h, ns) for b, ns in reads.items()}
     results, d_norms = [], {}  # arms that stop together share the disturbance's norm
     for a, (mu_a, _) in enumerate(arms):

@@ -9,7 +9,7 @@ step-size range (0, 2 / sup S) for descent on the quadratic problem.
 ``spectral_bound`` folds every alias at once through the lifted secondary
 path's period Gramian (Yamamoto & Khargonekar, IEEE TAC 1996). The module
 also checks the Gram/spectrum consistency: Gram entries are inverse
-transforms of S over one period of frequencies.
+transforms of S over one period of frequencies, all lags from one FFT.
 """
 
 from __future__ import annotations
@@ -160,14 +160,14 @@ class ParsevalReport:
 
 
 def parseval_check(problem: WienerProblem, bound: SpectralBound) -> ParsevalReport:
-    """Check the recorded Gram matrix against the spectrum integral."""
-    n = problem.n_taps
-    weight = bound.h / (2.0 * np.pi) * bound.spacing
-    lag_vals = np.empty(n)
-    for m in range(n):
-        lag_vals[m] = weight * float(bound.values @ np.cos(bound.omegas * m * bound.h))
-    idx = np.arange(n)
-    phi_s = lag_vals[np.abs(np.subtract.outer(idx, idx))]
+    """Check the recorded Gram matrix against the spectrum integral, whose lags
+    are one FFT: on the grid w_i h = pi (2 i + 1 - G) / G, sum_i S_i cos(m w_i h) =
+    Re[e^{j pi m (1 - G) / G} F*_{m mod G}], F = fft(S), the phase reduced mod 2 pi exactly."""
+    G, m = bound.values.size, np.arange(problem.n_taps)
+    turn = np.pi / G * (m * (1 - G) % (2 * G))
+    F = np.fft.fft(bound.values)[m % G]
+    lag_vals = bound.h / (2.0 * np.pi) * bound.spacing * (np.cos(turn) * F.real + np.sin(turn) * F.imag)
+    phi_s = lag_vals[np.abs(np.subtract.outer(m, m))]
 
     diff = np.abs(phi_s - problem.Phi)
     scale = max(float(np.abs(problem.Phi).max()), 1e-300)

@@ -40,6 +40,7 @@ class Tolerances:
     baseline_match: float = 1e-12       # lifted L=1 loop vs independent baseline, per sample
     sd_convergence: float = 1e-6        # steepest-descent terminal distance to optimum
     sd_closed_form: float = 1e-13       # closed-form descent vs recursion, per row (measured <= 5.6e-14)
+    gram_lags: float = 1e-13            # lag-product Gram values vs per-period lag matrices (measured <= 2.2e-15)
 
     # spectral layer
     alias_truncation: float = 1e-6      # gap of the 32-alias sum to the exact (relative)

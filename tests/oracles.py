@@ -33,7 +33,8 @@ of the record per lag pair and :func:`reference_check_lms_conditions` builds the
 of each period in a Python loop; :func:`reference_condition_series`
 decomposes every running Gram matrix and every increment of a record, so
 one pair of series serves each truncation, on the lag stack that
-:func:`reference_lagged_chunks` fills one lag at a time;
+:func:`reference_lagged_chunks` fills one lag at a time (the package gathers
+its Gram matrices from lag products instead, within ``TOL.gram_lags``);
 :func:`reference_wiener_solve` solves the
 quadratic problem by Cholesky factorization plus one refinement step;
 :func:`reference_sd_run` is the sequential descent recursion, one step per
@@ -63,7 +64,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, quad_vec, solve_ivp
 
-from ancsim.adaptive import _CHUNK_PERIODS, LmsConditionReport, WienerProblem, check_lms_conditions
+from ancsim.adaptive import LmsConditionReport, WienerProblem, check_lms_conditions
 from ancsim.lifting import ExogenousRecord, LiftedDiscretization, SimTrace
 from ancsim.runner import SingleRunResult, emit_bode
 from ancsim.signals import AutonomousGenerator, HeldWaveform
@@ -320,12 +321,17 @@ def reference_check_lms_conditions(u_blocks, mu, n_taps, h, eps_threshold=0.5) -
     )
 
 
+# periods a chunk of the reference lag stack: a chunk's edge sits inside the
+# Gram test records, which the package's lag sums must not notice
+REFERENCE_CHUNK_PERIODS = 128
+
+
 def reference_lagged_chunks(U: np.ndarray, n_taps: int):
     """``(start, V)`` with ``V[n - start, :, k] = U[n - k]``, zero before U, in
-    the package's chunks of periods, filled one lag at a time."""
+    chunks of ``REFERENCE_CHUNK_PERIODS`` periods, filled one lag at a time."""
     n_steps, L = U.shape
-    for start in range(0, n_steps, _CHUNK_PERIODS):
-        stop = min(start + _CHUNK_PERIODS, n_steps)
+    for start in range(0, n_steps, REFERENCE_CHUNK_PERIODS):
+        stop = min(start + REFERENCE_CHUNK_PERIODS, n_steps)
         V = np.zeros((stop - start, L, n_taps))
         for k in range(min(n_taps, stop)):
             lo = max(start, k)

@@ -441,13 +441,15 @@ def test_blocks_without_crossing_step_once(monkeypatch):
 @pytest.mark.parametrize("overrides, n_arms", [({}, 1), ({}, 40), (dict(n_taps=300), 2), (dict(L=32), 2)])
 def test_one_period_map_holds_its_values(overrides, n_arms, monkeypatch):
     """One period's map takes [y; zeta; 1] to [next zeta; 1; Delta]: it holds
-    (n_s + 1 + n_taps)(n_s + 2) values, and the maps of a chunk stay within
-    128 KiB."""
-    shapes = []
+    (n_s + 1 + n_taps)(n_s + 2) values, and the maps of a chunk, those of
+    every blocking together, stay within 128 KiB."""
+    shapes, first = [], []
     real = HybridLoop.arm_maps
 
     def recording(self, windows, d, start, out):
         shapes.append(out.shape)
+        if start == 0:
+            first.append(out.shape)
         return real(self, windows, d, start, out)
 
     monkeypatch.setattr(HybridLoop, "arm_maps", recording)
@@ -456,7 +458,8 @@ def test_one_period_map_holds_its_values(overrides, n_arms, monkeypatch):
     runner._run_arms(config, machine, record, [(0.1, None), (0.1, 1)] * (n_arms // 2) or [(0.1, None)])
     n_s, n_taps = machine.secondary.nstates, config.n_taps
     assert shapes and all(shape[1:] == (n_s + 1 + n_taps, n_s + 2) for shape in shapes)
-    assert all(np.prod(shape) * 8 <= 128 * 1024 for shape in shapes)
+    assert len(first) == n_arms  # the arms alternate blockings: one run of arms each
+    assert sum(np.prod(shape) for shape in first) * 8 <= 128 * 1024
 
 
 def test_floating_point_conditions_reach_the_caller():
@@ -535,8 +538,8 @@ def test_sweep_folds_each_blocking_once_per_period(monkeypatch):
 def test_sweep_reads_every_arm_of_a_blocking_in_one_call(monkeypatch):
     """One maxima call per blocking serves arms that diverge in one chunk, in
     different chunks and right after their first update; mu = 0 arms read
-    nothing. Every field equals the single-arm loop's, and every report the
-    full per-period series' values."""
+    nothing. Every field equals the single-arm loop's, and every report is
+    within ``TOL.gram_lags`` of the full per-period series' values."""
     config = short_config(T=300.0, L=4)
     arms = [(mu, cells) for mu in (0.0, 0.5, 13.0, 16.0, 30.0, 1e15) for cells in (None, 1, 2)]
     calls = []
@@ -547,13 +550,16 @@ def test_sweep_reads_every_arm_of_a_blocking_in_one_call(monkeypatch):
         return real(U, n_taps, h, reads)
 
     monkeypatch.setattr(runner, "_condition_maxima", recording)
+    # chunks of the lag sums of 120 periods, so that the reads fall across and within them
+    monkeypatch.setattr(adaptive, "_GRAM_VALUES", 1024)
+    periods = 1024 // config.n_taps - config.n_taps
     machine, record = runner._setup(config)
     got = runner._run_arms(config, machine, record, arms)
 
     assert sorted(b for b, _ in calls) == [1, 2, 4]
     for _, reads in calls:
         assert len(reads) == 5  # one per arm with mu > 0: none diverged alike
-        chunks = [(n - 1) // adaptive._CHUNK_PERIODS for n in reads]
+        chunks = [(n - 1) // periods for n in reads]
         assert len(set(chunks)) >= 2 and len(set(chunks)) < len(chunks)
     assert sum(reads[0] == 1 for _, reads in calls) == 2  # mu = 1e15 at 4 and 2 cells
 
@@ -575,8 +581,8 @@ def test_sweep_reads_every_arm_of_a_blocking_in_one_call(monkeypatch):
         lam, inc = series[b][0][n_up], series[b][1][n_up]
         report = result.lms_report
         assert report.n_intervals == n_up
-        assert np.array([report.lambda_max, report.eps_realized]).tobytes() == \
-            np.array([lam, mu * inc]).tobytes()
+        want = pytest.approx((lam, mu * inc), rel=TOL.gram_lags, abs=0.0)
+        assert (report.lambda_max, report.eps_realized) == want
 
 
 def test_shared_trace_arrays_are_read_only():

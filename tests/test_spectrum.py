@@ -414,3 +414,20 @@ def test_parseval_improves_with_refinement():
     fine_problem, fine_bound = decayed_problem_and_bound(grid_size=8192, L=16)
     fine = parseval_check(fine_problem, fine_bound)
     assert fine.entry00_rel < coarse.entry00_rel
+
+
+@pytest.mark.parametrize("grid_size, n_taps", [(4096, 8), (4095, 64), (16, 40), (7, 20)])
+def test_parseval_lags_equal_cosine_sums(grid_size, n_taps):
+    """The lags from one FFT of S equal the direct cosine sums over the grid
+    within 1e-13 of the largest, also past the grid size, where the FFT's
+    lags wrap around and the phase carries the rest."""
+    config = SimConfig()
+    sec, h = config.secondary(), config.h
+    xd = oracles.sample_grid(config.make_generator(), h, 200)
+    u_blocks = record_u(sec, xd, h, 4)
+    problem = build_wiener(u_blocks, np.zeros((200, 4)), n_taps, 200 * h, h, 4)
+    bound = spectral_bound(sec, xd, h, grid_size=grid_size)
+    weight = bound.h / (2.0 * np.pi) * bound.spacing
+    direct = np.array([weight * float(bound.values @ np.cos(bound.omegas * m * bound.h)) for m in range(n_taps)])
+    lags = parseval_check(problem, bound).phi_spectral[0]
+    assert np.abs(lags - direct).max() <= 1e-13 * np.abs(direct).max()
