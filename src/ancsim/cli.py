@@ -8,8 +8,9 @@ output directory; summaries and wall time go to stdout only.
 
 Each common flag sets one config key on top of the config file (``--mu``
 sets ``adapt.mu``, or ``adapt.mu_list`` for ``sweep``), and the config is
-built once; a bad value exits 2 naming its key. A subcommand loads the
-modules it runs (``runner``, or ``_tables`` and ``adaptive`` for
+built once; a bad value exits 2 naming its key. A command line that names
+its subcommand first builds only that subcommand's options. A subcommand
+loads the modules it runs (``runner``, or ``_tables`` and ``adaptive`` for
 ``check``) once its config is valid.
 """
 
@@ -26,42 +27,27 @@ from .config import ConfigError, SimConfig, read_config
 __all__ = ["main"]
 
 
-def _add_common(sub: argparse.ArgumentParser, mu_key: str = "adapt.mu") -> None:
-    sub.add_argument("--config", help="path to a key = value config file")
-    # a flag's dest is the dotted key it sets (see _build_config)
-    for flag, key in (("--out", "output.dir"), ("--seed", "sim.seed"), ("--mu", mu_key),
-                      ("--L", "sim.L"), ("--threshold", "sweep.threshold")):
-        sub.add_argument(flag, dest=key, help=f"set {key} over the config file")
-
-
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every subcommand when it is None."""
     parser = argparse.ArgumentParser(
         prog="anc-sim",
         description="Sampled-data filtered-x adaptive noise control experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="single adaptive run")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="proposed vs conventional blocking")
-    _add_common(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_swp = sub.add_parser("sweep", help="step-size sweep of both arms")
-    _add_common(p_swp, "adapt.mu_list")
-    p_swp.set_defaults(func=_cmd_sweep)
-
-    p_bode = sub.add_parser("bode", help="plant frequency-response table")
-    _add_common(p_bode)
-    p_bode.set_defaults(func=_cmd_bode)
-
-    p_chk = sub.add_parser("check", help="convergence conditions on a recorded trace")
-    _add_common(p_chk)
-    p_chk.add_argument("--trace", required=True, help="path to a u_blocks.csv recorded with adapt.mu")
-    p_chk.set_defaults(func=_cmd_check)
-
+    # one subcommand's parser names them all in its usage line, as the full parser does; a
+    # metavar on the full parser would also rename "command" in its errors
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (help_text, mu_key, func) in _COMMANDS.items():
+        if command in (None, name):
+            p_cmd = sub.add_parser(name, help=help_text)
+            p_cmd.set_defaults(func=func)
+            p_cmd.add_argument("--config", help="path to a key = value config file")
+            # a flag's dest is the dotted key it sets (see _build_config)
+            for flag, key in (("--out", "output.dir"), ("--seed", "sim.seed"), ("--mu", mu_key),
+                              ("--L", "sim.L"), ("--threshold", "sweep.threshold")):
+                p_cmd.add_argument(flag, dest=key, help=f"set {key} over the config file")
+            if name == "check":
+                p_cmd.add_argument("--trace", required=True, help="path to a u_blocks.csv recorded with adapt.mu")
     return parser
 
 
@@ -166,8 +152,19 @@ def _cmd_check(args) -> int:
     return 0 if report.all_ok else 1
 
 
+# each subcommand's help, the key its --mu sets and its function
+_COMMANDS = {
+    "run": ("single adaptive run", "adapt.mu", _cmd_run),
+    "compare": ("proposed vs conventional blocking", "adapt.mu", _cmd_compare),
+    "sweep": ("step-size sweep of both arms", "adapt.mu_list", _cmd_sweep),
+    "bode": ("plant frequency-response table", "adapt.mu", _cmd_bode),
+    "check": ("convergence conditions on a recorded trace", "adapt.mu", _cmd_check),
+}
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -409,15 +409,20 @@ def l2_norm(samples, dt: float) -> float:
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("cannot take the norm of an empty trace")
+    return _l2_norms(arr[None], dt, [0])[0]
+
+
+def _l2_norms(rows: np.ndarray, dt: float, which) -> list[float]:
+    """``l2_norm`` of row i of the 2-D ``rows`` for each i in ``which``, bit
+    for bit; one max and one min reduction screen every row, with no temporary."""
     if not 0.0 < dt < np.inf:
         raise ValueError(f"sample spacing must be positive and finite, got {dt}")
-    if not np.all(np.isfinite(arr)):
-        return float("inf")
-    # squares of samples this large overflow the dot product
-    if float(np.max(np.abs(arr))) >= 1e150:
-        return float("inf")
-    # einsum sums without BLAS, so the bytes do not depend on its thread count
-    total = float(np.einsum("i,i->", arr, arr))
-    if total > 1e300:
-        return float("inf")
-    return float(np.sqrt(dt * total))
+    # a nan fails both tests, an infinite sample or one whose square overflows the dot product one
+    highs, lows = rows.max(axis=1).tolist(), rows.min(axis=1).tolist()
+    fine = [hi < 1e150 and lo > -1e150 for hi, lo in zip(highs, lows)]
+    norms = []
+    for i in which:
+        # einsum sums without BLAS, so the bytes do not depend on its thread count
+        total = float(np.einsum("i,i->", rows[i], rows[i])) if fine[i] else np.inf
+        norms.append(float(np.sqrt(dt * total)) if total <= 1e300 else np.inf)
+    return norms

@@ -48,7 +48,7 @@ import numpy as np
 from ._tables import _PERIOD_TABLES, _FastWriter, _histories, _sized_by, _write_columns, load_u_blocks
 from .adaptive import LmsConditionReport, _condition_maxima, _lag_windows, _report_at
 from .config import SimConfig
-from .lifting import _MAP_VALUES, ExogenousRecord, HybridLoop, SimTrace
+from .lifting import _MAP_VALUES, ExogenousRecord, HybridLoop, SimTrace, _l2_norms
 from .statespace import freq_response_grid
 
 __all__ = [
@@ -283,6 +283,11 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
             reads.setdefault(cells[a], []).append(int(n_updates[a]))
     with _sized_by("filter.taps", f"{n_taps} taps"):  # the lag sums and the (n_taps, n_taps) Gram matrices
         maxima = {b: _condition_maxima(u_alg[b], n_taps, h, ns) for b, ns in reads.items()}
+    # the e norms of the arms that did not diverge and the w norms of those that ran every period
+    # from one pass over each history; an arm that stopped early takes its w norm from its slice
+    kept, full = (np.flatnonzero(ran).tolist() for ran in (~diverged, n_completed == N))
+    e_norms = dict(zip(kept, _l2_norms(e.reshape(A, -1), h / L, kept)))
+    w_norms = dict(zip(full, _l2_norms(w.reshape(A, -1), h / L, full)))
     results, d_norms = [], {}  # arms that stop together share the disturbance's norm
     for a, (mu_a, _) in enumerate(arms):
         b, k, n_up = cells[a], int(n_completed[a]), int(n_updates[a])
@@ -303,9 +308,9 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
             u_alg_blocks=u_alg[b][:n_up],
             algorithm_cells=b,
             mu=mu_a,
-            error_norm=float("inf") if diverged[a] else trace.norm("e"),
+            error_norm=e_norms.get(a, float("inf")),
             d_norm=d_norms[k],
-            w_norm=trace.norm("w"),
+            w_norm=w_norms[a] if k == N else trace.norm("w"),
             diverged=bool(diverged[a]),
             n_completed=k,
             lms_report=report,

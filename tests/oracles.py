@@ -50,11 +50,15 @@ per-value formatter;
 whole grid, with the Horner transform and one :func:`u_spectrum` per alias
 term, truncated at ``n_alias`` aliases on each side. The package sums every
 alias at once from a period Gramian; :func:`held_tone_energy` integrates the
-same period energy by adaptive quadrature.
+same period energy by adaptive quadrature. :func:`reference_l2_norm` screens
+a signal through ``isfinite`` and ``abs``, where the package screens by its
+largest and smallest sample, and :func:`reference_cli_parser` builds every
+subcommand's options, where the command line builds only the one it names.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import os
 from dataclasses import dataclass
@@ -1220,3 +1224,36 @@ def reference_write_bode_csv(config, out_dir: str) -> str:
     path = os.path.join(out_dir, "bode.csv")
     write_csv_rows(path, list(cols.keys()), zip(*cols.values()))
     return path
+
+
+def reference_l2_norm(samples, dt: float) -> float:
+    """sqrt(dt * sum of squares), inf for a non-finite sample or one whose square overflows."""
+    arr = np.asarray(samples, dtype=float).ravel()
+    if not np.all(np.isfinite(arr)) or float(np.max(np.abs(arr))) >= 1e150:
+        return float("inf")
+    total = float(np.einsum("i,i->", arr, arr))
+    return float("inf") if total > 1e300 else float(np.sqrt(dt * total))
+
+
+def reference_cli_parser() -> argparse.ArgumentParser:
+    """The ``anc-sim`` parser with every subcommand's options, one block each."""
+    parser = argparse.ArgumentParser(
+        prog="anc-sim",
+        description="Sampled-data filtered-x adaptive noise control experiments",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p: argparse.ArgumentParser, mu_key: str = "adapt.mu") -> None:
+        p.add_argument("--config", help="path to a key = value config file")
+        for flag, key in (("--out", "output.dir"), ("--seed", "sim.seed"), ("--mu", mu_key),
+                          ("--L", "sim.L"), ("--threshold", "sweep.threshold")):
+            p.add_argument(flag, dest=key, help=f"set {key} over the config file")
+
+    add_common(sub.add_parser("run", help="single adaptive run"))
+    add_common(sub.add_parser("compare", help="proposed vs conventional blocking"))
+    add_common(sub.add_parser("sweep", help="step-size sweep of both arms"), "adapt.mu_list")
+    add_common(sub.add_parser("bode", help="plant frequency-response table"))
+    p_chk = sub.add_parser("check", help="convergence conditions on a recorded trace")
+    add_common(p_chk)
+    p_chk.add_argument("--trace", required=True, help="path to a u_blocks.csv recorded with adapt.mu")
+    return parser

@@ -8,6 +8,7 @@ for ``compare`` no process-pool module and neither ``decimal`` nor
 ``fractions``.
 """
 
+import argparse
 import errno
 import mmap
 import os
@@ -22,6 +23,7 @@ import pytest
 import ancsim
 import ancsim.config
 import ancsim.lifting
+import oracles
 from ancsim import from_second_order_bank, load_u_blocks
 from ancsim.cli import main
 
@@ -412,6 +414,30 @@ class TestErrorPaths:
 
 
 COMMANDS = ["run", "compare", "sweep", "bode", "check"]
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in COMMANDS), [], ["frobnicate"],
+                                  ["sweep", "--frobnicate", "1"], ["check", "--config", "x.cfg"]],
+                         ids=lambda argv: " ".join(argv) or "no-command")
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_usage_and_help_equal_the_full_parsers(argv, columns, capsys, monkeypatch):
+    """A command line that names its subcommand builds that subcommand's options
+    alone; its help, usage lines, errors and exit code are the full parser's."""
+    monkeypatch.setenv("COLUMNS", columns)
+    want = _exit_of(oracles.reference_cli_parser().parse_args, argv, capsys)
+    assert want[0] == (0 if "--help" in argv else 2)
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kwargs: built.append(name) or add_parser(self, name, **kwargs))
+    assert _exit_of(main, argv, capsys) == want
+    assert built == (argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
 BAD_FLAGS = [
     (["--seed", "x"], "sim.seed"),
     (["--L", "2.5"], "sim.L"),

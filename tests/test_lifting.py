@@ -574,8 +574,37 @@ def test_l2_norm_edge_cases():
                 l2_norm(samples, dt)
     assert l2_norm(np.array([1.0, np.nan]), 0.1) == np.inf
     assert l2_norm(np.array([1e200, 1e200]), 0.1) == np.inf
+    # the screen reads the smallest sample as well as the largest
+    assert l2_norm(np.array([1.0, -1e200]), 0.1) == np.inf
+    assert l2_norm(np.array([1.0, -np.inf, 2.0]), 0.1) == np.inf
+    assert l2_norm(np.array([-3.0, -1.0, np.nan, -2.0]), 0.1) == np.inf
+    # a square of 1e150 is finite and its sum under 1e300: only the screen makes these infinite
+    for edge in (1e150, -1e150):
+        assert l2_norm(np.array([0.5, edge]), 1.0) == np.inf
+        below = np.nextafter(edge, 0.0)
+        assert l2_norm(np.array([below]), 1e-300) == np.sqrt(1e-300 * (below * below))
     # each square is finite, the sum of squares passes 1e300
     assert l2_norm(np.full(10_000, 1e149), 1.0) == np.inf
+
+
+def test_stacked_norms_equal_the_screen_they_replace():
+    """Each row's norm of one stacked pass equals the isfinite-and-abs screen's bit
+    for bit, whatever the other rows hold, and unlisted rows are not summed."""
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((9, 16_000))
+    for row, (where, value) in zip(rows[1:], [(7, np.nan), (0, -np.inf), (-1, np.inf), (3, -1e200),
+                                             (5, 1e150), (9, -1e150), (2, np.nextafter(-1e150, 0.0))]):
+        row[where] = value
+    rows[8] = 0.0
+    rows[-2, ::2] = -rows[-2, ::2]
+    which = [8, 0, 2, 7, 4, 1, 6, 3, 5]
+    for dt in (1.0 / 32, 0.7):
+        got = lifting._l2_norms(rows, dt, which)
+        assert [g.hex() for g in got] == [oracles.reference_l2_norm(rows[i], dt).hex() for i in which]
+        assert lifting._l2_norms(rows, dt, [3]) == [got[which.index(3)]]
+    assert lifting._l2_norms(rows, 1.0, []) == []
+    with pytest.raises(ValueError, match="sample spacing"):
+        lifting._l2_norms(rows, 0.0, [0])
 
 
 def test_l2_norm_bytes_do_not_depend_on_blas_threads():

@@ -280,6 +280,31 @@ def test_comparison_arms_equal_single_runs(overrides):
     _assert_identical(comp.conventional, run_single(config, algorithm_cells=1))
 
 
+@pytest.mark.parametrize("T,mus", [(100.0, [0.0, 0.5, 9.0, 9.3, 9.6, 12.0, 40.0]), (2000.0, [0.0, 0.1, 9.6])])
+def test_stacked_arm_norms_equal_each_arms_own(T, mus):
+    """The norms of one pass over every arm's histories equal ``l2_norm`` of each
+    arm's own slice bit for bit: arms of both blockings that run the full
+    horizon, one at mu = 0, one that diverges in the last period and arms
+    that stop in different periods (T = 2000 gives 16000 samples an arm)."""
+    config = SimConfig(T=T)
+    results = [r for pair in runner._comparisons(config, *runner._setup(config), mus)
+               for r in (pair.proposed, pair.conventional)]
+    N = config.n_steps
+    stops = {r.n_completed for r in results if r.diverged and r.n_completed < N}
+    assert len(stops) >= (5 if T == 100.0 else 1)
+    assert {r.algorithm_cells for r in results if not r.diverged and r.mu > 0.0} == {1, config.L}
+    assert T != 100.0 or any(r.diverged and r.n_completed == N for r in results)
+    for r in results:
+        trace = r.trace
+        want = {"e": np.inf if r.diverged else oracles.reference_l2_norm(trace.e, trace.dt),
+                "w": oracles.reference_l2_norm(trace.w, trace.dt),
+                "d": oracles.reference_l2_norm(trace.d, trace.dt)}
+        got = {"e": r.error_norm, "w": r.w_norm, "d": r.d_norm}
+        assert {k: v.hex() for k, v in got.items()} == {k: float(v).hex() for k, v in want.items()}, r.mu
+        assert r.w_norm == trace.norm("w")
+        assert r.diverged or r.error_norm == trace.norm("e")
+
+
 def test_sweep_rows_equal_standalone_comparisons():
     config = short_config(T=30.0, threshold=5.0)
     sweep = run_mu_sweep(config, mu_values=[0.1, 0.4, 100.0])
