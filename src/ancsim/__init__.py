@@ -14,7 +14,7 @@ import sys as _sys
 # reads "-m" while this package loads) runs BLAS on one thread unless its
 # environment sets a count. ancsim's products are far too small for BLAS
 # workers to pay off, and a process that runs them does not fork its table
-# writer (see ``runner.run_to_csv``). The count is read when numpy loads.
+# writer (see ``reports.run_to_csv``). The count is read when numpy loads.
 _argv0 = (getattr(_sys, "argv", None) or [""])[0]
 if _argv0 == "-m" or _os.path.splitext(_os.path.basename(_argv0))[0] == "anc-sim":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -38,8 +38,9 @@ __version__ = "0.1.0"
 
 # Searched in this order for a name, each loaded when the search reaches it.
 # Each needs only modules before it, but runner needs no spectrum: spectrum
-# goes first as the smaller one to load in passing.
-_LAZY = ("tolerances", "adaptive", "spectrum", "runner")
+# goes first as the smaller one to load in passing. reports, last, loads
+# runner only to run arms, so a name of runner leaves it unloaded.
+_LAZY = ("tolerances", "adaptive", "spectrum", "runner", "reports")
 _EAGER = ("config", "lifting", "signals", "statespace")
 
 

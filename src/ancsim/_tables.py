@@ -120,8 +120,9 @@ def _write_columns(path: str, header: list[str], columns) -> None:
 def load_u_blocks(path: str) -> np.ndarray:
     """Read back a u_blocks.csv table (inverse of ``run_to_csv``'s writer).
 
-    The header must be ``n,u_0,...,u_{k-1}`` with k >= 1 and every row hold
-    1 + k finite numbers; anything else raises ``ValueError`` naming the file.
+    The header must be ``n,u_0,...,u_{k-1}`` with k >= 1, every row hold
+    1 + k finite numbers and the n column read 0, 1, 2, ... in order;
+    anything else raises ``ValueError`` naming the file.
     """
     with open(path, encoding="utf-8") as fh:
         header, *rows = fh.read().splitlines() or [""]
@@ -140,6 +141,8 @@ def load_u_blocks(path: str) -> np.ndarray:
         raise ValueError(width)
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: expected finite numbers")
+    if not np.array_equal(data[:, 0], np.arange(len(data))):
+        raise ValueError(f"{path}: expected periods n = 0, 1, 2, ... in order")
     return data[:, 1:]
 
 

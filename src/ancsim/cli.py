@@ -8,10 +8,11 @@ output directory; summaries and wall time go to stdout only.
 
 Each common flag sets one config key on top of the config file (``--mu``
 sets ``adapt.mu``, or ``adapt.mu_list`` for ``sweep``), and the config is
-built once; a bad value exits 2 naming its key. A command line that names
-its subcommand first builds only that subcommand's options. A subcommand
-loads the modules it runs (``runner``, or ``_tables`` and ``adaptive`` for
-``check``) once its config is valid.
+built once, before the subcommand starts; a bad value exits 2 naming its
+key. A command line that names its subcommand first builds only that
+subcommand's options. A subcommand loads the modules it runs once its config
+is valid: ``runner`` and ``reports`` for ``run``, ``compare`` and ``sweep``,
+``reports`` alone for ``bode``, ``_tables`` and ``adaptive`` for ``check``.
 """
 
 from __future__ import annotations
@@ -72,11 +73,10 @@ def _print_conditions(report) -> None:
     )
 
 
-def _cmd_run(args) -> int:
-    cfg = _build_config(args)
-    from . import runner
+def _cmd_run(cfg: SimConfig, args) -> int:
+    from . import reports
     t0 = time.perf_counter()
-    result, paths = runner.run_to_csv(cfg, cfg.out_dir)
+    result, paths = reports.run_to_csv(cfg, cfg.out_dir)
     wall = time.perf_counter() - t0
     print(f"run: {result.n_completed} periods, mu = {cfg.mu}, L = {cfg.L}")
     print(
@@ -89,11 +89,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    cfg = _build_config(args)
-    from . import runner
+def _cmd_compare(cfg: SimConfig, args) -> int:
+    from . import reports
     t0 = time.perf_counter()
-    result, paths = runner.run_to_csv(cfg, cfg.out_dir, compare=True)
+    result, paths = reports.run_to_csv(cfg, cfg.out_dir, compare=True)
     wall = time.perf_counter() - t0
     print(
         f"compare: proposed error L2 = {result.proposed.error_norm:.6g},"
@@ -105,12 +104,11 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
-    from . import runner
+def _cmd_sweep(cfg: SimConfig, args) -> int:
+    from . import reports, runner
     t0 = time.perf_counter()
     result = runner.run_mu_sweep(cfg)
-    paths = runner.write_sweep_csv(result, cfg.out_dir)
+    paths = reports.write_sweep_csv(result, cfg.out_dir)
     wall = time.perf_counter() - t0
     print(
         f"sweep: {len(result.rows)} step sizes, threshold = {result.threshold},"
@@ -123,16 +121,14 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bode(args) -> int:
-    cfg = _build_config(args)
-    from . import runner
-    path = runner.write_bode_csv(cfg, cfg.out_dir)
+def _cmd_bode(cfg: SimConfig, args) -> int:
+    from . import reports
+    path = reports.write_bode_csv(cfg, cfg.out_dir)
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_check(args) -> int:
-    cfg = _build_config(args)
+def _cmd_check(cfg: SimConfig, args) -> int:
     if not cfg.mu > 0.0:
         raise ConfigError("adapt.mu", f"check needs a positive step size, got {cfg.mu}")
     from ._tables import _sized_by, load_u_blocks
@@ -166,7 +162,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_build_config(args), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -161,10 +161,6 @@ class SimConfig:
         return cls(**kwargs)
 
     @classmethod
-    def from_text(cls, text: str) -> "SimConfig":
-        return cls.from_mapping(parse_config_text(text))
-
-    @classmethod
     def from_file(cls, path: str) -> "SimConfig":
         return cls.from_mapping(read_config(path))
 

@@ -394,10 +394,6 @@ class SimTrace:
     def dt(self) -> float:
         return self.h / self.L
 
-    @property
-    def t_fast(self) -> np.ndarray:
-        return np.arange(self.n_steps * self.L) * self.dt
-
     def norm(self, name: str) -> float:
         """L2 norm of one fast signal ('x', 'd', 'w', 'e' or 'u')."""
         return l2_norm(getattr(self, name), self.dt)

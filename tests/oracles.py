@@ -70,7 +70,8 @@ from scipy.integrate import quad, quad_vec, solve_ivp
 
 from ancsim.adaptive import LmsConditionReport, WienerProblem, check_lms_conditions
 from ancsim.lifting import ExogenousRecord, LiftedDiscretization, SimTrace
-from ancsim.runner import SingleRunResult, emit_bode
+from ancsim.reports import emit_bode
+from ancsim.runner import SingleRunResult
 from ancsim.signals import AutonomousGenerator, HeldWaveform
 from ancsim.spectrum import SpectralBound
 from ancsim.statespace import DimensionError, freq_response_grid, vanloan
@@ -1102,6 +1103,11 @@ def write_csv_rows(path: str, header: list[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def t_fast(trace: SimTrace) -> np.ndarray:
+    """The fast grid of a trace, the t column of its fast.csv: cell left endpoints."""
+    return np.arange(trace.n_steps * trace.L) * trace.dt
+
+
 def reference_write_run_csv(result, out_dir: str, prefix: str = "") -> list[str]:
     """The run tables of ``ancsim.run_to_csv``, written by ``write_csv_rows``."""
     os.makedirs(out_dir, exist_ok=True)
@@ -1113,7 +1119,7 @@ def reference_write_run_csv(result, out_dir: str, prefix: str = "") -> list[str]
         paths.append(path)
         return path
 
-    t = tr.t_fast
+    t = t_fast(tr)
     write_csv_rows(
         p("fast.csv"),
         ["t", "x", "d", "w", "e", "u"],

@@ -290,9 +290,10 @@ class TestCheckCommand:
         assert out == ""
         assert f"{trace}: no periods recorded" in err
 
-    @pytest.mark.parametrize("table", ["taps.csv", "fast.csv", "wrong_width", "ragged"])
+    @pytest.mark.parametrize("table", ["taps.csv", "fast.csv", "wrong_width", "ragged", "misnumbered"])
     def test_other_table_exits_two_naming_file(self, table, recorded_trace, small_config, capsys):
-        """Only a u_blocks.csv header over rows of its width reads as a trace."""
+        """Only a u_blocks.csv header over rows of its width, numbered 0, 1, 2, ...
+        in order, reads as a trace."""
         trace = os.path.join(os.path.dirname(recorded_trace), table)
         if table == "wrong_width":
             trace = recorded_trace
@@ -300,6 +301,8 @@ class TestCheckCommand:
             Path(trace).write_text("\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:]) + "\n")
         elif table == "ragged":
             Path(trace).write_text("n,u_0,u_1\n0,1,2\n1,2\n")
+        elif table == "misnumbered":  # periods missing and out of order
+            Path(trace).write_text("n,u_0\n0,1\n7,2\n3,5\n")
         code, out, err = _run_cli(["check", "--config", small_config, "--trace", trace], capsys)
         assert code == 2
         assert out == ""
@@ -308,6 +311,8 @@ class TestCheckCommand:
         if table in ("wrong_width", "ragged"):
             fields = Path(trace).read_text().split("\n", 1)[0].count(",") + 1
             assert err == f"error: {trace}: expected {fields} fields on every row, as in the header\n"
+        if table == "misnumbered":
+            assert err == f"error: {trace}: expected periods n = 0, 1, 2, ... in order\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_trace_exits_two_naming_file(self, value, small_config, tmp_path, capsys):
@@ -484,7 +489,7 @@ def test_horizon_past_the_address_space_exits_two(command, line, periods, tmp_pa
     config = tmp_path / "long.cfg"
     config.write_text(line + "\n")
     writers = []
-    monkeypatch.setattr("ancsim.runner._FastWriter", lambda *args: writers.append(args))
+    monkeypatch.setattr("ancsim.reports._FastWriter", lambda *args: writers.append(args))
     code, out, err = _run_cli([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"configuration error: sim.T: cannot hold {periods} periods: ")
@@ -496,7 +501,7 @@ def test_cell_count_past_memory_exits_two(command, tmp_path, capsys, monkeypatch
     """A cell count whose cell maps cannot be held fails at once, naming sim.L,
     before the output directory or a fast-table writer is made."""
     writers = []
-    monkeypatch.setattr("ancsim.runner._FastWriter", lambda *args: writers.append(args))
+    monkeypatch.setattr("ancsim.reports._FastWriter", lambda *args: writers.append(args))
     code, out, err = _run_cli([command, "--L", "1000000000000", "--out", str(tmp_path / "o")], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("configuration error: sim.L: cannot hold ")
@@ -750,6 +755,14 @@ def test_cold_check_loads_no_runner(tmp_path):
     line = cold_cli_modules(tmp_path, "check", ["ancsim.runner", "ancsim._tables", "ancsim.adaptive"],
                             extra=["--trace", str(trace)])
     assert line == "1 ['ancsim._tables', 'ancsim.adaptive']"  # a two-period trace fails the conditions
+
+
+def test_cold_bode_loads_no_runner(tmp_path):
+    """A fresh ``bode`` lays out its table through ``ancsim.reports``: no run
+    module, nor the checker or its tolerances, loads."""
+    line = cold_cli_modules(tmp_path, "bode", ["ancsim.reports", "ancsim._tables", "ancsim.runner",
+                                               "ancsim.adaptive", "ancsim.tolerances"])
+    assert line == "0 ['ancsim._tables', 'ancsim.reports']"
 
 
 def test_cold_run_loads_no_fft_or_polynomial(tmp_path):

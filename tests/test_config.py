@@ -47,6 +47,11 @@ def test_defaults_are_benchmark_setup():
     assert config.threshold == 10.0
 
 
+def from_text(text: str) -> SimConfig:
+    """The config of ``key = value`` text, as a config file's."""
+    return SimConfig.from_mapping(parse_config_text(text))
+
+
 def test_from_text_full_round():
     text = """
     sim.h = 0.5
@@ -73,7 +78,7 @@ def test_from_text_full_round():
     run.divergence_cutoff = 1e6
     output.dir = results
     """
-    config = SimConfig.from_text(text)
+    config = from_text(text)
     assert config.h == 0.5 and config.L == 2 and config.T == 5.0
     assert config.n_steps == 10
     assert config.mu_list == (0.1, 0.2, 0.3)
@@ -86,7 +91,7 @@ def test_from_text_full_round():
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
-        SimConfig.from_text("sim.step = 1\n")
+        from_text("sim.step = 1\n")
     assert "sim.step" in str(err.value)
 
 
@@ -138,7 +143,7 @@ def test_unknown_key_rejected():
 )
 def test_field_validation_names_the_key(line, key):
     with pytest.raises(ConfigError) as err:
-        SimConfig.from_text(line + "\n")
+        from_text(line + "\n")
     assert str(err.value).startswith(key + ":")
 
 

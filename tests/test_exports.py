@@ -83,10 +83,11 @@ LOOP = ["ancsim", "ancsim.config", "ancsim.lifting", "ancsim.signals", "ancsim.s
     ("from ancsim import TOL", ["tolerances"]),
     ("from ancsim import adaptive", ["adaptive", "tolerances"]),
     ("import ancsim\nancsim.runner", ["_tables", "adaptive", "runner", "tolerances"]),
+    ("from ancsim import run_single", ["_tables", "adaptive", "runner", "spectrum", "tolerances"]),
     ("from ancsim import cli", ["cli"]),
     ("from ancsim import cli\ncli.main(['run', '--seed', 'x'])", ["cli"]),
     ("from ancsim import spectral_bound", ["adaptive", "spectrum", "tolerances"]),
-], ids=["loop", "TOL", "adaptive", "runner", "cli", "cli-rejected", "spectral_bound"])
+], ids=["loop", "TOL", "adaptive", "runner", "run_single", "cli", "cli-rejected", "spectral_bound"])
 def test_modules_load_on_first_use(code, lazy):
     """``import ancsim`` loads the modules that build a configuration and its
     loop; any other module loads with its first name or as a submodule, alone."""

@@ -15,7 +15,7 @@ import pytest
 
 import _frozen
 import oracles
-from ancsim import _tables, adaptive, runner
+from ancsim import _tables, adaptive, reports, runner
 from ancsim import (
     ComparisonResult,
     HybridLoop,
@@ -631,11 +631,12 @@ def _write_run(result, out_dir, prefix=""):
     tr = result.trace
     paths = [os.path.join(out_dir, prefix + name)
              for name in ("fast.csv", *_tables._PERIOD_TABLES, "report.csv")]
-    assert not _tables._write_fast(paths[:1], tr.t_fast, tr.x, tr.d, tr.u, [tr.w], [tr.e], [[tr.t_fast.size]])
+    t = oracles.t_fast(tr)
+    assert not _tables._write_fast(paths[:1], t, tr.x, tr.d, tr.u, [tr.w], [tr.e], [[t.size]])
     for name, path in zip(_tables._PERIOD_TABLES, paths[1:]):
         _tables._write_columns(path, *_tables._period_columns(
             name, tr.h, tr.x_d, tr.y_d, result.alpha_hist, result.delta_hist, result.u_alg_blocks))
-    runner._write_report(result, paths[-1])
+    reports._write_report(result, paths[-1])
     return paths
 
 
@@ -643,11 +644,11 @@ def _write_comparison(result, out_dir):
     """Both arms' tables and comparison.csv, as ``run_to_csv`` writes them in this process."""
     paths = _write_run(result.proposed, out_dir, "proposed_")
     paths += _write_run(result.conventional, out_dir, "conventional_")
-    return paths + [runner._write_ratio_table(result, out_dir)]
+    return paths + [reports._write_ratio_table(result, out_dir)]
 
 
 def test_run_csv_round_trip(tmp_path):
-    result, files = runner.run_to_csv(short_config(), str(tmp_path))
+    result, files = reports.run_to_csv(short_config(), str(tmp_path))
     names = {os.path.basename(f) for f in files}
     assert {"fast.csv", "discrete.csv", "taps.csv", "u_blocks.csv", "report.csv"} <= names
     back = load_u_blocks(str(tmp_path / "u_blocks.csv"))
@@ -666,13 +667,13 @@ def test_run_csv_raises_a_failed_fast_table(tmp_path, monkeypatch):
             monkeypatch.setattr(_tables, "_thread_count", lambda: 2)
         (tmp_path / where / "fast.csv").mkdir(parents=True)
         with pytest.raises(OSError, match="fast.csv"):
-            runner.run_to_csv(short_config(T=10.0), str(tmp_path / where))
+            reports.run_to_csv(short_config(T=10.0), str(tmp_path / where))
     assert forks == [1]
 
 
 def test_fast_csv_columns(tmp_path):
     config = short_config()
-    result, _ = runner.run_to_csv(config, str(tmp_path))
+    result, _ = reports.run_to_csv(config, str(tmp_path))
     header = (tmp_path / "fast.csv").read_text().splitlines()[0]
     assert header.split(",") == ["t", "x", "d", "w", "e", "u"]
     data = np.loadtxt(tmp_path / "fast.csv", delimiter=",", skiprows=1)
@@ -681,7 +682,7 @@ def test_fast_csv_columns(tmp_path):
 
 
 def test_comparison_csv(tmp_path):
-    _, files = runner.run_to_csv(short_config(T=10.0), str(tmp_path), compare=True)
+    _, files = reports.run_to_csv(short_config(T=10.0), str(tmp_path), compare=True)
     names = {os.path.basename(f) for f in files}
     assert "comparison.csv" in names
     assert any(n.startswith("proposed_") for n in names)
@@ -816,7 +817,7 @@ def test_csv_writer_matches_row_wise_writer(
 
 def _assert_streamed_tables_match(tmp_path, config, compare=True):
     """``run_to_csv``'s tables equal the row-wise writer's tables of its result."""
-    result, paths = runner.run_to_csv(config, str(tmp_path / "new"), compare=compare)
+    result, paths = reports.run_to_csv(config, str(tmp_path / "new"), compare=compare)
     reference = oracles.reference_write_comparison_csv if compare else oracles.reference_write_run_csv
     ref_paths = reference(result, str(tmp_path / "old"))
     assert [os.path.basename(p) for p in paths] == [os.path.basename(p) for p in ref_paths]
@@ -861,12 +862,12 @@ def test_full_size_comparison_matches_row_wise_writer(tmp_path, monkeypatch):
     the row-wise writer."""
     config = SimConfig().with_overrides(T=2000.0, L=32, seed=1234)
     forks = _counting_fork(monkeypatch)
-    result, _ = runner.run_to_csv(config, str(tmp_path / "forked"), compare=True)
+    result, _ = reports.run_to_csv(config, str(tmp_path / "forked"), compare=True)
     rows = max(1, _tables._FAST_CHUNK_VALUES // 8)
     assert result.proposed.trace.x.size > 16 * rows and result.proposed.trace.x.size % rows
     oracles.reference_write_comparison_csv(result, str(tmp_path / "old"))
     monkeypatch.setattr(_tables, "_thread_count", lambda: 2)
-    runner.run_to_csv(config, str(tmp_path / "here"), compare=True)
+    reports.run_to_csv(config, str(tmp_path / "here"), compare=True)
     assert forks == [1]
     names = sorted(os.listdir(tmp_path / "old"))
     for where in ("forked", "here"):
@@ -944,7 +945,7 @@ def test_comparison_writer_reports_a_killed_child(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_tables, "_write_fast", killed_in_child)
     with pytest.raises(OSError, match="fast table writer exited with code -9"):
-        runner.run_to_csv(short_config(), str(tmp_path), compare=True)
+        reports.run_to_csv(short_config(), str(tmp_path), compare=True)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert (tmp_path / "comparison.csv").is_file()
@@ -961,7 +962,7 @@ def test_final_progress_message_is_sent_once(tmp_path, monkeypatch):
         return progress(self, periods, *args)
 
     monkeypatch.setattr(_tables._FastWriter, "progress", counting)
-    runner.run_to_csv(short_config(T=128.0), str(tmp_path))
+    reports.run_to_csv(short_config(T=128.0), str(tmp_path))
     assert messages == [64, 128]
 
 
@@ -1054,7 +1055,7 @@ def test_writer_abort_after_the_loop_leaves_no_table(writer_state, tmp_path, mon
 
     monkeypatch.setattr(runner, "_condition_maxima", failing)
     with pytest.raises(ConfigError, match="no room"):
-        runner.run_to_csv(short_config(**DIVERGING), str(out), compare=True)
+        reports.run_to_csv(short_config(**DIVERGING), str(out), compare=True)
     assert not out.exists()
     if writer_state == "written":
         assert mine == []
@@ -1075,7 +1076,7 @@ def test_writer_failing_period_table_fails_the_run_naming_it(where, tmp_path, mo
     out = tmp_path / "out"
     (out / "taps.csv").mkdir(parents=True)
     with pytest.raises(OSError, match="taps.csv") as failure:
-        runner.run_to_csv(config, str(out))
+        reports.run_to_csv(config, str(out))
     assert "fast" not in str(failure.value)
     reference = tmp_path / "old"
     oracles.reference_write_run_csv(run_single(config), str(reference))
@@ -1157,7 +1158,7 @@ def test_identical_runs_identical_bytes(tmp_path):
     dirs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        runner.run_to_csv(config, str(out))
+        reports.run_to_csv(config, str(out))
         dirs.append(out)
     for fname in os.listdir(dirs[0]):
         assert filecmp.cmp(dirs[0] / fname, dirs[1] / fname, shallow=False), fname
@@ -1165,13 +1166,13 @@ def test_identical_runs_identical_bytes(tmp_path):
 
 def test_different_seed_different_bytes(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    runner.run_to_csv(short_config(), str(out_a))
-    runner.run_to_csv(short_config(seed=77), str(out_b))
+    reports.run_to_csv(short_config(), str(out_a))
+    reports.run_to_csv(short_config(seed=77), str(out_b))
     assert not filecmp.cmp(out_a / "fast.csv", out_b / "fast.csv", shallow=False)
 
 
 def test_report_contains_condition_summary(tmp_path):
-    result, _ = runner.run_to_csv(short_config(), str(tmp_path))
+    result, _ = reports.run_to_csv(short_config(), str(tmp_path))
     report = dict(
         line.split(",", 1)
         for line in (tmp_path / "report.csv").read_text().splitlines()[1:]
