@@ -2,8 +2,9 @@
 a forked writer while the arms run, and the period tables shared with it.
 
 ``_write_columns`` writes any table of equal-length columns, and
-``load_u_blocks`` reads a u_blocks.csv table back. ``_period_columns``
-lays out an arm's period tables (discrete.csv, taps.csv, u_blocks.csv).
+``load_u_blocks`` reads a u_blocks.csv table back. ``_period_rows`` cuts an
+arm's period rows out of the arm loop's histories, and ``_period_columns``
+lays them out as its period tables (discrete.csv, taps.csv, u_blocks.csv).
 ``_write_fast`` writes the fast.csv tables of one or more arms of one
 record, formatting their shared columns once. ``_FastWriter`` runs it in a
 forked process fed by the arm loop's progress, or in this process where
@@ -149,6 +150,15 @@ def load_u_blocks(path: str) -> np.ndarray:
 _PERIOD_TABLES = ("discrete.csv", "taps.csv", "u_blocks.csv")
 
 
+def _period_rows(x_d, histories, a: int, k: int, diverged: bool, u_alg):
+    """Arm a's period rows through its ``k`` completed periods, from the arm
+    loop's histories (see ``_histories``): x_d, y_d, the taps in effect and
+    the direction entering each period, and ``u_alg``'s blocks of its
+    updates, one fewer if it diverged (the diverging period made none)."""
+    _, _, taps, delta, y_d = histories
+    return x_d[:k], y_d[a, :k, 0, 0], taps[a, 1:k + 1, 0], delta[a, :k, 0], u_alg[:k - diverged]
+
+
 def _period_columns(name: str, h: float, x_d, y_d, taps, delta, u_alg):
     """Header and columns of one arm's period table ``name``, row n for period n.
 
@@ -291,8 +301,7 @@ class _FastWriter:
         """The w, e, taps, direction and y_d histories, arm a's in row a;
         ``u_alg[a]`` holds arm a's regressor blocks, one row per period."""
         N, L = self.record.x.shape
-        histories = _histories(len(self.paths), N, L, n_taps, _shared_zeros)
-        self.w, self.e, self.taps, self.delta, self.y_d = histories
+        self.histories = _histories(len(self.paths), N, L, n_taps, _shared_zeros)
         self.u_alg = u_alg
         columns = [width for blocks in u_alg for width in (4, 1 + 2 * n_taps, 1 + blocks.shape[1])]
         jobs_r, jobs_w = os.pipe()
@@ -303,7 +312,7 @@ class _FastWriter:
         os.makedirs(self.out_dir, exist_ok=True)
         if hasattr(os, "fork") and _thread_count() == 1:
             self._fork()
-        return histories
+        return self.histories
 
     def _fork(self) -> None:
         progress_r, progress_w = os.pipe()
@@ -357,9 +366,8 @@ class _FastWriter:
         n_completed, diverged = self.final
         for j in self._claims():
             a, table = divmod(j, len(_PERIOD_TABLES))
-            k, n_up = n_completed[a], n_completed[a] - diverged[a]  # the diverging period made no update
-            columns = _period_columns(_PERIOD_TABLES[table], self.h, self.record.x_d[:k], self.y_d[a, :k, 0, 0],
-                                      self.taps[a, 1:k + 1, 0], self.delta[a, :k, 0], self.u_alg[a][:n_up])
+            columns = _period_columns(_PERIOD_TABLES[table], self.h, *_period_rows(
+                self.record.x_d, self.histories, a, n_completed[a], diverged[a], self.u_alg[a]))
             try:
                 _write_columns(self.tables[j], *columns)
             except OSError as exc:
@@ -421,6 +429,6 @@ class _FastWriter:
 
     def _write(self, ready) -> list[OSError]:
         rec, N, L = self.record, *self.record.x.shape
+        w, e = (arr.reshape(len(self.paths), -1) for arr in self.histories[:2])
         return _write_fast(self.paths, np.arange(N * L) * (self.h / L),
-                           rec.x.reshape(-1), rec.d.reshape(-1), rec.u.reshape(-1),
-                           self.w.reshape(len(self.w), -1), self.e.reshape(len(self.e), -1), ready)
+                           rec.x.reshape(-1), rec.d.reshape(-1), rec.u.reshape(-1), w, e, ready)

@@ -81,27 +81,25 @@ def run_to_csv(config: SimConfig, out_dir: str, compare: bool = False):
     ``OSError`` naming the file after the other tables are written. The
     directory is made only once every array of the arm loop is held.
     """
-    from .runner import _pair, _run_arms, _setup
+    from .runner import _pair, _result, _run_arms, _setup
 
     prefixes = ("proposed_", "conventional_") if compare else ("",)
     machine, record = _setup(config)
     writer = _FastWriter(out_dir, prefixes, config.h, record)
-    results = None
+    arms = None
     try:
-        arms = [(config.mu, None), (config.mu, 1)][:len(prefixes)]
-        results = _run_arms(config, machine, record, arms, writer)
+        arms = _run_arms(config, machine, record, [(config.mu, None), (config.mu, 1)][:len(prefixes)], writer)
         writer.claim()
+        result = _pair(arms) if compare else _result(arms, 0)
         paths = []
-        for res, prefix in zip(results, prefixes):
+        for res, prefix in zip((result.proposed, result.conventional) if compare else (result,), prefixes):
             paths += [os.path.join(out_dir, prefix + name) for name in ("fast.csv", *_PERIOD_TABLES, "report.csv")]
             _write_report(res, paths[-1])
-        result = results[0]
         if compare:
-            result = _pair(*results)
             paths.append(_write_ratio_table(result, out_dir))
     finally:
         # a run that stopped before its results leaves no fast tables behind
-        failure = writer.close(abort=results is None)
+        failure = writer.close(abort=arms is None)
     if failure:
         raise OSError(failure)
     return result, paths

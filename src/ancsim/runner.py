@@ -22,20 +22,27 @@ product gives each arm the bits it gets alone. A diverged arm stays on the
 axis, frozen and unread, until every arm has diverged.
 The convergence reports of a blocking's arms come from one checker call
 that reads the running Gram matrix at each arm's last update.
+The loop hands back one stacked record of every arm (``_Arms``): per-arm
+columns of step sizes, blockings, stopping periods, flags, norms and
+reports, the stacked histories and each blocking's regressor blocks.
+``run_single`` and ``run_comparison`` build each arm's ``SingleRunResult``
+and ``SimTrace`` from it as views (``_result``); ``run_mu_sweep`` reads its
+columns only.
 """
 
 from __future__ import annotations
 
 import contextlib
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import _FastWriter, _histories, _sized_by
+from ._tables import _FastWriter, _histories, _period_rows, _sized_by
 from .adaptive import LmsConditionReport, _condition_maxima, _lag_windows, _report_at
 from .config import SimConfig
-from .lifting import _MAP_VALUES, ExogenousRecord, HybridLoop, SimTrace, _l2_norms
+from .lifting import _MAP_VALUES, ExogenousRecord, HybridLoop, SimTrace, _l2_norms, l2_norm
 
 __all__ = [
     "SingleRunResult",
@@ -101,6 +108,14 @@ class SweepResult:
     widening: float
 
 
+# Every arm of one ``_run_arms`` call: columns named after the ``SingleRunResult``
+# fields they fill, in their types, arm a in row a; the arm loop's w, e, taps,
+# direction and y_d ``histories`` (see ``_tables._histories``); ``u_alg``, each
+# blocking's regressor blocks by its cell count; and the record and period h.
+_Arms = namedtuple("_Arms", "mu algorithm_cells n_completed diverged error_norm w_norm d_norm lms_report "
+                            "histories u_alg record h")
+
+
 def _setup(config: SimConfig) -> tuple[HybridLoop, ExogenousRecord]:
     """The loop of one configuration and its exogenous record, shared by its arms."""
     generator = config.make_generator()
@@ -119,11 +134,11 @@ def run_single(config: SimConfig, algorithm_cells: int | None = None) -> SingleR
     its error sample is the first of them and its regressor integral their
     sum, which is exact because the traced cell integrals are.
     """
-    return _run_arms(config, *_setup(config), [(config.mu, algorithm_cells)])[0]
+    return _result(_run_arms(config, *_setup(config), [(config.mu, algorithm_cells)]), 0)
 
 
 def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
-              arms, stream: _FastWriter | None = None) -> list[SingleRunResult]:
+              arms, stream: _FastWriter | None = None) -> _Arms:
     """Adaptive arms ``(mu, algorithm_cells)`` on a shared loop, stepped together.
 
     Row a of the arm axis is arm a; its taps, direction and secondary-path
@@ -150,18 +165,19 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
     nan before the map reads it. So values, warnings and errors are those of
     a test in every period. With a ``stream``, the histories are the
     stream's, and it learns after every block which rows are final; the
-    message at N periods, sent once, is the last.
+    message at N periods, sent once, is the last. The arms come back as one
+    stacked ``_Arms``, each step size as given and each blocking as an int.
     """
     L, N, n_taps, h = config.L, config.n_steps, config.n_taps, config.h
-    cells = []
+    mus, cells = [mu_a for mu_a, _ in arms], []
     for mu_a, algorithm_cells in arms:
-        L_alg = L if algorithm_cells is None else int(algorithm_cells)
-        if L_alg < 1 or L % L_alg != 0:
-            raise ValueError(f"algorithm_cells must divide L = {L}, got {L_alg}")
-        if mu_a < 0.0:
-            raise ValueError(f"step size must be nonnegative, got {mu_a}")
-        cells.append(L_alg)
-    mu = np.array([float(mu_a) for mu_a, _ in arms])[:, None, None]
+        L_alg = L if algorithm_cells is None else algorithm_cells
+        if not 1 <= L_alg < np.inf or int(L_alg) != L_alg or L % int(L_alg):
+            raise ValueError(f"algorithm_cells must be a whole number that divides L = {L}, got {L_alg}")
+        if not 0.0 <= mu_a < np.inf:
+            raise ValueError(f"step size must be finite and nonnegative, got {mu_a}")
+        cells.append(int(L_alg))
+    mu = np.array(mus, dtype=float)[:, None, None]
     # One comparison rejects nan, inf and the cutoff alike, even for an
     # infinite cutoff, and an error the direction cannot fold without
     # overflow: a fold adds at most L u_top |e| per tap (each algorithm cell
@@ -258,45 +274,44 @@ def _run_arms(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
         stream.progress(N, n_completed, diverged)
     # the lag windows, the maps and the arm states are spent
     xd_lags = xd_n = windows = groups = maps = rows = products = v = v_n = v_next = y_n = fold = None
-    n_updates, reads = n_completed - diverged, {}  # the diverging period made no update
-    for a, (mu_a, _) in enumerate(arms):
-        if mu_a > 0.0 and n_updates[a] > 0:
-            reads.setdefault(cells[a], []).append(int(n_updates[a]))
+    kept, full = (np.flatnonzero(ran).tolist() for ran in (~diverged, n_completed == N))
+    n_completed, diverged = n_completed.tolist(), diverged.tolist()
+    n_updates, reads = [k - out for k, out in zip(n_completed, diverged)], {}  # the diverging period made no update
+    for b, mu_a, n_up in zip(cells, mus, n_updates):
+        if mu_a > 0.0 and n_up > 0:
+            reads.setdefault(b, []).append(n_up)
     with _sized_by("filter.taps", f"{n_taps} taps"):  # the lag sums and the (n_taps, n_taps) Gram matrices
         maxima = {b: _condition_maxima(u_alg[b], n_taps, h, ns) for b, ns in reads.items()}
     # the e norms of the arms that did not diverge and the w norms of those that ran every period
-    # from one pass over each history; an arm that stopped early takes its w norm from its slice
-    kept, full = (np.flatnonzero(ran).tolist() for ran in (~diverged, n_completed == N))
+    # from one pass over each history; an arm that stopped early takes its w norm from its slice,
+    # and arms that stop together share the disturbance's norm
     e_norms = dict(zip(kept, _l2_norms(e.reshape(A, -1), h / L, kept)))
     w_norms = dict(zip(full, _l2_norms(w.reshape(A, -1), h / L, full)))
-    results, d_norms = [], {}  # arms that stop together share the disturbance's norm
-    for a, (mu_a, _) in enumerate(arms):
-        b, k, n_up = cells[a], int(n_completed[a]), int(n_updates[a])
-        fast = {name: arr[:k].reshape(-1) for name, arr in
-                dict(x=record.x, d=record.d, w=w[a], e=e[a], u=record.u).items()}
-        trace = SimTrace(h=h, L=L, x_d=record.x_d[:k], y_d=y_d[a, :k, 0, 0],
-                         u_blocks=record.u_blocks[:k], **fast)
-        if k not in d_norms:
-            d_norms[k] = trace.norm("d")
-        report = (_report_at(maxima[b][n_up], n_up, n_taps, mu_a, config.eps_threshold)
-                  if mu_a > 0.0 and n_up > 0 else None)
-        results.append(SingleRunResult(
-            trace=trace,
-            alpha_hist=alpha_hist[a, 1:k + 1, 0],
-            delta_hist=delta_hist[a, :k, 0],
-            final_alpha=alpha_hist[a, n_up, 0],
-            final_delta=delta_hist[a, n_up, 0],
-            u_alg_blocks=u_alg[b][:n_up],
-            algorithm_cells=b,
-            mu=mu_a,
-            error_norm=e_norms.get(a, float("inf")),
-            d_norm=d_norms[k],
-            w_norm=w_norms[a] if k == N else trace.norm("w"),
-            diverged=bool(diverged[a]),
-            n_completed=k,
-            lms_report=report,
-        ))
-    return results
+    d_norms = {k: l2_norm(record.d[:k], h / L) for k in set(n_completed)}
+    return _Arms(
+        mus, cells, n_completed, diverged,
+        [e_norms.get(a, float("inf")) for a in range(A)],
+        [w_norms[a] if a in w_norms else l2_norm(w[a, :k], h / L) for a, k in enumerate(n_completed)],
+        [d_norms[k] for k in n_completed],
+        [_report_at(maxima[b][n_up], n_up, n_taps, mu_a, config.eps_threshold) if mu_a > 0.0 and n_up > 0
+         else None for b, mu_a, n_up in zip(cells, mus, n_updates)],
+        [w, e, alpha_hist, delta_hist, y_d], u_alg, record, h)
+
+
+def _result(arms: _Arms, a: int) -> SingleRunResult:
+    """Arm a of a ``_run_arms`` call on its own, every array a view of the stacked ones."""
+    w, e, taps, delta, _ = arms.histories
+    rec, k, b = arms.record, arms.n_completed[a], arms.algorithm_cells[a]
+    x_d, y_d, alpha_hist, delta_hist, u_alg = _period_rows(rec.x_d, arms.histories, a, k, arms.diverged[a],
+                                                          arms.u_alg[b])
+    fast = {name: arr[:k].reshape(-1) for name, arr in dict(x=rec.x, d=rec.d, w=w[a], e=e[a], u=rec.u).items()}
+    return SingleRunResult(
+        trace=SimTrace(h=arms.h, L=rec.x.shape[1], x_d=x_d, y_d=y_d, u_blocks=rec.u_blocks[:k], **fast),
+        alpha_hist=alpha_hist, delta_hist=delta_hist, u_alg_blocks=u_alg,
+        # the taps and the direction after the last update
+        final_alpha=taps[a, len(u_alg), 0], final_delta=delta[a, len(u_alg), 0],
+        algorithm_cells=b, mu=arms.mu[a], error_norm=arms.error_norm[a], d_norm=arms.d_norm[a],
+        w_norm=arms.w_norm[a], diverged=arms.diverged[a], n_completed=k, lms_report=arms.lms_report[a])
 
 
 def _ratio(num: float, den: float) -> float:
@@ -309,25 +324,13 @@ def _ratio(num: float, den: float) -> float:
 
 def run_comparison(config: SimConfig) -> ComparisonResult:
     """Proposed (all cells) and conventional (one cell) arms, same loop."""
-    return _comparisons(config, *_setup(config), [config.mu])[0]
+    return _pair(_run_arms(config, *_setup(config), [(config.mu, None), (config.mu, 1)]))
 
 
-def _comparisons(config: SimConfig, machine: HybridLoop, record: ExogenousRecord,
-                 mus) -> list[ComparisonResult]:
-    """Both arms at every step size in ``mus`` on one arm axis, each blocking's arms together."""
-    results = _run_arms(config, machine, record, [(mu, cells) for cells in (None, 1) for mu in mus])
-    return [_pair(p, c) for p, c in zip(results[:len(mus)], results[len(mus):])]
-
-
-def _pair(proposed: SingleRunResult, conventional: SingleRunResult) -> ComparisonResult:
-    return ComparisonResult(proposed=proposed, conventional=conventional,
-                            ratio=_ratio(proposed.error_norm, conventional.error_norm))
-
-
-def _step_ok(result: SingleRunResult) -> bool:
-    # A diverged run is direct evidence the realized step size was outside
-    # the usable range, whatever the a-priori check said.
-    return not result.diverged and (result.lms_report is None or result.lms_report.step_ok)
+def _pair(arms: _Arms) -> ComparisonResult:
+    """The proposed arm (row 0) and the conventional arm (row 1) of a two-arm run."""
+    return ComparisonResult(proposed=_result(arms, 0), conventional=_result(arms, 1),
+                            ratio=_ratio(*arms.error_norm))
 
 
 def run_mu_sweep(config: SimConfig, mu_values=None) -> SweepResult:
@@ -342,33 +345,22 @@ def run_mu_sweep(config: SimConfig, mu_values=None) -> SweepResult:
     if not mus:
         raise ValueError("sweep needs at least one step size")
 
-    results = _comparisons(config, *_setup(config), mus)
+    # every proposed arm, then every conventional one, each blocking's arms together
+    arms = _run_arms(config, *_setup(config), [(mu, cells) for cells in (None, 1) for mu in mus])
+    # A diverged run is direct evidence the realized step size was outside
+    # the usable range, whatever the a-priori check said.
+    step_ok = [not out and (rep is None or rep.step_ok) for out, rep in zip(arms.diverged, arms.lms_report)]
 
-    rows = []
-    for mu, res in zip(mus, results):
-        rows.append(SweepRow(
-            mu=mu,
-            error_proposed=res.proposed.error_norm,
-            error_conventional=res.conventional.error_norm,
-            diverged_proposed=res.proposed.diverged,
-            diverged_conventional=res.conventional.diverged,
-            step_ok_proposed=_step_ok(res.proposed),
-            step_ok_conventional=_step_ok(res.conventional),
-        ))
+    def halves(column):  # the proposed arms' entries, then the conventional arms'
+        return column[:len(mus)], column[len(mus):]
 
-    def stable_edge(errors) -> float:
-        edge = 0.0
-        for mu, err in zip(mus, errors):
-            if np.isfinite(err) and err < config.threshold:
-                edge = mu
-            else:
-                break
-        return edge
+    def stable_edge(errors) -> float:  # the last mu of the prefix whose errors stay below the threshold
+        below = [err < config.threshold for err in errors] + [False]  # an inf or nan error is not
+        return (0.0, *mus)[below.index(False)]
 
-    mu_max_p = stable_edge([r.error_proposed for r in rows])
-    mu_max_c = stable_edge([r.error_conventional for r in rows])
+    mu_max_p, mu_max_c = map(stable_edge, halves(arms.error_norm))
     return SweepResult(
-        rows=tuple(rows),
+        rows=tuple(map(SweepRow, mus, *halves(arms.error_norm), *halves(arms.diverged), *halves(step_ok))),
         threshold=config.threshold,
         mu_max_proposed=mu_max_p,
         mu_max_conventional=mu_max_c,

@@ -445,6 +445,15 @@ def test_online_update_validation():
         run_single(config, algorithm_cells=3)
     with pytest.raises(ValueError, match="divide"):
         run_single(config, algorithm_cells=0)
+    # step sizes that are not finite, and blockings that are not whole numbers
+    for mus in ([0.1, float("nan")], [0.1, float("inf")]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_mu_sweep(config, mu_values=mus)
+    for cells in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="whole number"):
+            run_single(config, algorithm_cells=cells)
+    whole = run_single(config, algorithm_cells=2.0)  # a whole float is accepted, as an int
+    assert type(whole.algorithm_cells) is int and whole.u_alg_blocks.shape[1] == 2
 
 
 def test_initial_adaptive_state():

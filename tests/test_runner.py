@@ -287,8 +287,7 @@ def test_stacked_arm_norms_equal_each_arms_own(T, mus):
     horizon, one at mu = 0, one that diverges in the last period and arms
     that stop in different periods (T = 2000 gives 16000 samples an arm)."""
     config = SimConfig(T=T)
-    results = [r for pair in runner._comparisons(config, *runner._setup(config), mus)
-               for r in (pair.proposed, pair.conventional)]
+    results = _arm_results(config, *runner._setup(config), [(mu, cells) for cells in (None, 1) for mu in mus])
     N = config.n_steps
     stops = {r.n_completed for r in results if r.diverged and r.n_completed < N}
     assert len(stops) >= (5 if T == 100.0 else 1)
@@ -324,6 +323,22 @@ def test_sweep_rows_equal_standalone_comparisons():
         _assert_identical(row, want)
 
 
+def test_sweep_builds_no_per_arm_result(monkeypatch):
+    """A sweep reads the stacked record's columns only: with every per-arm
+    trace and result made to fail, it returns what it returns without."""
+    want = run_mu_sweep(SimConfig())
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a sweep built a per-arm result")
+
+    for name in ("SimTrace", "SingleRunResult"):
+        monkeypatch.setattr(runner, name, fail)
+    got = run_mu_sweep(SimConfig())
+    assert got == want and len(got.rows) == 20
+    for row, expected in zip(got.rows, want.rows):
+        _assert_identical(row, expected)
+
+
 def _arm_cases(tmp_path):
     """(config, arms) pairs: compare at the defaults and at L = 1, a held
     waveform, a sweep with arms that diverge mid-run next to stable ones, and
@@ -342,12 +357,32 @@ def _arm_cases(tmp_path):
     ]
 
 
+def _arm_results(config, machine, record, arms) -> list:
+    """Every arm of one ``runner._run_arms`` call as its own ``SingleRunResult``."""
+    stacked = runner._run_arms(config, machine, record, arms)
+    return [runner._result(stacked, a) for a in range(len(arms))]
+
+
+# each column of ``runner._Arms`` and the SingleRunResult field it fills
+_ARM_COLUMNS = ("mu", "algorithm_cells", "n_completed", "diverged", "error_norm", "w_norm", "d_norm", "lms_report")
+
+
 def _assert_arms_match_reference(config, arms) -> list:
     """Run ``arms`` on one loop; each matches the single-arm loop field by
     field: the divergence period, the divergence flag and the convergence
-    report exactly, every other float within ``TOL.arm_maps``."""
+    report exactly, every other float within ``TOL.arm_maps``. Every column
+    of the stacked record equals, value and type, the field of each arm's
+    own result that it fills."""
     machine, record = runner._setup(config)
-    got = runner._run_arms(config, machine, record, arms)
+    stacked = runner._run_arms(config, machine, record, arms)
+    got = [runner._result(stacked, a) for a in range(len(arms))]
+    assert stacked._fields[:len(_ARM_COLUMNS)] == _ARM_COLUMNS
+    for name in _ARM_COLUMNS:
+        column = getattr(stacked, name)
+        assert len(column) == len(arms), name
+        for value, result in zip(column, got):
+            field = getattr(result, name)
+            assert (type(value), value) == (type(field), field), name
     for (mu, cells), result in zip(arms, got):
         want = oracles.reference_run_arm(replace(config, mu=mu), machine, record, cells)
         assert (result.n_completed, result.diverged) == (want.n_completed, want.diverged)
@@ -387,7 +422,7 @@ def test_arm_loop_bits_do_not_depend_on_block_length(tmp_path, monkeypatch):
     runs = {}
     for every in (1, 3, 64):
         monkeypatch.setattr(_tables._FastWriter, "every", every)
-        runs[every] = [runner._run_arms(config, *runner._setup(config), arms) for config, arms in cases]
+        runs[every] = [_arm_results(config, *runner._setup(config), arms) for config, arms in cases]
     for every in (1, 3):
         for got, want in zip(runs[every], runs[64]):
             for result, expected in zip(got, want):
@@ -401,10 +436,10 @@ def test_stable_arm_keeps_its_bits_when_another_crosses(every, monkeypatch):
     monkeypatch.setattr(_tables._FastWriter, "every", every)
     config = short_config(T=100.0, L=4)
     machine, record = runner._setup(config)
-    stable, crossing = runner._run_arms(config, machine, record, [(0.1, None), (20.0, None)])
+    stable, crossing = _arm_results(config, machine, record, [(0.1, None), (20.0, None)])
     assert crossing.diverged and 1 < crossing.n_completed < config.n_steps and not stable.diverged
     assert crossing.n_completed > every  # the rerun block is not the first
-    [alone] = runner._run_arms(config, machine, record, [(0.1, None)])
+    [alone] = _arm_results(config, machine, record, [(0.1, None)])
     _assert_identical(stable, alone)
 
 
@@ -501,8 +536,8 @@ def test_floating_point_conditions_reach_the_caller():
             runner._run_arms(config, machine, record, arms)
         assert np.geterr()["under"] == "raise"
     with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
-        [warned] = runner._run_arms(config, machine, record, arms)
-    [quiet] = runner._run_arms(config, machine, record, arms)
+        [warned] = _arm_results(config, machine, record, arms)
+    [quiet] = _arm_results(config, machine, record, arms)
     assert not quiet.diverged
     _assert_identical(warned, quiet)
 
@@ -516,8 +551,8 @@ def test_arm_whose_fold_would_overflow_diverges_quietly():
     arms = [(mu, cells) for cells in (None, 1) for mu in (1e-300, 1e-200)]
     machine, record = runner._setup(config)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = runner._run_arms(config, machine, record, arms)
-        alone = [runner._run_arms(config, machine, record, [arm])[0] for arm in arms]
+        got = _arm_results(config, machine, record, arms)
+        alone = [_arm_results(config, machine, record, [arm])[0] for arm in arms]
     assert [(r.diverged, r.n_completed) for r in got] == [(False, 20), (True, 2), (False, 20), (True, 3)]
     bound = sys.float_info.max / (2.0 * config.n_steps * config.L) / np.abs(record.u_blocks).max()
     for result, solo in zip(got, alone):
@@ -579,7 +614,7 @@ def test_sweep_reads_every_arm_of_a_blocking_in_one_call(monkeypatch):
     monkeypatch.setattr(adaptive, "_GRAM_VALUES", 1024)
     periods = 1024 // config.n_taps - config.n_taps
     machine, record = runner._setup(config)
-    got = runner._run_arms(config, machine, record, arms)
+    got = _arm_results(config, machine, record, arms)
 
     assert sorted(b for b, _ in calls) == [1, 2, 4]
     for _, reads in calls:
