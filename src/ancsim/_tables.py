@@ -1,16 +1,16 @@
 """CSV tables: every value as CPython's %.17g, the fast tables streamed from
 a forked writer while the arms run, and the period tables shared with it.
 
-``_write_columns`` writes any table of equal-length columns, and
-``load_u_blocks`` reads a u_blocks.csv table back. ``_period_rows`` cuts an
-arm's period rows out of the arm loop's histories, and ``_period_columns``
-lays them out as its period tables (discrete.csv, taps.csv, u_blocks.csv).
-``_write_fast`` writes the fast.csv tables of one or more arms of one
-record, formatting their shared columns once. ``_FastWriter`` runs it in a
-forked process fed by the arm loop's progress, or in this process where
-forking is unsafe; either process then writes whichever period table is
-next. Every run table goes through ``_write_columns`` or ``_write_fast``,
-so its bytes do not depend on the process that wrote it.
+``_write_tables`` writes every numeric table, from a pool of columns that
+its tables share, and ``_write_columns`` is its one-table form;
+``_write_items`` writes a key/value table as plain lines. ``load_u_blocks``
+reads a u_blocks.csv table back. ``_period_rows`` cuts an arm's period rows
+out of the arm loop's histories, and ``_period_columns`` lays them out as
+its period tables (discrete.csv, taps.csv, u_blocks.csv). ``_FastWriter``
+writes the arms' fast.csv tables in a forked process fed by the arm loop's
+progress, or in this process where forking is unsafe; either process then
+writes whichever period table is next. Both write through ``_write_tables``,
+so a table's bytes do not depend on the process that wrote it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .lifting import ExogenousRecord
 # wrote about 10% faster but left about 0.3 MB more peak RSS behind on
 # held_check, whose tables this process writes.
 _CHUNK_VALUES = 2048
-# Values per chunk of ``_write_fast``, which runs in the forked writer
+# Values per chunk of the fast tables, which the forked writer writes
 # (here only where nothing forks), whose memory no command reports. On
 # compare_long's 512000 values the kernel took about 110 ns a value at 2048,
 # 85 at 4096 and 8192, and 145 at 16384; the whole write took the least at
@@ -82,40 +82,84 @@ def _separate(fields: np.ndarray) -> None:
     last[:, -1] = ord("\n")
 
 
-def _write_columns(path: str, header: list[str], columns) -> None:
-    """Write equal-length 1-D columns as CSV, streamed in row chunks.
+def _write_tables(tables, columns, ready, chunk_values: int) -> list[OSError]:
+    """Write tables of shared 1-D ``columns`` as CSV, as their rows become final.
 
-    Every number prints as CPython's ``'%.17g' % float(x)``, which for
-    integers and booleans up to 2^53 is also their ``%d``. Each value takes
-    one 32-byte field of one reused buffer: its text NUL-padded to 31 bytes,
-    then the separator. A chunk of about ``_CHUNK_VALUES`` values is
-    formatted at a time, and its NUL padding deleted as it is written.
-    Text columns, and integer columns past 2^53, are encoded into their
-    fields instead (31 bytes at most). A key/value table passes
-    ``zip(*items)``, so its values form one float64 column.
+    ``tables`` holds each table's path, header and the indices (a list) of
+    the columns it reads. ``ready`` yields, per table, how many leading rows
+    are final; a table whose count trails another's has stopped for good.
+    Each value prints as CPython's ``'%.17g' % float(x)`` into a 32-byte
+    field, NUL-padded, then its separator. Each chunk of about
+    ``chunk_values`` values formats every column a live table reads, once;
+    a table that reads all of them in order is written from those fields,
+    any other from a selection of them, the NUL padding deleted as it is
+    written. The values, the fields and (when needed) the selection each
+    take one buffer. A file that fails is dropped and the others go on;
+    returns the errors.
     """
-    columns = [np.asarray(c) for c in columns]
-    text = {j: np.array([str(x).encode("utf-8") for x in c.tolist()], dtype=bytes)
-            for j, c in enumerate(columns)
-            if c.dtype.kind == "U"
-            or c.dtype.kind in "iu" and c.size and (c.min() < -2**53 or c.max() > 2**53)}
-    if any(enc.itemsize > 31 for enc in text.values()):
-        raise ValueError("text entries longer than 31 bytes")
-    numbers = [np.zeros(len(c)) if j in text else c for j, c in enumerate(columns)]
-    n_rows, n_cols = len(columns[0]), len(columns)
-    rows = max(1, _CHUNK_VALUES // n_cols)
-    buf = np.empty((min(rows, n_rows), n_cols, 4), np.uint64)
+    files, errors = {}, []
+
+    def write(i: int, data: bytes) -> None:
+        try:
+            files[i].write(data)
+        except OSError as exc:
+            errors.append(exc)
+            with contextlib.suppress(OSError):
+                files.pop(i).close()
+
+    try:
+        for i, (path, header, _) in enumerate(tables):
+            try:
+                files[i] = open(path, "wb")
+            except OSError as exc:
+                errors.append(exc)
+            else:
+                write(i, (",".join(header) + "\n").encode("utf-8"))
+        width = len(columns)
+        rows, done, picked = max(1, chunk_values // width), 0, None
+        values, fields = np.empty(rows * width), np.empty((rows * width, 4), np.uint64)
+        for counts in ready:
+            while live := [i for i in files if counts[i] > done]:
+                stop = min(done + rows, max(counts[i] for i in live))
+                read = sorted({j for i in live for j in tables[i][2]})
+                chunk = values[:(stop - done) * len(read)].reshape(stop - done, -1)
+                np.stack([columns[j][done:stop] for j in read], axis=1, out=chunk)
+                text = fields[:chunk.size]
+                _format_values(chunk.reshape(-1), text)
+                text = text.reshape(chunk.shape + (4,))
+                for i in live:
+                    n, picks = min(counts[i], stop) - done, tables[i][2]
+                    block = text[:n]
+                    if picks != read:
+                        picked = np.empty(rows * width * 4, np.uint64) if picked is None else picked
+                        block = np.take(block, [read.index(j) for j in picks], axis=1, mode="clip",
+                                        out=picked[:n * len(picks) * 4].reshape(n, len(picks), 4))
+                    _separate(block)
+                    write(i, block.tobytes().translate(None, b"\0"))
+                done = stop
+    finally:
+        for fh in files.values():
+            fh.close()
+    return errors
+
+
+def _write_columns(path: str, header: list[str], columns) -> None:
+    """One table of equal-length 1-D numeric columns, in chunks of about
+    ``_CHUNK_VALUES`` values (a smaller table's buffers hold just it);
+    raises its ``OSError``. An integer prints as its %d, which is its %.17g
+    only up to 2^53: past it, ``ValueError``."""
+    if any(c.dtype.kind in "iu" and c.size and (c.min() < -2**53 or c.max() > 2**53) for c in columns):
+        raise ValueError("integer columns past 2^53 do not print as %.17g")
+    n_rows = len(columns[0])
+    for exc in _write_tables([(path, header, list(range(len(columns))))], columns, [[n_rows]],
+                             min(_CHUNK_VALUES, n_rows * len(columns))):
+        raise exc
+
+
+def _write_items(path: str, items) -> None:
+    """A key/value table: the header ``key,value``, then one ``key,%.17g`` line per item."""
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, n_rows, rows):
-            chunk = buf[:min(rows, n_rows - start)]
-            stop = start + len(chunk)
-            values = np.stack([c[start:stop] for c in numbers], axis=1, dtype=np.float64)
-            _format_values(values.reshape(-1), chunk.reshape(-1, 4))
-            for j, enc in text.items():
-                chunk[:, j] = enc[start:stop].astype("S32").view(np.uint64).reshape(-1, 4)
-            _separate(chunk)
-            fh.write(chunk.tobytes().translate(None, b"\0"))
+        fh.write(("key,value\n" + "".join("%s,%.17g\n" % item for item in items)).encode("utf-8"))
 
 
 def load_u_blocks(path: str) -> np.ndarray:
@@ -185,63 +229,6 @@ def _histories(arms: int, periods: int, L: int, n_taps: int, zeros=np.zeros) -> 
     sizes = [math.prod(shape) for shape in shapes]
     parts = np.split(zeros(sum(sizes)), np.cumsum(sizes[:-1]))
     return [part.reshape(shape) for part, shape in zip(parts, shapes)]
-
-
-def _write_fast(paths, t, x, d, u, ws, es, ready) -> list[OSError]:
-    """Write each arm's fast.csv (columns t, x, d, w, e, u) as its rows become final.
-
-    The arms share the columns ``t, x, d, u``; ``ws[a]`` and ``es[a]`` are
-    arm a's. ``ready`` yields, per arm, how many leading rows are final; an
-    arm whose count trails another's has stopped for good. So each chunk of
-    about ``_FAST_CHUNK_VALUES`` values formats the shared columns once for
-    every arm it still writes, and each arm's rows are a selection of its
-    fields. The values, the fields and the selection each take one buffer,
-    allocated once. A file that fails is dropped and the others go on;
-    returns the errors.
-    """
-    files, errors = {}, []
-
-    def write(a: int, data: bytes) -> None:
-        try:
-            files[a].write(data)
-        except OSError as exc:
-            errors.append(exc)
-            with contextlib.suppress(OSError):
-                files.pop(a).close()
-
-    for a, path in enumerate(paths):
-        try:
-            files[a] = open(path, "wb")
-        except OSError as exc:
-            errors.append(exc)
-    try:
-        for a in list(files):
-            write(a, b"t,x,d,w,e,u\n")
-        width = 4 + 2 * len(paths)
-        rows, done = max(1, _FAST_CHUNK_VALUES // width), 0
-        values, fields = np.empty(rows * width), np.empty((rows * width, 4), np.uint64)
-        own = np.empty(rows * 6 * 4, np.uint64)
-        for counts in ready:
-            while arms := [a for a in files if counts[a] > done]:
-                stop = min(done + rows, max(counts[a] for a in arms))
-                columns = [t, x, d] + [c[a] for a in arms for c in (ws, es)] + [u]
-                chunk = values[:(stop - done) * len(columns)].reshape(stop - done, -1)
-                np.stack([c[done:stop] for c in columns], axis=1, out=chunk)
-                text = fields[:chunk.size]
-                _format_values(chunk.reshape(-1), text)
-                text = text.reshape(chunk.shape + (4,))
-                _separate(text)
-                for j, a in enumerate(arms):
-                    n = min(counts[a], stop) - done
-                    sel = own[:n * 6 * 4].reshape(n, 6, 4)
-                    np.take(text[:n], [0, 1, 2, 3 + 2 * j, 4 + 2 * j, len(columns) - 1],
-                            axis=1, out=sel, mode="clip")
-                    write(a, sel.tobytes().translate(None, b"\0"))
-                done = stop
-    finally:
-        for fh in files.values():
-            fh.close()
-    return errors
 
 
 def _shared_zeros(count: int) -> np.ndarray:
@@ -428,7 +415,12 @@ class _FastWriter:
                     return
 
     def _write(self, ready) -> list[OSError]:
-        rec, N, L = self.record, *self.record.x.shape
-        w, e = (arr.reshape(len(self.paths), -1) for arr in self.histories[:2])
-        return _write_fast(self.paths, np.arange(N * L) * (self.h / L),
-                           rec.x.reshape(-1), rec.d.reshape(-1), rec.u.reshape(-1), w, e, ready)
+        """Each arm's fast.csv (t, x, d, w, e, u) from the shared t, x, d and u
+        columns and the arm's own w and e."""
+        rec, (N, L), arms = self.record, self.record.x.shape, len(self.paths)
+        w, e = (arr.reshape(arms, -1) for arr in self.histories[:2])
+        columns = [np.arange(N * L) * (self.h / L), rec.x.reshape(-1), rec.d.reshape(-1),
+                   *(c[a] for a in range(arms) for c in (w, e)), rec.u.reshape(-1)]
+        tables = [(path, list("txdweu"), [0, 1, 2, 3 + 2 * a, 4 + 2 * a, 3 + 2 * arms])
+                  for a, path in enumerate(self.paths)]
+        return _write_tables(tables, columns, ready, _FAST_CHUNK_VALUES)

@@ -12,6 +12,7 @@ decaying sinusoids with content on both sides of the Nyquist frequency.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,6 +170,11 @@ class SimConfig:
         return replace(self, **kwargs)
 
     def _validate(self) -> None:
+        for key, name in (("sim.L", "L"), ("sim.seed", "seed"), ("filter.taps", "n_taps")):
+            try:  # stored as int, so a library caller's np.int64(4) runs as the file's 4 does
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(key, f"expected an integer, got {getattr(self, name)!r}") from None
         if not 0.0 < self.h < np.inf:
             raise ConfigError("sim.h", f"period must be positive and finite, got {self.h}")
         if self.L < 1:

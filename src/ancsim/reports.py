@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from ._tables import _PERIOD_TABLES, _FastWriter, _write_columns, load_u_blocks
+from ._tables import _PERIOD_TABLES, _FastWriter, _write_columns, _write_items, load_u_blocks
 from .config import SimConfig
 from .statespace import freq_response_grid
 
@@ -54,7 +54,7 @@ def _write_report(result, path: str) -> None:
             ("cond_step", rep.step_ok),
             ("cond_slow", rep.slow_ok),
         ]
-    _write_columns(path, ["key", "value"], zip(*items))
+    _write_items(path, items)
 
 
 def _write_ratio_table(result, out_dir: str) -> str:
@@ -65,7 +65,7 @@ def _write_ratio_table(result, out_dir: str) -> str:
         ("error_l2_conventional", result.conventional.error_norm),
         ("ratio", result.ratio),
     ]
-    _write_columns(path, ["key", "value"], zip(*items))
+    _write_items(path, items)
     return path
 
 
@@ -123,7 +123,7 @@ def write_sweep_csv(result, out_dir: str) -> list[str]:
         ("mu_max_conventional", result.mu_max_conventional),
         ("widening", result.widening),
     ]
-    _write_columns(summary_path, ["key", "value"], zip(*items))
+    _write_items(summary_path, items)
     return [rows_path, summary_path]
 
 

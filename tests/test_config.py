@@ -147,6 +147,28 @@ def test_field_validation_names_the_key(line, key):
     assert str(err.value).startswith(key + ":")
 
 
+@pytest.mark.parametrize("overrides,key", [
+    (dict(T=10.0, n_taps=2.5), "filter.taps"),
+    (dict(seed=1.5), "sim.seed"),
+    (dict(L=4.0), "sim.L"),
+    (dict(L=2.5), "sim.L"),
+    (dict(L="4"), "sim.L"),
+    (dict(n_taps=np.float64(4.0)), "filter.taps"),
+])
+def test_library_integer_fields_must_be_integers(overrides, key):
+    """On the library path a non-integer L, seed or taps value is a ConfigError naming its key."""
+    with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+        SimConfig(**overrides)
+    with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+        SimConfig().with_overrides(**overrides)
+
+
+def test_library_integer_fields_are_stored_as_ints():
+    config = SimConfig(L=np.int64(4), seed=np.uint32(7), n_taps=np.int16(3))
+    assert [(type(v), v) for v in (config.L, config.seed, config.n_taps)] == [(int, 4), (int, 7), (int, 3)]
+    assert config == SimConfig(L=4, seed=7, n_taps=3)
+
+
 def test_overrides_and_frozen():
     config = SimConfig()
     shorter = config.with_overrides(T=10.0, mu=0.2)

@@ -106,18 +106,25 @@ def test_ties_at_inexact_powers_of_ten_go_to_the_fallback():
 
 
 def test_integers_and_booleans(tmp_path):
-    """Integer and boolean columns print as %d; past 2^53 an integer column prints as text."""
+    """Integer and boolean columns print as %d up to 2^53; an integer column past it raises ValueError."""
     rng = np.random.default_rng(20)
     small = np.concatenate([rng.integers(-2**53, 2**53, 3000, endpoint=True), [0, 1, -1, 2**53, -2**53]])
     flags = rng.integers(0, 2, small.size).astype(bool)
-    big = small.copy()
-    big[1000:1005] = [2**53 + 1, -2**63, 2**63 - 1, 10**18, -10**17]
-    columns = [small, flags, big, small.astype(float)]
-    header = ["n", "flag", "big", "x"]
+    columns = [small, flags, small.astype(float)]
+    header = ["n", "flag", "x"]
     _tables._write_columns(str(tmp_path / "new.csv"), header, columns)
     oracles.write_csv_rows(str(tmp_path / "old.csv"), header, zip(*[c.tolist() for c in columns]))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert _check(small.astype(float)) < 0.01
+    for value in (2**53 + 1, -2**53 - 1, -2**63, 2**63 - 1, 10**18, -10**17):
+        big = small.copy()
+        big[1000] = value
+        with pytest.raises(ValueError, match="2\\^53"):
+            _tables._write_columns(str(tmp_path / "big.csv"), ["n", "big"], [small, big])
+    big = np.array([0, 2**64 - 1], dtype=np.uint64)
+    with pytest.raises(ValueError, match="2\\^53"):
+        _tables._write_columns(str(tmp_path / "big.csv"), ["n", "big"], [small[:2], big])
+    assert not (tmp_path / "big.csv").exists()
 
 
 def test_special_values_among_ordinary_ones():

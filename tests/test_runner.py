@@ -226,12 +226,17 @@ def test_sweep_requires_steps():
 
 
 def _flat(obj, prefix=""):
-    """Leaves of nested result dataclasses, keyed by their dotted path."""
-    if not dataclasses.is_dataclass(obj):
+    """Leaves of nested result dataclasses, tuples and lists, keyed by their
+    dotted path (an entry of a tuple or list by its index)."""
+    if isinstance(obj, (tuple, list)):
+        items = enumerate(obj)
+    elif dataclasses.is_dataclass(obj):
+        items = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    else:
         return {prefix: obj}
     out = {}
-    for f in dataclasses.fields(obj):
-        out.update(_flat(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name))
+    for name, value in items:
+        out.update(_flat(value, f"{prefix}.{name}" if prefix else str(name)))
     return out
 
 
@@ -334,9 +339,8 @@ def test_sweep_builds_no_per_arm_result(monkeypatch):
     for name in ("SimTrace", "SingleRunResult"):
         monkeypatch.setattr(runner, name, fail)
     got = run_mu_sweep(SimConfig())
-    assert got == want and len(got.rows) == 20
-    for row, expected in zip(got.rows, want.rows):
-        _assert_identical(row, expected)
+    assert len(got.rows) == 20
+    _assert_identical(got, want)
 
 
 def _arm_cases(tmp_path):
@@ -667,7 +671,8 @@ def _write_run(result, out_dir, prefix=""):
     paths = [os.path.join(out_dir, prefix + name)
              for name in ("fast.csv", *_tables._PERIOD_TABLES, "report.csv")]
     t = oracles.t_fast(tr)
-    assert not _tables._write_fast(paths[:1], t, tr.x, tr.d, tr.u, [tr.w], [tr.e], [[t.size]])
+    fast = [(paths[0], list("txdweu"), list(range(6)))]
+    assert not _tables._write_tables(fast, [t, tr.x, tr.d, tr.w, tr.e, tr.u], [[t.size]], _tables._FAST_CHUNK_VALUES)
     for name, path in zip(_tables._PERIOD_TABLES, paths[1:]):
         _tables._write_columns(path, *_tables._period_columns(
             name, tr.h, tr.x_d, tr.y_d, result.alpha_hist, result.delta_hist, result.u_alg_blocks))
@@ -971,14 +976,14 @@ def test_streamed_chunks_meet_progress_messages(fast_chunk, tmp_path, monkeypatc
 
 def test_comparison_writer_reports_a_killed_child(tmp_path, monkeypatch):
     """A fast-table writer that dies without a message still fails the run, and is reaped."""
-    parent, write = os.getpid(), _tables._write_fast
+    parent, write = os.getpid(), _tables._write_tables
 
     def killed_in_child(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return write(*args)
 
-    monkeypatch.setattr(_tables, "_write_fast", killed_in_child)
+    monkeypatch.setattr(_tables, "_write_tables", killed_in_child)
     with pytest.raises(OSError, match="fast table writer exited with code -9"):
         reports.run_to_csv(short_config(), str(tmp_path), compare=True)
     with pytest.raises(ChildProcessError):
@@ -1186,6 +1191,24 @@ def test_csv_writer_chunk_boundaries(tmp_path, n_float, offset):
         rows = zip(*[c.tolist() for c in columns])
         want = ",".join(header) + "\n" + "".join([fmt % row for row in rows])
         assert path.read_bytes() == want.encode(), n_rows
+
+
+@pytest.mark.parametrize("chunk_values", [5, 7, 64])
+def test_tables_sharing_columns_match_row_wise_rows(tmp_path, chunk_values):
+    """Tables reading any columns of one pool, in any order, stopping at
+    different rows over several messages, keep the row-wise writer's bytes:
+    the table that reads every column in order is written from the shared
+    fields, the others from selections."""
+    rng = np.random.default_rng(chunk_values)
+    columns = [np.arange(40), *rng.normal(size=(3, 40)), rng.integers(0, 2, 40).astype(bool)]
+    tables = [(str(tmp_path / f"{i}"), [f"c{j}" for j in picks], picks)
+              for i, picks in enumerate([[0, 3, 1], list(range(5)), [2], [4, 0]])]
+    stops = [40, 40, 23, 9]
+    ready = [[min(n, stop) for stop in stops] for n in (3, 9, 10, 31, 40)]
+    assert not _tables._write_tables(tables, columns, ready, chunk_values)
+    for (path, header, picks), stop in zip(tables, stops):
+        oracles.write_csv_rows(str(tmp_path / "old"), header, zip(*[columns[j][:stop].tolist() for j in picks]))
+        assert (tmp_path / path).read_bytes() == (tmp_path / "old").read_bytes(), path
 
 
 def test_identical_runs_identical_bytes(tmp_path):
